@@ -1,25 +1,35 @@
-"""STO-3G basis machinery and analytic s-type Gaussian integrals.
+"""STO-3G basis machinery and McMurchie-Davidson Gaussian integrals.
 
-All quantities are in atomic units (bohr, hartree). The closed forms below
-cover s primitives only; anything with angular momentum raises
-UnsupportedAngularMomentumError so callers can fall back to a Hamiltonian
-fixture produced offline.
+All quantities are in atomic units (bohr, hartree). Overlap, kinetic,
+nuclear-attraction and repulsion integrals over Cartesian Gaussians of any
+angular momentum follow McMurchie & Davidson, J. Comput. Phys. 26, 218
+(1978): a product of two Gaussians is expanded in Hermite Gaussians (the E
+coefficients), and Coulomb integrals over Hermite Gaussians come from the R
+recurrence over Boys functions. An s function is the l = 0 case.
+
+The kernels take a primitive or a contraction; a contraction is evaluated
+over its whole primitive grid at once. The built-in STO-3G table covers H
+and He; elements outside the table raise UnsupportedAngularMomentumError so
+callers can fall back to a Hamiltonian fixture.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import gamma, gammainc
 
 ANGSTROM_TO_BOHR = 1.8897259886
 
 # Boys-function small-argument switch; below this the 4-term Taylor series
-# and the erf form agree to better than 1e-14.
+# and the incomplete-gamma form agree to better than 1e-14.
 BOYS_TAYLOR_SWITCH = 1e-6
+
+SHELL_LETTERS = "spdfg"
 
 
 class BasisError(ValueError):
@@ -27,7 +37,7 @@ class BasisError(ValueError):
 
 
 class UnsupportedAngularMomentumError(BasisError):
-    """Raised for any integral request involving p or higher shells."""
+    """Raised for an element the basis table has no shells for."""
 
 
 class GeometryError(BasisError):
@@ -57,17 +67,12 @@ class GaussianPrimitive:
     def __post_init__(self):
         object.__setattr__(self, "norm", normalize_primitive(self.exponent, self.angular))
 
-    @property
-    def is_s(self) -> bool:
-        return self.angular == (0, 0, 0)
-
 
 @dataclass(frozen=True)
 class ContractedOrbital:
-    """Fixed linear combination of primitives sharing one center and shell."""
+    """Fixed linear combination of primitives sharing one center and angular part."""
 
     primitives: tuple[tuple[float, GaussianPrimitive], ...]
-    label: str = ""
 
     def __post_init__(self):
         if not self.primitives:
@@ -103,74 +108,144 @@ class IntegralSet:
     e_nuc: float
 
 
-def gaussian_product(a: GaussianPrimitive, b: GaussianPrimitive):
-    """Gaussian product theorem: combined exponent, center, and prefactor."""
-    p = a.exponent + b.exponent
-    ra = np.asarray(a.center)
-    rb = np.asarray(b.center)
-    rp = (a.exponent * ra + b.exponent * rb) / p
-    mu = a.exponent * b.exponent / p
-    pref = math.exp(-mu * float(np.dot(ra - rb, ra - rb)))
-    return p, tuple(rp), pref
+# -- McMurchie-Davidson kernels ---------------------------------------------
 
 
-def _require_s(*prims: GaussianPrimitive) -> None:
-    for p in prims:
-        if not p.is_s:
-            raise UnsupportedAngularMomentumError(
-                f"closed forms cover s shells only, got angular {p.angular}; "
-                "use a Hamiltonian fixture for heavier elements")
+def boys(n: int, t):
+    """Boys function F_n(t) = int_0^1 u^{2n} exp(-t u^2) du, elementwise."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise BasisError(f"Boys argument must be non-negative, got {t.min()}")
+    a = n + 0.5
+    tb = np.maximum(t, BOYS_TAYLOR_SWITCH)
+    out = gamma(a) * gammainc(a, tb) / (2.0 * tb ** a)
+    small = t < BOYS_TAYLOR_SWITCH
+    if np.any(small):
+        taylor = sum((-t) ** k / (math.factorial(k) * (2 * n + 2 * k + 1)) for k in range(4))
+        out = np.where(small, taylor, out)
+    return out[()]
 
 
-def overlap_s(a: GaussianPrimitive, b: GaussianPrimitive) -> float:
-    _require_s(a, b)
-    p, _, pref = gaussian_product(a, b)
-    return a.norm * b.norm * (math.pi / p) ** 1.5 * pref
+def hermite_e(i: int, j: int, t: int, qx: float, a, b):
+    """Hermite coefficient E^{ij}_t of the 1-D product x_A^i e^{-a x_A^2}
+    x_B^j e^{-b x_B^2}, with qx = A_x - B_x; a and b may be arrays."""
+    if t < 0 or t > i + j:
+        return 0.0
+    p = a + b
+    q = a * b / p
+    if i == j == t == 0:
+        return np.exp(-q * qx * qx)
+    if j == 0:
+        return (hermite_e(i - 1, j, t - 1, qx, a, b) / (2 * p)
+                - (q * qx / a) * hermite_e(i - 1, j, t, qx, a, b)
+                + (t + 1) * hermite_e(i - 1, j, t + 1, qx, a, b))
+    return (hermite_e(i, j - 1, t - 1, qx, a, b) / (2 * p)
+            + (q * qx / b) * hermite_e(i, j - 1, t, qx, a, b)
+            + (t + 1) * hermite_e(i, j - 1, t + 1, qx, a, b))
 
 
-def kinetic_s(a: GaussianPrimitive, b: GaussianPrimitive) -> float:
-    _require_s(a, b)
-    p, _, pref = gaussian_product(a, b)
-    mu = a.exponent * b.exponent / p
-    ra = np.asarray(a.center)
-    rb = np.asarray(b.center)
-    r2 = float(np.dot(ra - rb, ra - rb))
-    return a.norm * b.norm * mu * (3.0 - 2.0 * mu * r2) * (math.pi / p) ** 1.5 * pref
+def hermite_r(p, pc):
+    """Hermite Coulomb integrals R_{tuv}(p, PC) as a memoized function of
+    (t, u, v). pc carries the Cartesian components on its last axis; p
+    broadcasts against the rest."""
+    x, y, z = pc[..., 0], pc[..., 1], pc[..., 2]
+    tpc = p * (x * x + y * y + z * z)
+
+    @cache
+    def r(t, u, v, n=0):
+        if t < 0 or u < 0 or v < 0:
+            return 0.0
+        if t:
+            return (t - 1) * r(t - 2, u, v, n + 1) + x * r(t - 1, u, v, n + 1)
+        if u:
+            return (u - 1) * r(t, u - 2, v, n + 1) + y * r(t, u - 1, v, n + 1)
+        if v:
+            return (v - 1) * r(t, u, v - 2, n + 1) + z * r(t, u, v - 1, n + 1)
+        return (-2.0 * p) ** n * boys(n, tpc)
+
+    return r
 
 
-def boys_f0(t: float) -> float:
-    """Zeroth Boys function F0(t) = 1/2 sqrt(pi/t) erf(sqrt(t))."""
-    if t < 0:
-        raise BasisError(f"Boys argument must be non-negative, got {t}")
-    if t < BOYS_TAYLOR_SWITCH:
-        return 1.0 - t / 3.0 + t * t / 10.0 - t * t * t / 42.0
-    st = math.sqrt(t)
-    return 0.5 * math.sqrt(math.pi / t) * float(erf(st))
+def _expansion(f):
+    """Exponents, normalized coefficients, angular part and center of a
+    contraction; a primitive is a one-term contraction."""
+    prims = ((1.0, f),) if isinstance(f, GaussianPrimitive) else f.primitives
+    first = prims[0][1]
+    return (np.array([p.exponent for _, p in prims]), np.array([d * p.norm for d, p in prims]),
+            first.angular, np.asarray(first.center))
 
 
-def nuclear_attraction_s(a: GaussianPrimitive, b: GaussianPrimitive,
-                         nucleus_center, z: int) -> float:
-    _require_s(a, b)
-    p, rp, pref = gaussian_product(a, b)
-    rc = np.asarray(nucleus_center, dtype=float)
-    t = p * float(np.dot(np.asarray(rp) - rc, np.asarray(rp) - rc))
-    return -z * a.norm * b.norm * (2.0 * math.pi / p) * pref * boys_f0(t)
+def _one_electron_axes(f, g):
+    """Pair weights and the per-axis overlaps S_d and kinetic factors T_d
+    over the primitive-pair grid of f and g."""
+    xa, ca, la, ra = _expansion(f)
+    xb, cb, lb, rb = _expansion(g)
+    a, b = xa[:, None], xb[None, :]
+    root = np.sqrt(math.pi / (a + b))
+
+    def s1(d, j):
+        return hermite_e(la[d], j, 0, ra[d] - rb[d], a, b) * root if j >= 0 else 0.0
+
+    s = [s1(d, lb[d]) for d in range(3)]
+    t = [b * (2 * lb[d] + 1) * s[d] - 2 * b * b * s1(d, lb[d] + 2)
+         - 0.5 * lb[d] * (lb[d] - 1) * s1(d, lb[d] - 2) for d in range(3)]
+    return ca[:, None] * cb[None, :], s, t
 
 
-def eri_s(a: GaussianPrimitive, b: GaussianPrimitive,
-          c: GaussianPrimitive, d: GaussianPrimitive) -> float:
-    """Chemist-notation primitive repulsion integral (ab|cd), a,b on electron 1.
+def overlap(f, g) -> float:
+    """<f|g>."""
+    w, s, _ = _one_electron_axes(f, g)
+    return float(np.sum(w * s[0] * s[1] * s[2]))
 
-    Prefactor is the standard 2 pi^{5/2}; validated against a quadrature
-    oracle in the test suite.
-    """
-    _require_s(a, b, c, d)
-    p, ru, pref_ab = gaussian_product(a, b)
-    q, rv, pref_cd = gaussian_product(c, d)
-    ruv = np.asarray(ru) - np.asarray(rv)
-    t = p * q / (p + q) * float(np.dot(ruv, ruv))
-    pref = 2.0 * math.pi ** 2.5 / (p * q * math.sqrt(p + q))
-    return (a.norm * b.norm * c.norm * d.norm) * pref * pref_ab * pref_cd * boys_f0(t)
+
+def kinetic(f, g) -> float:
+    """<f| -1/2 laplacian |g>."""
+    w, s, t = _one_electron_axes(f, g)
+    return float(np.sum(w * (t[0] * s[1] * s[2] + s[0] * t[1] * s[2] + s[0] * s[1] * t[2])))
+
+
+def _pair(f, g):
+    """Product of f and g as Hermite Gaussians on the primitive-pair grid:
+    exponents p, centers rp, and weighted E coefficients keyed (t, u, v)."""
+    xa, ca, la, ra = _expansion(f)
+    xb, cb, lb, rb = _expansion(g)
+    a, b = xa[:, None], xb[None, :]
+    p = a + b
+    rp = (a[..., None] * ra + b[..., None] * rb) / p[..., None]
+    e = [[hermite_e(la[d], lb[d], t, ra[d] - rb[d], a, b) for t in range(la[d] + lb[d] + 1)]
+         for d in range(3)]
+    w = ca[:, None] * cb[None, :]
+    coef = {(t, u, v): w * ex * ey * ez for t, ex in enumerate(e[0])
+            for u, ey in enumerate(e[1]) for v, ez in enumerate(e[2])}
+    return p, rp, coef
+
+
+def _nuclear(pair, nucleus_center, z: int) -> float:
+    p, rp, coef = pair
+    r = hermite_r(p, rp - np.asarray(nucleus_center, dtype=float))
+    return -z * float(np.sum(2.0 * math.pi / p * sum(e * r(*tuv) for tuv, e in coef.items())))
+
+
+def _eri(bra, ket) -> float:
+    (p, rp, e_bra), (q, rq, e_ket) = bra, ket
+    p, q = p[:, :, None, None], q[None, None]
+    r = hermite_r(p * q / (p + q), rp[:, :, None, None] - rq[None, None])
+    val = 0.0
+    for (t, u, v), e1 in e_bra.items():
+        for (tt, uu, vv), e2 in e_ket.items():
+            sign = -1.0 if (tt + uu + vv) % 2 else 1.0
+            val = val + sign * e1[:, :, None, None] * e2[None, None] * r(t + tt, u + uu, v + vv)
+    return float(np.sum(val * 2.0 * math.pi ** 2.5 / (p * q * np.sqrt(p + q))))
+
+
+def nuclear_attraction(f, g, nucleus_center, z: int) -> float:
+    """-Z <f| 1/|r - C| |g>."""
+    return _nuclear(_pair(f, g), nucleus_center, z)
+
+
+def eri(a, b, c, d) -> float:
+    """Chemist-notation repulsion integral (ab|cd), a and b on electron 1."""
+    return _eri(_pair(a, b), _pair(c, d))
 
 
 def nuclear_repulsion(mol: Molecule) -> float:
@@ -186,15 +261,15 @@ def nuclear_repulsion(mol: Molecule) -> float:
     return e
 
 
-# Standard published STO-3G parameterization (s shells): per element symbol,
-# list of shells, each a list of (exponent, contraction coefficient).
-STO3G_TABLE: dict[str, list[list[tuple[float, float]]]] = {
-    "H": [[(3.425250914, 0.1543289673),
-           (0.6239137298, 0.5353281423),
-           (0.1688554040, 0.4446345422)]],
-    "He": [[(6.362421394, 0.1543289673),
-            (1.158922999, 0.5353281423),
-            (0.3136497915, 0.4446345422)]],
+# Standard published STO-3G parameterization: per element symbol, a list of
+# shells, each (angular momentum, [(exponent, contraction coefficient), ...]).
+STO3G_TABLE: dict[str, list[tuple[int, list[tuple[float, float]]]]] = {
+    "H": [(0, [(3.425250914, 0.1543289673),
+               (0.6239137298, 0.5353281423),
+               (0.1688554040, 0.4446345422)])],
+    "He": [(0, [(6.362421394, 0.1543289673),
+                (1.158922999, 0.5353281423),
+                (0.3136497915, 0.4446345422)])],
 }
 
 ELEMENT_SYMBOLS = {
@@ -204,9 +279,10 @@ ELEMENT_SYMBOLS = {
 _Z_TO_SYMBOL = {z: s for s, z in ELEMENT_SYMBOLS.items()}
 
 
-def load_basis_table(path) -> dict[str, list[list[tuple[float, float]]]]:
-    """Optional override table: one `element shell exponent coefficient` per line."""
-    table: dict[str, dict[str, list[tuple[float, float]]]] = {}
+def load_basis_table(path) -> dict[str, list[tuple[int, list[tuple[float, float]]]]]:
+    """Optional override table: one `element shell exponent coefficient` per
+    line. The shell label's letter gives its angular momentum (`1s`, `2p`)."""
+    table: dict[str, dict[str, tuple[int, list[tuple[float, float]]]]] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -215,45 +291,40 @@ def load_basis_table(path) -> dict[str, list[list[tuple[float, float]]]]:
         if len(tok) != 4:
             raise BasisError(f"{path}:{ln}: expected `element shell exponent coefficient`")
         elem, shell = tok[0], tok[1]
+        l = SHELL_LETTERS.find(shell[-1].lower())
+        if l < 0:
+            raise BasisError(f"{path}:{ln}: shell label {shell!r} must end in one of "
+                             f"{', '.join(SHELL_LETTERS)}")
         try:
             expo, coef = float(tok[2]), float(tok[3])
         except ValueError:
             raise BasisError(f"{path}:{ln}: non-numeric exponent/coefficient") from None
-        table.setdefault(elem, {}).setdefault(shell, []).append((expo, coef))
+        table.setdefault(elem, {}).setdefault(shell, (l, []))[1].append((expo, coef))
     return {elem: list(shells.values()) for elem, shells in table.items()}
 
 
 def basis_for(mol: Molecule, table=None) -> list[ContractedOrbital]:
-    """Contracted s orbitals for every atom, renormalized to unit self-overlap."""
+    """Contracted Cartesian orbitals for every atom (a p shell gives x, y, z),
+    each renormalized to unit self-overlap."""
     table = STO3G_TABLE if table is None else table
     orbitals = []
     for z, center in mol.atoms:
         symbol = _Z_TO_SYMBOL.get(z, str(z))
         if symbol not in table:
             raise UnsupportedAngularMomentumError(
-                f"element {symbol} (Z={z}) needs shells beyond s; "
-                "supply its Hamiltonian as a fixture instead")
-        for shell_idx, shell in enumerate(table[symbol]):
-            prims = tuple((coef, GaussianPrimitive(expo, (0, 0, 0), tuple(center)))
-                          for expo, coef in shell)
-            raw = ContractedOrbital(prims, label=f"{symbol} {shell_idx + 1}s")
-            self_ovl = _contract(overlap_s, raw, raw)
-            scale = 1.0 / math.sqrt(self_ovl)
-            orbitals.append(ContractedOrbital(
-                tuple((coef * scale, p) for coef, p in prims), label=raw.label))
+                f"element {symbol} (Z={z}) is not in the basis table (the built-in "
+                "STO-3G covers H and He); supply its Hamiltonian as a fixture instead")
+        for l, shell in table[symbol]:
+            for i in range(l, -1, -1):
+                for j in range(l - i, -1, -1):
+                    angular = (i, j, l - i - j)
+                    raw = ContractedOrbital(tuple(
+                        (coef, GaussianPrimitive(expo, angular, tuple(center)))
+                        for expo, coef in shell))
+                    scale = 1.0 / math.sqrt(overlap(raw, raw))
+                    orbitals.append(ContractedOrbital(
+                        tuple((c * scale, p) for c, p in raw.primitives)))
     return orbitals
-
-
-def _contract(kernel, *orbitals: ContractedOrbital) -> float:
-    """Sum a primitive kernel over the product of contraction expansions."""
-
-    def rec(idx, coeff, prims):
-        if idx == len(orbitals):
-            return coeff * kernel(*prims)
-        return sum(rec(idx + 1, coeff * d, prims + [p])
-                   for d, p in orbitals[idx].primitives)
-
-    return rec(0, 1.0, [])
 
 
 def build_integrals(mol: Molecule, table=None) -> IntegralSet:
@@ -263,28 +334,20 @@ def build_integrals(mol: Molecule, table=None) -> IntegralSet:
     s = np.zeros((n, n))
     t = np.zeros((n, n))
     v = np.zeros((n, n))
+    pairs = {}
     for i in range(n):
-        for j in range(i, n):
-            s[i, j] = s[j, i] = _contract(overlap_s, orbitals[i], orbitals[j])
-            t[i, j] = t[j, i] = _contract(kinetic_s, orbitals[i], orbitals[j])
-            vij = sum(_contract(lambda a, b, rc=rc, z=z: nuclear_attraction_s(a, b, rc, z),
-                                orbitals[i], orbitals[j])
-                      for z, rc in mol.atoms)
-            v[i, j] = v[j, i] = vij
+        for j in range(i + 1):
+            pairs[i, j] = pair = _pair(orbitals[i], orbitals[j])
+            s[i, j] = s[j, i] = overlap(orbitals[i], orbitals[j])
+            t[i, j] = t[j, i] = kinetic(orbitals[i], orbitals[j])
+            v[i, j] = v[j, i] = sum(_nuclear(pair, rc, z) for z, rc in mol.atoms)
     chem = np.zeros((n, n, n, n))
-    done = np.zeros((n, n, n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if done[a, b, c, d]:
-                        continue
-                    val = _contract(eri_s, orbitals[a], orbitals[b],
-                                    orbitals[c], orbitals[d])
-                    for idx in {(a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
-                                (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a)}:
-                        chem[idx] = val
-                        done[idx] = True
+    keys = list(pairs)
+    for x, (i, j) in enumerate(keys):
+        for k, l in keys[:x + 1]:
+            val = _eri(pairs[i, j], pairs[k, l])
+            for a, b, c, d in ((i, j, k, l), (j, i, k, l), (i, j, l, k), (j, i, l, k)):
+                chem[a, b, c, d] = chem[c, d, a, b] = val
     # physicist <pq|rs> = chemist (pr|qs)
     eri_phys = chem.transpose(0, 2, 1, 3).copy()
     return IntegralSet(s, t, v, eri_phys, nuclear_repulsion(mol))

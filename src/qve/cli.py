@@ -1,7 +1,10 @@
 """Command-line interface: qve hamiltonian | map | exact | vqe | replay | zne.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure,
-4 unsupported angular momentum.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
+non-convergence, linear dependence, a Hamiltonian over the dense-matrix
+cap), 4 an element outside the basis table.
+
+NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """
 
 from __future__ import annotations
@@ -35,11 +38,6 @@ def _apply_thread_cap() -> None:
         raise _ConfigError(f"QVE_THREADS must be a positive integer, got {raw!r}") from None
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 def _load_noise(path):
@@ -70,19 +68,9 @@ def _mapped(args):
 
 
 def _cmd_hamiltonian(args) -> int:
-    from .basis import build_integrals, load_geometry
-    from .pipeline import save_fixture
-    from .scf import active_space_reduce, mo_transform, run_rhf
-    mol = load_geometry(args.geometry)
-    ints = build_integrals(mol)
-    scf = run_rhf(ints, mol.n_electrons)
-    if not scf.converged:
-        print("error: SCF did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    n_ao = ints.overlap.shape[0]
-    h1, h2 = mo_transform(ints, scf.mo_coefficients, range(n_ao))
-    pairs = mol.n_electrons // 2
-    problem = active_space_reduce(h1, h2, [], range(n_ao), pairs, pairs, ints.e_nuc)
+    from .basis import load_geometry
+    from .pipeline import problem_from_geometry, save_fixture
+    problem, scf = problem_from_geometry(load_geometry(args.geometry))
     save_fixture(problem, args.out,
                  comment=f"generated by qve hamiltonian from {args.geometry}")
     print(json.dumps({"out": str(args.out), "norb": problem.n_spatial,
@@ -147,14 +135,14 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_zne(args) -> int:
-    from .pipeline import build_ansatz, load_fixture
+    from .pipeline import build_ansatz, load_fixture, problem_to_pauli
     from .zne import run_zne
     if not args.noise:
         raise _ConfigError("zne requires --noise")
     problem = load_fixture(args.ham)
     cfg = _run_config(args, args.seed)
     circuit = build_ansatz(problem, cfg)
-    h = _mapped(args)
+    h = problem_to_pauli(problem, args.mapper, args.taper)
     if args.params_file:
         theta = json.loads(Path(args.params_file).read_text())
     elif args.run:
@@ -244,12 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        _apply_thread_cap()  # before the first NumPy import, which reads the caps
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     from .basis import UnsupportedAngularMomentumError
-    from .scf import LinearDependenceError
+    from .pauli import DenseCapError
+    from .scf import ConvergenceError, LinearDependenceError
     from .spsa import SPSAError
 
     try:
-        _apply_thread_cap()
         args = build_parser().parse_args(argv)
         return args.func(args)
     except UnsupportedAngularMomentumError as exc:
@@ -258,7 +251,8 @@ def main(argv=None) -> int:
     except (_ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LinearDependenceError, SPSAError, FloatingPointError) as exc:
+    except (ConvergenceError, LinearDependenceError, DenseCapError, SPSAError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -25,6 +25,10 @@ class PauliError(ValueError):
     pass
 
 
+class DenseCapError(PauliError):
+    """A dense matrix was requested for more qubits than the cap allows."""
+
+
 def _popcount(v: int) -> int:
     return bin(v).count("1")
 
@@ -185,7 +189,7 @@ class PauliSum:
     def to_matrix(self, cap: int = 14) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the sum."""
         if self.n_qubits > cap:
-            raise ResourceWarning(
+            raise DenseCapError(
                 f"{self.n_qubits} qubits exceeds dense-matrix cap {cap}"
             )
         dim = 1 << self.n_qubits

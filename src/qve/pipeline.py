@@ -12,11 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from .ansatz import build_hea, build_uccsd
+from .basis import Molecule, build_integrals, load_geometry
 from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian, hartree_fock_occupation
 from .mapping import MAPPERS, taper_two_qubits
 from .pauli import PauliSum, exact_ground_energy, expectation_exact
-from .scf import ActiveSpaceProblem, spin_orbital_expand
+from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
+                  mo_transform, run_rhf, spin_orbital_expand)
 
 DENSE_CAP = 14
 
@@ -124,6 +126,26 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def problem_from_geometry(mol: Molecule, table=None, core=(), active=None
+                          ) -> tuple[ActiveSpaceProblem, SCFResult]:
+    """Molecule -> integrals -> RHF -> MO transform -> active-space problem.
+
+    `table` overrides the built-in STO-3G table, `core` lists the doubly
+    occupied MOs to freeze and `active` the MOs to keep (default: every MO
+    outside the core). The defaults give the full-space problem.
+    """
+    ints = build_integrals(mol, table)
+    scf = run_rhf(ints, mol.n_electrons)
+    if not scf.converged:
+        raise ConvergenceError(f"SCF did not converge in {scf.iterations} iterations")
+    n_mo = ints.overlap.shape[0]
+    if active is None:
+        active = [m for m in range(n_mo) if m not in core]
+    h1, h2 = mo_transform(ints, scf.mo_coefficients, range(n_mo))
+    pairs = mol.n_electrons // 2 - len(core)
+    return active_space_reduce(h1, h2, core, active, pairs, pairs, ints.e_nuc), scf
+
+
 def problem_to_pauli(problem: ActiveSpaceProblem, mapper: str, taper: bool) -> PauliSum:
     """Fixture/SCF problem -> mapped (and optionally tapered) qubit Hamiltonian."""
     if mapper not in MAPPERS:
@@ -163,17 +185,7 @@ class RunConfig:
 def _load_problem(cfg: RunConfig) -> ActiveSpaceProblem:
     if cfg.fixture is not None:
         return load_fixture(cfg.fixture)
-    from .basis import build_integrals, load_geometry
-    from .scf import active_space_reduce, mo_transform, run_rhf
-    mol = load_geometry(cfg.geometry)
-    ints = build_integrals(mol)
-    scf = run_rhf(ints, mol.n_electrons)
-    if not scf.converged:
-        raise PipelineError("SCF did not converge")
-    n_ao = ints.overlap.shape[0]
-    h1, h2 = mo_transform(ints, scf.mo_coefficients, range(n_ao))
-    pairs = mol.n_electrons // 2
-    return active_space_reduce(h1, h2, [], range(n_ao), pairs, pairs, ints.e_nuc)
+    return problem_from_geometry(load_geometry(cfg.geometry))[0]
 
 
 def build_ansatz(problem: ActiveSpaceProblem, cfg: RunConfig) -> Circuit:

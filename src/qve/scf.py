@@ -22,6 +22,10 @@ class LinearDependenceError(SCFError):
     pass
 
 
+class ConvergenceError(SCFError):
+    pass
+
+
 @dataclass(frozen=True)
 class SCFResult:
     mo_coefficients: np.ndarray

@@ -8,10 +8,9 @@ import pytest
 import oracles
 from qve.basis import (ANGSTROM_TO_BOHR, BasisError, GaussianPrimitive,
                        GeometryError, Molecule, UnsupportedAngularMomentumError,
-                       basis_for, boys_f0, build_integrals, eri_s,
-                       gaussian_product, kinetic_s, load_basis_table,
-                       nuclear_attraction_s, nuclear_repulsion, overlap_s,
-                       parse_geometry)
+                       basis_for, boys, build_integrals, eri, hermite_e, kinetic,
+                       load_basis_table, nuclear_attraction, nuclear_repulsion,
+                       overlap, parse_geometry)
 
 S = (0, 0, 0)
 
@@ -37,11 +36,15 @@ def test_normalization_input_validation():
 
 
 def test_gaussian_product_theorem():
-    # [DERIVED] product of two displaced s Gaussians is a single Gaussian:
-    # verify exponent/center/prefactor by evaluating both sides on a grid
+    # [DERIVED] product of two displaced s Gaussians is a single Gaussian of
+    # exponent a + b at the weighted center, scaled by the Hermite
+    # coefficients E^{00}_0 of the three axes: evaluate both sides on a grid
     a = prim(0.8, (0.0, 0.0, 0.0))
     b = prim(1.7, (0.0, 0.5, -1.2))
-    p, rp, pref = gaussian_product(a, b)
+    p = a.exponent + b.exponent
+    rp = (a.exponent * np.array(a.center) + b.exponent * np.array(b.center)) / p
+    pref = math.prod(hermite_e(0, 0, 0, a.center[d] - b.center[d], a.exponent, b.exponent)
+                     for d in range(3))
     rng = np.random.default_rng(0)
     pts = rng.normal(scale=1.5, size=(50, 3))
     for r in pts:
@@ -58,7 +61,7 @@ def test_primitive_overlap_vs_quadrature():
              (1.0, (0, 0, 0), 1.0, (0, 0, 0))]
     for aa, ca, ab, cb in cases:
         a, b = prim(aa, ca), prim(ab, cb)
-        assert overlap_s(a, b) == pytest.approx(oracles.quad_overlap(a, b), abs=1e-10)
+        assert overlap(a, b) == pytest.approx(oracles.quad_overlap(a, b), abs=1e-10)
 
 
 def test_primitive_kinetic_vs_quadrature():
@@ -67,17 +70,17 @@ def test_primitive_kinetic_vs_quadrature():
              (2.2, (0.1, 0.2, 0.3), 0.4, (-0.5, 0.8, 0.0))]
     for aa, ca, ab, cb in cases:
         a, b = prim(aa, ca), prim(ab, cb)
-        assert kinetic_s(a, b) == pytest.approx(oracles.quad_kinetic(a, b), abs=1e-10)
+        assert kinetic(a, b) == pytest.approx(oracles.quad_kinetic(a, b), abs=1e-10)
 
 
 def test_boys_function_vs_quadrature():
     # [DERIVED] F0(t) = int_0^1 exp(-t u^2) du, including the Taylor region
     for t in (0.0, 1e-9, 1e-7, 1e-4, 0.1, 1.0, 7.5, 40.0):
-        assert boys_f0(t) == pytest.approx(oracles.quad_boys_f0(t), abs=1e-13)
+        assert boys(0, t) == pytest.approx(oracles.quad_boys_f0(t), abs=1e-13)
     # spot value: F0(1) = 1/2 sqrt(pi) erf(1)
-    assert boys_f0(1.0) == pytest.approx(0.7468241328, abs=1e-9)
+    assert boys(0, 1.0) == pytest.approx(0.7468241328, abs=1e-9)
     with pytest.raises(BasisError):
-        boys_f0(-0.5)
+        boys(0, -0.5)
 
 
 def test_primitive_nuclear_attraction_vs_quadrature():
@@ -87,7 +90,7 @@ def test_primitive_nuclear_attraction_vs_quadrature():
              (2.0, (0.2, 0, 0), 0.7, (0, 0, 0.9), (0, 0.3, 0), 4)]
     for aa, ca, ab, cb, rc, z in cases:
         a, b = prim(aa, ca), prim(ab, cb)
-        got = nuclear_attraction_s(a, b, rc, z)
+        got = nuclear_attraction(a, b, rc, z)
         want = oracles.quad_nuclear_attraction(a, b, rc, z)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -102,14 +105,14 @@ def test_primitive_eri_vs_quadrature():
     ]
     for a1, c1, a2, c2, a3, c3, a4, c4 in cases:
         a, b, c, d = prim(a1, c1), prim(a2, c2), prim(a3, c3), prim(a4, c4)
-        assert eri_s(a, b, c, d) == pytest.approx(oracles.quad_eri(a, b, c, d), abs=1e-9)
+        assert eri(a, b, c, d) == pytest.approx(oracles.quad_eri(a, b, c, d), abs=1e-9)
 
 
 def test_primitive_eri_vs_monte_carlo():
     # [DERIVED] independent 6-D Monte-Carlo estimate of the all-identical case;
     # 4e6 importance samples give a standard error near 4e-4
     a = prim(1.0)
-    got = eri_s(a, a, a, a)
+    got = eri(a, a, a, a)
     # analytic value of the fully symmetric case is 2/sqrt(pi)
     assert got == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-12)
     mc = oracles.mc_eri(a, a, a, a, n_samples=4_000_000, seed=99)
@@ -120,19 +123,43 @@ def test_eri_symmetries():
     # [DERIVED] chemist-notation 8-fold symmetry of real s integrals
     a, b = prim(0.7, (0, 0, 0)), prim(1.1, (0, 0, 1.0))
     c, d = prim(0.4, (0.5, 0, 0)), prim(2.3, (0, 0.5, 0.5))
-    ref = eri_s(a, b, c, d)
+    ref = eri(a, b, c, d)
     for perm in ((b, a, c, d), (a, b, d, c), (c, d, a, b), (d, c, b, a)):
-        assert eri_s(*perm) == pytest.approx(ref, rel=1e-12)
+        assert eri(*perm) == pytest.approx(ref, rel=1e-12)
 
 
-def test_angular_momentum_rejected():
-    # [TRIVIAL] p-type request raises the dedicated error
-    p_orb = GaussianPrimitive(1.0, (1, 0, 0), (0.0, 0.0, 0.0))
-    s_orb = prim(1.0)
-    with pytest.raises(UnsupportedAngularMomentumError):
-        overlap_s(p_orb, s_orb)
-    with pytest.raises(UnsupportedAngularMomentumError):
-        eri_s(p_orb, s_orb, s_orb, s_orb)
+def _differentiated(oracle, alpha, center, axis, h=1e-4):
+    """Oracle value for a normalized p primitive, from the s oracle: since
+    (x - A_x) e^{-a |r - A|^2} = (1/2a) d/dA_x e^{-a |r - A|^2}, it is the
+    central difference of `oracle(s primitive centered at A)` over A_x."""
+    step = np.eye(3)[axis] * h
+    plus = oracle(prim(alpha, tuple(np.add(center, step))))
+    minus = oracle(prim(alpha, tuple(np.subtract(center, step))))
+    ratio = (GaussianPrimitive(alpha, tuple(np.eye(3, dtype=int)[axis]), center).norm
+             / prim(alpha).norm)
+    return ratio / (2 * alpha) * (plus - minus) / (2 * h)
+
+
+def test_p_primitives_vs_differentiated_s_oracles():
+    # [DERIVED] p-shell kernels vs central differences of the s-shell
+    # quadrature oracles along each axis (1e-7)
+    alpha, ca = 0.8, (0.1, -0.2, 0.3)
+    b, c, d = prim(1.3, (0.0, 0.4, 1.1)), prim(0.6, (-0.3, 0.0, 0.5)), prim(2.1, (0.2, 0.2, 0.0))
+    rc, z = (0.0, 0.3, -0.4), 4
+    for axis in range(3):
+        p = GaussianPrimitive(alpha, tuple(np.eye(3, dtype=int)[axis]), ca)
+        want = _differentiated(lambda s: oracles.quad_overlap(s, b), alpha, ca, axis)
+        assert overlap(p, b) == pytest.approx(want, abs=1e-7)
+        assert overlap(b, p) == pytest.approx(want, abs=1e-7)
+        want = _differentiated(lambda s: oracles.quad_kinetic(s, b), alpha, ca, axis)
+        assert kinetic(p, b) == pytest.approx(want, abs=1e-7)
+        assert kinetic(b, p) == pytest.approx(want, abs=1e-7)
+        want = _differentiated(lambda s: oracles.quad_nuclear_attraction(s, b, rc, z),
+                               alpha, ca, axis)
+        assert nuclear_attraction(p, b, rc, z) == pytest.approx(want, abs=1e-7)
+        want = _differentiated(lambda s: oracles.quad_eri(s, b, c, d), alpha, ca, axis)
+        assert eri(p, b, c, d) == pytest.approx(want, abs=1e-7)
+        assert eri(c, d, b, p) == pytest.approx(want, abs=1e-7)
 
 
 def test_nuclear_repulsion():
@@ -192,7 +219,7 @@ def test_eri_tensor_physicist_symmetry():
 
 
 def test_basis_for_unknown_element():
-    # [TRIVIAL] elements beyond the s-only table are rejected with the
+    # [TRIVIAL] elements outside the built-in H/He table are rejected with the
     # angular-momentum error so callers fall back to fixtures
     mol = Molecule(((4, (0.0, 0.0, 0.0)),))
     with pytest.raises(UnsupportedAngularMomentumError):
@@ -223,8 +250,19 @@ def test_load_basis_table(tmp_path):
     f.write_text("H 1s 3.42525091 0.15432897\nH 1s 0.62391373 0.53532814\n"
                  "H 1s 0.16885540 0.44463454\n")
     table = load_basis_table(f)
-    assert len(table["H"]) == 1 and len(table["H"][0]) == 3
+    assert len(table["H"]) == 1
+    l, shell = table["H"][0]
+    assert l == 0 and len(shell) == 3
+    # the shell letter gives the angular momentum; a table with a p shell
+    # expands it into x, y, z orbitals
+    f.write_text("Li 1s 1.0 1.0\nLi 2p 0.5 1.0\n")
+    table = load_basis_table(f)
+    assert [l for l, _ in table["Li"]] == [0, 1]
+    assert len(basis_for(Molecule(((3, (0.0, 0.0, 0.0)),)), table)) == 4
     bad = tmp_path / "bad.txt"
     bad.write_text("H 1s notanumber 0.1\n")
+    with pytest.raises(BasisError):
+        load_basis_table(bad)
+    bad.write_text("H 1q 1.0 0.1\n")
     with pytest.raises(BasisError):
         load_basis_table(bad)

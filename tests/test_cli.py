@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, JSON outputs, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,6 +135,29 @@ def test_linear_dependence_is_numeric_error(capsys, tmp_path):
     assert code == EXIT_NUMERIC
 
 
+def test_scf_nonconvergence_is_numeric_error(capsys, tmp_path, monkeypatch):
+    # [TRIVIAL] an SCF that stops unconverged (asymmetric H4, one iteration):
+    # exit code 3
+    from qve import scf
+    monkeypatch.setattr(scf, "MAX_SCF_ITERATIONS", 1)
+    geo = tmp_path / "h4.geom"
+    geo.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\nH 0 0 2.0\nH 0 0 3.1\n")
+    code, _, err = run_cli(capsys, "hamiltonian", "--geometry", str(geo),
+                           "--out", str(tmp_path / "x.ham"))
+    assert code == EXIT_NUMERIC
+    assert "did not converge" in err
+
+
+def test_oversized_exact_is_numeric_error(capsys, tmp_path):
+    # [TRIVIAL] 16 qubits exceed the dense-matrix cap: exit code 3, refused
+    # before the matrix is allocated
+    ham = tmp_path / "big.ham"
+    ham.write_text("norb 8\nnalpha 1\nnbeta 1\nh 0 0 -1.0\nh 7 7 -0.5\n")
+    code, out, err = run_cli(capsys, "exact", "--ham", str(ham), "--mapper", "jw")
+    assert code == EXIT_NUMERIC
+    assert out == "" and "16 qubits" in err
+
+
 def test_bad_noise_file_is_config_error(capsys, tmp_path):
     # [TRIVIAL]
     noise = tmp_path / "noise.cfg"
@@ -151,6 +177,28 @@ def test_qve_threads_env(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("QVE_THREADS", "1")
     code, _, _ = run_cli(capsys, "map", "--ham", str(FIXTURE))
     assert code == EXIT_OK
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc")
+def test_qve_threads_caps_blas_threads():
+    # [DERIVED] QVE_THREADS=1 alone leaves a single thread after `qve map`,
+    # so the cap reaches the BLAS pools that start with NumPy
+    import qve
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["QVE_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = (
+        "from qve.cli import main\n"
+        f"assert main(['map', '--ham', {str(FIXTURE)!r}]) == 0\n"
+        "status = open('/proc/self/status').read().split('Threads:')[1]\n"
+        "print('threads', int(status.split()[0]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "threads 1"
 
 
 def test_zne_requires_parameters(capsys, tmp_path):

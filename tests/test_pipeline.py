@@ -206,3 +206,39 @@ def test_geometry_source_runs_full_chain(tmp_path):
     run_dir = run_vqe(cfg)
     report = json.loads((run_dir / "result.json").read_text())
     assert report["exact_energy_ha"] == pytest.approx(-1.1372838351, abs=1e-8)
+
+
+def test_geometry_scf_nonconvergence_is_convergence_error(tmp_path, monkeypatch):
+    # [TRIVIAL] the shared geometry -> problem path raises the SCF error class
+    # that the CLI maps to exit code 3, and the run records the failing stage
+    from qve import scf
+    monkeypatch.setattr(scf, "MAX_SCF_ITERATIONS", 1)
+    geo = tmp_path / "h4.geom"
+    geo.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\nH 0 0 2.0\nH 0 0 3.1\n")
+    cfg = RunConfig(geometry=str(geo), maxiter=1, output_dir=str(tmp_path))
+    with pytest.raises(scf.ConvergenceError):
+        run_vqe(cfg)
+    report = json.loads((tmp_path / "uccsd_parity_seed0" / "result.json").read_text())
+    assert report["stage"] == "problem"
+
+
+def test_beh2_fixture_regenerates_in_package(tmp_path, beh2_problem):
+    # [DERIVED] the fixture tool, running through the package's integrals,
+    # RHF and frozen-core reduction, reproduces the bundled BeH2 CAS(2e,3o)
+    # fixture: entries 1e-7, constant 1e-9, tapered parity exact energy 1e-9
+    import importlib.util
+    from qve.pauli import exact_ground_energy
+    tool = Path(__file__).resolve().parents[1] / "tools" / "make_beh2_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_beh2_fixture", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "beh2.txt"
+    module.main(out)
+    regen = load_fixture(out)
+    assert (regen.n_spatial, regen.n_alpha, regen.n_beta) == (3, 1, 1)
+    np.testing.assert_allclose(regen.h1, beh2_problem.h1, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(regen.h2, beh2_problem.h2, rtol=0, atol=1e-7)
+    assert regen.e_offset == pytest.approx(beh2_problem.e_offset, abs=1e-9)
+    e_regen, _ = exact_ground_energy(problem_to_pauli(regen, "parity", True))
+    e_bundled, _ = exact_ground_energy(problem_to_pauli(beh2_problem, "parity", True))
+    assert e_regen == pytest.approx(e_bundled, abs=1e-9)

@@ -1,387 +1,47 @@
 #!/usr/bin/env python3
-"""Offline generator for the BeH2 CAS(2e, 3o) / STO-3G Hamiltonian fixture.
+"""Regenerate the bundled BeH2 CAS(2e, 3o) / STO-3G Hamiltonian fixture.
 
-The main package only evaluates s-type integrals analytically, so molecules
-with p shells (Be) enter through a fixture file. This script computes the
-full STO-3G integrals for BeH2 (McMurchie-Davidson recurrences, any angular
-momentum), runs restricted Hartree-Fock, freezes the two lowest MOs, keeps
-3 active spatial orbitals, and writes the active-space coefficients to
+Linear BeH2 at Be-H = 1.326 angstrom goes through the package's
+geometry -> problem path (McMurchie-Davidson integrals, RHF, MO transform)
+with MOs 0 and 1 frozen and MOs 2, 3, 4 active. The built-in STO-3G table
+stops at He, so the Be shells are supplied here. The script prints the RHF
+energy and the exact energy of the tapered parity Hamiltonian, then writes
 src/qve/data/beh2_cas_2e3o_sto3g.txt.
 
-It also brute-force diagonalizes the resulting 6-spin-orbital Hamiltonian
-over all 2^6 Fock states as a sanity check of the written numbers.
-
-Run from the repository root:  python tools/make_beh2_fixture.py
+Run from the repository root:  PYTHONPATH=src python tools/make_beh2_fixture.py
 """
 
-import itertools
-import math
+from pathlib import Path
 
-import numpy as np
-from scipy.special import gammainc, gamma
+from qve.basis import ANGSTROM_TO_BOHR, STO3G_TABLE, Molecule
+from qve.pauli import exact_ground_energy
+from qve.pipeline import problem_from_geometry, problem_to_pauli, save_fixture
 
-ANGSTROM_TO_BOHR = 1.8897259886
+OUT = Path(__file__).resolve().parents[1] / "src" / "qve" / "data" / "beh2_cas_2e3o_sto3g.txt"
 
-# STO-3G parameterization (standard published values).
-STO3G = {
-    "H": [("S", [(3.425250914, 0.1543289673),
-                 (0.6239137298, 0.5353281423),
-                 (0.1688554040, 0.4446345422)])],
-    "Be": [("S", [(30.16787069, 0.1543289673),
-                  (5.495115306, 0.5353281423),
-                  (1.487192653, 0.4446345422)]),
-           ("S", [(1.314833110, -0.09996722919),
-                  (0.3055389383, 0.3995128261),
-                  (0.09937074560, 0.7001154689)]),
-           ("P", [(1.314833110, 0.1559162750),
-                  (0.3055389383, 0.6076837186),
-                  (0.09937074560, 0.3919573931)])],
-}
-
-Z_OF = {"H": 1, "Be": 4}
+# Published STO-3G shells of Be: 1s, 2s and 2p (2s and 2p share exponents).
+TABLE = {**STO3G_TABLE, "Be": [
+    (0, [(30.16787069, 0.1543289673), (5.495115306, 0.5353281423),
+         (1.487192653, 0.4446345422)]),
+    (0, [(1.314833110, -0.09996722919), (0.3055389383, 0.3995128261),
+         (0.09937074560, 0.7001154689)]),
+    (1, [(1.314833110, 0.1559162750), (0.3055389383, 0.6076837186),
+         (0.09937074560, 0.3919573931)]),
+]}
 
 
-def boys(n, t):
-    if t < 1e-12:
-        return 1.0 / (2 * n + 1)
-    a = n + 0.5
-    return gamma(a) * gammainc(a, t) / (2 * t**a)
-
-
-def norm_prim(alpha, lmn):
-    i, j, k = lmn
-    pre = (2 * alpha / math.pi) ** 0.75
-    num = (8 * alpha) ** (i + j + k) * math.factorial(i) * math.factorial(j) * math.factorial(k)
-    den = math.factorial(2 * i) * math.factorial(2 * j) * math.factorial(2 * k)
-    return pre * math.sqrt(num / den)
-
-
-def hermite_E(i, j, t, Qx, a, b):
-    """Hermite expansion coefficient for a 1-D Gaussian product."""
-    p = a + b
-    q = a * b / p
-    if t < 0 or t > i + j:
-        return 0.0
-    if i == j == t == 0:
-        return math.exp(-q * Qx * Qx)
-    if j == 0:
-        return (hermite_E(i - 1, j, t - 1, Qx, a, b) / (2 * p)
-                - (q * Qx / a) * hermite_E(i - 1, j, t, Qx, a, b)
-                + (t + 1) * hermite_E(i - 1, j, t + 1, Qx, a, b))
-    return (hermite_E(i, j - 1, t - 1, Qx, a, b) / (2 * p)
-            + (q * Qx / b) * hermite_E(i, j - 1, t, Qx, a, b)
-            + (t + 1) * hermite_E(i, j - 1, t + 1, Qx, a, b))
-
-
-def overlap_prim(a, lmn1, A, b, lmn2, B):
-    p = a + b
-    val = 1.0
-    for d in range(3):
-        val *= hermite_E(lmn1[d], lmn2[d], 0, A[d] - B[d], a, b)
-    return val * (math.pi / p) ** 1.5
-
-
-def kinetic_prim(a, lmn1, A, b, lmn2, B):
-    i, j, k = lmn2
-
-    def S(lmn):
-        if min(lmn) < 0:
-            return 0.0
-        return overlap_prim(a, lmn1, A, b, lmn, B)
-
-    term0 = b * (2 * (i + j + k) + 3) * S((i, j, k))
-    term1 = -2 * b**2 * (S((i + 2, j, k)) + S((i, j + 2, k)) + S((i, j, k + 2)))
-    term2 = -0.5 * (i * (i - 1) * S((i - 2, j, k))
-                    + j * (j - 1) * S((i, j - 2, k))
-                    + k * (k - 1) * S((i, j, k - 2)))
-    return term0 + term1 + term2
-
-
-def hermite_R(t, u, v, n, p, PC):
-    """Hermite Coulomb integral recurrence."""
-    if t < 0 or u < 0 or v < 0:
-        return 0.0
-    if t == u == v == 0:
-        return (-2 * p) ** n * boys(n, p * float(np.dot(PC, PC)))
-    if t > 0:
-        return ((t - 1) * hermite_R(t - 2, u, v, n + 1, p, PC)
-                + PC[0] * hermite_R(t - 1, u, v, n + 1, p, PC))
-    if u > 0:
-        return ((u - 1) * hermite_R(t, u - 2, v, n + 1, p, PC)
-                + PC[1] * hermite_R(t, u - 1, v, n + 1, p, PC))
-    return ((v - 1) * hermite_R(t, u, v - 2, n + 1, p, PC)
-            + PC[2] * hermite_R(t, u, v - 1, n + 1, p, PC))
-
-
-def nuclear_prim(a, lmn1, A, b, lmn2, B, C):
-    p = a + b
-    P = (a * np.asarray(A) + b * np.asarray(B)) / p
-    val = 0.0
-    for t in range(lmn1[0] + lmn2[0] + 1):
-        for u in range(lmn1[1] + lmn2[1] + 1):
-            for v in range(lmn1[2] + lmn2[2] + 1):
-                val += (hermite_E(lmn1[0], lmn2[0], t, A[0] - B[0], a, b)
-                        * hermite_E(lmn1[1], lmn2[1], u, A[1] - B[1], a, b)
-                        * hermite_E(lmn1[2], lmn2[2], v, A[2] - B[2], a, b)
-                        * hermite_R(t, u, v, 0, p, P - np.asarray(C)))
-    return 2 * math.pi / p * val
-
-
-def eri_prim(a, lmn1, A, b, lmn2, B, c, lmn3, C, d, lmn4, D):
-    p = a + b
-    q = c + d
-    alpha = p * q / (p + q)
-    P = (a * np.asarray(A) + b * np.asarray(B)) / p
-    Q = (c * np.asarray(C) + d * np.asarray(D)) / q
-    val = 0.0
-    for t in range(lmn1[0] + lmn2[0] + 1):
-        for u in range(lmn1[1] + lmn2[1] + 1):
-            for v in range(lmn1[2] + lmn2[2] + 1):
-                E1 = (hermite_E(lmn1[0], lmn2[0], t, A[0] - B[0], a, b)
-                      * hermite_E(lmn1[1], lmn2[1], u, A[1] - B[1], a, b)
-                      * hermite_E(lmn1[2], lmn2[2], v, A[2] - B[2], a, b))
-                if E1 == 0.0:
-                    continue
-                for tt in range(lmn3[0] + lmn4[0] + 1):
-                    for uu in range(lmn3[1] + lmn4[1] + 1):
-                        for vv in range(lmn3[2] + lmn4[2] + 1):
-                            E2 = (hermite_E(lmn3[0], lmn4[0], tt, C[0] - D[0], c, d)
-                                  * hermite_E(lmn3[1], lmn4[1], uu, C[1] - D[1], c, d)
-                                  * hermite_E(lmn3[2], lmn4[2], vv, C[2] - D[2], c, d))
-                            if E2 == 0.0:
-                                continue
-                            val += (E1 * E2 * (-1) ** (tt + uu + vv)
-                                    * hermite_R(t + tt, u + uu, v + vv, 0, alpha, P - Q))
-    return val * 2 * math.pi**2.5 / (p * q * math.sqrt(p + q))
-
-
-class AO:
-    def __init__(self, lmn, center, prims):
-        self.lmn = lmn
-        self.center = np.asarray(center, dtype=float)
-        # prims: list of (exponent, contraction coeff * primitive norm)
-        self.prims = [(alpha, coef * norm_prim(alpha, lmn)) for alpha, coef in prims]
-
-
-def build_aos(atoms):
-    aos = []
-    for sym, pos in atoms:
-        for shell, prims in STO3G[sym]:
-            if shell == "S":
-                aos.append(AO((0, 0, 0), pos, prims))
-            else:
-                for lmn in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-                    aos.append(AO(lmn, pos, prims))
-    return aos
-
-
-def contract1(aos, kernel):
-    n = len(aos)
-    M = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            v = 0.0
-            for a, ca in aos[i].prims:
-                for b, cb in aos[j].prims:
-                    v += ca * cb * kernel(a, aos[i].lmn, aos[i].center, b, aos[j].lmn, aos[j].center)
-            M[i, j] = M[j, i] = v
-    return M
-
-
-def contract_eri(aos):
-    n = len(aos)
-    eri = np.zeros((n, n, n, n))
-    done = set()
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        key = tuple(sorted([tuple(sorted([i, j])), tuple(sorted([k, l]))]))
-        if key in done:
-            continue
-        done.add(key)
-        v = 0.0
-        for a, ca in aos[i].prims:
-            for b, cb in aos[j].prims:
-                for c, cc in aos[k].prims:
-                    for d, cd in aos[l].prims:
-                        v += ca * cb * cc * cd * eri_prim(
-                            a, aos[i].lmn, aos[i].center, b, aos[j].lmn, aos[j].center,
-                            c, aos[k].lmn, aos[k].center, d, aos[l].lmn, aos[l].center)
-        for (p, q) in {(i, j), (j, i)}:
-            for (r, s) in {(k, l), (l, k)}:
-                eri[p, q, r, s] = v
-                eri[r, s, p, q] = v
-    return eri
-
-
-def rhf(S, T, V, eri, n_elec, e_nuc, maxiter=200):
-    hcore = T + V
-    w, U = np.linalg.eigh(S)
-    X = U @ np.diag(w**-0.5) @ U.T
-    nocc = n_elec // 2
-    F = hcore
-    E_old = 0.0
-    D = None
-    for _ in range(maxiter):
-        Fp = X.T @ F @ X
-        eps, Cp = np.linalg.eigh(Fp)
-        C = X @ Cp
-        Cocc = C[:, :nocc]
-        D = 2 * Cocc @ Cocc.T
-        J = np.einsum("pqrs,rs->pq", eri, D)
-        K = np.einsum("prqs,rs->pq", eri, D)
-        F = hcore + J - 0.5 * K
-        E = 0.5 * np.sum(D * (hcore + F)) + e_nuc
-        if abs(E - E_old) < 1e-12:
-            break
-        E_old = E
-    return E, C, eps
-
-
-def mo_eri_chem(eri_ao, C):
-    # chemist (pq|rs) four-index transform
-    tmp = np.einsum("pi,pqrs->iqrs", C, eri_ao, optimize=True)
-    tmp = np.einsum("qj,iqrs->ijrs", C, tmp, optimize=True)
-    tmp = np.einsum("rk,ijrs->ijks", C, tmp, optimize=True)
-    return np.einsum("sl,ijks->ijkl", C, tmp, optimize=True)
-
-
-def main():
+def main(out=OUT):
     d = 1.326 * ANGSTROM_TO_BOHR
-    atoms = [("H", (-d, 0.0, 0.0)), ("Be", (0.0, 0.0, 0.0)), ("H", (d, 0.0, 0.0))]
-    e_nuc = (4 * 1 / d) * 2 + 1 / (2 * d)
-    aos = build_aos(atoms)
-    print(f"{len(aos)} AOs, e_nuc = {e_nuc:.8f}")
-
-    S = contract1(aos, overlap_prim)
-    T = contract1(aos, kinetic_prim)
-    n = len(aos)
-    Vm = np.zeros((n, n))
-    for sym, pos in atoms:
-        Z = Z_OF[sym]
-        Vm += -Z * contract1(aos, lambda a, l1, A, b, l2, B: nuclear_prim(a, l1, A, b, l2, B, pos))
-    eri_ao = contract_eri(aos)
-
-    E_rhf, C, eps = rhf(S, T, V=Vm, eri=eri_ao, n_elec=6, e_nuc=e_nuc)
-    print(f"RHF total energy: {E_rhf:.6f} Ha (reference: -15.56033)")
-    print("orbital energies:", np.round(eps, 5))
-
-    hcore_mo = C.T @ (T + Vm) @ C
-    g_chem = mo_eri_chem(eri_ao, C)
-
-    core = [0, 1]
-    active = [2, 3, 4]
-
-    # frozen-core constant and dressed one-body term, chemist notation
-    e_core = sum(2 * hcore_mo[c, c] for c in core)
-    for c1 in core:
-        for c2 in core:
-            e_core += 2 * g_chem[c1, c1, c2, c2] - g_chem[c1, c2, c2, c1]
-    h1 = np.array([[hcore_mo[p, q]
-                    + sum(2 * g_chem[p, q, c, c] - g_chem[p, c, c, q] for c in core)
-                    for q in active] for p in active])
-    # physicist <pq|rs> = chemist (pr|qs)
-    na = len(active)
-    h2 = np.zeros((na, na, na, na))
-    for P, p in enumerate(active):
-        for Q, q in enumerate(active):
-            for R, r in enumerate(active):
-                for Ssp, s in enumerate(active):
-                    h2[P, Q, R, Ssp] = g_chem[p, r, q, s]
-    e_offset = e_nuc + e_core
-
-    # brute-force check over 2^6 Fock states, blocked spin ordering (alpha then beta)
-    nso = 2 * na
-    dim = 2**nso
-
-    def spin_h(pq):
-        return pq % na
-
-    H = np.zeros((dim, dim))
-
-    def apply_ops(state_bits, ops):
-        # ops: list of (mode, dagger) applied right to left; returns (phase, bits) or None
-        bits = list(state_bits)
-        phase = 1.0
-        for mode, dag in reversed(ops):
-            sign = (-1) ** sum(bits[:mode])
-            if dag:
-                if bits[mode]:
-                    return None
-                bits[mode] = 1
-            else:
-                if not bits[mode]:
-                    return None
-                bits[mode] = 0
-            phase *= sign
-        return phase, tuple(bits)
-
-    def idx(bits):
-        return sum(b << i for i, b in enumerate(bits))
-
-    states = [tuple((s >> i) & 1 for i in range(nso)) for s in range(dim)]
-    for s_i, bits in enumerate(states):
-        for p in range(nso):
-            for q in range(nso):
-                if (p < na) != (q < na):
-                    continue
-                res = apply_ops(bits, [(p, True), (q, False)])
-                if res:
-                    ph, nb = res
-                    H[idx(nb), s_i] += h1[spin_h(p), spin_h(q)] * ph
-        for p in range(nso):
-            for q in range(nso):
-                for r in range(nso):
-                    for s in range(nso):
-                        if (p < na) != (r < na) or (q < na) != (s < na):
-                            continue
-                        res = apply_ops(bits, [(p, True), (q, True), (s, False), (r, False)])
-                        if res:
-                            ph, nb = res
-                            H[idx(nb), s_i] += 0.5 * h2[spin_h(p), spin_h(q), spin_h(r), spin_h(s)] * ph
-
-    evals, evecs = np.linalg.eigh(H)
-    # restrict to the 2-electron (1 alpha, 1 beta) sector for the physical ground state
-    sector = [i for i, b in enumerate(states) if sum(b[:na]) == 1 and sum(b[na:]) == 1]
-    Hs = H[np.ix_(sector, sector)]
-    e0 = np.linalg.eigvalsh(Hs)[0] + e_offset
-    e0_any = evals[0] + e_offset
-    hf_bits = tuple([1] + [0] * (na - 1) + [1] + [0] * (na - 1))
-    e_hf = H[idx(hf_bits), idx(hf_bits)] + e_offset
-    print(f"exact ground energy (1a,1b sector): {e0:.6f} Ha (reference: -15.56089)")
-    print(f"exact ground energy (any sector):   {e0_any:.6f} Ha")
-    print(f"HF determinant energy:              {e_hf:.6f} Ha (reference: -15.56033)")
-
-    lines = [
-        "# BeH2 / STO-3G at Be-H = 1.326 A, linear geometry.",
-        "# Active space: 2 electrons in 3 spatial orbitals (MOs 2,3,4), MOs 0,1 frozen.",
-        "# Generated by tools/make_beh2_fixture.py (McMurchie-Davidson integrals + RHF).",
-        "# Two-electron entries are physicist notation <pq|rs>, unique up to 8-fold symmetry.",
-        f"norb {na}",
-        "nalpha 1",
-        "nbeta 1",
-        f"constant {e_offset:.17g}",
-    ]
-    for p in range(na):
-        for q in range(p + 1):
-            if abs(h1[p, q]) > 1e-12:
-                lines.append(f"h {p} {q} {h1[p, q]:.17g}")
-    seen = set()
-    for p, q, r, s in itertools.product(range(na), repeat=4):
-        if abs(h2[p, q, r, s]) < 1e-12:
-            continue
-        # real-orbital 8-fold group in physicist notation
-        equiv = {(p, q, r, s), (q, p, s, r), (r, s, p, q), (s, r, q, p),
-                 (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
-        if seen & equiv:
-            continue
-        seen.add((p, q, r, s))
-        lines.append(f"g {p} {q} {r} {s} {h2[p, q, r, s]:.17g}")
-
-    out = "src/qve/data/beh2_cas_2e3o_sto3g.txt"
-    import os
-    os.makedirs(os.path.dirname(out), exist_ok=True)
-    with open(out, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print(f"wrote {out} ({len(lines)} lines)")
+    mol = Molecule(((1, (-d, 0.0, 0.0)), (4, (0.0, 0.0, 0.0)), (1, (d, 0.0, 0.0))))
+    problem, scf = problem_from_geometry(mol, TABLE, core=[0, 1], active=[2, 3, 4])
+    e_exact, _ = exact_ground_energy(problem_to_pauli(problem, "parity", True))
+    print(f"RHF total energy:    {scf.total_energy:.7f} Ha (reference -15.56033)")
+    print(f"exact active energy: {e_exact:.7f} Ha (reference -15.56089)")
+    save_fixture(problem, out, comment=(
+        "BeH2 / STO-3G at Be-H = 1.326 A, linear geometry.\n"
+        "Active space: 2 electrons in 3 spatial orbitals (MOs 2,3,4), MOs 0,1 frozen.\n"
+        "Generated by tools/make_beh2_fixture.py."))
+    print(f"wrote {out}")
 
 
 if __name__ == "__main__":
