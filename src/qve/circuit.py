@@ -1,9 +1,11 @@
 """Parameterized circuits, statevector execution, shot estimation, transpilation.
 
 Qubit 0 is the least significant bit of basis-state indices, matching the
-Pauli and Fock modules. Noise is Monte-Carlo Pauli trajectories: the state is
-kept per shot, a random Pauli error may follow each gate, and readout errors
-flip measured bits.
+Pauli and Fock modules. Gate noise is simulated exactly on a density matrix:
+each gate applies U rho U^dagger and then the depolarizing channel on its
+qubits, so one rho per estimate carries the full error model. Shots are drawn
+from the measured distribution diag(rho), and readout errors flip the drawn
+bits (or, with shots=0, fold into the exact expectation).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, expectation_exact
+from .pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
 
 
 class CircuitError(ValueError):
@@ -242,49 +244,50 @@ class NoiseModel:
         return self.p1 == self.p2 == self.readout01 == self.readout10 == 0.0
 
 
-_PAULI_1Q = [(1, 0), (1, 1), (0, 1)]  # X, Y (phase ignored), Z
+# A noisy estimate holds a 4^n-entry density matrix: 256 MiB at 12 qubits.
+DENSITY_CAP = 12
 
 
-def _apply_pauli_rows(states: np.ndarray, rows: np.ndarray, qubits, codes: np.ndarray,
-                      n: int) -> None:
-    """In-place Pauli errors on selected trajectory rows; codes index non-identity
-    Pauli words over the gate's qubits (base 4, 0 = identity excluded)."""
-    for code in np.unique(codes):
-        sel = rows[codes == code]
-        xmask = zmask = 0
-        cc = int(code)
-        for q in qubits:
-            local = cc & 3
-            cc >>= 2
-            if local:
-                xb, zb = _PAULI_1Q[local - 1]
-                xmask |= xb << q
-                zmask |= zb << q
-        sub = states[sel]
-        if zmask:
-            sub = sub * (1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & zmask) & 1))
-        if xmask:
-            sub = sub[:, _flip_perm(n, xmask)]
-        states[sel] = sub
+def _depolarize(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarray:
+    """(1 - lam) rho + lam D(rho), where D twirls each of the qubits,
+    (rho + X rho X + Y rho Y + Z rho Z) / 4: the qubit's reduced state becomes
+    I/2 and its coherences with the rest vanish."""
+    mixed = rho
+    for q in qubits:
+        hi, lo = 1 << (n - q - 1), 1 << q
+        v = mixed.reshape(hi, 2, lo, hi, 2, lo)
+        half_trace = 0.5 * (v[:, 0, :, :, 0] + v[:, 1, :, :, 1])
+        out = np.zeros_like(v)
+        out[:, 0, :, :, 0] = half_trace
+        out[:, 1, :, :, 1] = half_trace
+        mixed = out.reshape(rho.shape)
+    return (1.0 - lam) * rho + lam * mixed
 
 
-def _run_trajectories(c: Circuit, bindings, shots: int, noise: NoiseModel,
-                      rng: np.random.Generator) -> np.ndarray:
-    """(shots, 2^n) batch of per-shot states under Pauli-trajectory noise."""
-    n = c.n_qubits
-    states = np.zeros((shots, 1 << n), dtype=complex)
-    states[:, 0] = 1.0
+def _apply_noisy_gate(rho: np.ndarray, gate: Gate, bindings, n: int,
+                      noise: NoiseModel) -> np.ndarray:
+    """U rho U^dagger, then the exact channel of a uniform non-identity Pauli
+    error with probability p on the gate's k qubits: (1 - lam) rho + lam D(rho),
+    with lam = p 4^k / (4^k - 1)."""
+    # through the statevector kernel f(A) = A U^T (the gate on the last axis):
+    # U rho = f(rho^T)^T and A U^dagger = conj(f(conj A))
+    u_rho = _apply_gate(rho.T, gate, bindings, n).T
+    rho = _apply_gate(u_rho.conj(), gate, bindings, n).conj()
+    k = len(gate.qubits)
+    p = noise.p1 if k == 1 else noise.p2
+    if p == 0.0:
+        return rho
+    return _depolarize(rho, gate.qubits, p * 4**k / (4**k - 1), n)
+
+
+def _run_density(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
+    """Density matrix after the noisy gate list on |0...0><0...0|."""
+    dim = 1 << c.n_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[0, 0] = 1.0
     for g in c.gates:
-        states = _apply_gate(states, g, bindings, n)
-        p = noise.p1 if len(g.qubits) == 1 else noise.p2
-        if p == 0.0:
-            continue
-        hit = np.flatnonzero(rng.random(shots) < p)
-        if hit.size:
-            n_paulis = 4 ** len(g.qubits) - 1
-            codes = rng.integers(1, n_paulis + 1, size=hit.size)
-            _apply_pauli_rows(states, hit, g.qubits, codes, n)
-    return states
+        rho = _apply_noisy_gate(rho, g, bindings, c.n_qubits, noise)
+    return rho
 
 
 # -- estimation ------------------------------------------------------------
@@ -335,18 +338,36 @@ def _basis_change_gates(group: list[PauliTerm], n: int) -> list[Gate]:
     return gates
 
 
-def _sample_outcomes(states: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """One basis-state outcome per shot; states is (dim,) or (shots, dim)."""
+@lru_cache(maxsize=64)
+def _measurement_plan(n: int, items) -> tuple:
+    """(group, basis-change gates) for each qubit-wise-commuting group of the
+    sum with these ((x, z), coefficient) items, built once per Hamiltonian."""
+    groups = group_commuting_terms(PauliSum(n, dict(items)))
+    return tuple((tuple(group), tuple(_basis_change_gates(group, n))) for group in groups)
+
+
+def _z_signs(outcomes: np.ndarray, zmask: int) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(outcomes & zmask) & 1)
+
+
+def _sample_outcomes(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """One basis-state outcome per shot, by inverse CDF over probs."""
     draws = rng.random(shots)
-    if states.ndim == 1:
-        probs = np.abs(states) ** 2
-        cum = np.cumsum(probs)
-        cum /= cum[-1]
-        return np.searchsorted(cum, draws, side="right").clip(max=states.shape[-1] - 1)
-    probs = np.abs(states) ** 2
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    return (cum < draws[:, None]).sum(axis=1).clip(max=states.shape[-1] - 1)
+    cum = np.cumsum(probs)
+    cum /= cum[-1]
+    return np.searchsorted(cum, draws, side="right").clip(max=probs.shape[-1] - 1)
+
+
+def _readout_distribution(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:
+    """Outcome distribution after readout: each qubit's bit passes through the
+    confusion matrix [[1 - r01, r10], [r01, 1 - r10]]."""
+    r01, r10 = noise.readout01, noise.readout10
+    for q in range(n):
+        v = probs.reshape(-1, 2, 1 << q)
+        p0, p1 = v[:, 0], v[:, 1]
+        probs = np.stack(((1 - r01) * p0 + r10 * p1, r01 * p0 + (1 - r10) * p1),
+                         axis=1).reshape(-1)
+    return probs
 
 
 def _apply_readout(outcomes: np.ndarray, n: int, noise: NoiseModel,
@@ -369,42 +390,50 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     Every qubit-wise-commuting group receives the full `shots` budget; group
     estimates are summed and their variances propagated independently. Group
     g uses the PRNG stream derived from (seed, g), so results do not depend
-    on evaluation order.
+    on evaluation order. With gate noise (p1 or p2 > 0) the circuit runs once
+    on a density matrix, which is refused above DENSITY_CAP qubits. With
+    shots=0 and noise the result is the exact noisy expectation, readout
+    errors included.
     """
     if h.n_qubits != c.n_qubits:
         raise CircuitError("Hamiltonian/circuit qubit-count mismatch")
     if shots < 0:
         raise CircuitError("shots must be >= 0")
-    if shots == 0:
-        if noise is not None and not noise.is_trivial:
-            raise CircuitError("exact mode (shots=0) cannot include noise")
+    if shots == 0 and (noise is None or noise.is_trivial):
         psi = run_circuit(c, bindings)
         return EstimatorResult(expectation_exact(h, psi), 0.0, 0, seed)
 
     n = c.n_qubits
+    noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
+    if noisy and n > DENSITY_CAP:
+        raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
+                            f"density-matrix cap {DENSITY_CAP}")
+    base = _run_density(c, bindings, noise) if noisy else run_circuit(c, bindings)
     mean = float(h.coefficient("I" * n).real)
     variance = 0.0
-    groups = group_commuting_terms(h)
-    noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
-    base_state = None if noisy else run_circuit(c, bindings)
-    for gi, group in enumerate(groups):
-        rng = derive_rng(seed, gi)
-        meas = _basis_change_gates(group, n)
+    for gi, (group, meas) in enumerate(_measurement_plan(n, h.items())):
+        state = base
         if noisy:
-            full = c.copy().extend(meas)
-            states = _run_trajectories(full, bindings, shots, noise, rng)
-        else:
-            states = base_state
             for g in meas:
-                states = _apply_gate(states, g, bindings, n)
-        outcomes = _sample_outcomes(states, rng, shots)
+                state = _apply_noisy_gate(state, g, bindings, n, noise)
+            probs = np.diagonal(state).real.clip(min=0.0)
+        else:
+            for g in meas:
+                state = _apply_gate(state, g, bindings, n)
+            probs = np.abs(state) ** 2
+        if shots == 0:
+            probs = _readout_distribution(probs, n, noise)
+            basis = np.arange(1 << n)
+            for t in group:
+                mean += t.label_coefficient.real * float(probs @ _z_signs(basis, t.x | t.z))
+            continue
+        rng = derive_rng(seed, gi)
+        outcomes = _sample_outcomes(probs, rng, shots)
         if noise is not None:
             outcomes = _apply_readout(outcomes, n, noise, rng)
         energies = np.zeros(shots)
         for t in group:
-            zmask = t.x | t.z
-            signs = 1.0 - 2.0 * (np.bitwise_count(outcomes & zmask) & 1)
-            energies += t.label_coefficient.real * signs
+            energies += t.label_coefficient.real * _z_signs(outcomes, t.x | t.z)
         mean += float(energies.mean())
         if shots > 1:
             variance += float(energies.var(ddof=1)) / shots

@@ -132,6 +132,10 @@ class PauliSum:
             for (x, z), c in sorted(self._terms.items())
         ]
 
+    def items(self) -> tuple[tuple[tuple[int, int], complex], ...]:
+        """Hashable snapshot of the contents: ((x, z), coefficient) pairs, sorted."""
+        return tuple(sorted(self._terms.items()))
+
     def __len__(self) -> int:
         return len(self._terms)
 

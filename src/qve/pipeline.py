@@ -16,7 +16,7 @@ from .basis import Molecule, build_integrals, load_geometry
 from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian, hartree_fock_occupation
 from .mapping import MAPPERS, taper_two_qubits
-from .pauli import PauliSum, exact_ground_energy, expectation_exact
+from .pauli import COEFF_TOL, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
 
@@ -101,7 +101,10 @@ def load_fixture(path) -> ActiveSpaceProblem:
 
 
 def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
-    """Write unique nonzero entries with 17-significant-digit round-tripping."""
+    """Write unique entries with |v| >= COEFF_TOL, 17 significant digits each.
+
+    Entries that vanish by symmetry come out of the integrals as roundoff
+    (1e-21 and smaller) and are left out."""
     n = problem.n_spatial
     lines = []
     if comment:
@@ -110,7 +113,7 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
               f"constant {problem.e_offset:.17g}"]
     for p in range(n):
         for q in range(p, n):
-            if problem.h1[p, q] != 0.0:
+            if abs(problem.h1[p, q]) >= COEFF_TOL:
                 lines.append(f"h {p} {q} {problem.h1[p, q]:.17g}")
     written = set()
     for p in range(n):
@@ -118,7 +121,7 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
             for r in range(n):
                 for s in range(n):
                     key = min(_symmetry_orbit(p, q, r, s))
-                    if key in written or problem.h2[key] == 0.0:
+                    if key in written or abs(problem.h2[key]) < COEFF_TOL:
                         continue
                     written.add(key)
                     kp, kq, kr, ks = key

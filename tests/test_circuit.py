@@ -1,17 +1,21 @@
 """Circuit simulation, shot estimation, noise, and transpilation checks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import qve.circuit as circuit_module
 from oracles import pauli_label_matrix
+from qve.ansatz import build_uccsd
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
                          NoiseModel, ParamExpr, TranspileError, circuit_stats,
                          circuit_unitary, derive_rng, estimate,
                          group_commuting_terms, inverse_circuit, run_circuit,
                          transpile)
-from qve.pauli import PauliSum, expectation_exact
+from qve.pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
+from qve.zne import fold_circuit
 
 
 def random_circuit(rng, n, depth):
@@ -134,15 +138,24 @@ def test_inverse_circuit():
 
 
 def test_estimate_exact_mode():
-    # [TRIVIAL] shots=0 equals the dense expectation
+    # [TRIVIAL] shots=0 equals the dense expectation; with noise it is the
+    # exact noisy expectation: depolarized X gives -(1 - 4p/3), symmetric
+    # readout flips on |0> give 1 - 2p
     c = Circuit(2)
     c.h(0).cx(0, 1)
     h = PauliSum.from_labels([("ZZ", 1.0), ("XX", 0.5), ("II", 0.25)])
     r = estimate(c, {}, h, 0, 0)
     assert r.mean == pytest.approx(expectation_exact(h, run_circuit(c)), abs=1e-12)
     assert r.std_error == 0.0
-    with pytest.raises(CircuitError):
-        estimate(c, {}, h, 0, 0, noise=NoiseModel(p1=0.01))
+    z = PauliSum.from_labels([("Z", 1.0)])
+    p = 0.12
+    r = estimate(Circuit(1).x(0), {}, z, 0, 0, noise=NoiseModel(p1=p))
+    assert r.mean == pytest.approx(-(1 - 4 * p / 3), abs=1e-12)
+    assert r.std_error == 0.0
+    p = 0.05
+    r = estimate(Circuit(1).rz(0.0, 0), {}, z, 0, 0,
+                 noise=NoiseModel(readout01=p, readout10=p))
+    assert r.mean == pytest.approx(1 - 2 * p, abs=1e-12)
 
 
 def test_estimate_deterministic_and_trivial_noise_identical():
@@ -209,6 +222,108 @@ def test_depolarizing_bias():
     r = estimate(c, {}, h, 60000, 5, noise=NoiseModel(p1=p))
     want = -(1 - 4 * p / 3)
     assert abs(r.mean - want) < 5 * math.sqrt((1 - want**2) / 60000)
+
+
+def pauli_word(label):
+    return PauliSum.from_labels([(label, 1.0)]).to_matrix()
+
+
+def noisy_density_oracle(gates, n, noise):
+    """rho after each gate's unitary and its explicit Kraus sum over the
+    4^k - 1 non-identity Pauli words on the gate's k qubits."""
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in gates:
+        u = circuit_unitary(Circuit(n).add(g))
+        rho = u @ rho @ u.conj().T
+        k = len(g.qubits)
+        p = noise.p1 if k == 1 else noise.p2
+        words = []
+        for letters in itertools.product("IXYZ", repeat=k):
+            if set(letters) != {"I"}:
+                label = ["I"] * n
+                for q, ch in zip(g.qubits, letters):
+                    label[q] = ch
+                words.append(pauli_word("".join(label)))
+        kraus = sum(w @ rho @ w for w in words)
+        rho = (1 - p) * rho + p / (4**k - 1) * kraus
+    return rho
+
+
+def noisy_expectation_oracle(c, h, noise):
+    """Each term measured on its own: X rotated by H, Y by RZ(-pi/2) then H
+    (both noisy), readout folded into a diagonal observable per qubit."""
+    n = c.n_qubits
+    total = h.coefficient("I" * n).real
+    readout = {0: 1 - 2 * noise.readout01, 1: -(1 - 2 * noise.readout10)}
+    for t in h.terms():
+        if t.weight == 0:
+            continue
+        gates = list(c.gates)
+        for q, ch in enumerate(t.label()):
+            if ch == "X":
+                gates.append(Gate("H", (q,)))
+            elif ch == "Y":
+                gates += [Gate("RZ", (q,), -math.pi / 2), Gate("H", (q,))]
+        rho = noisy_density_oracle(gates, n, noise)
+        support = [q for q, ch in enumerate(t.label()) if ch != "I"]
+        obs = [math.prod(readout[(b >> q) & 1] for q in support) for b in range(1 << n)]
+        total += t.label_coefficient.real * float(np.real(np.diagonal(rho)) @ obs)
+    return total
+
+
+def test_noisy_exact_estimate_matches_density_oracle():
+    # [DERIVED] shots=0 under gate and readout noise equals a dense oracle
+    # built from one-gate unitaries and explicit Pauli Kraus sums (1e-12)
+    rng = np.random.default_rng(17)
+    noise = NoiseModel(p1=0.03, p2=0.08, readout01=0.02, readout10=0.07)
+    labels = ["".join(w) for w in itertools.product("IXYZ", repeat=3)]
+    for _ in range(4):
+        c = random_circuit(rng, 3, 12)
+        assert {len(g.qubits) for g in c.gates} == {1, 2}
+        picks = rng.choice(labels, size=10, replace=False)
+        h = PauliSum.from_labels([(str(lbl), float(rng.normal())) for lbl in picks])
+        r = estimate(c, {}, h, 0, 0, noise=noise)
+        assert r.mean == pytest.approx(noisy_expectation_oracle(c, h, noise), abs=1e-12)
+        assert r.std_error == 0.0
+
+
+def test_noisy_sampled_mean_matches_exact_on_folded_uccsd(beh2_tapered):
+    # [DERIVED] BeH2 UCCSD at fold 3 (1626 gates): the 4096-shot noisy mean
+    # lies within 5 sigma of the exact noisy expectation
+    c = fold_circuit(build_uccsd(1, 1, 3, "parity", True), 3)
+    theta = np.random.default_rng(8).uniform(-0.1, 0.1, len(c.parameter_names))
+    bindings = dict(zip(c.parameter_names, theta))
+    noise = NoiseModel(p1=0.0002, p2=0.002)
+    exact = estimate(c, bindings, beh2_tapered, 0, 0, noise=noise).mean
+    r = estimate(c, bindings, beh2_tapered, 4096, 3, noise=noise)
+    assert abs(r.mean - exact) < 5 * r.std_error
+
+
+def test_noisy_estimate_over_density_cap_is_refused():
+    # [TRIVIAL] 13 qubits would need a 1 GiB density matrix: refused up front
+    c = Circuit(13).x(0)
+    h = PauliSum.from_labels([("Z" + "I" * 12, 1.0)])
+    with pytest.raises(DenseCapError):
+        estimate(c, {}, h, 16, 0, noise=NoiseModel(p1=0.01))
+
+
+def test_measurement_plan_keyed_on_contents(monkeypatch):
+    # [DERIVED] terms are grouped once per Hamiltonian content; an in-place
+    # add_term gives a new plan and the right estimate
+    calls = []
+    original = circuit_module.group_commuting_terms
+    monkeypatch.setattr(circuit_module, "group_commuting_terms",
+                        lambda h: calls.append(1) or original(h))
+    c = Circuit(2).h(0).cx(0, 1)
+    h = PauliSum.from_labels([("ZZ", 0.731), ("XX", -0.269)])
+    first = estimate(c, {}, h, 64, 1)
+    assert estimate(c, {}, h, 64, 1) == first
+    assert len(calls) == 1
+    h.add_term(PauliTerm.from_label("ZI", 0.5))
+    r = estimate(c, {}, h, 64, 1, noise=NoiseModel(p1=0.01))
+    assert len(calls) == 2
+    assert r.mean != first.mean
 
 
 def test_noise_model_validation():

@@ -225,7 +225,8 @@ def test_geometry_scf_nonconvergence_is_convergence_error(tmp_path, monkeypatch)
 def test_beh2_fixture_regenerates_in_package(tmp_path, beh2_problem):
     # [DERIVED] the fixture tool, running through the package's integrals,
     # RHF and frozen-core reduction, reproduces the bundled BeH2 CAS(2e,3o)
-    # fixture: entries 1e-7, constant 1e-9, tapered parity exact energy 1e-9
+    # fixture: entries 1e-7, constant 1e-9, tapered parity exact energy 1e-9,
+    # and exactly the bundled file's 12 entries (symmetry-zero roundoff dropped)
     import importlib.util
     from qve.pauli import exact_ground_energy
     tool = Path(__file__).resolve().parents[1] / "tools" / "make_beh2_fixture.py"
@@ -242,3 +243,10 @@ def test_beh2_fixture_regenerates_in_package(tmp_path, beh2_problem):
     e_regen, _ = exact_ground_energy(problem_to_pauli(regen, "parity", True))
     e_bundled, _ = exact_ground_energy(problem_to_pauli(beh2_problem, "parity", True))
     assert e_regen == pytest.approx(e_bundled, abs=1e-9)
+
+    def entry_keys(path):
+        return sorted(tuple(line.split()[:-1]) for line in Path(path).read_text().splitlines()
+                      if line.split()[:1] in (["h"], ["g"]))
+
+    assert entry_keys(out) == entry_keys(FIXTURE)
+    assert len(entry_keys(FIXTURE)) == 12
