@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, ParamExpr
-from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, LadderTerm, \
-    hartree_fock_occupation
-from .mapping import MAPPERS, _FenwickTree, encode_parity_state, taper_two_qubits
+from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, hartree_fock_occupation
+from .mapping import encode_occupation, qubit_operator
 from .pauli import PauliTerm
 
 GENERATOR_REAL_TOL = 1e-12
@@ -81,33 +80,9 @@ def pauli_evolution(term: PauliTerm, param: ParamExpr | None = None,
     return enter + ladder + [rot] + list(reversed(ladder)) + list(reversed(leave))
 
 
-def _encode_occupation(occ: tuple[int, ...], mapper: str, taper: bool) -> tuple[int, ...]:
-    if taper and mapper != "parity":
-        raise AnsatzError("two-qubit tapering is only defined for the parity mapping")
-    if mapper == "jw":
-        return occ
-    if mapper == "parity":
-        bits = encode_parity_state(occ)
-        if taper:
-            n = len(occ) // 2
-            return tuple(b for q, b in enumerate(bits) if q not in (n - 1, 2 * n - 1))
-        return bits
-    if mapper == "bk":
-        tree = _FenwickTree(len(occ))
-
-        def subtree(j):
-            acc = occ[j]
-            for ch in tree.flip_set(j):
-                acc ^= subtree(ch)
-            return acc
-
-        return tuple(subtree(j) for j in range(len(occ)))
-    raise AnsatzError(f"unknown mapper {mapper!r}")
-
-
 def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:
     """X gates preparing the mapped Hartree-Fock basis state."""
-    bits = _encode_occupation(occupation.occupations, mapper, taper)
+    bits = encode_occupation(occupation.occupations, mapper, taper)
     c = Circuit(len(bits))
     for q, b in enumerate(bits):
         if b:
@@ -123,10 +98,6 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
     as the Hamiltonian; parameters are theta0, theta1, ... in excitation order
     (singles then doubles, lexicographic).
     """
-    if mapper not in MAPPERS:
-        raise AnsatzError(f"unknown mapper {mapper!r}")
-    if taper and mapper != "parity":
-        raise AnsatzError("two-qubit tapering is only defined for the parity mapping")
     n_modes = 2 * n_spatial
     exc = excitations(n_alpha, n_beta, n_spatial)
     occ = hartree_fock_occupation(n_alpha, n_beta, n_spatial)
@@ -139,10 +110,7 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
             i, j, k, l = e
             factors = ((k, CREATE), (l, CREATE), (j, ANNIHILATE), (i, ANNIHILATE))
         t = FermionOperator.from_term(n_modes, factors)
-        gen = t - t.dagger()
-        mapped = MAPPERS[mapper](gen)
-        if taper:
-            mapped = taper_two_qubits(mapped, n_alpha, n_beta)
+        mapped = qubit_operator(t - t.dagger(), mapper, taper, n_alpha, n_beta)
         param = ParamExpr(f"theta{idx}")
         for term in mapped.terms():
             circuit.extend(pauli_evolution(term, param))

@@ -3,9 +3,9 @@
 Qubit 0 is the least significant bit of basis-state indices, matching the
 Pauli and Fock modules. Gate noise is simulated exactly on a density matrix:
 each gate applies U rho U^dagger and then the depolarizing channel on its
-qubits, so one rho per estimate carries the full error model. Shots are drawn
-from the measured distribution diag(rho), and readout errors flip the drawn
-bits (or, with shots=0, fold into the exact expectation).
+qubits, so one rho per estimate carries the full error model. Readout errors
+fold into each measured distribution, from which shots are drawn (or, with
+shots=0, the exact expectation is taken).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
+from .pauli import DenseCapError, PauliSum, PauliTerm
 
 
 class CircuitError(ValueError):
@@ -370,19 +370,6 @@ def _readout_distribution(probs: np.ndarray, n: int, noise: NoiseModel) -> np.nd
     return probs
 
 
-def _apply_readout(outcomes: np.ndarray, n: int, noise: NoiseModel,
-                   rng: np.random.Generator) -> np.ndarray:
-    if noise.readout01 == 0.0 and noise.readout10 == 0.0:
-        return outcomes
-    out = outcomes.copy()
-    for q in range(n):
-        u = rng.random(out.shape[0])
-        bit = (out >> q) & 1
-        flip = np.where(bit == 0, u < noise.readout01, u < noise.readout10)
-        out ^= flip.astype(out.dtype) << q
-    return out
-
-
 def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
              noise: NoiseModel | None = None) -> EstimatorResult:
     """Shot-based (or exact, shots=0) expectation of h on the circuit output.
@@ -391,20 +378,18 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     estimates are summed and their variances propagated independently. Group
     g uses the PRNG stream derived from (seed, g), so results do not depend
     on evaluation order. With gate noise (p1 or p2 > 0) the circuit runs once
-    on a density matrix, which is refused above DENSITY_CAP qubits. With
-    shots=0 and noise the result is the exact noisy expectation, readout
-    errors included.
+    on a density matrix, which is refused above DENSITY_CAP qubits. Readout
+    errors pass each group's distribution through the confusion matrices
+    before sampling. With shots=0 the result is the exact expectation, noise
+    included.
     """
     if h.n_qubits != c.n_qubits:
         raise CircuitError("Hamiltonian/circuit qubit-count mismatch")
     if shots < 0:
         raise CircuitError("shots must be >= 0")
-    if shots == 0 and (noise is None or noise.is_trivial):
-        psi = run_circuit(c, bindings)
-        return EstimatorResult(expectation_exact(h, psi), 0.0, 0, seed)
-
     n = c.n_qubits
     noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
+    readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy and n > DENSITY_CAP:
         raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
                             f"density-matrix cap {DENSITY_CAP}")
@@ -421,16 +406,14 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
             for g in meas:
                 state = _apply_gate(state, g, bindings, n)
             probs = np.abs(state) ** 2
-        if shots == 0:
+        if readout:
             probs = _readout_distribution(probs, n, noise)
+        if shots == 0:
             basis = np.arange(1 << n)
             for t in group:
                 mean += t.label_coefficient.real * float(probs @ _z_signs(basis, t.x | t.z))
             continue
-        rng = derive_rng(seed, gi)
-        outcomes = _sample_outcomes(probs, rng, shots)
-        if noise is not None:
-            outcomes = _apply_readout(outcomes, n, noise, rng)
+        outcomes = _sample_outcomes(probs, derive_rng(seed, gi), shots)
         energies = np.zeros(shots)
         for t in group:
             energies += t.label_coefficient.real * _z_signs(outcomes, t.x | t.z)

@@ -135,12 +135,14 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_zne(args) -> int:
-    from .pipeline import build_ansatz, load_fixture, problem_to_pauli
+    from .pipeline import RunConfig, build_ansatz, load_fixture, problem_to_pauli
     from .zne import run_zne
     if not args.noise:
         raise _ConfigError("zne requires --noise")
     problem = load_fixture(args.ham)
-    cfg = _run_config(args, args.seed)
+    # only the ansatz fields: the shots go to run_zne, where 0 means exact
+    cfg = RunConfig(fixture=args.ham, mapper=args.mapper, taper=args.taper,
+                    ansatz=args.ansatz, reps=args.reps)
     circuit = build_ansatz(problem, cfg)
     h = problem_to_pauli(problem, args.mapper, args.taper)
     if args.params_file:

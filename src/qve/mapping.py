@@ -5,6 +5,10 @@ anticommutation relations, so they agree on spectra. The Parity encoding
 stores inclusive cumulative occupation parities, which pins the total
 alpha-parity on qubit n-1 and the total parity on qubit 2n-1 under blocked
 spin ordering; those two qubits can then be tapered off.
+
+`qubit_operator` (operators) and `encode_occupation` (basis states) are the
+entry points, so the Hamiltonian, the UCCSD generators and the Hartree-Fock
+state share one encoding.
 """
 
 from __future__ import annotations
@@ -148,20 +152,17 @@ MAPPERS = {
 }
 
 
-def encode_parity_state(occupations: tuple[int, ...]) -> tuple[int, ...]:
-    """Inclusive cumulative parities: bit q = (n_0 + ... + n_q) mod 2."""
-    out = []
-    acc = 0
-    for n_i in occupations:
-        acc ^= n_i & 1
-        out.append(acc)
-    return tuple(out)
-
-
 def _drop_bit(mask: int, q: int) -> int:
     low = mask & ((1 << q) - 1)
     high = mask >> (q + 1)
     return low | (high << q)
+
+
+def _parity_qubits(n_qubits: int) -> tuple[int, int]:
+    """The alpha-parity and total-parity qubits under blocked spin ordering."""
+    if n_qubits % 2:
+        raise MappingError("expected an even qubit count (blocked spin ordering)")
+    return n_qubits // 2 - 1, n_qubits - 1
 
 
 def taper_two_qubits(h: PauliSum, n_alpha: int, n_beta: int) -> PauliSum:
@@ -171,10 +172,7 @@ def taper_two_qubits(h: PauliSum, n_alpha: int, n_beta: int) -> PauliSum:
     (-1)^(n_alpha + n_beta); a term with X or Y there means the input did not
     conserve the per-spin electron numbers.
     """
-    if h.n_qubits % 2:
-        raise MappingError("expected an even qubit count (blocked spin ordering)")
-    n = h.n_qubits // 2
-    q1, q2 = n - 1, 2 * n - 1
+    q1, q2 = _parity_qubits(h.n_qubits)
     ev1 = -1.0 if n_alpha % 2 else 1.0
     ev2 = -1.0 if (n_alpha + n_beta) % 2 else 1.0
     out = PauliSum.zero(h.n_qubits - 2)
@@ -191,6 +189,46 @@ def taper_two_qubits(h: PauliSum, n_alpha: int, n_beta: int) -> PauliSum:
         z = _drop_bit(_drop_bit(t.z, q2), q1)
         out.add_term(PauliTerm(h.n_qubits - 2, x, z, c))
     return out
+
+
+def _check_encoding(mapper: str, taper: bool) -> None:
+    if mapper not in MAPPERS:
+        raise MappingError(f"unknown mapper {mapper!r}")
+    if taper and mapper != "parity":
+        raise MappingError("two-qubit tapering requires the parity mapping")
+
+
+def qubit_operator(op: FermionOperator, mapper: str, taper: bool,
+                   n_alpha: int, n_beta: int) -> PauliSum:
+    """Map op with the named encoding; with taper, also remove the two parity
+    qubits, fixed by the (n_alpha, n_beta) sector."""
+    _check_encoding(mapper, taper)
+    h = MAPPERS[mapper](op)
+    if taper:
+        h = taper_two_qubits(h, n_alpha, n_beta)
+    return h
+
+
+def encode_occupation(occupations: tuple[int, ...], mapper: str,
+                      taper: bool) -> tuple[int, ...]:
+    """Qubit bits (qubit 0 first) of the basis state encoding a Fock occupation.
+
+    Every encoding maps the vacuum to |0...0>, and both terms of a mapped a+_p
+    carry the same X mask: the qubits that a+_p flips. The state is therefore
+    the XOR of those masks over the occupied modes. With taper, the two parity
+    qubits are dropped.
+    """
+    _check_encoding(mapper, taper)
+    n = len(occupations)
+    state = 0
+    for p, occupied in enumerate(occupations):
+        if occupied:
+            state ^= MAPPERS[mapper](FermionOperator.ladder(n, p, True)).terms()[0].x
+    if taper:
+        q1, q2 = _parity_qubits(n)
+        state = _drop_bit(_drop_bit(state, q2), q1)
+        n -= 2
+    return tuple((state >> q) & 1 for q in range(n))
 
 
 def mapping_stats(h: PauliSum) -> MappingStats:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 COEFF_TOL = 1e-12
+# Largest qubit count with a dense matrix: 2^14 x 2^14 complex is 4 GiB.
+DENSE_CAP = 14
 
 _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -190,11 +192,11 @@ class PauliSum:
 
     # -- dense realization ----------------------------------------------
 
-    def to_matrix(self, cap: int = 14) -> np.ndarray:
-        """Dense 2^n x 2^n matrix of the sum."""
-        if self.n_qubits > cap:
+    def to_matrix(self) -> np.ndarray:
+        """Dense 2^n x 2^n matrix of the sum; refused above DENSE_CAP qubits."""
+        if self.n_qubits > DENSE_CAP:
             raise DenseCapError(
-                f"{self.n_qubits} qubits exceeds dense-matrix cap {cap}"
+                f"{self.n_qubits} qubits exceeds dense-matrix cap {DENSE_CAP}"
             )
         dim = 1 << self.n_qubits
         basis = np.arange(dim)
@@ -206,15 +208,11 @@ class PauliSum:
         return mat
 
 
-def to_matrix(h: PauliSum, cap: int = 14) -> np.ndarray:
-    return h.to_matrix(cap=cap)
-
-
-def exact_ground_energy(h: PauliSum, cap: int = 14) -> tuple[float, np.ndarray]:
+def exact_ground_energy(h: PauliSum) -> tuple[float, np.ndarray]:
     """Minimum eigenvalue and a unit ground vector of a Hermitian sum."""
     if not h.is_hermitian():
         raise PauliError("ground-energy request for a non-Hermitian sum")
-    mat = h.to_matrix(cap=cap)
+    mat = h.to_matrix()
     evals, evecs = np.linalg.eigh(mat)
     return float(evals[0]), evecs[:, 0]
 

@@ -15,12 +15,10 @@ from .ansatz import build_hea, build_uccsd
 from .basis import Molecule, build_integrals, load_geometry
 from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian, hartree_fock_occupation
-from .mapping import MAPPERS, taper_two_qubits
-from .pauli import COEFF_TOL, PauliSum, exact_ground_energy, expectation_exact
+from .mapping import qubit_operator
+from .pauli import COEFF_TOL, DENSE_CAP, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
-
-DENSE_CAP = 14
 
 
 class FixtureError(ValueError):
@@ -151,15 +149,9 @@ def problem_from_geometry(mol: Molecule, table=None, core=(), active=None
 
 def problem_to_pauli(problem: ActiveSpaceProblem, mapper: str, taper: bool) -> PauliSum:
     """Fixture/SCF problem -> mapped (and optionally tapered) qubit Hamiltonian."""
-    if mapper not in MAPPERS:
-        raise PipelineError(f"unknown mapper {mapper!r}")
-    if taper and mapper != "parity":
-        raise PipelineError("tapering requires the parity mapping")
     h_so, g_so = spin_orbital_expand(problem)
-    h = MAPPERS[mapper](build_hamiltonian(h_so, g_so, problem.e_offset))
-    if taper:
-        h = taper_two_qubits(h, problem.n_alpha, problem.n_beta)
-    return h
+    return qubit_operator(build_hamiltonian(h_so, g_so, problem.e_offset),
+                          mapper, taper, problem.n_alpha, problem.n_beta)
 
 
 @dataclass(frozen=True)

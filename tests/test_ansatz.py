@@ -13,7 +13,7 @@ from qve.ansatz import (AnsatzError, build_hea, build_uccsd, excitations,
 from qve.circuit import Circuit, ParamExpr, circuit_stats, circuit_unitary, \
     run_circuit, transpile
 from qve.fermion import hartree_fock_occupation
-from qve.mapping import MAPPERS, encode_parity_state
+from qve.mapping import MAPPERS, MappingError, encode_occupation
 from qve.pauli import PauliSum, PauliTerm, expectation_exact
 from qve.pipeline import problem_to_pauli
 
@@ -89,7 +89,7 @@ def test_hf_state_bit_patterns():
     jw = run_circuit(hf_state_circuit(occ, "jw", False))
     assert np.argmax(np.abs(jw)) == occ.index()
     par = run_circuit(hf_state_circuit(occ, "parity", False))
-    bits = encode_parity_state(occ.occupations)
+    bits = encode_occupation(occ.occupations, "parity", False)
     assert np.argmax(np.abs(par)) == sum(b << q for q, b in enumerate(bits))
 
 
@@ -128,9 +128,9 @@ def test_uccsd_conserves_particle_number():
 
 def test_uccsd_taper_requires_parity():
     # [TRIVIAL]
-    with pytest.raises(AnsatzError):
+    with pytest.raises(MappingError):
         build_uccsd(1, 1, 2, "bk", True)
-    with pytest.raises(AnsatzError):
+    with pytest.raises(MappingError):
         build_uccsd(1, 1, 2, "jw", True)
 
 

@@ -49,6 +49,14 @@ def test_exact_energy(capsys):
     assert json.loads(out)["energy_ha"] == pytest.approx(-15.56089, abs=5e-6)
 
 
+def test_exact_taper_requires_parity_is_config_error(capsys):
+    # [TRIVIAL] tapering is defined for the parity mapping only: exit code 2
+    code, out, err = run_cli(capsys, "exact", "--ham", str(FIXTURE),
+                             "--mapper", "jw", "--taper")
+    assert code == EXIT_CONFIG
+    assert out == "" and "parity" in err
+
+
 def test_hamiltonian_generates_usable_fixture(capsys, tmp_path):
     # [DERIVED] geometry -> fixture -> exact energy matches the H2 FCI value
     geo = tmp_path / "h2.geom"
@@ -97,6 +105,43 @@ def test_vqe_replay_zne_round_trip(capsys, tmp_path):
     assert set(payload["fits"]) == {"linear", "quadratic", "exponential"}
     lines = (tmp_path / "zne.csv").read_text().strip().splitlines()
     assert lines[0] == "fold,mean_ha,std_error_ha" and len(lines) == 4
+
+
+def test_zne_zero_shots_gives_exact_noisy_energies(capsys, tmp_path):
+    # [DERIVED] zne --shots 0 prints each fold's exact noisy energy, equal to
+    # the library estimate at shots=0, with standard error 0
+    from qve.circuit import NoiseModel, estimate
+    from qve.pipeline import RunConfig, build_ansatz, load_fixture, problem_to_pauli
+    from qve.zne import fold_circuit
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    theta = [0.1 * (i + 1) for i in range(16)]
+    params = tmp_path / "theta.json"
+    params.write_text(json.dumps(theta))
+    code, out, _ = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper",
+                           "--ansatz", "hea", "--shots", "0", "--noise", str(noise),
+                           "--params-file", str(params))
+    assert code == EXIT_OK
+    points = json.loads(out)["points"]
+    problem = load_fixture(FIXTURE)
+    circuit = build_ansatz(problem, RunConfig(fixture=str(FIXTURE), ansatz="hea"))
+    h = problem_to_pauli(problem, "parity", True)
+    bindings = dict(zip(circuit.parameter_names, theta))
+    for p in points:
+        want = estimate(fold_circuit(circuit, p["fold"]), bindings, h, 0, 0,
+                        noise=NoiseModel(p2=0.01)).mean
+        assert p["std_error_ha"] == 0.0
+        assert p["mean_ha"] == pytest.approx(want, abs=1e-12)
+    assert [p["fold"] for p in points] == [1, 3, 5]
+    assert points[0]["mean_ha"] < points[1]["mean_ha"] < points[2]["mean_ha"]
+
+
+def test_vqe_zero_shots_is_config_error(capsys, tmp_path):
+    # [TRIVIAL] a VQE run needs at least one shot per estimate: exit code 2
+    code, _, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",
+                           "--shots", "0", "--maxiter", "1", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "shots" in err
 
 
 def test_vqe_seed_batch(capsys, tmp_path):

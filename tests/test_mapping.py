@@ -1,14 +1,16 @@
 """Fermion-to-qubit mapping checks: matrix-level equivalence oracles plus the
 published BeH2 mapping statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from qve.fermion import (ANNIHILATE, CREATE, FermionOperator,
                         hartree_fock_occupation, to_matrix)
-from qve.mapping import (MAPPERS, MappingError, _FenwickTree,
-                         encode_parity_state, mapping_stats, taper_two_qubits)
+from qve.mapping import (MAPPERS, MappingError, _FenwickTree, encode_occupation,
+                         mapping_stats, qubit_operator, taper_two_qubits)
 from qve.pauli import PauliSum, exact_ground_energy
 from qve.pipeline import problem_to_pauli
 
@@ -104,8 +106,35 @@ def test_fenwick_sets_against_brute_force(n):
 
 def test_encode_parity_state():
     # [TRIVIAL] inclusive cumulative parities
-    assert encode_parity_state((1, 0, 0, 1, 0, 0)) == (1, 1, 1, 0, 0, 0)
-    assert encode_parity_state((0, 1, 1, 0)) == (0, 1, 0, 0)
+    assert encode_occupation((1, 0, 0, 1, 0, 0), "parity", False) == (1, 1, 1, 0, 0, 0)
+    assert encode_occupation((0, 1, 1, 0), "parity", False) == (0, 1, 0, 0)
+
+
+@pytest.mark.parametrize("mapper,taper", [("jw", False), ("parity", False),
+                                          ("bk", False), ("parity", True)])
+@pytest.mark.parametrize("n_spatial", [2, 3])
+def test_encode_occupation_is_number_eigenstate(mapper, taper, n_spatial):
+    # [DERIVED] the encoded basis state is an eigenstate of every mapped (and
+    # tapered) number operator a+_p a_p with eigenvalue occ_p. Tapered: every
+    # (n_alpha, n_beta) sector with the occupations whose spin parities match it
+    n = 2 * n_spatial
+    sectors = [(na, nb) for na in range(n_spatial + 1) for nb in range(n_spatial + 1)]
+    if not taper:
+        sectors = [(0, 0)]  # the sector only enters through tapering
+    for n_alpha, n_beta in sectors:
+        numbers = [oracles.pauli_sum_matrix(qubit_operator(
+            FermionOperator.from_term(n, ((p, CREATE), (p, ANNIHILATE))),
+            mapper, taper, n_alpha, n_beta)) for p in range(n)]
+        for occ in itertools.product((0, 1), repeat=n):
+            if taper and ((sum(occ[:n_spatial]) - n_alpha) % 2
+                          or (sum(occ[n_spatial:]) - n_beta) % 2):
+                continue
+            bits = encode_occupation(occ, mapper, taper)
+            assert len(bits) == n - (2 if taper else 0)
+            state = np.zeros(1 << len(bits))
+            state[sum(b << q for q, b in enumerate(bits))] = 1.0
+            for p in range(n):
+                np.testing.assert_allclose(numbers[p] @ state, occ[p] * state, atol=1e-12)
 
 
 def test_taper_requires_conserving_operator():

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import FIXTURE
 from qve.circuit import NoiseModel
+from qve.mapping import MappingError
 from qve.pipeline import (FixtureError, PipelineError, RunConfig, build_ansatz,
                           initial_parameters, load_fixture, problem_to_pauli,
                           replay_on_exact, run_vqe, save_fixture,
@@ -78,9 +79,9 @@ def test_fixture_comments_and_defaults(tmp_path):
 
 def test_problem_to_pauli_validation(beh2_problem):
     # [TRIVIAL]
-    with pytest.raises(PipelineError):
+    with pytest.raises(MappingError):
         problem_to_pauli(beh2_problem, "nope", False)
-    with pytest.raises(PipelineError):
+    with pytest.raises(MappingError):
         problem_to_pauli(beh2_problem, "jw", True)
 
 
