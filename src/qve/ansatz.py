@@ -3,10 +3,9 @@ Hartree-Fock state preparation, and Pauli-exponential synthesis."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ParamExpr
+from .circuit import Circuit, Gate, ParamExpr, _basis_change_gates
 from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, hartree_fock_occupation
 from .mapping import encode_occupation, qubit_operator
 from .pauli import PauliTerm
@@ -47,8 +46,7 @@ def excitations(n_alpha: int, n_beta: int, n_spatial: int) -> ExcitationList:
     return ExcitationList(singles, tuple(doubles))
 
 
-def pauli_evolution(term: PauliTerm, param: ParamExpr | None = None,
-                    param_name: str | None = None) -> list[Gate]:
+def pauli_evolution(term: PauliTerm, param: ParamExpr) -> list[Gate]:
     """Gates implementing exp(theta * c * P) for an anti-Hermitian term c = i*lambda.
 
     Basis-change each support qubit to Z, run a CX parity ladder to the last
@@ -58,26 +56,18 @@ def pauli_evolution(term: PauliTerm, param: ParamExpr | None = None,
     if abs(c.real) > GENERATOR_REAL_TOL:
         raise AnsatzError(f"generator coefficient {c} is not purely imaginary")
     lam = c.imag
-    if param is None:
-        param = ParamExpr(param_name)
     support = [q for q in range(term.n_qubits)
                if (term.x >> q) & 1 or (term.z >> q) & 1]
     if not support:
         raise AnsatzError("cannot synthesize evolution of an identity term")
-    enter: list[Gate] = []
-    leave: list[Gate] = []
-    for q in support:
-        xb, zb = (term.x >> q) & 1, (term.z >> q) & 1
-        if xb and not zb:  # X
-            enter.append(Gate("H", (q,)))
-            leave.append(Gate("H", (q,)))
-        elif xb and zb:  # Y
-            enter += [Gate("RZ", (q,), -math.pi / 2), Gate("H", (q,))]
-            leave += [Gate("RZ", (q,), math.pi / 2), Gate("H", (q,))]
+    enter = _basis_change_gates([term], term.n_qubits)
+    # H is its own inverse; RZ(a) is undone by RZ(-a)
+    leave = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+             for g in reversed(enter)]
     ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
     angle = ParamExpr(param.name, -2.0 * lam * param.scale, -2.0 * lam * param.offset)
     rot = Gate("RZ", (support[-1],), angle)
-    return enter + ladder + [rot] + list(reversed(ladder)) + list(reversed(leave))
+    return enter + ladder + [rot] + list(reversed(ladder)) + leave
 
 
 def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:
@@ -117,12 +107,10 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
     return circuit
 
 
-def build_hea(n_qubits: int, reps: int, entanglement: str = "linear") -> Circuit:
+def build_hea(n_qubits: int, reps: int) -> Circuit:
     """RY+RZ rotation layers interleaved with linear CX chains."""
     if reps < 0:
         raise AnsatzError("reps must be >= 0")
-    if entanglement != "linear":
-        raise AnsatzError(f"unsupported entanglement pattern {entanglement!r}")
     c = Circuit(n_qubits)
     p = 0
     for layer in range(reps + 1):

@@ -94,6 +94,15 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _ansatz_config(args):
+    """A RunConfig with only the ansatz fields, so the VQE shot check does
+    not see --shots: a replay draws none, and zne passes them to run_zne,
+    where 0 means exact."""
+    from .pipeline import RunConfig
+    return RunConfig(fixture=args.ham, mapper=args.mapper, taper=args.taper,
+                     ansatz=args.ansatz, reps=args.reps)
+
+
 def _run_config(args, seed):
     from .pipeline import RunConfig
     noise = _load_noise(args.noise) if args.noise else None
@@ -126,8 +135,8 @@ def _cmd_vqe(args) -> int:
 
 def _cmd_replay(args) -> int:
     from .pipeline import replay_on_exact, write_replay_csv
-    cfg = _run_config(args, args.seed)
-    rows = replay_on_exact(Path(args.run) / "params.jsonl", _problem(args), cfg)
+    rows = replay_on_exact(Path(args.run) / "params.jsonl", _problem(args),
+                           _ansatz_config(args))
     out = Path(args.run) / "replay.csv"
     write_replay_csv(rows, out)
     print(json.dumps({"out": str(out), "rows": len(rows)}))
@@ -135,15 +144,12 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_zne(args) -> int:
-    from .pipeline import RunConfig, build_ansatz, load_fixture, problem_to_pauli
+    from .pipeline import build_ansatz, load_fixture, problem_to_pauli
     from .zne import run_zne
     if not args.noise:
         raise _ConfigError("zne requires --noise")
     problem = load_fixture(args.ham)
-    # only the ansatz fields: the shots go to run_zne, where 0 means exact
-    cfg = RunConfig(fixture=args.ham, mapper=args.mapper, taper=args.taper,
-                    ansatz=args.ansatz, reps=args.reps)
-    circuit = build_ansatz(problem, cfg)
+    circuit = build_ansatz(problem, _ansatz_config(args))
     h = problem_to_pauli(problem, args.mapper, args.taper)
     if args.params_file:
         theta = json.loads(Path(args.params_file).read_text())
@@ -172,11 +178,10 @@ def _cmd_zne(args) -> int:
     return EXIT_OK
 
 
-def _add_problem_args(p, with_mapper=True):
+def _add_problem_args(p):
     p.add_argument("--ham", required=True, help="Hamiltonian fixture file")
-    if with_mapper:
-        p.add_argument("--mapper", default="parity", choices=("jw", "parity", "bk"))
-        p.add_argument("--taper", action="store_true")
+    p.add_argument("--mapper", default="parity", choices=("jw", "parity", "bk"))
+    p.add_argument("--taper", action="store_true")
 
 
 def _add_run_args(p):

@@ -1,10 +1,14 @@
 """Fermion-to-qubit transformations: Jordan-Wigner, Parity, Bravyi-Kitaev.
 
-All three encode one spin-orbital mode per qubit and preserve the ladder
-anticommutation relations, so they agree on spectra. The Parity encoding
-stores inclusive cumulative occupation parities, which pins the total
-alpha-parity on qubit n-1 and the total parity on qubit 2n-1 under blocked
-spin ordering; those two qubits can then be tapered off.
+Each encoding is a binary matrix beta over one qubit per spin-orbital mode:
+qubit i stores the parity of the occupations of the modes in row i
+(Seeley, Richard & Love, J. Chem. Phys. 137, 224109 (2012)). Jordan-Wigner
+stores each occupation, Parity the inclusive cumulative parities, and
+Bravyi-Kitaev the Fenwick-tree partial sums. The mapped ladder operators and
+the encoded basis states all follow from the rows, so the three encodings
+agree on spectra. Under blocked spin ordering the Parity encoding pins the
+total alpha-parity on qubit n-1 and the total parity on qubit 2n-1; those
+two qubits can then be tapered off.
 
 `qubit_operator` (operators) and `encode_occupation` (basis states) are the
 entry points, so the Hamiltonian, the UCCSD generators and the Hartree-Fock
@@ -14,6 +18,7 @@ state share one encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fermion import FermionOperator
 from .pauli import PauliSum, PauliTerm
@@ -30,119 +35,72 @@ class MappingStats:
     avg_weight: float
 
 
-def _map_operator(op: FermionOperator, ladder) -> PauliSum:
-    """Map each normal-ordered ladder string via a per-factor rule."""
+def _encoding_rows(mapper: str, n: int) -> tuple[int, ...]:
+    """Row i of beta as a mode mask: qubit i stores the parity of those modes."""
+    if mapper == "jw":
+        return tuple(1 << i for i in range(n))
+    if mapper == "parity":
+        return tuple((2 << i) - 1 for i in range(n))
+    # bk: Fenwick node i+1 sums modes i+1-lowbit(i+1) .. i
+    return tuple((2 << i) - (1 << (i + 1 - ((i + 1) & -(i + 1)))) for i in range(n))
+
+
+def _qubits_storing(rows: tuple[int, ...], modes: int) -> int:
+    """Mask of the qubits whose stored parities XOR to the parity of `modes`.
+
+    Row i holds mode i and no higher mode (beta is lower unit triangular), so
+    back-substitution from the highest mode finds the unique set.
+    """
+    qubits = 0
+    while modes:
+        i = modes.bit_length() - 1
+        qubits |= 1 << i
+        modes ^= rows[i]
+    return qubits
+
+
+@lru_cache(maxsize=None)
+def _ladder(mapper: str, n: int, p: int, create: bool) -> PauliSum:
+    """a_p = 1/2 (X_U Z_P + i X_{U-p} Y_p Z_R); the dagger flips the Y sign.
+
+    U is column p of beta (the qubits whose stored parity flips with
+    occupation p, p among them), P the qubits storing the parity of the modes
+    below p, and R = P xor F, where F holds the rest of qubit p's stored
+    parity, so that Z_F Z_p measures occupation p itself.
+    """
+    rows = _encoding_rows(mapper, n)
+    update = sum(1 << i for i, row in enumerate(rows) if (row >> p) & 1)
+    parity = _qubits_storing(rows, (1 << p) - 1)
+    flip = _qubits_storing(rows, rows[p] ^ (1 << p))
+    x_term = PauliTerm(n, update, parity, 0.5)
+    # the stored (x=z=1 at p) word is X_p Z_p = -iY_p, so -/+ 1/2 encodes +/- iY_p/2
+    y_term = PauliTerm(n, update, (parity ^ flip) | (1 << p), complex(0.5 if create else -0.5))
+    return PauliSum.from_terms([x_term, y_term])
+
+
+def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
+    """Map each normal-ordered ladder string factor by factor."""
     n = op.n_modes
     out = PauliSum.zero(n)
     for term in op.terms():
         acc = PauliSum.identity(n, term.coefficient)
         for mode, create in term.factors:
-            acc = acc @ ladder(n, mode, create)
-        out = out + acc
+            acc = acc @ _ladder(mapper, n, mode, create)
+        for t in acc.terms():
+            out.add_term(t)
     return out
 
 
-def _jw_ladder(n: int, p: int, create: bool) -> PauliSum:
-    """a_p = 1/2 (X_p + iY_p) Z_0 ... Z_{p-1}; dagger flips the Y sign."""
-    zmask = (1 << p) - 1
-    x_term = PauliTerm(n, 1 << p, zmask, 0.5)
-    # stored (x=z=1 at p) word is X_p Z_p = -iY_p, so coefficient i/2 encodes +Y/2
-    y_sign = -0.5j if create else 0.5j
-    y_term = PauliTerm(n, 1 << p, zmask | (1 << p), 1j * y_sign)
-    return PauliSum.from_terms([x_term, y_term])
-
-
-def _parity_ladder(n: int, p: int, create: bool) -> PauliSum:
-    """a_p = 1/2 (X_p Z_{p-1} + iY_p) X_{p+1} ... X_{n-1}; dagger flips the Y sign.
-
-    The Y sign follows the inclusive-parity storage convention, fixed so the
-    one-mode number operator maps to (I - Z)/2.
-    """
-    tail = ((1 << n) - 1) & ~((1 << (p + 1)) - 1)
-    zmask = (1 << (p - 1)) if p > 0 else 0
-    x_term = PauliTerm(n, tail | (1 << p), zmask, 0.5)
-    y_sign = -0.5j if create else 0.5j
-    y_term = PauliTerm(n, tail | (1 << p), 1 << p, 1j * y_sign)
-    return PauliSum.from_terms([x_term, y_term])
-
-
-class _FenwickTree:
-    """Binary-indexed tree over mode indices.
-
-    Parent/child structure follows standard Fenwick index arithmetic on the
-    1-based index i = j + 1: ancestors are i + (i & -i), prefix-parity nodes
-    are the query chain i - (i & -i), and the children of i are i - 2^t for
-    each power below i & -i. Mode counts that are not powers of two are
-    embedded in the next power of two with out-of-range indices dropped.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._cap = 1 << max(n - 1, 0).bit_length()
-
-    def update_set(self, j: int) -> set[int]:
-        """Qubits whose stored partial sums contain mode j (tree ancestors)."""
-        out = set()
-        i = j + 1
-        i += i & -i
-        while i <= self._cap:
-            if i - 1 < self.n:
-                out.add(i - 1)
-            i += i & -i
-        return out
-
-    def parity_set(self, j: int) -> set[int]:
-        """Qubits encoding the occupation parity of modes 0..j-1."""
-        out = set()
-        i = j
-        while i > 0:
-            out.add(i - 1)
-            i -= i & -i
-        return out
-
-    def flip_set(self, j: int) -> set[int]:
-        """Children of node j: qubits whose flip toggles the stored sum at j."""
-        out = set()
-        i = j + 1
-        step = (i & -i) >> 1
-        while step:
-            out.add(i - step - 1)
-            step >>= 1
-        return out
-
-    def remainder_set(self, j: int) -> set[int]:
-        return self.parity_set(j) - self.flip_set(j)
-
-
-def _bk_ladder_factory(n: int):
-    tree = _FenwickTree(n)
-    cache: dict[tuple[int, bool], PauliSum] = {}
-
-    def ladder(_n: int, j: int, create: bool) -> PauliSum:
-        key = (j, create)
-        if key not in cache:
-            u = sum(1 << q for q in tree.update_set(j))
-            par = sum(1 << q for q in tree.parity_set(j))
-            rem = sum(1 << q for q in tree.remainder_set(j))
-            x_term = PauliTerm(n, u | (1 << j), par, 0.5)
-            y_sign = -0.5j if create else 0.5j
-            y_term = PauliTerm(n, u | (1 << j), rem | (1 << j), 1j * y_sign)
-            cache[key] = PauliSum.from_terms([x_term, y_term])
-        return cache[key]
-
-    return ladder
-
-
 def jordan_wigner(op: FermionOperator) -> PauliSum:
-    return _map_operator(op, _jw_ladder)
+    return _map_operator(op, "jw")
 
 
 def parity_map(op: FermionOperator) -> PauliSum:
-    return _map_operator(op, _parity_ladder)
+    return _map_operator(op, "parity")
 
 
 def bravyi_kitaev(op: FermionOperator) -> PauliSum:
-    return _map_operator(op, _bk_ladder_factory(op.n_modes))
+    return _map_operator(op, "bk")
 
 
 MAPPERS = {
@@ -213,17 +171,14 @@ def encode_occupation(occupations: tuple[int, ...], mapper: str,
                       taper: bool) -> tuple[int, ...]:
     """Qubit bits (qubit 0 first) of the basis state encoding a Fock occupation.
 
-    Every encoding maps the vacuum to |0...0>, and both terms of a mapped a+_p
-    carry the same X mask: the qubits that a+_p flips. The state is therefore
-    the XOR of those masks over the occupied modes. With taper, the two parity
-    qubits are dropped.
+    Qubit i holds the parity of the occupied modes in row i of beta. With
+    taper, the two parity qubits are dropped.
     """
     _check_encoding(mapper, taper)
     n = len(occupations)
-    state = 0
-    for p, occupied in enumerate(occupations):
-        if occupied:
-            state ^= MAPPERS[mapper](FermionOperator.ladder(n, p, True)).terms()[0].x
+    occupied = sum(1 << p for p, b in enumerate(occupations) if b)
+    state = sum(((row & occupied).bit_count() & 1) << i
+                for i, row in enumerate(_encoding_rows(mapper, n)))
     if taper:
         q1, q2 = _parity_qubits(n)
         state = _drop_bit(_drop_bit(state, q2), q1)

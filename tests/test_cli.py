@@ -136,6 +136,24 @@ def test_zne_zero_shots_gives_exact_noisy_energies(capsys, tmp_path):
     assert points[0]["mean_ha"] < points[1]["mean_ha"] < points[2]["mean_ha"]
 
 
+def test_replay_zero_shots_is_accepted(capsys, tmp_path):
+    # [TRIVIAL] a replay draws no shots, so --shots 0 replays the run exactly
+    # as the default --shots does
+    code, out, _ = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",
+                           "--ansatz", "hea", "--shots", "128", "--maxiter", "2",
+                           "--seed", "1", "--out", str(tmp_path))
+    assert code == EXIT_OK
+    run_dir = Path(json.loads(out)["runs"][0])
+    replay = ["replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+              "--run", str(run_dir)]
+    assert run_cli(capsys, *replay)[0] == EXIT_OK
+    default = (run_dir / "replay.csv").read_text()
+    code, out, err = run_cli(capsys, *replay, "--shots", "0")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["rows"] == 2
+    assert (run_dir / "replay.csv").read_text() == default
+
+
 def test_vqe_zero_shots_is_config_error(capsys, tmp_path):
     # [TRIVIAL] a VQE run needs at least one shot per estimate: exit code 2
     code, _, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",

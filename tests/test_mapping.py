@@ -9,7 +9,7 @@ import pytest
 import oracles
 from qve.fermion import (ANNIHILATE, CREATE, FermionOperator,
                         hartree_fock_occupation, to_matrix)
-from qve.mapping import (MAPPERS, MappingError, _FenwickTree, encode_occupation,
+from qve.mapping import (MAPPERS, MappingError, _encoding_rows, encode_occupation,
                          mapping_stats, qubit_operator, taper_two_qubits)
 from qve.pauli import PauliSum, exact_ground_energy
 from qve.pipeline import problem_to_pauli
@@ -75,33 +75,54 @@ def test_parity_number_operator_uses_neighbor_z():
     assert h.coefficient("ZZI") == pytest.approx(-0.5)
 
 
-def _stored_bits(tree, occ):
-    def subtree(j):
-        acc = occ[j]
-        for ch in tree.flip_set(j):
-            acc ^= subtree(ch)
-        return acc
-    return [subtree(j) for j in range(len(occ))]
+def _basis_vector(bits):
+    v = np.zeros(1 << len(bits))
+    v[sum(b << q for q, b in enumerate(bits))] = 1.0
+    return v
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 8])
-def test_fenwick_sets_against_brute_force(n):
-    # [DERIVED] update/parity/flip sets verified by simulating the stored bits
-    rng = np.random.default_rng(n)
-    tree = _FenwickTree(n)
-    for _ in range(20):
-        occ = list(rng.integers(0, 2, size=n))
-        stored = _stored_bits(tree, occ)
-        for j in range(n):
-            # parity_set reconstructs the prefix parity of modes 0..j-1
-            prefix = sum(occ[:j]) % 2
-            assert prefix == sum(stored[k] for k in tree.parity_set(j)) % 2
-            # flipping occupation j toggles exactly {j} plus its update set
-            occ2 = list(occ)
-            occ2[j] ^= 1
-            changed = {k for k, (a, b) in enumerate(zip(stored, _stored_bits(tree, occ2)))
-                       if a != b}
-            assert changed == tree.update_set(j) | {j}
+def test_mapped_ladders_act_on_encoded_states(n):
+    # [DERIVED] in every encoding, the mapped a+_p and a_p take the encoded
+    # occupation to (-1)^(occupied modes below p) times the encoded occupation
+    # with mode p toggled, or to zero (1e-12)
+    for mapper in ("jw", "parity", "bk"):
+        mats = {(p, c): mapped_matrix(mapper, FermionOperator.ladder(n, p, c))
+                for p in range(n) for c in (True, False)}
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            occ = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            state = _basis_vector(encode_occupation(occ, mapper, False))
+            for p in range(n):
+                toggled = occ[:p] + (1 - occ[p],) + occ[p + 1:]
+                sign = (-1) ** sum(occ[:p])
+                for create in (True, False):
+                    want = np.zeros_like(state)
+                    if occ[p] != create:
+                        want = sign * _basis_vector(encode_occupation(toggled, mapper, False))
+                    np.testing.assert_allclose(mats[(p, create)] @ state, want, atol=1e-12)
+
+
+# beta_8 of Seeley, Richard & Love, J. Chem. Phys. 137, 224109 (2012), in its
+# published orientation: row r is qubit 7-r and column c is mode 7-c
+SEELEY_BK_BETA_8 = [
+    "11111111",
+    "01000000",
+    "00110000",
+    "00010000",
+    "00001111",
+    "00000100",
+    "00000011",
+    "00000001",
+]
+
+
+def test_bk_rows_match_published_beta_8():
+    # [DERIVED] the Bravyi-Kitaev rows for 8 modes are beta_8 as published
+    rows = _encoding_rows("bk", 8)
+    for r, line in enumerate(SEELEY_BK_BETA_8):
+        qubit = 7 - r
+        assert rows[qubit] == int(line, 2), qubit
 
 
 def test_encode_parity_state():
