@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ParamExpr, _basis_change_gates
+from .circuit import Circuit, Gate, ParamExpr, PauliRotation
 from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, hartree_fock_occupation
 from .mapping import encode_occupation, qubit_operator
 from .pauli import PauliTerm
@@ -46,28 +46,23 @@ def excitations(n_alpha: int, n_beta: int, n_spatial: int) -> ExcitationList:
     return ExcitationList(singles, tuple(doubles))
 
 
-def pauli_evolution(term: PauliTerm, param: ParamExpr) -> list[Gate]:
-    """Gates implementing exp(theta * c * P) for an anti-Hermitian term c = i*lambda.
-
-    Basis-change each support qubit to Z, run a CX parity ladder to the last
-    support qubit, rotate RZ(-2*lambda*theta) there, and unwind.
-    """
+def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
+    """exp(theta * c * P) for an anti-Hermitian term c = i*lambda, as the
+    rotation exp(i * lambda * theta * P)."""
     c = term.label_coefficient
     if abs(c.real) > GENERATOR_REAL_TOL:
         raise AnsatzError(f"generator coefficient {c} is not purely imaginary")
-    lam = c.imag
-    support = [q for q in range(term.n_qubits)
-               if (term.x >> q) & 1 or (term.z >> q) & 1]
-    if not support:
+    if term.weight == 0:
         raise AnsatzError("cannot synthesize evolution of an identity term")
-    enter = _basis_change_gates([term], term.n_qubits)
-    # H is its own inverse; RZ(a) is undone by RZ(-a)
-    leave = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
-             for g in reversed(enter)]
-    ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
-    angle = ParamExpr(param.name, -2.0 * lam * param.scale, -2.0 * lam * param.offset)
-    rot = Gate("RZ", (support[-1],), angle)
-    return enter + ladder + [rot] + list(reversed(ladder)) + leave
+    lam = c.imag
+    return PauliRotation(term.x, term.z,
+                         ParamExpr(param.name, lam * param.scale, lam * param.offset))
+
+
+def pauli_evolution(term: PauliTerm, param: ParamExpr) -> list[Gate]:
+    """Gates implementing exp(theta * c * P) for an anti-Hermitian term c = i*lambda:
+    the decomposition of its Pauli rotation (see PauliRotation.decompose)."""
+    return _generator_rotation(term, param).decompose(term.n_qubits)
 
 
 def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:
@@ -85,8 +80,9 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
     """HF preparation followed by one Trotter step of the UCCSD generator.
 
     The generator of each excitation is mapped with the same mapper/tapering
-    as the Hamiltonian; parameters are theta0, theta1, ... in excitation order
-    (singles then doubles, lexicographic).
+    as the Hamiltonian, and each mapped term becomes one PauliRotation;
+    parameters are theta0, theta1, ... in excitation order (singles then
+    doubles, lexicographic).
     """
     n_modes = 2 * n_spatial
     exc = excitations(n_alpha, n_beta, n_spatial)
@@ -103,7 +99,7 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
         mapped = qubit_operator(t - t.dagger(), mapper, taper, n_alpha, n_beta)
         param = ParamExpr(f"theta{idx}")
         for term in mapped.terms():
-            circuit.extend(pauli_evolution(term, param))
+            circuit.add(_generator_rotation(term, param))
     return circuit
 
 

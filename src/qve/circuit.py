@@ -1,11 +1,16 @@
 """Parameterized circuits, statevector execution, shot estimation, transpilation.
 
 Qubit 0 is the least significant bit of basis-state indices, matching the
-Pauli and Fock modules. Gate noise is simulated exactly on a density matrix:
-each gate applies U rho U^dagger and then the depolarizing channel on its
-qubits, so one rho per estimate carries the full error model. Readout errors
-fold into each measured distribution, from which shots are drawn (or, with
-shots=0, the exact expectation is taken).
+Pauli and Fock modules. A circuit holds gates and Pauli rotations
+exp(i a P). The noiseless statevector runs each rotation as one operation;
+every consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
+inversion and folding) sees it decomposed into gates by one synthesis rule.
+Gate noise is simulated exactly on a density matrix: each gate applies
+U rho U^dagger and then the depolarizing channel on its qubits, so one rho
+per estimate carries the full error model. Readout errors fold into each
+measured distribution, from which shots are drawn (or, with shots=0, the
+exact expectation is taken). Each measurement group turns a measured
+outcome into its energy through a table over the 2^n outcomes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DenseCapError, PauliSum, PauliTerm
+from .pauli import DENSE_CAP, DenseCapError, PauliSum, PauliTerm
 
 
 class CircuitError(ValueError):
@@ -77,28 +82,75 @@ class Gate:
             raise CircuitError(f"{self.kind} angle mismatch")
 
 
+@dataclass(frozen=True)
+class PauliRotation:
+    """exp(i * angle * P) for the label-basis Pauli word P with masks (x, z)."""
+
+    x: int
+    z: int
+    angle: ParamExpr
+
+    def __post_init__(self):
+        if not self.x | self.z:
+            raise CircuitError("cannot rotate about the identity")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        support = self.x | self.z
+        return tuple(q for q in range(support.bit_length()) if (support >> q) & 1)
+
+    def decompose(self, n_qubits: int) -> list[Gate]:
+        """Basis-change each support qubit to Z, run a CX parity ladder to the
+        last support qubit, rotate RZ(-2 * angle) there, and unwind."""
+        support = self.qubits
+        enter = _basis_change_gates([PauliTerm(n_qubits, self.x, self.z, 1.0)], n_qubits)
+        # H is its own inverse; RZ(a) is undone by RZ(-a)
+        leave = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
+                 for g in reversed(enter)]
+        ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
+        a = self.angle
+        rot = Gate("RZ", (support[-1],), ParamExpr(a.name, -2.0 * a.scale, -2.0 * a.offset))
+        return enter + ladder + [rot] + list(reversed(ladder)) + leave
+
+
 class Circuit:
-    """Ordered gate list over a fixed qubit count with named parameters."""
+    """Ordered operations (gates and Pauli rotations) over a fixed qubit count
+    with named parameters."""
 
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise CircuitError("need at least one qubit")
         self.n_qubits = n_qubits
-        self.gates: list[Gate] = []
+        self.operations: list[Gate | PauliRotation] = []
         self.parameter_names: list[str] = []
+        self._gates: tuple[Gate, ...] | None = None
 
-    def add(self, gate: Gate) -> "Circuit":
-        for q in gate.qubits:
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gate list, each Pauli rotation decomposed (built once per change)."""
+        if self._gates is None:
+            gates: list[Gate] = []
+            for op in self.operations:
+                if isinstance(op, PauliRotation):
+                    gates.extend(op.decompose(self.n_qubits))
+                else:
+                    gates.append(op)
+            self._gates = tuple(gates)
+        return self._gates
+
+    def add(self, op: Gate | PauliRotation) -> "Circuit":
+        for q in op.qubits:
             if not 0 <= q < self.n_qubits:
                 raise CircuitError(f"qubit {q} out of range for {self.n_qubits} qubits")
-        if isinstance(gate.angle, ParamExpr) and gate.angle.name not in self.parameter_names:
-            self.parameter_names.append(gate.angle.name)
-        self.gates.append(gate)
+        if isinstance(op.angle, ParamExpr) and op.angle.name not in self.parameter_names:
+            self.parameter_names.append(op.angle.name)
+        self.operations.append(op)
+        self._gates = None
         return self
 
-    def extend(self, gates) -> "Circuit":
-        for g in gates:
-            self.add(g)
+    def extend(self, ops) -> "Circuit":
+        for op in ops:
+            self.add(op)
         return self
 
     # convenience builders
@@ -114,8 +166,9 @@ class Circuit:
 
     def copy(self) -> "Circuit":
         out = Circuit(self.n_qubits)
-        out.gates = list(self.gates)
+        out.operations = list(self.operations)
         out.parameter_names = list(self.parameter_names)
+        out._gates = self._gates
         return out
 
 
@@ -192,8 +245,25 @@ def _apply_gate(states: np.ndarray, gate: Gate, bindings, n: int) -> np.ndarray:
     return _apply_1q_matrix(states, u, gate.qubits[0], n)
 
 
+@lru_cache(maxsize=512)
+def _rotation_signs(n: int, x: int, z: int) -> np.ndarray:
+    """(-1)^popcount((b ^ x) & z) for every basis index b."""
+    return _z_signs(_flip_perm(n, x), z)
+
+
+def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) -> np.ndarray:
+    """One operation on the last axis. A rotation is cos(a) psi + i sin(a) P psi,
+    where (P psi)[b] = i^popcount(x & z) (-1)^popcount((b ^ x) & z) psi[b ^ x]."""
+    if not isinstance(op, PauliRotation):
+        return _apply_gate(states, op, bindings, n)
+    a = op.angle.resolve(bindings or {})
+    phase = (1, 1j, -1, -1j)[(op.x & op.z).bit_count() % 4]
+    flipped = states[..., _flip_perm(n, op.x)] * _rotation_signs(n, op.x, op.z)
+    return math.cos(a) * states + (1j * phase * math.sin(a)) * flipped
+
+
 def run_circuit(c: Circuit, bindings=None, initial_state=None) -> np.ndarray:
-    """Statevector after applying the gate list to |0...0> (or initial_state)."""
+    """Statevector after applying the operations to |0...0> (or initial_state)."""
     dim = 1 << c.n_qubits
     if initial_state is None:
         state = np.zeros(dim, dtype=complex)
@@ -202,8 +272,8 @@ def run_circuit(c: Circuit, bindings=None, initial_state=None) -> np.ndarray:
         state = np.asarray(initial_state, dtype=complex).copy()
         if state.shape != (dim,):
             raise CircuitError("initial state dimension mismatch")
-    for g in c.gates:
-        state = _apply_gate(state, g, bindings, c.n_qubits)
+    for op in c.operations:
+        state = _apply_op(state, op, bindings, c.n_qubits)
     return state
 
 
@@ -211,8 +281,8 @@ def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit (small-circuit verification helper)."""
     dim = 1 << c.n_qubits
     cols = np.eye(dim, dtype=complex)
-    for g in c.gates:
-        cols = _apply_gate(cols.T, g, bindings, c.n_qubits).T
+    for op in c.operations:
+        cols = _apply_op(cols.T, op, bindings, c.n_qubits).T
     return cols
 
 
@@ -338,12 +408,26 @@ def _basis_change_gates(group: list[PauliTerm], n: int) -> list[Gate]:
     return gates
 
 
+def _outcome_table(group, n: int) -> np.ndarray:
+    """Energy of the group's terms on each measured outcome b:
+    sum_t c_t (-1)^popcount(b & mask_t)."""
+    basis = np.arange(1 << n)
+    table = np.zeros(1 << n)
+    for t in group:
+        table += t.label_coefficient.real * _z_signs(basis, t.x | t.z)
+    return table
+
+
 @lru_cache(maxsize=64)
 def _measurement_plan(n: int, items) -> tuple:
-    """(group, basis-change gates) for each qubit-wise-commuting group of the
-    sum with these ((x, z), coefficient) items, built once per Hamiltonian."""
+    """(group, basis-change gates, outcome table) for each qubit-wise-commuting
+    group of the sum with these ((x, z), coefficient) items, built once per
+    Hamiltonian. Above DENSE_CAP qubits the table is None, and each estimate
+    builds it and drops it."""
     groups = group_commuting_terms(PauliSum(n, dict(items)))
-    return tuple((tuple(group), tuple(_basis_change_gates(group, n))) for group in groups)
+    return tuple((tuple(group), tuple(_basis_change_gates(group, n)),
+                  _outcome_table(group, n) if n <= DENSE_CAP else None)
+                 for group in groups)
 
 
 def _z_signs(outcomes: np.ndarray, zmask: int) -> np.ndarray:
@@ -396,7 +480,7 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     base = _run_density(c, bindings, noise) if noisy else run_circuit(c, bindings)
     mean = float(h.coefficient("I" * n).real)
     variance = 0.0
-    for gi, (group, meas) in enumerate(_measurement_plan(n, h.items())):
+    for gi, (group, meas, table) in enumerate(_measurement_plan(n, h.items())):
         state = base
         if noisy:
             for g in meas:
@@ -408,15 +492,12 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
             probs = np.abs(state) ** 2
         if readout:
             probs = _readout_distribution(probs, n, noise)
+        if table is None:
+            table = _outcome_table(group, n)
         if shots == 0:
-            basis = np.arange(1 << n)
-            for t in group:
-                mean += t.label_coefficient.real * float(probs @ _z_signs(basis, t.x | t.z))
+            mean += float(probs @ table)
             continue
-        outcomes = _sample_outcomes(probs, derive_rng(seed, gi), shots)
-        energies = np.zeros(shots)
-        for t in group:
-            energies += t.label_coefficient.real * _z_signs(outcomes, t.x | t.z)
+        energies = table[_sample_outcomes(probs, derive_rng(seed, gi), shots)]
         mean += float(energies.mean())
         if shots > 1:
             variance += float(energies.var(ddof=1)) / shots

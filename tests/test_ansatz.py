@@ -10,12 +10,13 @@ from scipy.linalg import expm
 import oracles
 from qve.ansatz import (AnsatzError, build_hea, build_uccsd, excitations,
                         hf_state_circuit, pauli_evolution)
-from qve.circuit import Circuit, ParamExpr, circuit_stats, circuit_unitary, \
-    run_circuit, transpile
+from qve.circuit import Circuit, CircuitStats, ParamExpr, PauliRotation, \
+    circuit_stats, circuit_unitary, run_circuit, transpile
 from qve.fermion import hartree_fock_occupation
 from qve.mapping import MAPPERS, MappingError, encode_occupation
 from qve.pauli import PauliSum, PauliTerm, expectation_exact
 from qve.pipeline import problem_to_pauli
+from qve.zne import fold_circuit
 
 
 def test_excitation_counts_h2():
@@ -124,6 +125,48 @@ def test_uccsd_conserves_particle_number():
     theta = {name: float(rng.uniform(-1, 1)) for name in c.parameter_names}
     psi = run_circuit(c, theta)
     assert expectation_exact(n_op, psi) == pytest.approx(2.0, abs=1e-10)
+
+
+MAPPER_ROWS = [("jw", False), ("bk", False), ("parity", False), ("parity", True)]
+
+
+@pytest.mark.parametrize("mapper,taper", MAPPER_ROWS)
+@pytest.mark.parametrize("sector", [(1, 1, 3), (2, 2, 4)])
+def test_compiled_uccsd_state_equals_gate_list(sector, mapper, taper):
+    # [DERIVED] the statevector of the Pauli-rotation circuit equals that of
+    # its decomposed gate list (a gate-only circuit never takes the rotation
+    # path), at random theta in [-pi, pi], within 1e-12
+    c = build_uccsd(*sector, mapper, taper)
+    assert sum(isinstance(op, PauliRotation) for op in c.operations) > 0
+    gates_only = Circuit(c.n_qubits).extend(c.gates)
+    rng = np.random.default_rng(sum(sector) + len(mapper) + taper)
+    for _ in range(3):
+        theta = rng.uniform(-math.pi, math.pi, len(c.parameter_names))
+        bindings = dict(zip(c.parameter_names, theta))
+        np.testing.assert_allclose(run_circuit(c, bindings),
+                                   run_circuit(gates_only, bindings), rtol=0, atol=1e-12)
+
+
+def test_uccsd_gate_list_contract():
+    # [DERIVED] every consumer of the gate list sees the decomposed circuit:
+    # BeH2 tapered UCCSD keeps the parent's 542 gates, 8 parameters and
+    # statistics (depth and counts recorded before rotations were compiled)
+    c = build_uccsd(1, 1, 3, "parity", True)
+    assert len(c.operations) == 42  # 2 X + 40 rotations
+    assert len(c.gates) == 542
+    assert len(c.parameter_names) == 8
+    assert circuit_stats(c) == CircuitStats(
+        320, {"X": 2, "RZ": 152, "H": 216, "CX": 172}, 8)
+    assert len(fold_circuit(c, 3).gates) == 3 * 542
+    copied = c.copy()
+    assert copied.operations == c.operations and copied.gates == c.gates
+    # an add after a read of .gates updates the list; the original is untouched
+    copied.x(0)
+    assert len(copied.gates) == 543 and copied.gates[-1].kind == "X"
+    assert len(c.gates) == 542 and len(c.operations) == 42
+    copied.add(PauliRotation(0b11, 0b01, ParamExpr("extra", 0.5)))
+    assert len(copied.gates) == 543 + 9  # Y0 X1: 3 basis changes each way, 2 CX, 1 RZ
+    assert copied.parameter_names[-1] == "extra"
 
 
 def test_uccsd_taper_requires_parity():

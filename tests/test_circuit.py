@@ -5,16 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import qve.circuit as circuit_module
-from oracles import pauli_label_matrix
+from oracles import pauli_label_matrix, pauli_sum_matrix
 from qve.ansatz import build_uccsd
+from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
-                         NoiseModel, ParamExpr, TranspileError, circuit_stats,
-                         circuit_unitary, derive_rng, estimate,
+                         NoiseModel, ParamExpr, PauliRotation, TranspileError,
+                         circuit_stats, circuit_unitary, derive_rng, estimate,
                          group_commuting_terms, inverse_circuit, run_circuit,
                          transpile)
 from qve.pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
+from qve.pipeline import problem_from_geometry, problem_to_pauli
 from qve.zne import fold_circuit
 
 
@@ -126,6 +129,26 @@ def test_gate_validation():
         Gate("H", (0,), 1.0)  # spurious angle
     with pytest.raises(CircuitError):
         Circuit(2).add(Gate("H", (2,)))
+
+
+def test_pauli_rotation_matches_matrix_exponential():
+    # [DERIVED] one rotation, run as a single operation and as its decomposed
+    # gates, equals expm(i a P) with a = scale * t + offset, phase included
+    rng = np.random.default_rng(11)
+    for lbl in ("Y", "XY", "ZZ", "YIX", "XYZ", "IZY"):
+        term = PauliTerm.from_label(lbl)
+        angle = ParamExpr("t", float(rng.normal()), float(rng.normal()))
+        rot = PauliRotation(term.x, term.z, angle)
+        t = float(rng.uniform(-math.pi, math.pi))
+        want = expm(1j * angle.resolve({"t": t}) * pauli_label_matrix(lbl))
+        compiled = Circuit(len(lbl)).add(rot)
+        np.testing.assert_allclose(circuit_unitary(compiled, {"t": t}), want, atol=1e-12)
+        gates = Circuit(len(lbl)).extend(rot.decompose(len(lbl)))
+        np.testing.assert_allclose(circuit_unitary(gates, {"t": t}), want, atol=1e-12)
+    with pytest.raises(CircuitError):
+        PauliRotation(0, 0, ParamExpr("t"))
+    with pytest.raises(CircuitError):
+        Circuit(2).add(PauliRotation(0b100, 0, ParamExpr("t")))
 
 
 def test_inverse_circuit():
@@ -324,6 +347,41 @@ def test_measurement_plan_keyed_on_contents(monkeypatch):
     r = estimate(c, {}, h, 64, 1, noise=NoiseModel(p1=0.01))
     assert len(calls) == 2
     assert r.mean != first.mean
+
+
+H4_GEOMETRY = "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))
+
+
+def test_outcome_tables_match_dense_oracle(beh2_tapered):
+    # [DERIVED] each group's outcome table is the diagonal of U_g H_g U_g^dagger,
+    # with U_g the group's basis change and H_g the dense matrix of its terms,
+    # for BeH2 (tapered parity) and H4 under JW, within 1e-12
+    h4, _ = problem_from_geometry(parse_geometry(H4_GEOMETRY))
+    for h in (beh2_tapered, problem_to_pauli(h4, "jw", False)):
+        n = h.n_qubits
+        plan = circuit_module._measurement_plan(n, h.items())
+        assert len(plan) > 1
+        for group, meas, table in plan:
+            u = circuit_unitary(Circuit(n).extend(meas))
+            h_g = pauli_sum_matrix(PauliSum.from_terms(list(group)))
+            diag = np.diagonal(u @ h_g @ u.conj().T)
+            np.testing.assert_allclose(table, diag.real, rtol=0, atol=1e-12)
+            assert np.abs(diag.imag).max() < 1e-12
+
+
+def test_estimate_above_dense_cap_keeps_no_tables():
+    # [DERIVED] a 15-qubit noiseless estimate runs; its plan stores no outcome
+    # table (each call builds and drops them), and the estimate is exact on
+    # this eigenstate: <Z0> = -1 on |1>, <X3> = +1 on |+>
+    n = 15
+    c = Circuit(n).x(0).h(3)
+    h = PauliSum.from_labels([("Z" + "I" * (n - 1), 0.5), ("III" + "X" + "I" * (n - 4), 0.25),
+                              ("Z" + "I" * (n - 2) + "Z", -0.125)])
+    r = estimate(c, {}, h, 64, 0)
+    assert r.mean == pytest.approx(-0.5 + 0.25 + 0.125, abs=1e-12)
+    assert r.std_error == 0.0
+    plan = circuit_module._measurement_plan(n, h.items())
+    assert len(plan) == 1 and plan[0][2] is None
 
 
 def test_noise_model_validation():
