@@ -8,9 +8,10 @@ inversion and folding) sees it decomposed into gates by one synthesis rule.
 Gate noise is simulated exactly on a density matrix: each gate applies
 U rho U^dagger and then the depolarizing channel on its qubits, so one rho
 per estimate carries the full error model. Readout errors fold into each
-measured distribution, from which shots are drawn (or, with shots=0, the
-exact expectation is taken). Each measurement group turns a measured
-outcome into its energy through a table over the 2^n outcomes.
+measured distribution. Each measurement group turns a measured outcome into
+its energy through a table over the 2^n outcomes, and its shots are counts
+drawn once from the distribution (one multinomial draw), weighted by that
+table; with shots=0 the exact expectation is taken instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DENSE_CAP, DenseCapError, PauliSum, PauliTerm
+from .pauli import DENSE_CAP, DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs
 
 
 class CircuitError(ValueError):
@@ -185,11 +186,6 @@ def _angle_value(gate: Gate, bindings) -> float:
 
 
 @lru_cache(maxsize=512)
-def _flip_perm(n: int, mask: int) -> np.ndarray:
-    return np.arange(1 << n) ^ mask
-
-
-@lru_cache(maxsize=512)
 def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << n)
     return idx ^ (((idx >> control) & 1) << target)
@@ -219,7 +215,7 @@ def _apply_1q_matrix(states: np.ndarray, u: np.ndarray, q: int, n: int) -> np.nd
 def _apply_gate(states: np.ndarray, gate: Gate, bindings, n: int) -> np.ndarray:
     kind = gate.kind
     if kind == "X":
-        return states[..., _flip_perm(n, 1 << gate.qubits[0])]
+        return states[..., flip_index(n, 1 << gate.qubits[0])]
     if kind == "CX":
         return states[..., _cx_perm(n, *gate.qubits)]
     if kind == "SWAP":
@@ -248,7 +244,7 @@ def _apply_gate(states: np.ndarray, gate: Gate, bindings, n: int) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _rotation_signs(n: int, x: int, z: int) -> np.ndarray:
     """(-1)^popcount((b ^ x) & z) for every basis index b."""
-    return _z_signs(_flip_perm(n, x), z)
+    return parity_signs(flip_index(n, x), z)
 
 
 def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) -> np.ndarray:
@@ -258,7 +254,7 @@ def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) ->
         return _apply_gate(states, op, bindings, n)
     a = op.angle.resolve(bindings or {})
     phase = (1, 1j, -1, -1j)[(op.x & op.z).bit_count() % 4]
-    flipped = states[..., _flip_perm(n, op.x)] * _rotation_signs(n, op.x, op.z)
+    flipped = states[..., flip_index(n, op.x)] * _rotation_signs(n, op.x, op.z)
     return math.cos(a) * states + (1j * phase * math.sin(a)) * flipped
 
 
@@ -414,7 +410,7 @@ def _outcome_table(group, n: int) -> np.ndarray:
     basis = np.arange(1 << n)
     table = np.zeros(1 << n)
     for t in group:
-        table += t.label_coefficient.real * _z_signs(basis, t.x | t.z)
+        table += t.label_coefficient.real * parity_signs(basis, t.x | t.z)
     return table
 
 
@@ -428,18 +424,6 @@ def _measurement_plan(n: int, items) -> tuple:
     return tuple((tuple(group), tuple(_basis_change_gates(group, n)),
                   _outcome_table(group, n) if n <= DENSE_CAP else None)
                  for group in groups)
-
-
-def _z_signs(outcomes: np.ndarray, zmask: int) -> np.ndarray:
-    return 1.0 - 2.0 * (np.bitwise_count(outcomes & zmask) & 1)
-
-
-def _sample_outcomes(probs: np.ndarray, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """One basis-state outcome per shot, by inverse CDF over probs."""
-    draws = rng.random(shots)
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    return np.searchsorted(cum, draws, side="right").clip(max=probs.shape[-1] - 1)
 
 
 def _readout_distribution(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:
@@ -458,10 +442,13 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
              noise: NoiseModel | None = None) -> EstimatorResult:
     """Shot-based (or exact, shots=0) expectation of h on the circuit output.
 
-    Every qubit-wise-commuting group receives the full `shots` budget; group
-    estimates are summed and their variances propagated independently. Group
-    g uses the PRNG stream derived from (seed, g), so results do not depend
-    on evaluation order. With gate noise (p1 or p2 > 0) the circuit runs once
+    Every qubit-wise-commuting group receives the full `shots` budget as
+    counts drawn once per group: one multinomial draw over its 2^n outcomes,
+    whose mean and unbiased variance come from the counts and the group's
+    outcome table, so the cost does not grow with `shots`. Group estimates
+    are summed and their variances propagated independently. Group g draws
+    from the PRNG stream derived from (seed, g), so results do not depend on
+    evaluation order. With gate noise (p1 or p2 > 0) the circuit runs once
     on a density matrix, which is refused above DENSITY_CAP qubits. Readout
     errors pass each group's distribution through the confusion matrices
     before sampling. With shots=0 the result is the exact expectation, noise
@@ -497,10 +484,11 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
         if shots == 0:
             mean += float(probs @ table)
             continue
-        energies = table[_sample_outcomes(probs, derive_rng(seed, gi), shots)]
-        mean += float(energies.mean())
+        counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
+        m = float(counts @ table) / shots
+        mean += m
         if shots > 1:
-            variance += float(energies.var(ddof=1)) / shots
+            variance += float(counts @ (table - m) ** 2) / (shots - 1) / shots
     return EstimatorResult(mean, math.sqrt(variance), shots, seed)
 
 

@@ -12,6 +12,7 @@ Qubit 0 is the least significant bit of all basis-state indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,28 @@ class DenseCapError(PauliError):
 
 def _popcount(v: int) -> int:
     return bin(v).count("1")
+
+
+def parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
+    """(-1)^popcount(b & mask) for each basis index b in indices."""
+    return 1.0 - 2.0 * (np.bitwise_count(indices & mask) & 1)
+
+
+@lru_cache(maxsize=512)
+def flip_index(n: int, mask: int) -> np.ndarray:
+    """b ^ mask for every n-qubit basis index b: X^mask sends |b> to |b ^ mask>.
+    Cached and shared, so read-only."""
+    out = np.arange(1 << n) ^ mask
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=512)
+def z_signs(n: int, mask: int) -> np.ndarray:
+    """The diagonal of Z^mask on n qubits. Cached and shared, so read-only."""
+    out = parity_signs(np.arange(1 << n), mask)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,8 +226,7 @@ class PauliSum:
         mat = np.zeros((dim, dim), dtype=complex)
         for (x, z), c in self._terms.items():
             # X^x Z^z |b> = (-1)^{popcount(b & z)} |b ^ x>
-            signs = 1.0 - 2.0 * (np.bitwise_count(basis & z) & 1).astype(float)
-            mat[basis ^ x, basis] += c * signs
+            mat[basis ^ x, basis] += c * parity_signs(basis, z)
         return mat
 
 
@@ -223,14 +245,12 @@ def expectation_exact(h: PauliSum, state: np.ndarray) -> float:
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:
         raise PauliError(f"state is not normalized (norm {norm})")
-    dim = 1 << h.n_qubits
-    if state.shape != (dim,):
+    n = h.n_qubits
+    if state.shape != (1 << n,):
         raise PauliError("state dimension mismatch")
-    basis = np.arange(dim)
     val = 0.0 + 0.0j
     for (x, z), c in h._terms.items():
-        signs = 1.0 - 2.0 * (np.bitwise_count(basis & z) & 1).astype(float)
-        val += c * np.vdot(state[basis ^ x], signs * state[basis])
+        val += c * np.vdot(state[flip_index(n, x)], z_signs(n, z) * state)
     if h.is_hermitian() and abs(val.imag) > 1e-10:
         raise PauliError("expectation of a Hermitian sum came out complex")
     return float(val.real)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import expm
 
 import qve.circuit as circuit_module
 from oracles import pauli_label_matrix, pauli_sum_matrix
-from qve.ansatz import build_uccsd
+from qve.ansatz import build_hea, build_uccsd
 from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
                          NoiseModel, ParamExpr, PauliRotation, TranspileError,
@@ -321,6 +322,65 @@ def test_noisy_sampled_mean_matches_exact_on_folded_uccsd(beh2_tapered):
     exact = estimate(c, bindings, beh2_tapered, 0, 0, noise=noise).mean
     r = estimate(c, bindings, beh2_tapered, 4096, 3, noise=noise)
     assert abs(r.mean - exact) < 5 * r.std_error
+
+
+def uccsd_bindings(seed):
+    c = build_uccsd(1, 1, 3, "parity", True)
+    theta = np.random.default_rng(seed).uniform(-0.1, 0.1, len(c.parameter_names))
+    return c, dict(zip(c.parameter_names, theta))
+
+
+def test_counts_match_per_shot_energies(beh2_tapered):
+    # [DERIVED] each group draws one count vector; its mean and unbiased
+    # variance equal those of the per-shot energy list np.repeat(table, counts)
+    # (1e-12). At shots=1 the standard error is 0.
+    c, bindings = uccsd_bindings(4)
+    n = c.n_qubits
+    shots, seed = 1000, 6
+    mean = beh2_tapered.coefficient("I" * n).real
+    variance = 0.0
+    plan = circuit_module._measurement_plan(n, beh2_tapered.items())
+    for gi, (_, meas, table) in enumerate(plan):
+        probs = np.abs(run_circuit(c.copy().extend(meas), bindings)) ** 2
+        counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
+        assert counts.sum() == shots
+        energies = np.repeat(table, counts)
+        mean += energies.mean()
+        variance += energies.var(ddof=1) / shots
+    r = estimate(c, bindings, beh2_tapered, shots, seed)
+    assert r.mean == pytest.approx(mean, abs=1e-12)
+    assert r.std_error == pytest.approx(math.sqrt(variance), abs=1e-12)
+    assert estimate(c, bindings, beh2_tapered, 1, seed).std_error == 0.0
+
+
+def test_terashot_estimate_is_cheap(beh2_tapered):
+    # [DERIVED] 10^12 shots per group cost one count vector each: the estimate
+    # returns well within a second and lies within 5 sigma of shots=0
+    c, bindings = uccsd_bindings(5)
+    exact = estimate(c, bindings, beh2_tapered, 0, 0).mean
+    start = time.perf_counter()
+    r = estimate(c, bindings, beh2_tapered, 10**12, 9)
+    assert time.perf_counter() - start < 1.0
+    assert r.shots == 10**12
+    assert 0.0 < r.std_error < 1e-5
+    assert abs(r.mean - exact) < 5 * r.std_error
+
+
+def test_noisy_readout_sampled_means_match_exact(beh2_tapered):
+    # [DERIVED] with gate and readout noise, the sampled mean of each of 20
+    # seeds lies within 5 sigma of the exact noisy expectation (shots=0); at
+    # 10^6 shots sigma is far below the readout bias, so every draw must come
+    # from the distribution after readout
+    c = build_hea(beh2_tapered.n_qubits, 1)
+    theta = np.random.default_rng(3).uniform(-np.pi, np.pi, len(c.parameter_names))
+    bindings = dict(zip(c.parameter_names, theta))
+    noise = NoiseModel(p1=0.001, p2=0.01, readout01=0.02, readout10=0.03)
+    exact = estimate(c, bindings, beh2_tapered, 0, 0, noise=noise).mean
+    bare = estimate(c, bindings, beh2_tapered, 0, 0, noise=NoiseModel(p1=0.001, p2=0.01)).mean
+    for seed in range(20):
+        r = estimate(c, bindings, beh2_tapered, 10**6, seed, noise=noise)
+        assert abs(r.mean - exact) < 5 * r.std_error
+        assert abs(bare - exact) > 20 * r.std_error
 
 
 def test_noisy_estimate_over_density_cap_is_refused():
