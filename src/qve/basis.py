@@ -5,7 +5,10 @@ nuclear-attraction and repulsion integrals over Cartesian Gaussians of any
 angular momentum follow McMurchie & Davidson, J. Comput. Phys. 26, 218
 (1978): a product of two Gaussians is expanded in Hermite Gaussians (the E
 coefficients), and Coulomb integrals over Hermite Gaussians come from the R
-recurrence over Boys functions. An s function is the l = 0 case.
+recurrence over Boys functions. An s function is the l = 0 case. The Boys
+function is plain NumPy: a series of positive terms below a cut-over that
+grows with the order, the asymptotic form above it, and downward recursion
+to the lower orders a Coulomb integral needs.
 
 The kernels take a primitive or a contraction; a contraction is evaluated
 over its whole primitive grid at once. The built-in STO-3G table covers H
@@ -21,13 +24,8 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma, gammainc
 
 ANGSTROM_TO_BOHR = 1.8897259886
-
-# Boys-function small-argument switch; below this the 4-term Taylor series
-# and the incomplete-gamma form agree to better than 1e-14.
-BOYS_TAYLOR_SWITCH = 1e-6
 
 SHELL_LETTERS = "spdfg"
 
@@ -112,18 +110,29 @@ class IntegralSet:
 
 
 def boys(n: int, t):
-    """Boys function F_n(t) = int_0^1 u^{2n} exp(-t u^2) du, elementwise."""
+    """Boys function F_n(t) = int_0^1 u^{2n} exp(-t u^2) du, elementwise.
+
+    Below t = 36 + 4n, the series of positive terms
+    e^{-t} sum_k (2t)^k / ((2n+1)(2n+3)...(2n+2k+1)). Above it, the asymptotic
+    form (2n-1)!!/2^{n+1} sqrt(pi/t^{2n+1}), which is high by the fraction
+    Gamma(n+1/2, t)/Gamma(n+1/2), below 4e-17 there (Helgaker, Jorgensen &
+    Olsen, Molecular Electronic-Structure Theory, sec. 9.8).
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise BasisError(f"Boys argument must be non-negative, got {t.min()}")
-    a = n + 0.5
-    tb = np.maximum(t, BOYS_TAYLOR_SWITCH)
-    out = gamma(a) * gammainc(a, tb) / (2.0 * tb ** a)
-    small = t < BOYS_TAYLOR_SWITCH
-    if np.any(small):
-        taylor = sum((-t) ** k / (math.factorial(k) * (2 * n + 2 * k + 1)) for k in range(4))
-        out = np.where(small, taylor, out)
-    return out[()]
+    large = t >= 36.0 + 4.0 * n
+    ts = np.where(large, 0.0, t)
+    # the terms peak near k = t and fall off over a few sqrt(t) more
+    tmax = float(ts.max(initial=0.0))
+    k = np.arange(int(tmax + 7.0 * math.sqrt(tmax)) + 21)
+    ratios = np.multiply.outer(2.0 * ts, 1.0 / (2 * n + 2 * k + 1))
+    ratios[..., 0] = 1.0 / (2 * n + 1)
+    series = np.exp(-ts) * np.cumprod(ratios, axis=-1).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        asymptotic = (math.prod(range(1, 2 * n, 2)) / 2 ** (n + 1)
+                      * np.sqrt(math.pi / t ** (2 * n + 1)))
+    return np.where(large, asymptotic, series)[()]
 
 
 def hermite_e(i: int, j: int, t: int, qx: float, a, b):
@@ -144,12 +153,18 @@ def hermite_e(i: int, j: int, t: int, qx: float, a, b):
             + (t + 1) * hermite_e(i, j - 1, t + 1, qx, a, b))
 
 
-def hermite_r(p, pc):
-    """Hermite Coulomb integrals R_{tuv}(p, PC) as a memoized function of
-    (t, u, v). pc carries the Cartesian components on its last axis; p
-    broadcasts against the rest."""
+def hermite_r(p, pc, order: int):
+    """Hermite Coulomb integrals R_{tuv}(p, PC), t + u + v <= order, as a
+    memoized function of (t, u, v). pc carries the Cartesian components on
+    its last axis; p broadcasts against the rest."""
     x, y, z = pc[..., 0], pc[..., 1], pc[..., 2]
     tpc = p * (x * x + y * y + z * z)
+    # F_order directly, the lower orders by the stable downward recursion
+    fn = [boys(order, tpc)]
+    decay = np.exp(-tpc)
+    for n in range(order - 1, -1, -1):
+        fn.append((2.0 * tpc * fn[-1] + decay) / (2 * n + 1))
+    fn.reverse()
 
     @cache
     def r(t, u, v, n=0):
@@ -161,7 +176,7 @@ def hermite_r(p, pc):
             return (u - 1) * r(t, u - 2, v, n + 1) + y * r(t, u - 1, v, n + 1)
         if v:
             return (v - 1) * r(t, u, v - 2, n + 1) + z * r(t, u, v - 1, n + 1)
-        return (-2.0 * p) ** n * boys(n, tpc)
+        return (-2.0 * p) ** n * fn[n]
 
     return r
 
@@ -222,14 +237,15 @@ def _pair(f, g):
 
 def _nuclear(pair, nucleus_center, z: int) -> float:
     p, rp, coef = pair
-    r = hermite_r(p, rp - np.asarray(nucleus_center, dtype=float))
+    r = hermite_r(p, rp - np.asarray(nucleus_center, dtype=float), max(map(sum, coef)))
     return -z * float(np.sum(2.0 * math.pi / p * sum(e * r(*tuv) for tuv, e in coef.items())))
 
 
 def _eri(bra, ket) -> float:
     (p, rp, e_bra), (q, rq, e_ket) = bra, ket
     p, q = p[:, :, None, None], q[None, None]
-    r = hermite_r(p * q / (p + q), rp[:, :, None, None] - rq[None, None])
+    r = hermite_r(p * q / (p + q), rp[:, :, None, None] - rq[None, None],
+                  max(map(sum, e_bra)) + max(map(sum, e_ket)))
     val = 0.0
     for (t, u, v), e1 in e_bra.items():
         for (tt, uu, vv), e2 in e_ket.items():

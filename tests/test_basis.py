@@ -83,6 +83,24 @@ def test_boys_function_vs_quadrature():
         boys(0, -0.5)
 
 
+def test_boys_function_vs_incomplete_gamma():
+    # [ORACLE] F_n(t) = Gamma(n+1/2) P(n+1/2, t) / (2 t^{n+1/2}) from
+    # scipy.special, n = 0-8, from t = 0 (limit 1/(2n+1)) through the
+    # series/asymptotic switch at 36 + 4n up to 1e3 (1e-14 absolute); from
+    # t = 10 on, where F_n is small, also 5e-15 relative, which an
+    # asymptotic form switched in too early misses
+    from scipy.special import gamma, gammainc
+    for n in range(9):
+        switch = 36.0 + 4.0 * n
+        t = np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 80.0, 400),
+                            switch + np.array([-1e-9, 0.0, 1e-9]), [200.0, 1e3]])
+        a = n + 0.5
+        want = gamma(a) * gammainc(a, t) / (2.0 * t ** a)
+        np.testing.assert_allclose(boys(n, t), want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(boys(n, t[t >= 10]), want[t >= 10], rtol=5e-15)
+        assert boys(n, 0.0) == pytest.approx(1.0 / (2 * n + 1), abs=1e-14)
+
+
 def test_primitive_nuclear_attraction_vs_quadrature():
     # [DERIVED] closed form vs radial-reduction quadrature oracle (1e-9)
     cases = [(0.9, (0, 0, 0), 1.3, (0, 0, 1.4), (0, 0, 1.4), 1),

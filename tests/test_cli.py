@@ -271,3 +271,28 @@ def test_zne_requires_parameters(capsys, tmp_path):
     code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper",
                            "--ansatz", "hea", "--noise", str(noise))
     assert code == EXIT_CONFIG
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # [DERIVED] the runtime depends on NumPy alone: `qve exact` and
+    # `qve zne --shots 0` (all three fits) leave no scipy module loaded
+    import qve
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    params = tmp_path / "theta.json"
+    params.write_text(json.dumps([0.1 * (i + 1) for i in range(16)]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = (
+        "import sys\n"
+        "from qve.cli import main\n"
+        f"assert main(['exact', '--ham', {str(FIXTURE)!r}, '--taper']) == 0\n"
+        f"assert main(['zne', '--ham', {str(FIXTURE)!r}, '--taper', '--ansatz', 'hea',\n"
+        f"             '--shots', '0', '--noise', {str(noise)!r},\n"
+        f"             '--params-file', {str(params)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"

@@ -127,3 +127,60 @@ def test_linear_only_when_two_points():
     h = PauliSum.from_labels([("ZZ", 1.0)])
     result = run_zne(c, {}, h, [1, 3], 256, 0, NoiseModel())
     assert set(result.fits) == {"linear"}
+
+
+@pytest.mark.parametrize("means", [
+    (-15.60, -15.58, -15.59),    # d2/d1 = -0.5: not monotone
+    (-15.60, -15.59, -15.56),    # d2/d1 = 3: differences grow
+])
+def test_exponential_fit_falls_back_without_decay(means):
+    # [DERIVED] three equally spaced folds fit a + b exp(-c lam) with c > 0
+    # only when 0 < d2/d1 < 1; otherwise the least-squares rate runs to a
+    # grid end and the fit reports the quadratic one, flagged
+    pts = [point(l, m) for l, m in zip((1, 3, 5), means)]
+    fit = extrapolate(pts, "exponential")
+    quad = extrapolate(pts, "quadratic")
+    assert fit.fallback
+    assert (fit.e_zero, fit.params, fit.residual) == (quad.e_zero, quad.params, quad.residual)
+
+
+def _curve_fit(lam, e, p0):
+    # converged to rounding: at its default 1e-8 tolerances curve_fit stops
+    # up to 1e-6 short of an exact fit
+    from scipy.optimize import curve_fit
+    popt, _ = curve_fit(lambda x, a, b, c: a + b * np.exp(-c * x), lam, e, p0=p0,
+                        bounds=([-np.inf, -np.inf, 0.0], np.inf), maxfev=10000,
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return popt, float(np.sum((popt[0] + popt[1] * np.exp(-popt[2] * lam) - e) ** 2))
+
+
+@pytest.mark.filterwarnings("ignore:Covariance of the parameters could not be estimated")
+def test_exponential_fit_matches_curve_fit():
+    # [ORACLE] scipy.optimize.curve_fit (c >= 0), started near the generating
+    # parameters: on exact geometric data at folds 1, 3, 5 the same
+    # e_zero and parameters (1e-9); on noisy data at folds 1, 3, 5, 7 and
+    # 1, 3, 7 a residual no higher than curve_fit's (1e-12)
+    rng = np.random.default_rng(8)
+    lam = np.array([1.0, 3.0, 5.0])
+    for _ in range(50):
+        a, b, c = rng.uniform(-16, -15), rng.choice([-1, 1]) * rng.uniform(0.01, 0.5), \
+            rng.uniform(0.02, 2.0)
+        e = a + b * np.exp(-c * lam)
+        fit = extrapolate([point(l, v) for l, v in zip(lam, e)], "exponential")
+        popt, _ = _curve_fit(lam, e, [a + 0.01, 1.1 * b, 0.9 * c])
+        assert not fit.fallback
+        assert fit.e_zero == pytest.approx(popt[0] + popt[1], abs=1e-9)
+        np.testing.assert_allclose(fit.params, popt, rtol=0, atol=1e-9)
+    for folds in ((1, 3, 5, 7), (1, 3, 7)):
+        lam = np.array(folds, dtype=float)
+        fitted = 0
+        for _ in range(50):
+            a, b, c = rng.uniform(-16, -15), rng.uniform(0.01, 0.5), rng.uniform(0.05, 1.0)
+            e = a + b * np.exp(-c * lam) + rng.normal(0.0, 0.002, len(lam))
+            fit = extrapolate([point(l, v) for l, v in zip(lam, e)], "exponential")
+            if fit.fallback:
+                continue
+            fitted += 1
+            _, resid = _curve_fit(lam, e, [a, b, c])
+            assert fit.residual <= resid + 1e-12
+        assert fitted >= 40
