@@ -11,9 +11,14 @@ grows with the order, the asymptotic form above it, and downward recursion
 to the lower orders a Coulomb integral needs.
 
 The kernels take a primitive or a contraction; a contraction is evaluated
-over its whole primitive grid at once. The built-in STO-3G table covers H
-and He; elements outside the table raise UnsupportedAngularMomentumError so
-callers can fall back to a Hamiltonian fixture.
+over its whole primitive grid at once. STO-3G covers H to Ne by one rule:
+a universal zeta = 1 expansion per shell (1s; 2s and 2p with shared
+exponents), scaled by each element's Slater exponents. Elements past Ne
+raise UnsupportedAngularMomentumError so callers can fall back to a
+Hamiltonian fixture.
+
+A geometry file may name the active space with `core` and `active` lines;
+`Molecule.active_space` checks them against the MO count.
 """
 
 from __future__ import annotations
@@ -27,15 +32,13 @@ import numpy as np
 
 ANGSTROM_TO_BOHR = 1.8897259886
 
-SHELL_LETTERS = "spdfg"
-
 
 class BasisError(ValueError):
     pass
 
 
 class UnsupportedAngularMomentumError(BasisError):
-    """Raised for an element the basis table has no shells for."""
+    """Raised for an element past Ne, which has no built-in STO-3G shells."""
 
 
 class GeometryError(BasisError):
@@ -83,9 +86,14 @@ class ContractedOrbital:
 
 @dataclass(frozen=True)
 class Molecule:
+    """Nuclei (Z, position in bohr) and an active space: `core` lists the
+    doubly occupied MOs to freeze, `active` the MOs to keep (None: every MO
+    outside the core)."""
+
     atoms: tuple[tuple[int, tuple[float, float, float]], ...]
     charge: int = 0
-    multiplicity: int = 1
+    core: tuple[int, ...] = ()
+    active: tuple[int, ...] | None = None
 
     @property
     def n_electrons(self) -> int:
@@ -93,6 +101,30 @@ class Molecule:
         if n < 0:
             raise BasisError("negative electron count")
         return n
+
+    def active_space(self, n_mo: int) -> tuple[list[int], list[int], int]:
+        """Core MOs, active MOs and active electron pairs over n_mo MOs;
+        GeometryError when the lists do not fit the MOs or the electrons."""
+        core = list(self.core)
+        active = ([m for m in range(n_mo) if m not in core] if self.active is None
+                  else list(self.active))
+        for name, mos in (("core", core), ("active", active)):
+            bad = [m for m in mos if not 0 <= m < n_mo]
+            if bad:
+                raise GeometryError(f"{name} MO {bad[0]} is outside 0..{n_mo - 1}")
+            if len(set(mos)) != len(mos):
+                raise GeometryError(f"{name} MOs {mos} repeat an index")
+        if set(core) & set(active):
+            raise GeometryError(f"MOs {sorted(set(core) & set(active))} are both core "
+                                "and active")
+        pairs = self.n_electrons // 2 - len(core)
+        if pairs < 0:
+            raise GeometryError(f"{len(core)} core MOs but only "
+                                f"{self.n_electrons // 2} electron pairs")
+        if pairs > len(active):
+            raise GeometryError(f"{2 * pairs} active electrons do not fit in "
+                                f"{len(active)} active MOs")
+        return core, active, pairs
 
 
 @dataclass(frozen=True)
@@ -277,60 +309,52 @@ def nuclear_repulsion(mol: Molecule) -> float:
     return e
 
 
-# Standard published STO-3G parameterization: per element symbol, a list of
-# shells, each (angular momentum, [(exponent, contraction coefficient), ...]).
-STO3G_TABLE: dict[str, list[tuple[int, list[tuple[float, float]]]]] = {
-    "H": [(0, [(3.425250914, 0.1543289673),
-               (0.6239137298, 0.5353281423),
-               (0.1688554040, 0.4446345422)])],
-    "He": [(0, [(6.362421394, 0.1543289673),
-                (1.158922999, 0.5353281423),
-                (0.3136497915, 0.4446345422)])],
+# STO-3G (Hehre, Stewart & Pople, J. Chem. Phys. 51, 2657 (1969)): one
+# universal three-Gaussian fit per shell at Slater exponent zeta = 1, scaled to
+# an element's zeta by multiplying every exponent by zeta^2. The 2s and 2p
+# shells share their exponents and have their own coefficients.
+STO3G_1S = ((2.227660584, 0.4057711562, 0.1098175104),
+            (0.1543289673, 0.5353281423, 0.4446345422))
+STO3G_2SP = ((0.9942027297, 0.2310313333, 0.07513856000),
+             (-0.09996722919, 0.3995128261, 0.7001154689),
+             (0.1559162750, 0.6076837186, 0.3919573931))
+# Slater exponents: the 1s zeta, then the 2sp zeta from Li on.
+STO3G_ZETA = {
+    "H": (1.24,), "He": (1.69,), "Li": (2.69, 0.80), "Be": (3.68, 1.15),
+    "B": (4.68, 1.50), "C": (5.67, 1.72), "N": (6.67, 1.95), "O": (7.66, 2.25),
+    "F": (8.65, 2.55), "Ne": (9.64, 2.88),
 }
 
 ELEMENT_SYMBOLS = {
     "H": 1, "He": 2, "Li": 3, "Be": 4, "B": 5, "C": 6, "N": 7, "O": 8,
-    "F": 9, "Ne": 10,
+    "F": 9, "Ne": 10, "Na": 11, "Mg": 12, "Al": 13, "Si": 14, "P": 15, "S": 16,
+    "Cl": 17, "Ar": 18,
 }
 _Z_TO_SYMBOL = {z: s for s, z in ELEMENT_SYMBOLS.items()}
 
 
-def load_basis_table(path) -> dict[str, list[tuple[int, list[tuple[float, float]]]]]:
-    """Optional override table: one `element shell exponent coefficient` per
-    line. The shell label's letter gives its angular momentum (`1s`, `2p`)."""
-    table: dict[str, dict[str, tuple[int, list[tuple[float, float]]]]] = {}
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if len(tok) != 4:
-            raise BasisError(f"{path}:{ln}: expected `element shell exponent coefficient`")
-        elem, shell = tok[0], tok[1]
-        l = SHELL_LETTERS.find(shell[-1].lower())
-        if l < 0:
-            raise BasisError(f"{path}:{ln}: shell label {shell!r} must end in one of "
-                             f"{', '.join(SHELL_LETTERS)}")
-        try:
-            expo, coef = float(tok[2]), float(tok[3])
-        except ValueError:
-            raise BasisError(f"{path}:{ln}: non-numeric exponent/coefficient") from None
-        table.setdefault(elem, {}).setdefault(shell, (l, []))[1].append((expo, coef))
-    return {elem: list(shells.values()) for elem, shells in table.items()}
+def sto3g_shells(symbol: str) -> list[tuple[int, list[tuple[float, float]]]]:
+    """STO-3G shells of an element: (angular momentum, [(exponent,
+    contraction coefficient), ...]) for 1s and, from Li on, 2s and 2p."""
+    if symbol not in STO3G_ZETA:
+        raise UnsupportedAngularMomentumError(
+            f"element {symbol} has no built-in STO-3G shells (they cover H to Ne); "
+            "supply its Hamiltonian as a fixture instead")
+    zeta = STO3G_ZETA[symbol]
+    shells = [(0, *STO3G_1S, zeta[0])]
+    if len(zeta) == 2:
+        expo, coef_2s, coef_2p = STO3G_2SP
+        shells += [(0, expo, coef_2s, zeta[1]), (1, expo, coef_2p, zeta[1])]
+    return [(l, [(a * z * z, d) for a, d in zip(expo, coef)])
+            for l, expo, coef, z in shells]
 
 
-def basis_for(mol: Molecule, table=None) -> list[ContractedOrbital]:
-    """Contracted Cartesian orbitals for every atom (a p shell gives x, y, z),
-    each renormalized to unit self-overlap."""
-    table = STO3G_TABLE if table is None else table
+def basis_for(mol: Molecule) -> list[ContractedOrbital]:
+    """Contracted Cartesian STO-3G orbitals for every atom (a p shell gives
+    x, y, z), each renormalized to unit self-overlap."""
     orbitals = []
     for z, center in mol.atoms:
-        symbol = _Z_TO_SYMBOL.get(z, str(z))
-        if symbol not in table:
-            raise UnsupportedAngularMomentumError(
-                f"element {symbol} (Z={z}) is not in the basis table (the built-in "
-                "STO-3G covers H and He); supply its Hamiltonian as a fixture instead")
-        for l, shell in table[symbol]:
+        for l, shell in sto3g_shells(_Z_TO_SYMBOL.get(z, f"Z={z}")):
             for i in range(l, -1, -1):
                 for j in range(l - i, -1, -1):
                     angular = (i, j, l - i - j)
@@ -343,9 +367,9 @@ def basis_for(mol: Molecule, table=None) -> list[ContractedOrbital]:
     return orbitals
 
 
-def build_integrals(mol: Molecule, table=None) -> IntegralSet:
+def build_integrals(mol: Molecule) -> IntegralSet:
     """Contracted S, T, V, and physicist-notation ERI tensor plus e_nuc."""
-    orbitals = basis_for(mol, table)
+    orbitals = basis_for(mol)
     n = len(orbitals)
     s = np.zeros((n, n))
     t = np.zeros((n, n))
@@ -370,15 +394,29 @@ def build_integrals(mol: Molecule, table=None) -> IntegralSet:
 
 
 def parse_geometry(text: str) -> Molecule:
-    """Parse `units angstrom|bohr` header plus `SYMBOL x y z` atom lines."""
+    """Parse a `units angstrom|bohr` header, `SYMBOL x y z` atom lines and the
+    optional active-space lines `core I J ...` and `active I J ...` (0-based
+    MO indices)."""
     scale = None
     atoms = []
+    mos: dict[str, tuple[int, ...]] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
             continue
         tok = line.split()
-        if tok[0].lower() == "units":
+        key = tok[0].lower()
+        if key in ("core", "active"):
+            if key in mos:
+                raise GeometryError(f"line {ln}: second `{key}` line")
+            try:
+                mos[key] = tuple(int(u) for u in tok[1:])
+            except ValueError:
+                raise GeometryError(f"line {ln}: non-integer MO index") from None
+            if not mos[key]:
+                raise GeometryError(f"line {ln}: expected `{key} I J ...`")
+            continue
+        if key == "units":
             if len(tok) != 2 or tok[1].lower() not in ("angstrom", "bohr"):
                 raise GeometryError(f"line {ln}: units must be `angstrom` or `bohr`")
             scale = ANGSTROM_TO_BOHR if tok[1].lower() == "angstrom" else 1.0
@@ -396,7 +434,7 @@ def parse_geometry(text: str) -> Molecule:
         atoms.append((ELEMENT_SYMBOLS[tok[0]], xyz))
     if not atoms:
         raise GeometryError("geometry file contains no atoms")
-    return Molecule(tuple(atoms))
+    return Molecule(tuple(atoms), core=mos.get("core", ()), active=mos.get("active"))
 
 
 def load_geometry(path) -> Molecule:

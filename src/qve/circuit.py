@@ -258,16 +258,10 @@ def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) ->
     return math.cos(a) * states + (1j * phase * math.sin(a)) * flipped
 
 
-def run_circuit(c: Circuit, bindings=None, initial_state=None) -> np.ndarray:
-    """Statevector after applying the operations to |0...0> (or initial_state)."""
-    dim = 1 << c.n_qubits
-    if initial_state is None:
-        state = np.zeros(dim, dtype=complex)
-        state[0] = 1.0
-    else:
-        state = np.asarray(initial_state, dtype=complex).copy()
-        if state.shape != (dim,):
-            raise CircuitError("initial state dimension mismatch")
+def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
+    """Statevector after applying the operations to |0...0>."""
+    state = np.zeros(1 << c.n_qubits, dtype=complex)
+    state[0] = 1.0
     for op in c.operations:
         state = _apply_op(state, op, bindings, c.n_qubits)
     return state

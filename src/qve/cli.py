@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
 non-convergence, linear dependence, a Hamiltonian over the dense-matrix
-cap), 4 an element outside the basis table.
+cap), 4 an element past Ne, which has no built-in STO-3G shells.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COEFF_TOL = 1e-12
+from .pauli import COEFF_TOL
 
 CREATE = True
 ANNIHILATE = False

@@ -32,10 +32,6 @@ class DenseCapError(PauliError):
     """A dense matrix was requested for more qubits than the cap allows."""
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 def parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
     """(-1)^popcount(b & mask) for each basis index b in indices."""
     return 1.0 - 2.0 * (np.bitwise_count(indices & mask) & 1)
@@ -85,7 +81,7 @@ class PauliTerm:
     @property
     def label_coefficient(self) -> complex:
         """Coefficient with the folded Y-phases removed (the XYZ-string basis)."""
-        return self.coefficient * (-1j) ** _popcount(self.x & self.z)
+        return self.coefficient * (-1j) ** (self.x & self.z).bit_count()
 
     def label(self) -> str:
         return "".join(
@@ -96,14 +92,14 @@ class PauliTerm:
     @property
     def weight(self) -> int:
         """Number of non-identity single-qubit factors."""
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
 
 def multiply_terms(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Product of two Pauli words; phase tracked exactly."""
     if a.n_qubits != b.n_qubits:
         raise PauliError("qubit-count mismatch")
-    sign = -1.0 if _popcount(a.z & b.x) % 2 else 1.0
+    sign = -1.0 if (a.z & b.x).bit_count() % 2 else 1.0
     return PauliTerm(a.n_qubits, a.x ^ b.x, a.z ^ b.z, a.coefficient * b.coefficient * sign)
 
 
@@ -198,20 +194,20 @@ class PauliSum:
         out = PauliSum(self.n_qubits)
         for (x, z), c in self._terms.items():
             # (X^x Z^z)^dagger = (-1)^{x.z} X^x Z^z
-            sign = -1.0 if _popcount(x & z) % 2 else 1.0
+            sign = -1.0 if (x & z).bit_count() % 2 else 1.0
             out._terms[(x, z)] = np.conj(c) * sign
         return out
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         for (x, z), c in self._terms.items():
-            lbl_c = c * (-1j) ** _popcount(x & z)
+            lbl_c = c * (-1j) ** (x & z).bit_count()
             if abs(lbl_c.imag) > tol:
                 return False
         return True
 
     def coefficient(self, label: str) -> complex:
         t = PauliTerm.from_label(label)
-        return self._terms.get((t.x, t.z), 0.0) * (-1j) ** _popcount(t.x & t.z)
+        return self._terms.get((t.x, t.z), 0.0) * (-1j) ** (t.x & t.z).bit_count()
 
     # -- dense realization ----------------------------------------------
 

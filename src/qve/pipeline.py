@@ -127,23 +127,16 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def problem_from_geometry(mol: Molecule, table=None, core=(), active=None
-                          ) -> tuple[ActiveSpaceProblem, SCFResult]:
-    """Molecule -> integrals -> RHF -> MO transform -> active-space problem.
-
-    `table` overrides the built-in STO-3G table, `core` lists the doubly
-    occupied MOs to freeze and `active` the MOs to keep (default: every MO
-    outside the core). The defaults give the full-space problem.
-    """
-    ints = build_integrals(mol, table)
+def problem_from_geometry(mol: Molecule) -> tuple[ActiveSpaceProblem, SCFResult]:
+    """Molecule -> integrals -> RHF -> MO transform -> active-space problem,
+    over the molecule's core and active MOs (by default the full space)."""
+    ints = build_integrals(mol)
+    n_mo = ints.overlap.shape[0]
+    core, active, pairs = mol.active_space(n_mo)
     scf = run_rhf(ints, mol.n_electrons)
     if not scf.converged:
         raise ConvergenceError(f"SCF did not converge in {scf.iterations} iterations")
-    n_mo = ints.overlap.shape[0]
-    if active is None:
-        active = [m for m in range(n_mo) if m not in core]
     h1, h2 = mo_transform(ints, scf.mo_coefficients, range(n_mo))
-    pairs = mol.n_electrons // 2 - len(core)
     return active_space_reduce(h1, h2, core, active, pairs, pairs, ints.e_nuc), scf
 
 

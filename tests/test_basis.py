@@ -9,8 +9,9 @@ import oracles
 from qve.basis import (ANGSTROM_TO_BOHR, BasisError, GaussianPrimitive,
                        GeometryError, Molecule, UnsupportedAngularMomentumError,
                        basis_for, boys, build_integrals, eri, hermite_e, kinetic,
-                       load_basis_table, nuclear_attraction, nuclear_repulsion,
-                       overlap, parse_geometry)
+                       nuclear_attraction, nuclear_repulsion, overlap,
+                       parse_geometry, sto3g_shells)
+from qve.scf import run_rhf
 
 S = (0, 0, 0)
 
@@ -237,11 +238,79 @@ def test_eri_tensor_physicist_symmetry():
 
 
 def test_basis_for_unknown_element():
-    # [TRIVIAL] elements outside the built-in H/He table are rejected with the
-    # angular-momentum error so callers fall back to fixtures
-    mol = Molecule(((4, (0.0, 0.0, 0.0)),))
-    with pytest.raises(UnsupportedAngularMomentumError):
+    # [TRIVIAL] elements past Ne have no built-in STO-3G shells and are
+    # rejected with the angular-momentum error so callers fall back to fixtures
+    mol = parse_geometry("units bohr\nNa 0 0 0\n")
+    with pytest.raises(UnsupportedAngularMomentumError, match="fixture"):
         basis_for(mol)
+
+
+def test_sto3g_rule_reproduces_published_shells():
+    # [DERIVED] the zeta-scaled universal expansions give the published H and He
+    # shells and the published Be 1s, 2s and 2p shells (exponents 1e-9
+    # relative, coefficients exactly)
+    s_coef = (0.1543289673, 0.5353281423, 0.4446345422)
+    published = {
+        "H": [(0, (3.425250914, 0.6239137298, 0.1688554040), s_coef)],
+        "He": [(0, (6.362421394, 1.158922999, 0.3136497915), s_coef)],
+        "Be": [(0, (30.16787069, 5.495115306, 1.487192653), s_coef),
+               (0, (1.314833110, 0.3055389383, 0.09937074560),
+                (-0.09996722919, 0.3995128261, 0.7001154689)),
+               (1, (1.314833110, 0.3055389383, 0.09937074560),
+                (0.1559162750, 0.6076837186, 0.3919573931))],
+    }
+    for symbol, want in published.items():
+        shells = sto3g_shells(symbol)
+        assert [l for l, _ in shells] == [l for l, _, _ in want]
+        for (_, prims), (_, expo, coef) in zip(shells, want):
+            np.testing.assert_allclose([a for a, _ in prims], expo, rtol=1e-9, atol=0)
+            assert tuple(d for _, d in prims) == coef
+
+
+def test_p_shell_expands_to_three_orbitals():
+    # [TRIVIAL] Li has 1s, 2s and a 2p shell that gives x, y, z orbitals
+    orbs = basis_for(Molecule(((3, (0.0, 0.0, 0.0)),)))
+    assert len(orbs) == 5
+    assert [o.primitives[0][1].angular for o in orbs[2:]] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _nh3(r, angle_deg):
+    # C3v: each N-H bond at polar angle beta from -z, with
+    # cos(HNH) = cos^2(beta) - sin^2(beta)/2
+    sin2 = 2.0 / 3.0 * (1.0 - math.cos(math.radians(angle_deg)))
+    rho, h = r * math.sqrt(sin2), -r * math.sqrt(1.0 - sin2)
+    return "N 0 0 0\n" + "".join(
+        f"H {rho * math.cos(2 * math.pi * k / 3)!r} {rho * math.sin(2 * math.pi * k / 3)!r} {h!r}\n"
+        for k in range(3))
+
+
+def _h2o(r, angle_deg):
+    half = math.radians(angle_deg) / 2
+    x, z = r * math.sin(half), r * math.cos(half)
+    return f"O 0 0 0\nH {x!r} 0 {z!r}\nH {-x!r} 0 {z!r}\n"
+
+
+def _ch4(r):
+    a = r / math.sqrt(3.0)
+    return "C 0 0 0\n" + "".join(f"H {sx * a!r} {sy * a!r} {sx * sy * a!r}\n"
+                                  for sx in (1, -1) for sy in (1, -1))
+
+
+@pytest.mark.parametrize("atoms, published", [
+    (_h2o(1.809, 104.52), -74.963),
+    (_ch4(2.050), -39.727),
+    (_nh3(1.912, 106.7), -55.454),
+    ("F 0 0 0\nH 0 0 1.733\n", -98.571),
+    ("N 0 0 0\nN 0 0 2.074\n", -107.496),
+    ("C 0 0 0\nO 0 0 2.132\n", -111.225),
+], ids=["H2O", "CH4", "NH3", "FH", "N2", "CO"])
+def test_rhf_matches_published_sto3g_energies(atoms, published):
+    # [DERIVED] STO-3G RHF energies at the geometries (bohr) of Szabo &
+    # Ostlund, Modern Quantum Chemistry, Table 3.13, within 5e-4 Ha
+    mol = parse_geometry("units bohr\n" + atoms)
+    scf = run_rhf(build_integrals(mol), mol.n_electrons)
+    assert scf.converged
+    assert scf.total_energy == pytest.approx(published, abs=5e-4)
 
 
 def test_parse_geometry_units_and_errors(tmp_path):
@@ -262,25 +331,23 @@ def test_parse_geometry_units_and_errors(tmp_path):
         parse_geometry("units bohr\n# only comments\n")
 
 
-def test_load_basis_table(tmp_path):
-    # [TRIVIAL] override table round trip
-    f = tmp_path / "basis.txt"
-    f.write_text("H 1s 3.42525091 0.15432897\nH 1s 0.62391373 0.53532814\n"
-                 "H 1s 0.16885540 0.44463454\n")
-    table = load_basis_table(f)
-    assert len(table["H"]) == 1
-    l, shell = table["H"][0]
-    assert l == 0 and len(shell) == 3
-    # the shell letter gives the angular momentum; a table with a p shell
-    # expands it into x, y, z orbitals
-    f.write_text("Li 1s 1.0 1.0\nLi 2p 0.5 1.0\n")
-    table = load_basis_table(f)
-    assert [l for l, _ in table["Li"]] == [0, 1]
-    assert len(basis_for(Molecule(((3, (0.0, 0.0, 0.0)),)), table)) == 4
-    bad = tmp_path / "bad.txt"
-    bad.write_text("H 1s notanumber 0.1\n")
-    with pytest.raises(BasisError):
-        load_basis_table(bad)
-    bad.write_text("H 1q 1.0 0.1\n")
-    with pytest.raises(BasisError):
-        load_basis_table(bad)
+def test_geometry_active_space_lines():
+    # [TRIVIAL] `core` and `active` lines land on the molecule; bad MO lists
+    # raise GeometryError (CLI exit code 2) before any orbital is indexed
+    lih = "units bohr\nLi 0 0 0\nH 0 0 3.0\n"
+    mol = parse_geometry(lih + "core 0\nactive 1 2 5\n")
+    assert (mol.core, mol.active) == ((0,), (1, 2, 5))
+    assert mol.active_space(6) == ([0], [1, 2, 5], 1)
+    assert parse_geometry(lih).active_space(6) == ([], list(range(6)), 2)
+    assert parse_geometry(lih + "core 0\n").active_space(6) == ([0], [1, 2, 3, 4, 5], 1)
+    for bad in ("core 0\ncore 1\n", "core 0 x\n", "active\n"):
+        with pytest.raises(GeometryError):
+            parse_geometry(lih + bad)
+    for core, active in (((), (0, 6)),      # index past the last MO
+                         ((-1,), None),     # negative index
+                         ((0, 0), None),    # repeated index
+                         ((0,), (0, 1)),    # core and active overlap
+                         ((0, 1, 2), None),  # more core MOs than electron pairs
+                         ((0,), ())):       # one active pair, no active MO
+        with pytest.raises(GeometryError):
+            Molecule(mol.atoms, core=core, active=active).active_space(6)

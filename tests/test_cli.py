@@ -180,13 +180,28 @@ def test_missing_fixture_is_config_error(capsys):
 
 
 def test_unsupported_element_is_angular_error(capsys, tmp_path):
-    # [DERIVED] Be needs p shells: exit code 4
-    geo = tmp_path / "beh2.geom"
-    geo.write_text("units angstrom\nBe 0 0 0\nH 0 0 1.326\nH 0 0 -1.326\n")
+    # [DERIVED] Na is past Ne, where the built-in STO-3G ends: exit code 4
+    geo = tmp_path / "nah.geom"
+    geo.write_text("units angstrom\nNa 0 0 0\nH 0 0 1.887\n")
     code, _, err = run_cli(capsys, "hamiltonian", "--geometry", str(geo),
                            "--out", str(tmp_path / "x.ham"))
     assert code == EXIT_ANGULAR
     assert "fixture" in err  # points the user at the fixture path
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("core 0\nactive 1 2 7\n", "outside 0..5"),
+    ("core 0 1\nactive 1 2\n", "both core and active"),
+])
+def test_bad_active_space_is_config_error(capsys, tmp_path, lines, message):
+    # [TRIVIAL] an MO index past the basis or MOs in both sets: exit code 2,
+    # no fixture written
+    geo = tmp_path / "lih.geom"
+    geo.write_text("units angstrom\nLi 0 0 0\nH 0 0 1.6\n" + lines)
+    out = tmp_path / "x.ham"
+    code, _, err = run_cli(capsys, "hamiltonian", "--geometry", str(geo), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert message in err and not out.exists()
 
 
 def test_linear_dependence_is_numeric_error(capsys, tmp_path):

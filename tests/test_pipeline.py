@@ -207,6 +207,12 @@ def test_geometry_source_runs_full_chain(tmp_path):
     run_dir = run_vqe(cfg)
     report = json.loads((run_dir / "result.json").read_text())
     assert report["exact_energy_ha"] == pytest.approx(-1.1372838351, abs=1e-8)
+    # the bundled BeH2 geometry's core/active lines reach a geometry-sourced
+    # run: its exact energy is the bundled CAS(2e,3o) fixture's
+    cfg = RunConfig(geometry=str(FIXTURE.parent / "beh2.geom"), shots=64, maxiter=2,
+                    output_dir=str(tmp_path / "beh2"))
+    report = json.loads((run_vqe(cfg) / "result.json").read_text())
+    assert report["exact_energy_ha"] == pytest.approx(-15.5608893584, abs=1e-9)
 
 
 def test_geometry_scf_nonconvergence_is_convergence_error(tmp_path, monkeypatch):
@@ -223,19 +229,18 @@ def test_geometry_scf_nonconvergence_is_convergence_error(tmp_path, monkeypatch)
     assert report["stage"] == "problem"
 
 
-def test_beh2_fixture_regenerates_in_package(tmp_path, beh2_problem):
-    # [DERIVED] the fixture tool, running through the package's integrals,
-    # RHF and frozen-core reduction, reproduces the bundled BeH2 CAS(2e,3o)
-    # fixture: entries 1e-7, constant 1e-9, tapered parity exact energy 1e-9,
-    # and exactly the bundled file's 12 entries (symmetry-zero roundoff dropped)
-    import importlib.util
+def test_beh2_fixture_regenerates_in_package(tmp_path, capsys, beh2_problem):
+    # [DERIVED] `qve hamiltonian` on the bundled BeH2 geometry, running through
+    # the package's STO-3G rule, integrals, RHF and the geometry file's frozen
+    # core, reproduces the bundled BeH2 CAS(2e,3o) fixture: entries 1e-7,
+    # constant 1e-9, tapered parity exact energy 1e-9, and exactly the bundled
+    # file's 12 entries (symmetry-zero roundoff dropped)
+    from qve.cli import main
     from qve.pauli import exact_ground_energy
-    tool = Path(__file__).resolve().parents[1] / "tools" / "make_beh2_fixture.py"
-    spec = importlib.util.spec_from_file_location("make_beh2_fixture", tool)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     out = tmp_path / "beh2.txt"
-    module.main(out)
+    assert main(["hamiltonian", "--geometry", str(FIXTURE.parent / "beh2.geom"),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
     regen = load_fixture(out)
     assert (regen.n_spatial, regen.n_alpha, regen.n_beta) == (3, 1, 1)
     np.testing.assert_allclose(regen.h1, beh2_problem.h1, rtol=0, atol=1e-7)
