@@ -2,8 +2,8 @@
 """Tour of the fermion-to-qubit mappings on the bundled BeH2 fixture.
 
 Prints the qubit count, Pauli-term count, and average Pauli weight of every
-encoding, then the exact ground-state and Hartree-Fock energies of the
-4-qubit tapered Hamiltonian.
+encoding, then the exact ground-state energy in the (1, 1) electron sector
+and the Hartree-Fock energy of the 4-qubit tapered Hamiltonian.
 
 Run from the repository root:  python3 demos/mapping_tour.py
 """
@@ -14,7 +14,7 @@ import qve
 from qve.ansatz import hf_state_circuit
 from qve.circuit import run_circuit
 from qve.fermion import hartree_fock_occupation
-from qve.mapping import mapping_stats
+from qve.mapping import mapping_stats, sector_basis
 from qve.pauli import exact_ground_energy, expectation_exact
 from qve.pipeline import load_fixture, problem_to_pauli
 
@@ -37,7 +37,8 @@ def main():
               f"{stats.avg_weight:>12.2f}")
 
     h = problem_to_pauli(problem, "parity", True)
-    e0, _ = exact_ground_energy(h)
+    e0, _ = exact_ground_energy(h, sector_basis(
+        problem.n_spatial, problem.n_alpha, problem.n_beta, "parity", True))
     occ = hartree_fock_occupation(problem.n_alpha, problem.n_beta, problem.n_spatial)
     e_hf = expectation_exact(h, run_circuit(hf_state_circuit(occ, "parity", True)))
     print(f"\nexact ground energy : {e0:.5f} Ha")

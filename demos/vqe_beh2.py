@@ -13,9 +13,7 @@ from pathlib import Path
 
 import qve
 from qve.circuit import NoiseModel
-from qve.pauli import exact_ground_energy
-from qve.pipeline import (RunConfig, load_fixture, problem_to_pauli,
-                          replay_on_exact, run_vqe)
+from qve.pipeline import RunConfig, load_fixture, replay_on_exact, run_vqe
 
 FIXTURE = Path(qve.__file__).parent / "data" / "beh2_cas_2e3o_sto3g.txt"
 
@@ -30,9 +28,8 @@ def main():
     run_dir = run_vqe(cfg)
     report = json.loads((run_dir / "result.json").read_text())
 
-    problem = load_fixture(FIXTURE)
-    e0, _ = exact_ground_energy(problem_to_pauli(problem, cfg.mapper, cfg.taper))
-    rows = replay_on_exact(run_dir / "params.jsonl", problem, cfg)
+    e0 = report["exact_energy_ha"]
+    rows = replay_on_exact(run_dir / "params.jsonl", load_fixture(FIXTURE), cfg)
 
     print(f"\nartifacts in        : {run_dir}")
     print(f"exact ground energy : {e0:.5f} Ha")

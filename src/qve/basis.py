@@ -14,7 +14,7 @@ The kernels take a primitive or a contraction; a contraction is evaluated
 over its whole primitive grid at once. STO-3G covers H to Ne by one rule:
 a universal zeta = 1 expansion per shell (1s; 2s and 2p with shared
 exponents), scaled by each element's Slater exponents. Elements past Ne
-raise UnsupportedAngularMomentumError so callers can fall back to a
+raise UnsupportedElementError so callers can fall back to a
 Hamiltonian fixture.
 
 A geometry file may name the active space with `core` and `active` lines;
@@ -37,7 +37,7 @@ class BasisError(ValueError):
     pass
 
 
-class UnsupportedAngularMomentumError(BasisError):
+class UnsupportedElementError(BasisError):
     """Raised for an element past Ne, which has no built-in STO-3G shells."""
 
 
@@ -337,7 +337,7 @@ def sto3g_shells(symbol: str) -> list[tuple[int, list[tuple[float, float]]]]:
     """STO-3G shells of an element: (angular momentum, [(exponent,
     contraction coefficient), ...]) for 1s and, from Li on, 2s and 2p."""
     if symbol not in STO3G_ZETA:
-        raise UnsupportedAngularMomentumError(
+        raise UnsupportedElementError(
             f"element {symbol} has no built-in STO-3G shells (they cover H to Ne); "
             "supply its Hamiltonian as a fixture instead")
     zeta = STO3G_ZETA[symbol]

@@ -1,8 +1,8 @@
 """Command-line interface: qve hamiltonian | map | exact | vqe | replay | zne.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
-non-convergence, linear dependence, a Hamiltonian over the dense-matrix
-cap), 4 an element past Ne, which has no built-in STO-3G shells.
+non-convergence, linear dependence, an (n_alpha, n_beta) sector over the
+exact-solver cap), 4 an element past Ne, which has no built-in STO-3G shells.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-EXIT_ANGULAR = 4
+EXIT_ELEMENT = 4
 
 
 class _ConfigError(ValueError):
@@ -88,9 +88,17 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .mapping import sector_basis
     from .pauli import exact_ground_energy
-    energy, _ = exact_ground_energy(_mapped(args))
-    print(json.dumps({"energy_ha": energy}))
+    from .pipeline import problem_to_pauli
+    problem = _problem(args)
+    # the sector cap is checked against the headers before anything is mapped
+    basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta,
+                         args.mapper, args.taper)
+    energy, _ = exact_ground_energy(
+        problem_to_pauli(problem, args.mapper, args.taper), basis)
+    print(json.dumps({"energy_ha": energy, "n_alpha": problem.n_alpha,
+                      "n_beta": problem.n_beta, "dim": len(basis)}))
     return EXIT_OK
 
 
@@ -244,22 +252,22 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    from .basis import UnsupportedAngularMomentumError
-    from .pauli import DenseCapError
+    from .basis import UnsupportedElementError
+    from .pauli import DenseCapError, LanczosError
     from .scf import ConvergenceError, LinearDependenceError
     from .spsa import SPSAError
 
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UnsupportedAngularMomentumError as exc:
+    except UnsupportedElementError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANGULAR
+        return EXIT_ELEMENT
     except (_ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, LinearDependenceError, DenseCapError, SPSAError,
-            FloatingPointError) as exc:
+    except (ConvergenceError, LinearDependenceError, DenseCapError, LanczosError,
+            SPSAError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -11,17 +11,21 @@ total alpha-parity on qubit n-1 and the total parity on qubit 2n-1; those
 two qubits can then be tapered off.
 
 `qubit_operator` (operators) and `encode_occupation` (basis states) are the
-entry points, so the Hamiltonian, the UCCSD generators and the Hartree-Fock
-state share one encoding.
+entry points, so the Hamiltonian, the UCCSD generators, the Hartree-Fock
+state and the exact solver's sector basis share one encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from math import comb
+
+import numpy as np
 
 from .fermion import FermionOperator
-from .pauli import PauliSum, PauliTerm
+from .pauli import SECTOR_CAP, DenseCapError, PauliSum, PauliTerm
 
 
 class MappingError(ValueError):
@@ -184,6 +188,31 @@ def encode_occupation(occupations: tuple[int, ...], mapper: str,
         state = _drop_bit(_drop_bit(state, q2), q1)
         n -= 2
     return tuple((state >> q) & 1 for q in range(n))
+
+
+def sector_basis(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
+                 taper: bool) -> np.ndarray:
+    """Sorted qubit basis indices of every occupation with n_alpha alpha and
+    n_beta beta electrons (blocked spin ordering), each encoded by
+    `encode_occupation`. Sectors over SECTOR_CAP states are refused before
+    any is enumerated."""
+    size = comb(n_spatial, n_alpha) * comb(n_spatial, n_beta)
+    if size > SECTOR_CAP:
+        raise DenseCapError(
+            f"the ({n_alpha}, {n_beta}) sector of {n_spatial} orbitals has {size} "
+            f"states, over the exact-solver cap {SECTOR_CAP}")
+    if size == 0:
+        raise MappingError(
+            f"no ({n_alpha}, {n_beta}) occupation fits in {n_spatial} orbitals")
+    states = []
+    for alpha in combinations(range(n_spatial), n_alpha):
+        for beta in combinations(range(n_spatial, 2 * n_spatial), n_beta):
+            occ = [0] * (2 * n_spatial)
+            for p in alpha + beta:
+                occ[p] = 1
+            bits = encode_occupation(tuple(occ), mapper, taper)
+            states.append(sum(b << q for q, b in enumerate(bits)))
+    return np.array(sorted(states))
 
 
 def mapping_stats(h: PauliSum) -> MappingStats:

@@ -17,8 +17,14 @@ from functools import lru_cache
 import numpy as np
 
 COEFF_TOL = 1e-12
-# Largest qubit count with a dense matrix: 2^14 x 2^14 complex is 4 GiB.
+# Largest qubit count with dense 2^n arrays (outcome tables, to_matrix):
+# a 2^14 x 2^14 complex matrix is 4 GiB.
 DENSE_CAP = 14
+# Largest basis the exact solver accepts. Its sparse matrix holds one entry per
+# connected pair of basis states, a few hundred per state for a molecule.
+SECTOR_CAP = 1 << 14
+# Largest basis diagonalized densely by eigh; above it, Lanczos.
+DENSE_SOLVE_MAX = 1024
 
 _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -29,7 +35,11 @@ class PauliError(ValueError):
 
 
 class DenseCapError(PauliError):
-    """A dense matrix was requested for more qubits than the cap allows."""
+    """A dense array or an exact solve was requested above its size cap."""
+
+
+class LanczosError(PauliError):
+    """The Lanczos iteration did not converge within its step limit."""
 
 
 def parity_signs(indices: np.ndarray, mask: int) -> np.ndarray:
@@ -218,19 +228,105 @@ class PauliSum:
                 f"{self.n_qubits} qubits exceeds dense-matrix cap {DENSE_CAP}"
             )
         dim = 1 << self.n_qubits
-        basis = np.arange(dim)
+        rows, cols, vals = _restricted_coo(self, np.arange(dim))
         mat = np.zeros((dim, dim), dtype=complex)
-        for (x, z), c in self._terms.items():
-            # X^x Z^z |b> = (-1)^{popcount(b & z)} |b ^ x>
-            mat[basis ^ x, basis] += c * parity_signs(basis, z)
+        mat[rows, cols] = vals
         return mat
 
 
-def exact_ground_energy(h: PauliSum) -> tuple[float, np.ndarray]:
-    """Minimum eigenvalue and a unit ground vector of a Hermitian sum."""
+def _restricted_coo(h: PauliSum, basis: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) triples of h restricted to a sorted array of basis
+    indices; rows and columns are positions in `basis`.
+
+    X^x Z^z |b> = (-1)^popcount(b & z) |b ^ x>, so each term sends column b to
+    row searchsorted(basis, b ^ x); targets outside the basis are dropped.
+    Terms sharing an x mask are summed first. Distinct x masks send a column
+    to distinct rows, so no (row, column) pair repeats.
+    """
+    by_x: dict[int, list[tuple[int, complex]]] = {}
+    for (x, z), c in h._terms.items():
+        by_x.setdefault(x, []).append((z, c))
+    dim = len(basis)
+    rows, cols, vals = [], [], []
+    for x, zs in by_x.items():
+        target = basis ^ x
+        row = np.minimum(np.searchsorted(basis, target), dim - 1)
+        keep = basis[row] == target
+        col = np.flatnonzero(keep)
+        kept = basis[col]
+        val = np.zeros(len(col), dtype=complex)
+        for z, c in zs:
+            val += c * parity_signs(kept, z)
+        nonzero = val != 0
+        rows.append(row[col[nonzero]])
+        cols.append(col[nonzero])
+        vals.append(val[nonzero])
+    if not rows:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _lanczos(rows, cols, vals, dim: int, max_steps: int = 400,
+             tol: float = 1e-10) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the Hermitian COO matrix by Lanczos with full
+    reorthogonalisation, stopping once the Ritz residual |beta_k s_k| < tol."""
+    if np.iscomplexobj(vals):
+        def matvec(v):
+            prod = vals * v[cols]
+            return (np.bincount(rows, prod.real, dim)
+                    + 1j * np.bincount(rows, prod.imag, dim))
+    else:
+        def matvec(v):
+            return np.bincount(rows, vals * v[cols], dim)
+    steps = min(dim, max_steps)
+    basis = np.zeros((steps, dim), dtype=vals.dtype)
+    # a fixed random start overlaps every eigenvector, whatever its symmetry
+    v = np.random.default_rng(0).standard_normal(dim).astype(vals.dtype)
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = [], []
+    for k in range(steps):
+        w = matvec(basis[k])
+        alpha.append(np.vdot(basis[k], w).real)
+        for _ in range(2):  # full reorthogonalisation, twice for stability
+            w -= (basis[:k + 1].conj() @ w) @ basis[:k + 1]
+        b = float(np.linalg.norm(w))
+        tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, s = np.linalg.eigh(tri)
+        if abs(b * s[k, 0]) < tol or b < tol or k + 1 == dim:
+            vec = s[:, 0] @ basis[:k + 1]
+            return float(theta[0]), vec / np.linalg.norm(vec)
+        if k + 1 < steps:
+            beta.append(b)
+            basis[k + 1] = w / b
+    raise LanczosError(f"Lanczos did not converge in {steps} steps on {dim} states")
+
+
+def exact_ground_energy(h: PauliSum, basis: np.ndarray | None = None
+                        ) -> tuple[float, np.ndarray]:
+    """Minimum eigenvalue of a Hermitian sum's block on `basis`, a sorted
+    array of basis indices (all 2^n states by default), and a unit ground
+    vector of amplitudes on those indices. On a symmetry sector of h, such as
+    a fixed electron count, the block's spectrum is h's spectrum there.
+
+    Dense eigh up to DENSE_SOLVE_MAX states, Lanczos above; more than
+    SECTOR_CAP states are refused before anything is allocated.
+    """
     if not h.is_hermitian():
         raise PauliError("ground-energy request for a non-Hermitian sum")
-    mat = h.to_matrix()
+    dim = (1 << h.n_qubits) if basis is None else len(basis)
+    if dim > SECTOR_CAP:
+        raise DenseCapError(f"{dim} basis states on {h.n_qubits} qubits exceed "
+                            f"the exact-solver cap {SECTOR_CAP}")
+    if basis is None:
+        basis = np.arange(dim)
+    rows, cols, vals = _restricted_coo(h, basis)
+    if not vals.imag.any():
+        vals = vals.real
+    if dim > DENSE_SOLVE_MAX:
+        return _lanczos(rows, cols, vals, dim)
+    mat = np.zeros((dim, dim), dtype=vals.dtype)
+    mat[rows, cols] = vals
     evals, evecs = np.linalg.eigh(mat)
     return float(evals[0]), evecs[:, 0]
 

@@ -15,8 +15,8 @@ from .ansatz import build_hea, build_uccsd
 from .basis import Molecule, build_integrals, load_geometry
 from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian, hartree_fock_occupation
-from .mapping import qubit_operator
-from .pauli import COEFF_TOL, DENSE_CAP, PauliSum, exact_ground_energy, expectation_exact
+from .mapping import qubit_operator, sector_basis
+from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
 
@@ -269,9 +269,15 @@ def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
             "last_10pct_std_ha": last_std,
             "n_evaluations": result.n_evaluations,
         }
-        if h.n_qubits <= DENSE_CAP:
-            e_exact, _ = exact_ground_energy(h)
+        try:
+            basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta,
+                                 cfg.mapper, cfg.taper)
+        except DenseCapError:
+            pass  # above the sector cap the report carries no exact target
+        else:
+            e_exact, _ = exact_ground_energy(h, basis)
             report["exact_energy_ha"] = e_exact
+            report["exact_sector"] = [problem.n_alpha, problem.n_beta]
             report["delta_e_ha"] = abs(last_mean - e_exact)
         (run_dir / "result.json").write_text(json.dumps(report, indent=2) + "\n")
     except Exception as exc:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from qve.basis import (ANGSTROM_TO_BOHR, BasisError, GaussianPrimitive,
-                       GeometryError, Molecule, UnsupportedAngularMomentumError,
+                       GeometryError, Molecule, UnsupportedElementError,
                        basis_for, boys, build_integrals, eri, hermite_e, kinetic,
                        nuclear_attraction, nuclear_repulsion, overlap,
                        parse_geometry, sto3g_shells)
@@ -239,9 +239,9 @@ def test_eri_tensor_physicist_symmetry():
 
 def test_basis_for_unknown_element():
     # [TRIVIAL] elements past Ne have no built-in STO-3G shells and are
-    # rejected with the angular-momentum error so callers fall back to fixtures
+    # rejected with the unsupported-element error so callers fall back to fixtures
     mol = parse_geometry("units bohr\nNa 0 0 0\n")
-    with pytest.raises(UnsupportedAngularMomentumError, match="fixture"):
+    with pytest.raises(UnsupportedElementError, match="fixture"):
         basis_for(mol)
 
 

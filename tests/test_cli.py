@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE
-from qve.cli import EXIT_ANGULAR, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from qve.cli import EXIT_CONFIG, EXIT_ELEMENT, EXIT_NUMERIC, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):
@@ -46,7 +47,34 @@ def test_exact_energy(capsys):
     code, out, _ = run_cli(capsys, "exact", "--ham", str(FIXTURE),
                            "--mapper", "parity", "--taper")
     assert code == EXIT_OK
-    assert json.loads(out)["energy_ha"] == pytest.approx(-15.56089, abs=5e-6)
+    res = json.loads(out)
+    assert res["energy_ha"] == pytest.approx(-15.56089, abs=5e-6)
+    assert (res["n_alpha"], res["n_beta"], res["dim"]) == (1, 1, 9)
+
+
+# One alpha and one beta electron in two orbitals of energy -5 each. The
+# minimum over all particle numbers fills all four spin orbitals (-20).
+TWO_LEVEL = "norb 2\nnalpha 1\nnbeta 1\nh 0 0 -5\nh 1 1 -5\n"
+
+
+@pytest.mark.parametrize("text, mapper, energy, dim", [
+    (TWO_LEVEL, ["jw"], -10.0, 4),
+    (TWO_LEVEL, ["bk"], -10.0, 4),
+    (TWO_LEVEL, ["parity"], -10.0, 4),
+    (TWO_LEVEL, ["parity", "--taper"], -10.0, 4),
+    # 16 qubits under jw, over the old 14-qubit dense cap, but 64 sector states
+    ("norb 8\nnalpha 1\nnbeta 1\nh 0 0 -1.0\nh 7 7 -0.5\n", ["jw"], -2.0, 64),
+])
+def test_exact_is_sector_minimum(capsys, tmp_path, text, mapper, energy, dim):
+    # [DERIVED] the exact energy is the (nalpha, nbeta) sector minimum under
+    # every encoding, not the minimum over all particle numbers
+    ham = tmp_path / "sector.ham"
+    ham.write_text(text)
+    code, out, err = run_cli(capsys, "exact", "--ham", str(ham), "--mapper", *mapper)
+    assert code == EXIT_OK, err
+    res = json.loads(out)
+    assert res["energy_ha"] == pytest.approx(energy, abs=1e-12)
+    assert (res["n_alpha"], res["n_beta"], res["dim"]) == (1, 1, dim)
 
 
 def test_exact_taper_requires_parity_is_config_error(capsys):
@@ -179,13 +207,13 @@ def test_missing_fixture_is_config_error(capsys):
     assert "error" in err
 
 
-def test_unsupported_element_is_angular_error(capsys, tmp_path):
+def test_unsupported_element_is_element_error(capsys, tmp_path):
     # [DERIVED] Na is past Ne, where the built-in STO-3G ends: exit code 4
     geo = tmp_path / "nah.geom"
     geo.write_text("units angstrom\nNa 0 0 0\nH 0 0 1.887\n")
     code, _, err = run_cli(capsys, "hamiltonian", "--geometry", str(geo),
                            "--out", str(tmp_path / "x.ham"))
-    assert code == EXIT_ANGULAR
+    assert code == EXIT_ELEMENT
     assert "fixture" in err  # points the user at the fixture path
 
 
@@ -227,13 +255,15 @@ def test_scf_nonconvergence_is_numeric_error(capsys, tmp_path, monkeypatch):
 
 
 def test_oversized_exact_is_numeric_error(capsys, tmp_path):
-    # [TRIVIAL] 16 qubits exceed the dense-matrix cap: exit code 3, refused
-    # before the matrix is allocated
+    # [TRIVIAL] C(20,10)^2 = 34134779536 sector states exceed the exact-solver
+    # cap: exit code 3 from the headers alone, before anything is mapped
     ham = tmp_path / "big.ham"
-    ham.write_text("norb 8\nnalpha 1\nnbeta 1\nh 0 0 -1.0\nh 7 7 -0.5\n")
+    ham.write_text("norb 20\nnalpha 10\nnbeta 10\n")
+    t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "exact", "--ham", str(ham), "--mapper", "jw")
+    assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_NUMERIC
-    assert out == "" and "16 qubits" in err
+    assert out == "" and "34134779536 states" in err
 
 
 def test_bad_noise_file_is_config_error(capsys, tmp_path):

@@ -10,8 +10,8 @@ import oracles
 from qve.fermion import (ANNIHILATE, CREATE, FermionOperator,
                         hartree_fock_occupation, to_matrix)
 from qve.mapping import (MAPPERS, MappingError, _encoding_rows, encode_occupation,
-                         mapping_stats, qubit_operator, taper_two_qubits)
-from qve.pauli import PauliSum, exact_ground_energy
+                         mapping_stats, qubit_operator, sector_basis, taper_two_qubits)
+from qve.pauli import DenseCapError, PauliSum, exact_ground_energy
 from qve.pipeline import problem_to_pauli
 
 
@@ -177,6 +177,29 @@ def test_taper_preserves_sector_ground_energy(beh2_problem):
     e_full = exact_sector_minimum(full, beh2_problem)
     e_tapered, _ = exact_ground_energy(tapered)
     assert e_tapered == pytest.approx(e_full, abs=1e-10)
+    # the solver's own sector basis gives the same minimum, tapered or not
+    for h, taper in ((full, False), (tapered, True)):
+        e_sector, _ = exact_ground_energy(h, sector_basis(3, 1, 1, "parity", taper))
+        assert e_sector == pytest.approx(e_full, abs=1e-10)
+
+
+def test_sector_basis_encodes_each_occupation():
+    # [DERIVED] under jw the (1, 1) sector of two orbitals is one alpha bit
+    # (qubits 0-1) times one beta bit (qubits 2-3); every sector state of a
+    # tapered encoding is the encoding of its occupation, HF included
+    assert sector_basis(2, 1, 1, "jw", False).tolist() == [5, 6, 9, 10]
+    basis = sector_basis(3, 1, 1, "parity", True)
+    hf = encode_occupation(hartree_fock_occupation(1, 1, 3).occupations, "parity", True)
+    assert len(basis) == 9 and sum(b << q for q, b in enumerate(hf)) in basis
+    assert np.all(np.diff(basis) > 0)
+
+
+def test_sector_basis_refuses_oversized_and_empty_sectors():
+    # [TRIVIAL] the size check needs no enumeration; an empty sector is an error
+    with pytest.raises(DenseCapError, match="34134779536 states"):
+        sector_basis(20, 10, 10, "jw", False)
+    with pytest.raises(MappingError, match="no \\(3, 0\\) occupation"):
+        sector_basis(2, 3, 0, "jw", False)
 
 
 def exact_sector_minimum(h, problem):

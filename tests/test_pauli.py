@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pauli_label_matrix, pauli_sum_matrix
-from qve.pauli import (PauliError, PauliSum, PauliTerm, exact_ground_energy,
-                       expectation_exact, multiply_terms)
+from qve import pauli
+from qve.basis import parse_geometry
+from qve.mapping import sector_basis
+from qve.pauli import (DenseCapError, PauliError, PauliSum, PauliTerm,
+                       exact_ground_energy, expectation_exact, multiply_terms)
+from qve.pipeline import problem_from_geometry, problem_to_pauli
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
@@ -93,6 +97,83 @@ def test_exact_ground_energy_rejects_non_hermitian():
     # [TRIVIAL]
     with pytest.raises(PauliError):
         exact_ground_energy(PauliSum.from_labels([("X", 1j)]))
+
+
+def test_exact_ground_energy_over_cap_is_refused():
+    # [TRIVIAL] 2^15 states exceed SECTOR_CAP: refused before any allocation
+    with pytest.raises(DenseCapError, match="15 qubits"):
+        exact_ground_energy(PauliSum.from_labels([("Z" * 15, 1.0)]))
+
+
+MIXED = PauliSum.from_labels([("XYZ", 0.3), ("YXZ", -0.3), ("ZZI", -1.1),
+                              ("XIX", 0.4), ("IYY", 0.25), ("ZIZ", 0.7)])
+
+
+@pytest.mark.parametrize("dense_max", [1024, 1])
+def test_exact_ground_energy_on_a_basis_is_the_projected_block(monkeypatch, dense_max):
+    # [DERIVED] on a basis subset the solver diagonalizes the oracle matrix's
+    # block on those states, complex entries included; dense_max 1 forces the
+    # Lanczos path
+    monkeypatch.setattr(pauli, "DENSE_SOLVE_MAX", dense_max)
+    basis = np.array([0, 3, 5, 6, 7])
+    block = pauli_sum_matrix(MIXED)[np.ix_(basis, basis)]
+    assert np.abs(block.imag).max() > 0.1
+    e, v = exact_ground_energy(MIXED, basis)
+    assert e == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
+    np.testing.assert_allclose(block @ v, e * v, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def h_chains():
+    """Linear H2 (0.74 angstrom), H4 and H6 (0.9 and 1.5 angstrom) problems."""
+    out = {}
+    for n, bond in ((2, 0.74), (4, 0.9), (4, 1.5), (6, 0.9), (6, 1.5)):
+        geom = "units angstrom\n" + "".join(f"H 0 0 {i * bond}\n" for i in range(n))
+        out[(n, bond)] = problem_from_geometry(parse_geometry(geom))[0]
+    return out
+
+
+ENCODINGS = [("jw", False), ("bk", False), ("parity", False), ("parity", True)]
+
+
+@pytest.mark.parametrize("mapper, taper", ENCODINGS)
+def test_sector_solver_matches_full_dense_on_beh2(beh2_problem, mapper, taper):
+    # [DERIVED] BeH2's (1, 1) ground state is the global minimum: the 9-state
+    # sector solve matches eigh of the oracle matrix over all 2^n states
+    h = problem_to_pauli(beh2_problem, mapper, taper)
+    basis = sector_basis(3, 1, 1, mapper, taper)
+    e, _ = exact_ground_energy(h, basis)
+    assert len(basis) == 9
+    assert e == pytest.approx(np.linalg.eigvalsh(pauli_sum_matrix(h))[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("chain", [(2, 0.74), (4, 0.9), (4, 1.5), (6, 0.9), (6, 1.5)])
+def test_sector_solver_matches_full_dense_on_hydrogen_chains(h_chains, chain):
+    # [DERIVED] the half-filled sector holds the ground state of a hydrogen
+    # chain: tapered parity and jw sector solves agree with eigh over all 2^n
+    # tapered states (1024 for H6)
+    problem = h_chains[chain]
+    n, k = problem.n_spatial, problem.n_alpha
+    tapered = problem_to_pauli(problem, "parity", True)
+    full = np.linalg.eigvalsh(tapered.to_matrix())[0]
+    for mapper, taper in (("parity", True), ("jw", False)):
+        h = tapered if taper else problem_to_pauli(problem, mapper, taper)
+        e, _ = exact_ground_energy(h, sector_basis(n, k, k, mapper, taper))
+        assert e == pytest.approx(full, abs=1e-10)
+
+
+def test_lanczos_matches_dense_on_h6_sector(h_chains, monkeypatch):
+    # [DERIVED] the Lanczos branch reproduces the dense branch on the
+    # 400-state H6 sector, eigenvector included
+    problem = h_chains[(6, 0.9)]
+    h = problem_to_pauli(problem, "parity", True)
+    basis = sector_basis(6, 3, 3, "parity", True)
+    assert len(basis) == 400
+    e_dense, v_dense = exact_ground_energy(h, basis)
+    monkeypatch.setattr(pauli, "DENSE_SOLVE_MAX", 100)
+    e_lanczos, v_lanczos = exact_ground_energy(h, basis)
+    assert e_lanczos == pytest.approx(e_dense, abs=1e-10)
+    assert abs(np.vdot(v_dense, v_lanczos)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_expectation_exact_matches_quadratic_form():

@@ -150,6 +150,7 @@ def test_run_vqe_artifacts(small_run):
     assert report["n_evaluations"] == 50 + 3 * cfg.maxiter + 1
     assert len(report["final_theta"]) == 16
     assert report["exact_energy_ha"] == pytest.approx(-15.56089, abs=5e-6)
+    assert report["exact_sector"] == [1, 1]
     assert report["delta_e_ha"] == pytest.approx(
         abs(report["last_10pct_mean_ha"] - report["exact_energy_ha"]), abs=1e-12)
     params = [json.loads(l) for l in (run_dir / "params.jsonl").read_text().splitlines()]
