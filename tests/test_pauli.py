@@ -9,7 +9,7 @@ from oracles import pauli_label_matrix, pauli_sum_matrix
 from qve import pauli
 from qve.basis import parse_geometry
 from qve.mapping import sector_basis
-from qve.pauli import (DenseCapError, PauliError, PauliSum, PauliTerm,
+from qve.pauli import (DenseCapError, LanczosError, PauliError, PauliSum, PauliTerm,
                        exact_ground_energy, expectation_exact, multiply_terms)
 from qve.pipeline import problem_from_geometry, problem_to_pauli
 
@@ -191,3 +191,11 @@ def test_expectation_exact_rejects_unnormalized():
     h = PauliSum.from_labels([("Z", 1.0)])
     with pytest.raises(PauliError):
         expectation_exact(h, np.array([1.0, 1.0]))
+
+
+def test_lanczos_step_limit_raises():
+    # [TRIVIAL] 3 steps cannot resolve a 50-level diagonal: an error, not an
+    # unconverged Ritz value
+    idx = np.arange(50)
+    with pytest.raises(LanczosError, match="3 steps"):
+        pauli._lanczos(idx, idx, np.arange(50.0), 50, max_steps=3)
