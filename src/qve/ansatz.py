@@ -1,11 +1,12 @@
-"""Ansatz construction: UCCSD (one Trotter step), hardware-efficient circuit,
-Hartree-Fock state preparation, and Pauli-exponential synthesis."""
+"""Ansatz construction: UCCSD (one Trotter step, each mapped generator term
+one Pauli rotation), hardware-efficient circuit, and Hartree-Fock state
+preparation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, ParamExpr, PauliRotation
+from .circuit import Circuit, ParamExpr, PauliRotation
 from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, hartree_fock_occupation
 from .mapping import encode_occupation, qubit_operator
 from .pauli import PauliTerm
@@ -57,12 +58,6 @@ def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
     lam = c.imag
     return PauliRotation(term.x, term.z,
                          ParamExpr(param.name, lam * param.scale, lam * param.offset))
-
-
-def pauli_evolution(term: PauliTerm, param: ParamExpr) -> list[Gate]:
-    """Gates implementing exp(theta * c * P) for an anti-Hermitian term c = i*lambda:
-    the decomposition of its Pauli rotation (see PauliRotation.decompose)."""
-    return _generator_rotation(term, param).decompose(term.n_qubits)
 
 
 def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:

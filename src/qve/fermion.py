@@ -237,16 +237,11 @@ def build_hamiltonian(h_so: np.ndarray, g_so: np.ndarray, e_offset: float) -> Fe
     if h_so.shape != (n, n) or g_so.shape != (n, n, n, n):
         raise FermionError("tensor shape mismatch")
     op = FermionOperator.scalar(n, e_offset)
-    for p in range(n):
-        for q in range(n):
-            if abs(h_so[p, q]) >= COEFF_TOL:
-                op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    c = 0.5 * g_so[p, q, r, s]
-                    if abs(c) >= COEFF_TOL:
-                        op.add_term(LadderTerm(
-                            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), c))
+    # argwhere lists indices in C order, the order of the nested index loops
+    for p, q in np.argwhere(abs(h_so) >= COEFF_TOL).tolist():
+        op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
+    half_g = 0.5 * g_so
+    for p, q, r, s in np.argwhere(abs(half_g) >= COEFF_TOL).tolist():
+        op.add_term(LadderTerm(
+            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), half_g[p, q, r, s]))
     return op

@@ -6,9 +6,10 @@ qubit i stores the parity of the occupations of the modes in row i
 stores each occupation, Parity the inclusive cumulative parities, and
 Bravyi-Kitaev the Fenwick-tree partial sums. The mapped ladder operators and
 the encoded basis states all follow from the rows, so the three encodings
-agree on spectra. Under blocked spin ordering the Parity encoding pins the
-total alpha-parity on qubit n-1 and the total parity on qubit 2n-1; those
-two qubits can then be tapered off.
+agree on spectra. Ladder strings are mapped as arrays by one rule, all
+strings of a pattern at once. Under blocked spin ordering the Parity encoding
+pins the total alpha-parity on qubit n-1 and the total parity on qubit 2n-1;
+those two qubits can then be tapered off.
 
 `qubit_operator` (operators) and `encode_occupation` (basis states) are the
 entry points, so the Hamiltonian, the UCCSD generators, the Hartree-Fock
@@ -25,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .fermion import FermionOperator
-from .pauli import SECTOR_CAP, DenseCapError, PauliSum, PauliTerm
+from .pauli import COEFF_TOL, SECTOR_CAP, DenseCapError, PauliSum, PauliTerm
 
 
 class MappingError(ValueError):
@@ -63,36 +64,82 @@ def _qubits_storing(rows: tuple[int, ...], modes: int) -> int:
     return qubits
 
 
-@lru_cache(maxsize=None)
-def _ladder(mapper: str, n: int, p: int, create: bool) -> PauliSum:
-    """a_p = 1/2 (X_U Z_P + i X_{U-p} Y_p Z_R); the dagger flips the Y sign.
+# Pauli masks are int64 arrays, so an operator may span at most 63 modes.
+MAX_MODES = 63
 
+
+@lru_cache(maxsize=None)
+def _ladder(mapper: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of every mode's two ladder terms: x[p] for both, z[p, j] for term
+    j. Term 0 has coefficient 1/2; term 1 has -1/2 in a_p and +1/2 in a_p^+,
+    since its stored word X_p Z_p is -iY_p. Cached, so read-only.
+
+    a_p = 1/2 (X_U Z_P + i X_{U-p} Y_p Z_R); the dagger flips the Y sign.
     U is column p of beta (the qubits whose stored parity flips with
     occupation p, p among them), P the qubits storing the parity of the modes
     below p, and R = P xor F, where F holds the rest of qubit p's stored
     parity, so that Z_F Z_p measures occupation p itself.
     """
     rows = _encoding_rows(mapper, n)
-    update = sum(1 << i for i, row in enumerate(rows) if (row >> p) & 1)
-    parity = _qubits_storing(rows, (1 << p) - 1)
-    flip = _qubits_storing(rows, rows[p] ^ (1 << p))
-    x_term = PauliTerm(n, update, parity, 0.5)
-    # the stored (x=z=1 at p) word is X_p Z_p = -iY_p, so -/+ 1/2 encodes +/- iY_p/2
-    y_term = PauliTerm(n, update, (parity ^ flip) | (1 << p), complex(0.5 if create else -0.5))
-    return PauliSum.from_terms([x_term, y_term])
+    x, z = np.zeros(n, dtype=np.int64), np.zeros((n, 2), dtype=np.int64)
+    for p in range(n):
+        x[p] = sum(1 << i for i, row in enumerate(rows) if (row >> p) & 1)
+        parity = _qubits_storing(rows, (1 << p) - 1)
+        flip = _qubits_storing(rows, rows[p] ^ (1 << p))
+        z[p] = parity, (parity ^ flip) | (1 << p)
+    x.flags.writeable = z.flags.writeable = False
+    return x, z
 
 
 def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
-    """Map each normal-ordered ladder string factor by factor."""
+    """Map the normal-ordered ladder strings as arrays, one per ladder pattern.
+
+    A string of k ladders expands into 2^k Pauli words, word w taking term
+    (w >> i) & 1 of factor i, each with coefficient +/- c / 2^k. Words multiply
+    by XOR of their masks times the sign (-1)^popcount(z_left & x_right) of
+    moving each X past the Zs on its left. Equal words are summed, and sums
+    under COEFF_TOL dropped, at the end.
+    """
     n = op.n_modes
-    out = PauliSum.zero(n)
-    for term in op.terms():
-        acc = PauliSum.identity(n, term.coefficient)
-        for mode, create in term.factors:
-            acc = acc @ _ladder(mapper, n, mode, create)
-        for t in acc.terms():
-            out.add_term(t)
-    return out
+    if n > MAX_MODES:
+        raise MappingError(f"{n} modes exceed the {MAX_MODES}-mode limit of int64 Pauli masks")
+    lx, lz = _ladder(mapper, n)
+    terms = op.terms()
+    if not terms:
+        return PauliSum.zero(n)
+    groups: dict[tuple[bool, ...], list[int]] = {}
+    for s, term in enumerate(terms):
+        groups.setdefault(tuple(k for _, k in term.factors), []).append(s)
+    strings, xs, zs, signs = [], [], [], []
+    for pattern, members in groups.items():
+        modes = np.array([[m for m, _ in terms[s].factors] for s in members], dtype=np.intp)
+        z = np.zeros((len(members), 1), dtype=np.int64)
+        sign = np.ones(z.shape)
+        for i, create in enumerate(pattern):  # factor i's two terms double the words
+            sign *= 1.0 - 2.0 * (np.bitwise_count(z & lx[modes[:, i], None]) & 1)
+            sign = np.hstack([sign, sign if create else -sign])
+            z = np.hstack([z ^ lz[modes[:, i], 0, None], z ^ lz[modes[:, i], 1, None]])
+        strings.append(np.repeat(members, z.shape[1]))
+        xs.append(np.repeat(np.bitwise_xor.reduce(lx[modes], axis=1), z.shape[1]))
+        zs.append(z.ravel())
+        signs.append(sign.ravel())
+    # rank x and z separately, so one integer key orders the words by (x, z)
+    # without packing both masks into 64 bits
+    ux, ix = np.unique(np.concatenate(xs), return_inverse=True)
+    uz, iz = np.unique(np.concatenate(zs), return_inverse=True)
+    words, word = np.unique(ix * len(uz) + iz, return_inverse=True)
+    # Each string's equal words merge first, as integer sums of signs m, so a
+    # string's coefficient c m / 2^k on a word is exact (|m| is 0, 1, 2 or 4 for
+    # one- and two-body strings). Across strings the words then add up in term
+    # order, the order in which term-by-term products would add them.
+    pairs, pair = np.unique(np.concatenate(strings) * len(words) + word, return_inverse=True)
+    scaled = np.array([t.coefficient * 0.5 ** len(t.factors) for t in terms])
+    c = scaled[pairs // len(words)] * np.bincount(pair, np.concatenate(signs))
+    total = (np.bincount(pairs % len(words), c.real, len(words))
+             + 1j * np.bincount(pairs % len(words), c.imag, len(words)))
+    keep = np.abs(total) >= COEFF_TOL
+    x, z = ux[words[keep] // len(uz)], uz[words[keep] % len(uz)]
+    return PauliSum(n, dict(zip(zip(x.tolist(), z.tolist()), total[keep].tolist())))
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:

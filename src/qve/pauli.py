@@ -3,8 +3,8 @@
 Terms are stored in symplectic form: a pair of bitmasks (x, z) denotes the
 operator word ``prod_q X^x_q Z^z_q``. A ``Y`` on qubit q corresponds to
 x_q = z_q = 1 with a factor of i folded into the stored coefficient
-(Y = i X Z), so label round-trips like ``"XYZI"`` are exact and term
-multiplication reduces to mask XORs plus integer phase bookkeeping.
+(Y = i X Z), so label round-trips like ``"XYZI"`` are exact and a product
+of two words is the XOR of their masks times a sign (see `qve.mapping`).
 
 Qubit 0 is the least significant bit of all basis-state indices.
 """
@@ -105,14 +105,6 @@ class PauliTerm:
         return (self.x | self.z).bit_count()
 
 
-def multiply_terms(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Product of two Pauli words; phase tracked exactly."""
-    if a.n_qubits != b.n_qubits:
-        raise PauliError("qubit-count mismatch")
-    sign = -1.0 if (a.z & b.x).bit_count() % 2 else 1.0
-    return PauliTerm(a.n_qubits, a.x ^ b.x, a.z ^ b.z, a.coefficient * b.coefficient * sign)
-
-
 class PauliSum:
     """Weighted sum of Pauli words over a fixed qubit count."""
 
@@ -127,10 +119,6 @@ class PauliSum:
     @classmethod
     def zero(cls, n_qubits: int) -> "PauliSum":
         return cls(n_qubits)
-
-    @classmethod
-    def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): complex(coefficient)})
 
     @classmethod
     def from_terms(cls, terms: list[PauliTerm]) -> "PauliSum":
@@ -169,36 +157,6 @@ class PauliSum:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.n_qubits != self.n_qubits:
-            raise PauliError("qubit-count mismatch")
-        out = PauliSum(self.n_qubits, self._terms)
-        for t in other.terms():
-            out.add_term(t)
-        return out
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: complex) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        for (x, z), c in self._terms.items():
-            cc = c * scalar
-            if abs(cc) >= COEFF_TOL:
-                out._terms[(x, z)] = cc
-        return out
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        if other.n_qubits != self.n_qubits:
-            raise PauliError("qubit-count mismatch")
-        out = PauliSum(self.n_qubits)
-        for ta in self.terms():
-            for tb in other.terms():
-                out.add_term(multiply_terms(ta, tb))
-        return out
 
     def dagger(self) -> "PauliSum":
         out = PauliSum(self.n_qubits)

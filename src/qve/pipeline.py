@@ -40,9 +40,10 @@ def load_fixture(path) -> ActiveSpaceProblem:
 
     Headers `norb/nalpha/nbeta/constant`, body `h p q F` and `g p q r s F`
     (physicist <pq|rs>, 0-based); `#` starts a comment. Stored entries are
-    expanded to their full symmetry orbits.
+    expanded to their full symmetry orbits. `nalpha` and `nbeta` are
+    required, since they fix the exact solver's electron sector.
     """
-    headers = {"norb": 1, "nalpha": 0, "nbeta": 0, "constant": 0.0}
+    headers = {"norb": 1, "constant": 0.0}
     h_entries: dict[tuple[int, int], float] = {}
     g_entries: dict[tuple[int, int, int, int], float] = {}
     seen_h: set = set()
@@ -94,6 +95,9 @@ def load_fixture(path) -> ActiveSpaceProblem:
         if not all(0 <= i < n for i in idx):
             raise FixtureError(f"g index {idx} out of range for norb {n}")
         h2[idx] = v
+    missing = [k for k in ("nalpha", "nbeta") if k not in headers]
+    if missing:
+        raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
     return ActiveSpaceProblem(n, headers["nalpha"], headers["nbeta"],
                               h1, h2, headers["constant"])
 

@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from qve.ansatz import (AnsatzError, build_hea, build_uccsd, excitations,
-                        hf_state_circuit, pauli_evolution)
+from qve.ansatz import (AnsatzError, _generator_rotation, build_hea, build_uccsd,
+                        excitations, hf_state_circuit)
 from qve.circuit import Circuit, CircuitStats, ParamExpr, PauliRotation, \
     circuit_stats, circuit_unitary, run_circuit, transpile
 from qve.fermion import hartree_fock_occupation
@@ -49,7 +49,7 @@ def test_pauli_evolution_matches_matrix_exponential():
         lam = float(rng.normal())
         term = PauliTerm.from_label(lbl, 1j * lam)
         theta = float(rng.uniform(-2, 2))
-        gates = pauli_evolution(term, ParamExpr("t"))
+        gates = _generator_rotation(term, ParamExpr("t")).decompose(len(lbl))
         c = Circuit(len(lbl))
         c.extend(gates)
         got = circuit_unitary(c, {"t": theta})
@@ -60,9 +60,9 @@ def test_pauli_evolution_matches_matrix_exponential():
 def test_pauli_evolution_rejects_bad_generators():
     # [TRIVIAL] real coefficients and identity terms are not anti-Hermitian
     with pytest.raises(AnsatzError):
-        pauli_evolution(PauliTerm.from_label("XY", 1.0), ParamExpr("t"))
+        _generator_rotation(PauliTerm.from_label("XY", 1.0), ParamExpr("t"))
     with pytest.raises(AnsatzError):
-        pauli_evolution(PauliTerm.from_label("II", 1j), ParamExpr("t"))
+        _generator_rotation(PauliTerm.from_label("II", 1j), ParamExpr("t"))
 
 
 @pytest.mark.parametrize("mapper", ["jw", "parity", "bk"])

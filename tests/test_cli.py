@@ -207,6 +207,17 @@ def test_missing_fixture_is_config_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["map", "exact"])
+def test_fixture_without_electron_counts_is_config_error(capsys, tmp_path, command):
+    # [TRIVIAL] without nbeta there is no electron sector to default to: exit
+    # code 2, where a 0 default would give the vacuum energy
+    ham = tmp_path / "no_nbeta.ham"
+    ham.write_text(TWO_LEVEL.replace("nbeta 1\n", ""))
+    code, out, err = run_cli(capsys, command, "--ham", str(ham), "--mapper", "jw")
+    assert code == EXIT_CONFIG
+    assert out == "" and "missing header nbeta" in err
+
+
 def test_unsupported_element_is_element_error(capsys, tmp_path):
     # [DERIVED] Na is past Ne, where the built-in STO-3G ends: exit code 4
     geo = tmp_path / "nah.geom"

@@ -1,5 +1,7 @@
 """Second-quantization checks against explicit occupation-basis matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import oracles
 from qve.fermion import (ANNIHILATE, CREATE, FermionError, FermionOperator,
                         FockState, LadderTerm, apply_to_fock, build_hamiltonian,
                         hartree_fock_occupation, multiply, to_matrix)
+from qve.pauli import COEFF_TOL
 
 
 def random_string(rng, n_modes, length):
@@ -119,6 +122,18 @@ def test_build_hamiltonian_matches_dense_oracle():
                         @ oracles.ladder_matrix(n, s, False)
                         @ oracles.ladder_matrix(n, r, False))
     np.testing.assert_allclose(to_matrix(op), expected, atol=1e-10)
+    # the same term dict, values and insertion order, as term-by-term loops
+    loops = FermionOperator.scalar(n, 0.25)
+    for p in range(n):
+        for q in range(n):
+            if abs(h_so[p, q]) >= COEFF_TOL:
+                loops.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
+    for p, q, r, s in itertools.product(range(n), repeat=4):
+        c = 0.5 * g_so[p, q, r, s]
+        if abs(c) >= COEFF_TOL:
+            loops.add_term(LadderTerm(
+                ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), c))
+    assert list(op._terms.items()) == list(loops._terms.items())
 
 
 def test_h2_hamiltonian_ground_state_is_fci(h2_problem):

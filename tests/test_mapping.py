@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import oracles
-from qve.fermion import (ANNIHILATE, CREATE, FermionOperator,
+from qve.basis import parse_geometry
+from qve.fermion import (ANNIHILATE, CREATE, FermionOperator, build_hamiltonian,
                         hartree_fock_occupation, to_matrix)
-from qve.mapping import (MAPPERS, MappingError, _encoding_rows, encode_occupation,
+from qve.mapping import (MAPPERS, MappingError, _encoding_rows, _ladder, encode_occupation,
                          mapping_stats, qubit_operator, sector_basis, taper_two_qubits)
-from qve.pauli import DenseCapError, PauliSum, exact_ground_energy
-from qve.pipeline import problem_to_pauli
+from qve.pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy
+from qve.pipeline import problem_from_geometry, problem_to_pauli
+from qve.scf import spin_orbital_expand
 
 
 def mapped_matrix(mapper, op):
@@ -50,6 +52,80 @@ def test_random_operator_spectrum_preserved(mapper):
     ref = np.linalg.eigvalsh(oracles.fermion_matrix(op))
     got = np.linalg.eigvalsh(mapped_matrix(mapper, op))
     np.testing.assert_allclose(got, ref, atol=1e-10)
+
+
+def test_mapped_matrix_is_the_encoded_fock_matrix():
+    # [DERIVED] element by element, each mapped operator is its Fock matrix
+    # carried to the encoded basis, P F P^T with P|f> = |encode_occupation(f)>
+    # (1e-12). A spectrum comparison would miss a sign or phase slip in a product.
+    rng = np.random.default_rng(23)
+    ops = [oracles.random_number_conserving(k, rng) for k in (1, 2, 3)]
+    for _ in range(30):  # strings with repeated modes, vanishing ones included
+        factors = [(int(rng.integers(4)), bool(rng.integers(2)))
+                   for _ in range(int(rng.integers(1, 5)))]
+        ops.append(FermionOperator.from_term(4, factors, complex(rng.normal(), rng.normal())))
+    for op in ops:
+        fock = oracles.fermion_matrix(op)
+        n = op.n_modes
+        for mapper in ("jw", "parity", "bk"):
+            perm = np.zeros((1 << n, 1 << n))
+            for f in range(1 << n):
+                bits = encode_occupation(tuple((f >> p) & 1 for p in range(n)), mapper, False)
+                perm[sum(b << q for q, b in enumerate(bits)), f] = 1.0
+            np.testing.assert_allclose(mapped_matrix(mapper, op), perm @ fock @ perm.T,
+                                       atol=1e-12, err_msg=mapper)
+
+
+def term_by_term(op, mapper):
+    """The mapped operator as per-term products of the two-term ladder sums,
+    each sum accumulated in a dict that drops entries under COEFF_TOL."""
+    lx, lz = _ladder(mapper, op.n_modes)
+
+    def add(acc, key, c):
+        c = acc.get(key, 0.0) + c
+        if abs(c) < COEFF_TOL:
+            acc.pop(key, None)
+        else:
+            acc[key] = c
+
+    out = {}
+    for term in op.terms():
+        acc = {(0, 0): complex(term.coefficient)}
+        for mode, create in term.factors:
+            x, prod = int(lx[mode]), {}
+            for (ax, az), c in sorted(acc.items()):
+                sign = -1.0 if (az & x).bit_count() % 2 else 1.0
+                for z, w in ((int(lz[mode, 0]), 0.5), (int(lz[mode, 1]), 0.5 if create else -0.5)):
+                    add(prod, (ax ^ x, az ^ z), c * w * sign)
+            acc = prod
+        for key, c in sorted(acc.items()):
+            add(out, key, c)
+    return out
+
+
+@pytest.mark.parametrize("mapper", ["jw", "parity", "bk"])
+def test_array_rule_sums_like_term_by_term_products(beh2_problem, mapper):
+    # [DERIVED] the same words with bit-identical coefficients as per-term
+    # products, so fixed-seed runs do not move: BeH2, H4 at 0.9 angstrom and
+    # random one- and two-body operators
+    h4 = problem_from_geometry(parse_geometry(
+        "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))))[0]
+    rng = np.random.default_rng(29)
+    ops = [oracles.random_number_conserving(k, rng) for k in (2, 3)]
+    for problem in (beh2_problem, h4):
+        h_so, g_so = spin_orbital_expand(problem)
+        ops.append(build_hamiltonian(h_so, g_so, problem.e_offset))
+    for op in ops:
+        assert MAPPERS[mapper](op).items() == tuple(sorted(term_by_term(op, mapper).items()))
+
+
+def test_mapping_refuses_more_modes_than_int64_masks_hold():
+    # [TRIVIAL] 64 modes need a 64th mask bit; refused before any array is built
+    op = FermionOperator.from_term(64, [(63, CREATE)])
+    for mapper in ("jw", "parity", "bk"):
+        with pytest.raises(MappingError, match="64 modes exceed the 63-mode limit"):
+            qubit_operator(op, mapper, False, 0, 0)
+    assert len(MAPPERS["jw"](FermionOperator.from_term(63, [(62, CREATE)]))) == 2
 
 
 def test_jw_number_operator_and_hopping():

@@ -10,7 +10,7 @@ from qve import pauli
 from qve.basis import parse_geometry
 from qve.mapping import sector_basis
 from qve.pauli import (DenseCapError, LanczosError, PauliError, PauliSum, PauliTerm,
-                       exact_ground_energy, expectation_exact, multiply_terms)
+                       exact_ground_energy, expectation_exact)
 from qve.pipeline import problem_from_geometry, problem_to_pauli
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
@@ -35,19 +35,6 @@ def test_term_matrix_matches_kron_oracle(lbl):
     # [DERIVED] dense realization vs independent Kronecker assembly
     h = PauliSum.from_terms([PauliTerm.from_label(lbl, 1.0)])
     np.testing.assert_allclose(h.to_matrix(), pauli_label_matrix(lbl), atol=1e-12)
-
-
-@given(labels, labels.filter(lambda s: True))
-@settings(max_examples=60, deadline=None)
-def test_product_matches_matrix_product(la, lb):
-    # [DERIVED] symplectic multiplication vs matrix multiplication
-    if len(la) != len(lb):
-        lb = (lb * len(la))[: len(la)]
-    ta = PauliTerm.from_label(la, 0.7)
-    tb = PauliTerm.from_label(lb, -1.3j)
-    prod = PauliSum.from_terms([multiply_terms(ta, tb)])
-    expected = (0.7 * pauli_label_matrix(la)) @ (-1.3j * pauli_label_matrix(lb))
-    np.testing.assert_allclose(prod.to_matrix(), expected, atol=1e-12)
 
 
 def test_sum_matrix_matches_oracle():

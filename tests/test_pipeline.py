@@ -69,12 +69,18 @@ def test_fixture_duplicate_detection_spans_orbit(tmp_path):
 
 
 def test_fixture_comments_and_defaults(tmp_path):
-    # [TRIVIAL]
+    # [TRIVIAL] the constant defaults to 0; nalpha and nbeta have no default
     f = tmp_path / "tiny.txt"
-    f.write_text("# a comment\nnorb 1\nh 0 0 -1.25  # trailing comment\n")
+    f.write_text("# a comment\nnorb 1\nnalpha 1\nnbeta 0\nh 0 0 -1.25  # trailing comment\n")
     p = load_fixture(f)
-    assert p.n_spatial == 1 and p.n_alpha == 0 and p.e_offset == 0.0
+    assert (p.n_spatial, p.n_alpha, p.n_beta, p.e_offset) == (1, 1, 0, 0.0)
     assert p.h1[0, 0] == -1.25
+    f.write_text("norb 1\nnbeta 0\nh 0 0 -1.25\n")
+    with pytest.raises(FixtureError, match="missing header nalpha$"):
+        load_fixture(f)
+    f.write_text("norb 1\nh 0 0 -1.25\n")
+    with pytest.raises(FixtureError, match="missing header nalpha and nbeta"):
+        load_fixture(f)
 
 
 def test_problem_to_pauli_validation(beh2_problem):
