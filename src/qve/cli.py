@@ -89,30 +89,18 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    from .mapping import sector_basis
-    from .pauli import exact_ground_energy
-    from .pipeline import problem_to_pauli
+    from .pipeline import sector_exact_energy
     problem = _problem(args)
-    # the sector cap is checked against the headers before anything is mapped
-    basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta,
-                         args.mapper, args.taper)
-    energy, _ = exact_ground_energy(
-        problem_to_pauli(problem, args.mapper, args.taper), basis)
+    energy, dim = sector_exact_energy(problem, args.mapper, args.taper)
     print(json.dumps({"energy_ha": energy, "n_alpha": problem.n_alpha,
-                      "n_beta": problem.n_beta, "dim": len(basis)}))
+                      "n_beta": problem.n_beta, "dim": dim}))
     return EXIT_OK
 
 
-def _ansatz_config(args):
-    """A RunConfig with only the ansatz fields, so the VQE shot check does
-    not see --shots: a replay draws none, and zne passes them to run_zne,
-    where 0 means exact."""
-    from .pipeline import RunConfig
-    return RunConfig(fixture=args.ham, mapper=args.mapper, taper=args.taper,
-                     ansatz=args.ansatz, reps=args.reps)
-
-
 def _run_config(args, seed):
+    """The RunConfig of vqe, replay and zne. Shots are checked where they are
+    drawn: run_vqe needs at least one, a replay draws none, and zne reads 0
+    as the exact noisy energy."""
     from .pipeline import RunConfig
     noise = _load_noise(args.noise) if args.noise else None
     return RunConfig(fixture=args.ham, mapper=args.mapper, taper=args.taper,
@@ -145,7 +133,7 @@ def _cmd_vqe(args) -> int:
 def _cmd_replay(args) -> int:
     from .pipeline import replay_on_exact, write_replay_csv
     rows = replay_on_exact(Path(args.run) / "params.jsonl", _problem(args),
-                           _ansatz_config(args))
+                           _run_config(args, args.seed))
     out = Path(args.run) / "replay.csv"
     write_replay_csv(rows, out)
     print(json.dumps({"out": str(out), "rows": len(rows)}))
@@ -153,13 +141,14 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_zne(args) -> int:
-    from .pipeline import build_ansatz, load_fixture, problem_to_pauli
+    from .pipeline import build_ansatz, problem_to_pauli
     from .zne import run_zne
-    if not args.noise:
+    cfg = _run_config(args, args.seed)
+    if cfg.noise is None:
         raise _ConfigError("zne requires --noise")
-    problem = load_fixture(args.ham)
-    circuit = build_ansatz(problem, _ansatz_config(args))
-    h = problem_to_pauli(problem, args.mapper, args.taper)
+    problem = _problem(args)
+    circuit = build_ansatz(problem, cfg)
+    h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
     if args.params_file:
         theta = json.loads(Path(args.params_file).read_text())
     elif args.run:
@@ -171,8 +160,8 @@ def _cmd_zne(args) -> int:
     bindings = dict(zip(circuit.parameter_names, [float(t) for t in theta]))
     folds = [int(f) for f in args.folds.split(",")]
     models = tuple(args.fit.split(","))
-    result = run_zne(circuit, bindings, h, folds, args.shots, args.seed,
-                     _load_noise(args.noise), models=models)
+    result = run_zne(circuit, bindings, h, folds, cfg.shots, cfg.seed, cfg.noise,
+                     models=models)
     table = [{"fold": p.fold, "mean_ha": p.energy.mean,
               "std_error_ha": p.energy.std_error} for p in result.points]
     print(json.dumps({

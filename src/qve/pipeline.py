@@ -1,20 +1,22 @@
-"""End-to-end orchestration: fixture I/O, VQE runs with artifact logging,
-last-fraction summaries, and exact replays of logged parameters."""
+"""End-to-end orchestration: fixture I/O, the geometry-to-fixture path of
+`qve hamiltonian`, the sector-exact target, VQE runs with artifact logging,
+last-fraction summaries, and exact replays of logged parameters. A run's
+problem always comes from a fixture."""
 
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .ansatz import build_hea, build_uccsd
-from .basis import Molecule, build_integrals, load_geometry
+from .basis import Molecule, build_integrals
 from .circuit import Circuit, NoiseModel, estimate
-from .fermion import build_hamiltonian, hartree_fock_occupation
+from .fermion import build_hamiltonian
 from .mapping import qubit_operator, sector_basis
 from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
@@ -40,10 +42,11 @@ def load_fixture(path) -> ActiveSpaceProblem:
 
     Headers `norb/nalpha/nbeta/constant`, body `h p q F` and `g p q r s F`
     (physicist <pq|rs>, 0-based); `#` starts a comment. Stored entries are
-    expanded to their full symmetry orbits. `nalpha` and `nbeta` are
-    required, since they fix the exact solver's electron sector.
+    expanded to their full symmetry orbits. `norb`, `nalpha` and `nbeta` are
+    required: they fix the orbital space and the exact solver's electron
+    sector. `constant` defaults to 0.
     """
-    headers = {"norb": 1, "constant": 0.0}
+    headers = {"constant": 0.0}
     h_entries: dict[tuple[int, int], float] = {}
     g_entries: dict[tuple[int, int, int, int], float] = {}
     seen_h: set = set()
@@ -82,6 +85,9 @@ def load_fixture(path) -> ActiveSpaceProblem:
             raise
         except ValueError:
             raise FixtureError(f"{path}:{ln}: malformed number in {raw.strip()!r}") from None
+    missing = [k for k in ("norb", "nalpha", "nbeta") if k not in headers]
+    if "norb" in missing:  # no index can be range-checked without it
+        raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
     n = headers["norb"]
     if n < 1:
         raise FixtureError("norb must be >= 1")
@@ -95,7 +101,6 @@ def load_fixture(path) -> ActiveSpaceProblem:
         if not all(0 <= i < n for i in idx):
             raise FixtureError(f"g index {idx} out of range for norb {n}")
         h2[idx] = v
-    missing = [k for k in ("nalpha", "nbeta") if k not in headers]
     if missing:
         raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
     return ActiveSpaceProblem(n, headers["nalpha"], headers["nbeta"],
@@ -151,10 +156,22 @@ def problem_to_pauli(problem: ActiveSpaceProblem, mapper: str, taper: bool) -> P
                           mapper, taper, problem.n_alpha, problem.n_beta)
 
 
+def sector_exact_energy(problem: ActiveSpaceProblem, mapper: str, taper: bool,
+                        h: PauliSum | None = None) -> tuple[float, int]:
+    """Lowest energy in the problem's (n_alpha, n_beta) sector and the sector
+    size. The sector basis is built from the headers before anything is
+    mapped, so a sector over the exact-solver cap raises DenseCapError at
+    once; `h` is the mapped Hamiltonian when the caller already has it."""
+    basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta, mapper, taper)
+    if h is None:
+        h = problem_to_pauli(problem, mapper, taper)
+    energy, _ = exact_ground_energy(h, basis)
+    return energy, len(basis)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    fixture: str | None = None
-    geometry: str | None = None
+    fixture: str
     mapper: str = "parity"
     taper: bool = True
     ansatz: str = "uccsd"
@@ -166,18 +183,8 @@ class RunConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if (self.fixture is None) == (self.geometry is None):
-            raise PipelineError("exactly one of fixture/geometry must be given")
-        if self.shots < 1:
-            raise PipelineError("shots must be >= 1 for a VQE run")
         if self.ansatz not in ("uccsd", "hea"):
             raise PipelineError(f"unknown ansatz {self.ansatz!r}")
-
-
-def _load_problem(cfg: RunConfig) -> ActiveSpaceProblem:
-    if cfg.fixture is not None:
-        return load_fixture(cfg.fixture)
-    return problem_from_geometry(load_geometry(cfg.geometry))[0]
 
 
 def build_ansatz(problem: ActiveSpaceProblem, cfg: RunConfig) -> Circuit:
@@ -220,6 +227,8 @@ def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
     """
     from .spsa import SPSAConfig, minimize
 
+    if cfg.shots < 1:
+        raise PipelineError("shots must be >= 1 for a VQE run")
     if run_dir is None:
         run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
     run_dir = Path(run_dir)
@@ -230,7 +239,7 @@ def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
 
     stage = "problem"
     try:
-        problem = _load_problem(cfg)
+        problem = load_fixture(cfg.fixture)
         stage = "hamiltonian"
         h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
         stage = "ansatz"
@@ -274,12 +283,10 @@ def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
             "n_evaluations": result.n_evaluations,
         }
         try:
-            basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta,
-                                 cfg.mapper, cfg.taper)
+            e_exact, _ = sector_exact_energy(problem, cfg.mapper, cfg.taper, h)
         except DenseCapError:
             pass  # above the sector cap the report carries no exact target
         else:
-            e_exact, _ = exact_ground_energy(h, basis)
             report["exact_energy_ha"] = e_exact
             report["exact_sector"] = [problem.n_alpha, problem.n_beta]
             report["delta_e_ha"] = abs(last_mean - e_exact)

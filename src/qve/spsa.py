@@ -1,13 +1,17 @@
 """Simultaneous Perturbation Stochastic Approximation with calibration.
 
-Evaluation accounting per run: calibration_evals up front, then per iteration
-two gradient evaluations plus one tracking evaluation, plus one final
-evaluation (50 + 3*maxiter + 1 = 1251 at the defaults).
+Gains a_k = a / (A + k)^alpha and c_k = c / k^gamma use the module constants
+below. A caller sets only maxiter and, optionally, a, which calibration
+otherwise picks so that the first step is TARGET_FIRST_STEP.
+
+Evaluation accounting per run: CALIBRATION_EVALS up front, then per
+iteration two gradient evaluations plus one tracking evaluation, plus one
+final evaluation (50 + 3*maxiter + 1 = 1251 at the defaults).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,24 +26,22 @@ class CalibrationError(SPSAError):
     pass
 
 
+ALPHA = 0.602
+GAMMA = 0.101
+BIG_A = 0.0
+C = 0.2
+CALIBRATION_EVALS = 50  # even: two evaluations per gradient estimate
+TARGET_FIRST_STEP = 2.0 * np.pi / 10.0
+
+
 @dataclass(frozen=True)
 class SPSAConfig:
-    alpha: float = 0.602
-    gamma: float = 0.101
-    big_a: float = 0.0
-    c: float = 0.2
-    a: float | None = None  # set by calibration when None
     maxiter: int = 400
-    calibration_evals: int = 50
-    target_first_step: float = 2.0 * np.pi / 10.0
+    a: float | None = None  # set by calibration when None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0 or self.c <= 0:
-            raise SPSAError("alpha, gamma, c must be positive")
         if self.maxiter < 1:
             raise SPSAError("maxiter must be >= 1")
-        if self.calibration_evals % 2:
-            raise SPSAError("calibration_evals must be even")
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ def gain_sequences(cfg: SPSAConfig, k: int) -> tuple[float, float]:
         raise SPSAError("gain sequences are defined for k >= 1")
     if cfg.a is None:
         raise SPSAError("a is unset; run calibrate first")
-    a_k = cfg.a / (cfg.big_a + k) ** cfg.alpha
-    c_k = cfg.c / k ** cfg.gamma
+    a_k = cfg.a / (BIG_A + k) ** ALPHA
+    c_k = C / k ** GAMMA
     return a_k, c_k
 
 
@@ -80,20 +82,17 @@ def spsa_gradient(cost, theta: np.ndarray, c_k: float, delta: np.ndarray):
     return (e_plus - e_minus) / (2.0 * c_k) / delta
 
 
-def calibrate(cost, theta0: np.ndarray, cfg: SPSAConfig,
-              rng: np.random.Generator) -> float:
+def calibrate(cost, theta0: np.ndarray, rng: np.random.Generator) -> float:
     """Set the a gain so the first update step has the target magnitude."""
-    c1 = cfg.c
     mags = []
-    for _ in range(cfg.calibration_evals // 2):
+    for _ in range(CALIBRATION_EVALS // 2):
         delta = rng.integers(0, 2, size=theta0.shape[0]) * 2 - 1
-        e_plus = _mean(cost(theta0 + c1 * delta))
-        e_minus = _mean(cost(theta0 - c1 * delta))
-        mags.append(abs(e_plus - e_minus) / (2.0 * c1))
+        # every component of the estimate has the same magnitude, as |delta| = 1
+        mags.append(abs(spsa_gradient(cost, theta0, C, delta)[0]))
     mean_mag = float(np.mean(mags))
     if mean_mag == 0.0:
         raise CalibrationError("all calibration gradient estimates are zero")
-    return cfg.target_first_step * (cfg.big_a + 1) ** cfg.alpha / mean_mag
+    return TARGET_FIRST_STEP * (BIG_A + 1) ** ALPHA / mean_mag
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,8 @@ def minimize(cost, theta0, cfg: SPSAConfig, seed: int, callback=None) -> SPSARes
         raise SPSAError("theta0 must be a non-empty vector")
     rng = derive_rng(seed)
     if cfg.a is None:
-        a = calibrate(cost, theta, cfg, rng)
-        cfg = SPSAConfig(cfg.alpha, cfg.gamma, cfg.big_a, cfg.c, a,
-                         cfg.maxiter, cfg.calibration_evals, cfg.target_first_step)
-        evals = cfg.calibration_evals
+        cfg = replace(cfg, a=calibrate(cost, theta, rng))
+        evals = CALIBRATION_EVALS
     else:
         evals = 0
     history: list[IterationRecord] = []

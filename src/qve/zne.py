@@ -54,6 +54,13 @@ def fold_circuit(c: Circuit, n: int) -> Circuit:
 
 
 FIT_MODELS = ("linear", "quadratic", "exponential")
+_POLY_DEGREES = {"linear": 1, "quadratic": 2}
+
+
+def _points_needed(model: str) -> int:
+    """Fewest folds a fit takes: degree + 1 for a polynomial, 3 otherwise."""
+    return _POLY_DEGREES.get(model, 2) + 1
+
 
 # Rates c the exponential fit scans before refining, as c * (fold span), 8 per
 # decade. At the low end the model is all but a line, at the high end all but
@@ -122,15 +129,11 @@ def extrapolate(points: list[ZNEPoint], model: str) -> FitResult:
     e = np.array([p.energy.mean for p in points])
     if len(set(lam)) != len(lam):
         raise ZNEError("duplicate fold factors")
-    need = 2 if model == "linear" else 3
+    need = _points_needed(model)
     if len(lam) < need:
         raise ZNEError(f"{model} fit needs at least {need} points, got {len(lam)}")
-    if model == "linear":
-        coeffs = np.polyfit(lam, e, 1)
-        resid = float(np.sum((np.polyval(coeffs, lam) - e) ** 2))
-        return FitResult(model, float(np.polyval(coeffs, 0.0)), tuple(coeffs), resid)
-    if model == "quadratic":
-        coeffs = np.polyfit(lam, e, 2)
+    if model in _POLY_DEGREES:
+        coeffs = np.polyfit(lam, e, _POLY_DEGREES[model])
         resid = float(np.sum((np.polyval(coeffs, lam) - e) ** 2))
         return FitResult(model, float(np.polyval(coeffs, 0.0)), tuple(coeffs), resid)
     if model == "exponential":
@@ -158,7 +161,6 @@ def run_zne(c: Circuit, bindings, h: PauliSum, folds: list[int], shots: int,
         points.append(ZNEPoint(f, estimate(folded, bindings, h, shots, seed, noise=noise)))
     fits = {}
     for model in models:
-        need = 2 if model == "linear" else 3
-        if len(points) >= need:
+        if len(points) >= _points_needed(model):
             fits[model] = extrapolate(points, model)
     return ZNEResult(points[0].energy.mean, points, fits)

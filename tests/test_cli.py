@@ -188,6 +188,7 @@ def test_vqe_zero_shots_is_config_error(capsys, tmp_path):
                            "--shots", "0", "--maxiter", "1", "--out", str(tmp_path))
     assert code == EXIT_CONFIG
     assert "shots" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_vqe_seed_batch(capsys, tmp_path):
@@ -209,13 +210,16 @@ def test_missing_fixture_is_config_error(capsys):
 
 @pytest.mark.parametrize("command", ["map", "exact"])
 def test_fixture_without_electron_counts_is_config_error(capsys, tmp_path, command):
-    # [TRIVIAL] without nbeta there is no electron sector to default to: exit
-    # code 2, where a 0 default would give the vacuum energy
-    ham = tmp_path / "no_nbeta.ham"
-    ham.write_text(TWO_LEVEL.replace("nbeta 1\n", ""))
-    code, out, err = run_cli(capsys, command, "--ham", str(ham), "--mapper", "jw")
-    assert code == EXIT_CONFIG
-    assert out == "" and "missing header nbeta" in err
+    # [TRIVIAL] without nbeta there is no electron sector to default to, and
+    # without norb no orbital space: exit code 2, where a 0 nbeta would give
+    # the vacuum energy and a 1 norb a one-orbital problem
+    for header in ("nbeta", "norb"):
+        ham = tmp_path / f"no_{header}.ham"
+        ham.write_text("".join(line for line in TWO_LEVEL.splitlines(keepends=True)
+                               if not line.startswith(header)))
+        code, out, err = run_cli(capsys, command, "--ham", str(ham), "--mapper", "jw")
+        assert code == EXIT_CONFIG
+        assert out == "" and f"missing header {header}" in err
 
 
 def test_unsupported_element_is_element_error(capsys, tmp_path):
@@ -278,13 +282,21 @@ def test_oversized_exact_is_numeric_error(capsys, tmp_path):
 
 
 def test_bad_noise_file_is_config_error(capsys, tmp_path):
-    # [TRIVIAL]
+    # [TRIVIAL] a malformed noise file, and a missing one given to a replay
+    # of a good run
     noise = tmp_path / "noise.cfg"
     noise.write_text("p3 0.1\n")
-    code, _, _ = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",
-                         "--maxiter", "1", "--shots", "16",
-                         "--noise", str(noise), "--out", str(tmp_path))
+    run = ["--ham", str(FIXTURE), "--taper", "--ansatz", "hea", "--maxiter", "1",
+           "--shots", "16", "--out", str(tmp_path)]
+    code, _, _ = run_cli(capsys, "vqe", *run, "--noise", str(noise))
     assert code == EXIT_CONFIG
+    code, out, _ = run_cli(capsys, "vqe", *run)
+    assert code == EXIT_OK
+    run_dir = json.loads(out)["runs"][0]
+    code, _, err = run_cli(capsys, "replay", *run, "--run", run_dir,
+                           "--noise", str(tmp_path / "missing.cfg"))
+    assert code == EXIT_CONFIG
+    assert "missing.cfg" in err
 
 
 def test_qve_threads_env(capsys, monkeypatch, tmp_path):

@@ -69,7 +69,8 @@ def test_fixture_duplicate_detection_spans_orbit(tmp_path):
 
 
 def test_fixture_comments_and_defaults(tmp_path):
-    # [TRIVIAL] the constant defaults to 0; nalpha and nbeta have no default
+    # [TRIVIAL] the constant defaults to 0; norb, nalpha and nbeta have no
+    # default
     f = tmp_path / "tiny.txt"
     f.write_text("# a comment\nnorb 1\nnalpha 1\nnbeta 0\nh 0 0 -1.25  # trailing comment\n")
     p = load_fixture(f)
@@ -81,6 +82,9 @@ def test_fixture_comments_and_defaults(tmp_path):
     f.write_text("norb 1\nh 0 0 -1.25\n")
     with pytest.raises(FixtureError, match="missing header nalpha and nbeta"):
         load_fixture(f)
+    f.write_text("nalpha 1\nnbeta 1\nh 0 0 -1.0\n")
+    with pytest.raises(FixtureError, match="missing header norb$"):
+        load_fixture(f)
 
 
 def test_problem_to_pauli_validation(beh2_problem):
@@ -91,16 +95,17 @@ def test_problem_to_pauli_validation(beh2_problem):
         problem_to_pauli(beh2_problem, "jw", True)
 
 
-def test_run_config_validation():
-    # [TRIVIAL] exactly one problem source; sane run parameters
-    with pytest.raises(PipelineError):
+def test_run_config_validation(tmp_path):
+    # [TRIVIAL] a fixture is the only problem source; an unknown ansatz is
+    # refused; a VQE run needs shots, and refuses before its run directory
+    # exists
+    with pytest.raises(TypeError):
         RunConfig()
     with pytest.raises(PipelineError):
-        RunConfig(fixture="a", geometry="b")
-    with pytest.raises(PipelineError):
-        RunConfig(fixture="a", shots=0)
-    with pytest.raises(PipelineError):
         RunConfig(fixture="a", ansatz="vqe")
+    with pytest.raises(PipelineError, match="shots"):
+        run_vqe(RunConfig(fixture=str(FIXTURE), shots=0, output_dir=str(tmp_path)))
+    assert not any(tmp_path.iterdir())
 
 
 def test_initial_parameters_distributions():
@@ -205,35 +210,29 @@ def test_run_vqe_failure_leaves_diagnostic(tmp_path):
     assert "error" in report
 
 
-def test_geometry_source_runs_full_chain(tmp_path):
-    # [DERIVED] geometry-sourced config drives integrals + SCF before the VQE
+def test_hamiltonian_fixture_runs_full_chain(tmp_path, capsys):
+    # [DERIVED] a geometry reaches a run through `qve hamiltonian`: integrals
+    # and SCF write the fixture, and the run's exact target is H2's FCI energy
+    from qve.cli import main
     geo = tmp_path / "h2.xyz"
     geo.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\n")
-    cfg = RunConfig(geometry=str(geo), mapper="jw", taper=False, ansatz="uccsd",
+    ham = tmp_path / "h2.ham"
+    assert main(["hamiltonian", "--geometry", str(geo), "--out", str(ham)]) == 0
+    cfg = RunConfig(fixture=str(ham), mapper="jw", taper=False, ansatz="uccsd",
                     shots=64, maxiter=2, seed=0, output_dir=str(tmp_path / "runs"))
     run_dir = run_vqe(cfg)
     report = json.loads((run_dir / "result.json").read_text())
     assert report["exact_energy_ha"] == pytest.approx(-1.1372838351, abs=1e-8)
-    # the bundled BeH2 geometry's core/active lines reach a geometry-sourced
-    # run: its exact energy is the bundled CAS(2e,3o) fixture's
-    cfg = RunConfig(geometry=str(FIXTURE.parent / "beh2.geom"), shots=64, maxiter=2,
+    # the bundled BeH2 geometry's core/active lines reach the run: its exact
+    # energy is the bundled CAS(2e,3o) fixture's
+    ham = tmp_path / "beh2.ham"
+    assert main(["hamiltonian", "--geometry", str(FIXTURE.parent / "beh2.geom"),
+                 "--out", str(ham)]) == 0
+    capsys.readouterr()
+    cfg = RunConfig(fixture=str(ham), shots=64, maxiter=2,
                     output_dir=str(tmp_path / "beh2"))
     report = json.loads((run_vqe(cfg) / "result.json").read_text())
     assert report["exact_energy_ha"] == pytest.approx(-15.5608893584, abs=1e-9)
-
-
-def test_geometry_scf_nonconvergence_is_convergence_error(tmp_path, monkeypatch):
-    # [TRIVIAL] the shared geometry -> problem path raises the SCF error class
-    # that the CLI maps to exit code 3, and the run records the failing stage
-    from qve import scf
-    monkeypatch.setattr(scf, "MAX_SCF_ITERATIONS", 1)
-    geo = tmp_path / "h4.geom"
-    geo.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\nH 0 0 2.0\nH 0 0 3.1\n")
-    cfg = RunConfig(geometry=str(geo), maxiter=1, output_dir=str(tmp_path))
-    with pytest.raises(scf.ConvergenceError):
-        run_vqe(cfg)
-    report = json.loads((tmp_path / "uccsd_parity_seed0" / "result.json").read_text())
-    assert report["stage"] == "problem"
 
 
 def test_beh2_fixture_regenerates_in_package(tmp_path, capsys, beh2_problem):
