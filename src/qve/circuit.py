@@ -563,15 +563,8 @@ def transpile(c: Circuit, coupling: list[tuple[int, int]]):
             adj[b].append(a)
     for q in adj:
         adj[q].sort()
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for v in adj[queue.popleft()]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != c.n_qubits:
-        raise TranspileError("coupling graph is disconnected")
+    for q in adj:  # a disconnected coupling graph raises here
+        _shortest_path(adj, 0, q)
 
     routed: list[Gate] = []
     for g in c.gates:

@@ -27,17 +27,9 @@ class FockState:
 
     occupations: tuple[int, ...]
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.occupations)
-
     def index(self) -> int:
         """Basis index with mode 0 as the least significant bit."""
         return sum(b << i for i, b in enumerate(self.occupations))
-
-    @classmethod
-    def from_index(cls, idx: int, n_modes: int) -> "FockState":
-        return cls(tuple((idx >> i) & 1 for i in range(n_modes)))
 
 
 @dataclass(frozen=True)
@@ -63,10 +55,6 @@ class FermionOperator:
     def __init__(self, n_modes: int):
         self.n_modes = n_modes
         self._terms: dict[tuple[tuple[int, bool], ...], complex] = {}
-
-    @classmethod
-    def zero(cls, n_modes: int) -> "FermionOperator":
-        return cls(n_modes)
 
     @classmethod
     def scalar(cls, n_modes: int, value: complex) -> "FermionOperator":
@@ -176,47 +164,6 @@ def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
         for fb, cb in b._terms.items():
             out.add_term(LadderTerm(fa + fb, ca * cb))
     return out
-
-
-def apply_to_fock(op: FermionOperator, state: FockState) -> list[tuple[FockState, complex]]:
-    """Expansion of op|state> as (state, amplitude) pairs."""
-    results: dict[tuple[int, ...], complex] = {}
-    for term in op.terms():
-        bits = list(state.occupations)
-        phase = 1.0 + 0.0j
-        dead = False
-        for mode, create in reversed(term.factors):
-            sign = -1.0 if sum(bits[:mode]) % 2 else 1.0
-            if create:
-                if bits[mode]:
-                    dead = True
-                    break
-                bits[mode] = 1
-            else:
-                if not bits[mode]:
-                    dead = True
-                    break
-                bits[mode] = 0
-            phase *= sign
-        if dead:
-            continue
-        key = tuple(bits)
-        amp = results.get(key, 0.0) + term.coefficient * phase
-        if abs(amp) < COEFF_TOL:
-            results.pop(key, None)
-        else:
-            results[key] = amp
-    return [(FockState(k), v) for k, v in sorted(results.items())]
-
-
-def to_matrix(op: FermionOperator) -> np.ndarray:
-    """Dense matrix over the full 2^n Fock space (test-scale sizes only)."""
-    dim = 1 << op.n_modes
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        for out_state, amp in apply_to_fock(op, FockState.from_index(col, op.n_modes)):
-            mat[out_state.index(), col] += amp
-    return mat
 
 
 def hartree_fock_occupation(n_alpha: int, n_beta: int, n_spatial: int) -> FockState:

@@ -5,6 +5,7 @@ problem always comes from a fixture."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -118,21 +119,13 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines += [f"norb {n}", f"nalpha {problem.n_alpha}", f"nbeta {problem.n_beta}",
               f"constant {problem.e_offset:.17g}"]
-    for p in range(n):
-        for q in range(p, n):
-            if abs(problem.h1[p, q]) >= COEFF_TOL:
-                lines.append(f"h {p} {q} {problem.h1[p, q]:.17g}")
-    written = set()
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    key = min(_symmetry_orbit(p, q, r, s))
-                    if key in written or abs(problem.h2[key]) < COEFF_TOL:
-                        continue
-                    written.add(key)
-                    kp, kq, kr, ks = key
-                    lines.append(f"g {kp} {kq} {kr} {ks} {problem.h2[key]:.17g}")
+    for p, q in itertools.combinations_with_replacement(range(n), 2):
+        if abs(problem.h1[p, q]) >= COEFF_TOL:
+            lines.append(f"h {p} {q} {problem.h1[p, q]:.17g}")
+    # C order meets each symmetry orbit first at its smallest member
+    for key in itertools.product(range(n), repeat=4):
+        if key == min(_symmetry_orbit(*key)) and abs(problem.h2[key]) >= COEFF_TOL:
+            lines.append(f"g {' '.join(map(str, key))} {problem.h2[key]:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

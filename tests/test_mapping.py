@@ -9,7 +9,7 @@ import pytest
 import oracles
 from qve.basis import parse_geometry
 from qve.fermion import (ANNIHILATE, CREATE, FermionOperator, build_hamiltonian,
-                        hartree_fock_occupation, to_matrix)
+                        hartree_fock_occupation)
 from qve.mapping import (MAPPERS, MappingError, _encoding_rows, _ladder, encode_occupation,
                          mapping_stats, qubit_operator, sector_basis, taper_two_qubits)
 from qve.pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy
@@ -140,6 +140,17 @@ def test_jw_number_operator_and_hopping():
     h = MAPPERS["jw"](hop)
     assert h.coefficient("XZX") == pytest.approx(0.5)
     assert h.coefficient("YZY") == pytest.approx(0.5)
+
+
+def test_jw_ladder_signs_follow_mode_order():
+    # [DERIVED] the fermion module's sign convention, |n_0 n_1 n_2> at index
+    # n_0 + 2 n_1 + 4 n_2: a_1 |110> = -|100> (one occupied mode below mode 1)
+    # and a_0 |110> = +|010>
+    for mode, target, sign in ((1, 1, -1.0), (0, 2, 1.0)):
+        mat = MAPPERS["jw"](FermionOperator.ladder(3, mode, ANNIHILATE)).to_matrix()
+        column = np.zeros(8)
+        column[target] = sign
+        np.testing.assert_allclose(mat[:, 3], column, atol=1e-12)
 
 
 def test_parity_number_operator_uses_neighbor_z():
@@ -333,6 +344,6 @@ def test_beh2_spectra_agree_across_mappings(beh2_problem, mapper):
     from qve.scf import spin_orbital_expand
     h_so, g_so = spin_orbital_expand(beh2_problem)
     op = build_hamiltonian(h_so, g_so, beh2_problem.e_offset)
-    ref = np.linalg.eigvalsh(to_matrix(op))
+    ref = np.linalg.eigvalsh(oracles.fermion_matrix(op))
     got = np.linalg.eigvalsh(problem_to_pauli(beh2_problem, mapper, False).to_matrix())
     np.testing.assert_allclose(got, ref, atol=1e-8)

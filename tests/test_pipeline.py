@@ -1,5 +1,6 @@
 """Fixture serialization, run orchestration, artifacts, and exact replay."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -10,10 +11,12 @@ import pytest
 from conftest import FIXTURE
 from qve.circuit import NoiseModel
 from qve.mapping import MappingError
+from qve.pauli import COEFF_TOL
 from qve.pipeline import (FixtureError, PipelineError, RunConfig, build_ansatz,
                           initial_parameters, load_fixture, problem_to_pauli,
                           replay_on_exact, run_vqe, save_fixture,
                           summarize_last_fraction, write_replay_csv)
+from qve.scf import ActiveSpaceProblem
 
 
 def strip_elapsed(csv_text):
@@ -28,6 +31,51 @@ def test_fixture_round_trip_byte_identical(tmp_path, beh2_problem):
     save_fixture(beh2_problem, p1)
     save_fixture(load_fixture(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _orbit(key):
+    """8-fold orbit of a real <pq|rs>: closure under swapping the two electrons
+    and under swapping bra and ket of either electron."""
+    orbit, todo = set(), [key]
+    while todo:
+        k = todo.pop()
+        if k not in orbit:
+            orbit.add(k)
+            p, q, r, s = k
+            todo += [(q, p, s, r), (r, q, p, s), (p, s, r, q)]
+    return orbit
+
+
+def _random_symmetric_problem(n, rng):
+    h1 = rng.normal(size=(n, n))
+    h2 = np.zeros((n, n, n, n))
+    for key in itertools.product(range(n), repeat=4):
+        if key == min(_orbit(key)):
+            v = rng.normal()
+            for k in _orbit(key):
+                h2[k] = v
+    return ActiveSpaceProblem(n, 1, 1, (h1 + h1.T) / 2, h2, 0.5)
+
+
+@pytest.mark.parametrize("source", ["beh2", "random"])
+def test_fixture_writes_each_orbit_once_at_its_smallest_member(tmp_path, beh2_problem,
+                                                               source):
+    # [DERIVED] the g lines name each 8-fold orbit with a nonzero entry exactly
+    # once, by its smallest member, in ascending key order
+    problem = (beh2_problem if source == "beh2"
+               else _random_symmetric_problem(3, np.random.default_rng(17)))
+    n = problem.n_spatial
+    path = tmp_path / "f.txt"
+    save_fixture(problem, path)
+    keys = [tuple(int(t) for t in line.split()[1:5])
+            for line in path.read_text().splitlines() if line.startswith("g ")]
+    assert keys == sorted(set(keys))
+    assert all(k == min(_orbit(k)) for k in keys)
+    assert set(keys) == {min(_orbit(k)) for k in itertools.product(range(n), repeat=4)
+                         if abs(problem.h2[k]) >= COEFF_TOL}
+    if source == "random":
+        assert len(keys) == 21  # pairs of the 6 orbital pairs p <= r of 3 orbitals
+        assert np.array_equal(load_fixture(path).h2, problem.h2)
 
 
 def test_fixture_loads_headers_and_symmetry(tmp_path, beh2_problem):
