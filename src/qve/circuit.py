@@ -5,10 +5,13 @@ Pauli and Fock modules. A circuit holds gates and Pauli rotations
 exp(i a P). The noiseless statevector runs each rotation as one operation;
 every consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
 inversion and folding) sees it decomposed into gates by one synthesis rule.
-Gate noise is simulated exactly on a density matrix: each gate applies
-U rho U^dagger and then the depolarizing channel on its qubits, so one rho
-per estimate carries the full error model. Readout errors fold into each
-measured distribution. Each measurement group turns a measured outcome into
+Gate noise is simulated exactly on a density matrix. The gate list is cut
+greedily, in order, into blocks that act on at most 2 qubits; each block is
+one superoperator, the product of its gates' U (x) U* and depolarizing
+channels, applied to rho with one matrix product. One rho per estimate
+carries the full error model, and each measurement group's basis change
+runs through the same blocks. Readout errors fold into each measured
+distribution. Each measurement group turns a measured outcome into
 its energy through a table over the 2^n outcomes, and its shots are counts
 drawn once from the distribution (one multinomial draw), weighted by that
 table; with shots=0 the exact expectation is taken instead.
@@ -304,50 +307,133 @@ class NoiseModel:
         return self.p1 == self.p2 == self.readout01 == self.readout10 == 0.0
 
 
-# A noisy estimate holds a 4^n-entry density matrix: 256 MiB at 12 qubits.
+# A noisy estimate holds rho (16 * 4^n bytes, 256 MiB at 12 qubits). While it
+# applies a block it also holds the reordered operand and the product, and a
+# group's basis change keeps the unrotated rho: three copies of rho at most,
+# 768 MiB at 12 qubits.
 DENSITY_CAP = 12
 
 
-def _depolarize(rho: np.ndarray, qubits, lam: float, n: int) -> np.ndarray:
-    """(1 - lam) rho + lam D(rho), where D twirls each of the qubits,
-    (rho + X rho X + Y rho Y + Z rho Z) / 4: the qubit's reduced state becomes
-    I/2 and its coherences with the rest vanish."""
-    mixed = rho
-    for q in qubits:
-        hi, lo = 1 << (n - q - 1), 1 << q
-        v = mixed.reshape(hi, 2, lo, hi, 2, lo)
-        half_trace = 0.5 * (v[:, 0, :, :, 0] + v[:, 1, :, :, 1])
-        out = np.zeros_like(v)
-        out[:, 0, :, :, 0] = half_trace
-        out[:, 1, :, :, 1] = half_trace
-        mixed = out.reshape(rho.shape)
-    return (1.0 - lam) * rho + lam * mixed
+def _partition(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
+    """Greedy in-order blocks of gates whose combined qubits number at most 2:
+    (sorted block qubits, gates) for each block."""
+    blocks: list[tuple[tuple[int, ...], list[Gate]]] = []
+    qubits: set[int] = set()
+    members: list[Gate] = []
+    for g in gates:
+        union = qubits.union(g.qubits)
+        if len(union) > 2:
+            blocks.append((tuple(sorted(qubits)), members))
+            union, members = set(g.qubits), []
+        qubits = union
+        members.append(g)
+    if members:
+        blocks.append((tuple(sorted(qubits)), members))
+    return blocks
 
 
-def _apply_noisy_gate(rho: np.ndarray, gate: Gate, bindings, n: int,
-                      noise: NoiseModel) -> np.ndarray:
-    """U rho U^dagger, then the exact channel of a uniform non-identity Pauli
-    error with probability p on the gate's k qubits: (1 - lam) rho + lam D(rho),
-    with lam = p 4^k / (4^k - 1)."""
-    # through the statevector kernel f(A) = A U^T (the gate on the last axis):
-    # U rho = f(rho^T)^T and A U^dagger = conj(f(conj A))
-    u_rho = _apply_gate(rho.T, gate, bindings, n).T
-    rho = _apply_gate(u_rho.conj(), gate, bindings, n).conj()
-    k = len(gate.qubits)
-    p = noise.p1 if k == 1 else noise.p2
+def _twirl(j: int, k: int) -> np.ndarray:
+    """Superoperator of rho -> tr_j(rho) (x) I/2 on local qubit j of a k-qubit
+    block, (rho + X rho X + Y rho Y + Z rho Z) / 4 on that qubit. Superoperators
+    act on vec(rho)[r * 2^k + c] = rho[r, c]."""
+    d = 1 << k
+    r, c = np.divmod(np.arange(d * d), d)
+    bit = 1 << j
+    diagonal = ((r ^ c) & bit) == 0
+    same_rest = (((r[:, None] ^ r[None, :]) | (c[:, None] ^ c[None, :])) & ~bit) == 0
+    return 0.5 * (diagonal[:, None] & diagonal[None, :] & same_rest)
+
+
+def _gate_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
+    """U (x) U* followed by the exact channel of a uniform non-identity Pauli
+    error with probability p on the gate's k qubits, (1 - lam) I + lam T with
+    lam = p 4^k / (4^k - 1) and T the twirl of those qubits, in the block's
+    4^len(block)-dim space."""
+    b = len(block)
+    local = Gate(gate.kind, tuple(block.index(q) for q in gate.qubits), gate.angle)
+    # the statevector kernel applies the gate as A -> A U^T
+    u = _apply_gate(np.eye(1 << b, dtype=complex), local, None, b).T
+    s = np.kron(u, u.conj())
     if p == 0.0:
-        return rho
-    return _depolarize(rho, gate.qubits, p * 4**k / (4**k - 1), n)
+        return s
+    identity = np.eye(4**b)
+    twirl = identity
+    for j in local.qubits:
+        twirl = _twirl(j, b) @ twirl
+    k = len(gate.qubits)
+    lam = p * 4**k / (4**k - 1)
+    return ((1.0 - lam) * identity + lam * twirl) @ s
+
+
+@lru_cache(maxsize=1024)
+def _fixed_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
+    """The cached superoperator of a gate without a parameter."""
+    return _gate_super(gate, block, p)
+
+
+@lru_cache(maxsize=256)
+def _rotation_tables(kind: str, q: int, block: tuple[int, ...], p: float) -> tuple:
+    """(T0, T1, T2) with superoperator T0 + cos(a) T1 + sin(a) T2 for the noisy
+    rotation by a: U = cos(a/2) I - i sin(a/2) P makes U (x) U* affine in
+    (1, cos a, sin a), so three angles fix it."""
+    s0, s_pi, s_half = (_gate_super(Gate(kind, (q,), a), block, p)
+                        for a in (0.0, math.pi, math.pi / 2))
+    t0 = 0.5 * (s0 + s_pi)
+    return t0, 0.5 * (s0 - s_pi), s_half - t0
+
+
+def _noisy_blocks(gates, bindings, noise: NoiseModel):
+    """(qubits, superoperator) for each block of the partition: the product of
+    its gates' noisy superoperators, in gate order."""
+    for block, members in _partition(gates):
+        s = None
+        for g in members:
+            p = noise.p1 if len(g.qubits) == 1 else noise.p2
+            if isinstance(g.angle, ParamExpr):
+                t0, t1, t2 = _rotation_tables(g.kind, g.qubits[0], block, p)
+                a = _angle_value(g, bindings)
+                gs = t0 + math.cos(a) * t1 + math.sin(a) * t2
+            else:
+                gs = _fixed_super(g, block, p)
+            s = gs if s is None else gs @ s
+        yield block, s
+
+
+@lru_cache(maxsize=512)
+def _block_axes(n: int, block: tuple[int, ...]) -> tuple:
+    """Axis order of rho's (2,) * 2n view that puts the block's row bits, then
+    its column bits, in front (most significant first), and its inverse."""
+    front = [n - 1 - q for q in reversed(block)]
+    front += [a + n for a in front]
+    perm = front + [a for a in range(2 * n) if a not in front]
+    return tuple(perm), tuple(int(a) for a in np.argsort(perm))
+
+
+def _evolve(rho: np.ndarray, blocks, n: int) -> np.ndarray:
+    """rho, as 2n bit axes, after each (qubits, superoperator) block: one
+    matmul over the block's row and column axes moved to the front."""
+    for block, s in blocks:
+        perm, inverse = _block_axes(n, block)
+        front = rho.transpose(perm).reshape(len(s), -1)
+        # at most two copies of rho live here: the caller's reference alone
+        # keeps the input, and the operand goes before the next one is made
+        del rho
+        rho = (s @ front).reshape((2,) * (2 * n)).transpose(inverse)
+        del front
+    return rho
 
 
 def _run_density(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
-    """Density matrix after the noisy gate list on |0...0><0...0|."""
-    dim = 1 << c.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    for g in c.gates:
-        rho = _apply_noisy_gate(rho, g, bindings, c.n_qubits, noise)
-    return rho
+    """rho, as 2n bit axes, after the noisy gate list on |0...0><0...0|."""
+    n = c.n_qubits
+    # the initial rho is bound to no name here, so _evolve can drop it
+    return _evolve(np.eye(1, 1 << 2 * n, dtype=complex).reshape((2,) * (2 * n)),
+                   _noisy_blocks(c.gates, bindings, noise), n)
+
+
+def _diagonal(rho: np.ndarray, n: int) -> np.ndarray:
+    """The 2^n diagonal of rho given as 2n bit axes."""
+    return np.einsum(rho, list(range(n)) * 2, list(range(n))).reshape(-1)
 
 
 # -- estimation ------------------------------------------------------------
@@ -464,9 +550,8 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     for gi, (group, meas, table) in enumerate(_measurement_plan(n, h.items())):
         state = base
         if noisy:
-            for g in meas:
-                state = _apply_noisy_gate(state, g, bindings, n, noise)
-            probs = np.diagonal(state).real.clip(min=0.0)
+            state = _evolve(state, _noisy_blocks(meas, bindings, noise), n)
+            probs = _diagonal(state, n).real.clip(min=0.0)
         else:
             for g in meas:
                 state = _apply_gate(state, g, bindings, n)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,106 @@ def test_noisy_exact_estimate_matches_density_oracle():
         r = estimate(c, {}, h, 0, 0, noise=noise)
         assert r.mean == pytest.approx(noisy_expectation_oracle(c, h, noise), abs=1e-12)
         assert r.std_error == 0.0
+
+
+def bound_gates(c, bindings):
+    """The circuit's gate list with every parameter replaced by its value."""
+    return [Gate(g.kind, g.qubits, g.angle.resolve(bindings))
+            if isinstance(g.angle, ParamExpr) else g for g in c.gates]
+
+
+def fused_density(c, bindings, noise):
+    dim = 1 << c.n_qubits
+    return circuit_module._run_density(c, bindings, noise).reshape(dim, dim)
+
+
+def beh2_circuits():
+    """(name, circuit, bindings): BeH2 UCCSD and HEA at random theta."""
+    rng = np.random.default_rng(21)
+    uccsd = build_uccsd(1, 1, 3, "parity", True)
+    hea = build_hea(4, 1)
+    return [(name, c, dict(zip(c.parameter_names,
+                               rng.uniform(-0.5, 0.5, len(c.parameter_names)))))
+            for name, c in (("uccsd", uccsd), ("hea", hea))]
+
+
+def test_fused_density_matches_oracle_on_operand_orders_and_parameters():
+    # [DERIVED] fused blocks equal the per-gate Kraus oracle (1e-12) for
+    # reversed and non-adjacent 2-qubit operands, parameterised rotations, and
+    # noise on 1-qubit gates only, on 2-qubit gates only, or on both
+    c = Circuit(4)
+    c.h(0).rx(ParamExpr("a"), 1).cx(2, 0).ry(ParamExpr("b", -0.7, 0.3), 3)
+    c.swap(0, 3).rz(ParamExpr("a", 2.0), 0).cz(3, 1).sx(2).cx(1, 3)
+    c.rz(ParamExpr("b"), 2).x(1).ry(0.4, 0).cx(0, 2).rx(-1.1, 3).swap(3, 1)
+    bindings = {"a": 0.83, "b": -2.1}
+    gates = bound_gates(c, bindings)
+    for noise in (NoiseModel(p1=0.04), NoiseModel(p2=0.09), NoiseModel(p1=0.02, p2=0.07)):
+        np.testing.assert_allclose(fused_density(c, bindings, noise),
+                                   noisy_density_oracle(gates, 4, noise), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fold", [1, 3])
+def test_fused_density_matches_oracle_on_beh2_ansatze(fold):
+    # [DERIVED] BeH2 UCCSD and HEA at random theta, folded 1 and 3 times: the
+    # fused rho equals the per-gate Kraus oracle within 1e-12
+    noise = NoiseModel(p1=0.002, p2=0.02)
+    for _, c, bindings in beh2_circuits():
+        folded = fold_circuit(c, fold)
+        np.testing.assert_allclose(fused_density(folded, bindings, noise),
+                                   noisy_density_oracle(bound_gates(folded, bindings), 4, noise),
+                                   rtol=0, atol=1e-12)
+
+
+def test_fused_density_matches_oracle_on_transpiled_uccsd():
+    # [DERIVED] UCCSD lowered to {SqrtX, RZ, CZ} on a linear chain: fused rho
+    # equals the per-gate Kraus oracle within 1e-12
+    _, c, bindings = beh2_circuits()[0]
+    t, _, _ = transpile(c, [(0, 1), (1, 2), (2, 3)])
+    noise = NoiseModel(p1=0.001, p2=0.01)
+    np.testing.assert_allclose(fused_density(t, bindings, noise),
+                               noisy_density_oracle(bound_gates(t, bindings), 4, noise),
+                               rtol=0, atol=1e-12)
+
+
+def test_partition_invariants():
+    # [DERIVED] the greedy partition keeps every gate once and in order, each
+    # block spans at most 2 qubits, and each block ends only where the next
+    # gate would make it span 3; BeH2 UCCSD has 542 gates in 203 blocks and
+    # HEA 19 in 11
+    rng = np.random.default_rng(4)
+    cases = [(c, None) for c in (random_circuit(rng, 5, 40), random_circuit(rng, 2, 10))]
+    cases += [(c, (len(c.gates), blocks))
+              for (_, c, _), blocks in zip(beh2_circuits(), ((542, 203), (19, 11)))]
+    for c, want in cases:
+        blocks = circuit_module._partition(c.gates)
+        assert [g for _, members in blocks for g in members] == list(c.gates)
+        for qubits, members in blocks:
+            assert len(qubits) <= 2
+            assert set(qubits) == {q for g in members for q in g.qubits}
+        for (qubits, _), (_, after) in zip(blocks, blocks[1:]):
+            assert len(set(qubits) | set(after[0].qubits)) > 2
+        if want is not None:
+            assert (len(c.gates), len(blocks)) == want[1]
+
+
+def test_noisy_estimate_peak_memory_is_bounded():
+    # [DERIVED] at 8 qubits a noisy estimate, basis changes included, allocates
+    # less than 4 times the 16 * 4^n bytes of rho at its peak
+    n = 8
+    c = build_hea(n, 2)
+    bindings = dict(zip(c.parameter_names,
+                        np.random.default_rng(2).uniform(-np.pi, np.pi, len(c.parameter_names))))
+    h = PauliSum.from_labels([("Z" * n, 1.0), ("X" * n, 0.5), ("Y" * n, 0.25),
+                              ("XY" * (n // 2), -0.3), ("I" * n, 0.1)])
+    noise = NoiseModel(p1=0.001, p2=0.01, readout01=0.02, readout10=0.02)
+    estimate(c, bindings, h, 64, 0, noise=noise)  # fill the caches first
+    tracemalloc.start()
+    try:
+        estimate(c, bindings, h, 64, 0, noise=noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 16 * 4**n
 
 
 def test_noisy_sampled_mean_matches_exact_on_folded_uccsd(beh2_tapered):
