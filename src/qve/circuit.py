@@ -2,13 +2,18 @@
 
 Qubit 0 is the least significant bit of basis-state indices, matching the
 Pauli and Fock modules. A circuit holds gates and Pauli rotations
-exp(i a P). The noiseless statevector runs each rotation as one operation;
+exp(i a P). What a gate kind is lives in one table, `_GATES`: its 2x2 or 4x4
+matrix with the first operand's bit most significant, or for RX/RY/RZ the
+Pauli of its rotation, and one einsum kernel applies such a matrix to the
+gate's qubits of any batch of states. `_inverse` is the one rule that undoes
+a gate. The noiseless statevector runs each Pauli rotation as one operation;
 every consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
 inversion and folding) sees it decomposed into gates by one synthesis rule.
 Gate noise is simulated exactly on a density matrix. The gate list is cut
 greedily, in order, into blocks that act on at most 2 qubits; each block is
 one superoperator, the product of its gates' U (x) U* and depolarizing
-channels, applied to rho with one matrix product. One rho per estimate
+channels, applied to rho with one matrix product. U is the table's matrix
+embedded on the block's qubits by the same kernel. One rho per estimate
 carries the full error model, and each measurement group's basis change
 runs through the same blocks. Readout errors fold into each measured
 distribution. Each measurement group turns a measured outcome into
@@ -20,6 +25,7 @@ table; with shots=0 the exact expectation is taken instead.
 from __future__ import annotations
 
 import math
+import string
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -57,15 +63,41 @@ class ParamExpr:
         return ParamExpr(self.name, self.scale, self.offset + delta)
 
 
-# kind -> (arity, takes_angle)
-GATE_KINDS = {
-    "X": (1, False), "H": (1, False), "SqrtX": (1, False),
-    "RX": (1, True), "RY": (1, True), "RZ": (1, True),
-    "CX": (2, False), "CZ": (2, False), "SWAP": (2, False),
+# What each gate kind is. A k-qubit gate on qubits (q_0, ..., q_{k-1}) acts
+# by a 2^k x 2^k matrix whose row and column index holds q_0's bit as its most
+# significant: CX(c, t) is [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+# [0, 0, 1, 0]]. kind -> (matrix, takes_angle); a kind that takes an angle
+# holds the Pauli P of its rotation exp(-i angle P / 2) instead.
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_GATES: dict[str, tuple[np.ndarray, bool]] = {
+    "X": (_PAULI_X, False),
+    "H": (np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), False),
+    "SqrtX": (0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]), False),
+    "RX": (_PAULI_X, True),
+    "RY": (np.array([[0, -1j], [1j, 0]]), True),
+    "RZ": (np.diag([1.0, -1.0]), True),
+    "CX": (np.eye(4)[[0, 1, 3, 2]], False),
+    "CZ": (np.diag([1.0, 1.0, 1.0, -1.0]), False),
+    "SWAP": (np.eye(4)[[0, 2, 1, 3]], False),
 }
 
-_SQRTX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
-_HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2.0)
+
+# (I, -i P) on the last axis for each rotation kind's Pauli P
+_ROTATION_BASES = {kind: np.stack([np.eye(2), -1j * m], axis=-1)
+                   for kind, (m, takes_angle) in _GATES.items() if takes_angle}
+
+
+def _rotation(kind: str, angle: float) -> np.ndarray:
+    """exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P for the kind's
+    Pauli P."""
+    return np.dot(_ROTATION_BASES[kind], (math.cos(angle / 2), math.sin(angle / 2)))
+
+
+@lru_cache(maxsize=1024)
+def _matrix(kind: str, angle: float | None = None) -> np.ndarray:
+    """The kind's matrix in operand order, at this angle if it takes one."""
+    m, takes_angle = _GATES[kind]
+    return _rotation(kind, angle) if takes_angle else m
 
 
 @dataclass(frozen=True)
@@ -75,15 +107,27 @@ class Gate:
     angle: float | ParamExpr | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _GATES:
             raise CircuitError(f"unknown gate kind {self.kind!r}")
-        arity, takes_angle = GATE_KINDS[self.kind]
+        m, takes_angle = _GATES[self.kind]
+        arity = len(m).bit_length() - 1
         if len(self.qubits) != arity:
             raise CircuitError(f"{self.kind} expects {arity} qubit(s), got {self.qubits}")
         if arity == 2 and self.qubits[0] == self.qubits[1]:
             raise CircuitError(f"{self.kind} qubits must be distinct")
         if takes_angle != (self.angle is not None):
             raise CircuitError(f"{self.kind} angle mismatch")
+
+
+def _inverse(g: Gate) -> list[Gate]:
+    """Gates that undo g: a rotation by the negated angle, SqrtX followed by X
+    for SqrtX, and every other kind itself."""
+    if g.angle is not None:
+        a = -g.angle if isinstance(g.angle, ParamExpr) else -float(g.angle)
+        return [Gate(g.kind, g.qubits, a)]
+    if g.kind == "SqrtX":
+        return [g, Gate("X", g.qubits)]
+    return [g]
 
 
 @dataclass(frozen=True)
@@ -108,9 +152,7 @@ class PauliRotation:
         last support qubit, rotate RZ(-2 * angle) there, and unwind."""
         support = self.qubits
         enter = _basis_change_gates([PauliTerm(n_qubits, self.x, self.z, 1.0)], n_qubits)
-        # H is its own inverse; RZ(a) is undone by RZ(-a)
-        leave = [Gate(g.kind, g.qubits, None if g.angle is None else -g.angle)
-                 for g in reversed(enter)]
+        leave = [inv for g in reversed(enter) for inv in _inverse(g)]
         ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
         a = self.angle
         rot = Gate("RZ", (support[-1],), ParamExpr(a.name, -2.0 * a.scale, -2.0 * a.offset))
@@ -181,67 +223,33 @@ def derive_rng(master_seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, counters)]))
 
 
-def _angle_value(gate: Gate, bindings) -> float:
+def _gate_matrix(gate: Gate, bindings) -> np.ndarray:
+    """The gate's matrix, its angle resolved against the bindings."""
     a = gate.angle
-    if isinstance(a, ParamExpr):
-        return a.resolve(bindings or {})
-    return float(a)
+    if isinstance(a, ParamExpr):  # a new angle at each call: left uncached
+        return _rotation(gate.kind, a.resolve(bindings or {}))
+    return _matrix(gate.kind, a)
 
 
-@lru_cache(maxsize=512)
-def _cx_perm(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    return idx ^ (((idx >> control) & 1) << target)
+@lru_cache(maxsize=1024)
+def _operand_axes(n: int, qubits: tuple[int, ...]) -> tuple:
+    """(einsum subscripts, view shape, matrix shape) that apply a matrix on
+    these qubits to a (batch, 2, ..., 2) view of the states, in which qubit q
+    is axis n - q."""
+    view = string.ascii_letters[:n + 1]
+    ins = "".join(view[n - q] for q in qubits)
+    outs = string.ascii_letters[n + 1:n + 1 + len(qubits)]
+    result = view.translate(str.maketrans(ins, outs))
+    return f"{outs}{ins},{view}->{result}", (-1,) + (2,) * n, (2,) * (2 * len(qubits))
 
 
-@lru_cache(maxsize=512)
-def _swap_perm(n: int, a: int, b: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    ba = (idx >> a) & 1
-    bb = (idx >> b) & 1
-    diff = ba ^ bb
-    return idx ^ (diff << a) ^ (diff << b)
-
-
-@lru_cache(maxsize=512)
-def _bit(n: int, q: int) -> np.ndarray:
-    return (np.arange(1 << n) >> q) & 1
-
-
-def _apply_1q_matrix(states: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    shape = states.shape
-    view = states.reshape(-1, 1 << (n - q - 1), 2, 1 << q)
-    out = np.einsum("ab,shbl->shal", u, view)
-    return out.reshape(shape)
-
-
-def _apply_gate(states: np.ndarray, gate: Gate, bindings, n: int) -> np.ndarray:
-    kind = gate.kind
-    if kind == "X":
-        return states[..., flip_index(n, 1 << gate.qubits[0])]
-    if kind == "CX":
-        return states[..., _cx_perm(n, *gate.qubits)]
-    if kind == "SWAP":
-        return states[..., _swap_perm(n, *gate.qubits)]
-    if kind == "CZ":
-        a, b = gate.qubits
-        sign = 1.0 - 2.0 * (_bit(n, a) & _bit(n, b))
-        return states * sign
-    if kind == "RZ":
-        t = _angle_value(gate, bindings)
-        phase = np.where(_bit(n, gate.qubits[0]), np.exp(0.5j * t), np.exp(-0.5j * t))
-        return states * phase
-    if kind == "H":
-        return _apply_1q_matrix(states, _HADAMARD, gate.qubits[0], n)
-    if kind == "SqrtX":
-        return _apply_1q_matrix(states, _SQRTX, gate.qubits[0], n)
-    t = _angle_value(gate, bindings)
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    if kind == "RY":
-        u = np.array([[c, -s], [s, c]], dtype=complex)
-    else:  # RX
-        u = np.array([[c, -1j * s], [-1j * s, c]])
-    return _apply_1q_matrix(states, u, gate.qubits[0], n)
+def _apply_matrix(states: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
+                  n: int) -> np.ndarray:
+    """The matrix u on these qubits, in operand order, of every n-qubit state
+    on the last axis."""
+    subscripts, view_shape, u_shape = _operand_axes(n, qubits)
+    out = np.einsum(subscripts, u.reshape(u_shape), states.reshape(view_shape))
+    return out.reshape(states.shape)
 
 
 @lru_cache(maxsize=512)
@@ -254,7 +262,7 @@ def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) ->
     """One operation on the last axis. A rotation is cos(a) psi + i sin(a) P psi,
     where (P psi)[b] = i^popcount(x & z) (-1)^popcount((b ^ x) & z) psi[b ^ x]."""
     if not isinstance(op, PauliRotation):
-        return _apply_gate(states, op, bindings, n)
+        return _apply_matrix(states, _gate_matrix(op, bindings), op.qubits, n)
     a = op.angle.resolve(bindings or {})
     phase = (1, 1j, -1, -1j)[(op.x & op.z).bit_count() % 4]
     flipped = states[..., flip_index(n, op.x)] * _rotation_signs(n, op.x, op.z)
@@ -344,23 +352,24 @@ def _twirl(j: int, k: int) -> np.ndarray:
     return 0.5 * (diagonal[:, None] & diagonal[None, :] & same_rest)
 
 
-def _gate_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
-    """U (x) U* followed by the exact channel of a uniform non-identity Pauli
-    error with probability p on the gate's k qubits, (1 - lam) I + lam T with
-    lam = p 4^k / (4^k - 1) and T the twirl of those qubits, in the block's
-    4^len(block)-dim space."""
+def _gate_super(u: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
+                p: float) -> np.ndarray:
+    """U (x) U* of the matrix u on these of the block's qubits, followed by the
+    exact channel of a uniform non-identity Pauli error with probability p on
+    those k qubits, (1 - lam) I + lam T with lam = p 4^k / (4^k - 1) and T the
+    twirl of those qubits, in the block's 4^len(block)-dim space."""
     b = len(block)
-    local = Gate(gate.kind, tuple(block.index(q) for q in gate.qubits), gate.angle)
-    # the statevector kernel applies the gate as A -> A U^T
-    u = _apply_gate(np.eye(1 << b, dtype=complex), local, None, b).T
-    s = np.kron(u, u.conj())
+    local = tuple(block.index(q) for q in qubits)
+    # the kernel applies u to each row of the identity, giving U^T
+    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, local, b).T
+    s = np.kron(full, full.conj())
     if p == 0.0:
         return s
     identity = np.eye(4**b)
     twirl = identity
-    for j in local.qubits:
+    for j in local:
         twirl = _twirl(j, b) @ twirl
-    k = len(gate.qubits)
+    k = len(qubits)
     lam = p * 4**k / (4**k - 1)
     return ((1.0 - lam) * identity + lam * twirl) @ s
 
@@ -368,7 +377,7 @@ def _gate_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
 @lru_cache(maxsize=1024)
 def _fixed_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
     """The cached superoperator of a gate without a parameter."""
-    return _gate_super(gate, block, p)
+    return _gate_super(_gate_matrix(gate, None), gate.qubits, block, p)
 
 
 @lru_cache(maxsize=256)
@@ -376,7 +385,7 @@ def _rotation_tables(kind: str, q: int, block: tuple[int, ...], p: float) -> tup
     """(T0, T1, T2) with superoperator T0 + cos(a) T1 + sin(a) T2 for the noisy
     rotation by a: U = cos(a/2) I - i sin(a/2) P makes U (x) U* affine in
     (1, cos a, sin a), so three angles fix it."""
-    s0, s_pi, s_half = (_gate_super(Gate(kind, (q,), a), block, p)
+    s0, s_pi, s_half = (_gate_super(_matrix(kind, a), (q,), block, p)
                         for a in (0.0, math.pi, math.pi / 2))
     t0 = 0.5 * (s0 + s_pi)
     return t0, 0.5 * (s0 - s_pi), s_half - t0
@@ -391,7 +400,7 @@ def _noisy_blocks(gates, bindings, noise: NoiseModel):
             p = noise.p1 if len(g.qubits) == 1 else noise.p2
             if isinstance(g.angle, ParamExpr):
                 t0, t1, t2 = _rotation_tables(g.kind, g.qubits[0], block, p)
-                a = _angle_value(g, bindings)
+                a = g.angle.resolve(bindings or {})
                 gs = t0 + math.cos(a) * t1 + math.sin(a) * t2
             else:
                 gs = _fixed_super(g, block, p)
@@ -554,7 +563,7 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
             probs = _diagonal(state, n).real.clip(min=0.0)
         else:
             for g in meas:
-                state = _apply_gate(state, g, bindings, n)
+                state = _apply_op(state, g, bindings, n)
             probs = np.abs(state) ** 2
         if readout:
             probs = _readout_distribution(probs, n, noise)
@@ -690,14 +699,4 @@ def circuit_stats(c: Circuit) -> CircuitStats:
 
 def inverse_circuit(c: Circuit) -> Circuit:
     """Exact gate-by-gate inverse (SqrtX inverted as SqrtX followed by X)."""
-    out = Circuit(c.n_qubits)
-    for g in reversed(c.gates):
-        if g.kind in ("X", "H", "CX", "CZ", "SWAP"):
-            out.add(g)
-        elif g.kind in ("RX", "RY", "RZ"):
-            a = -g.angle if isinstance(g.angle, ParamExpr) else -float(g.angle)
-            out.add(Gate(g.kind, g.qubits, a))
-        else:  # SqrtX
-            out.add(Gate("SqrtX", g.qubits))
-            out.add(Gate("X", g.qubits))
-    return out
+    return Circuit(c.n_qubits).extend(inv for g in reversed(c.gates) for inv in _inverse(g))

@@ -1,7 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
-import pytest
+# One BLAS thread per test process: the pools size themselves when NumPy is
+# first imported, which happens below, and several pools on few cores
+# oversubscribe them. A variable set by the caller wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).parent))
 

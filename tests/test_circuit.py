@@ -96,6 +96,32 @@ def test_two_qubit_gate_matrices():
     assert state[3] == pytest.approx(-1 / math.sqrt(2))
 
 
+def bit_rule_matrix(kind, a, b, n):
+    """Dense matrix of CX(a, b), CZ(a, b) or SWAP(a, b) on n qubits, column by
+    column from what the gate does to each basis index."""
+    mat = np.zeros((1 << n, 1 << n))
+    for i in range(1 << n):
+        ba, bb = (i >> a) & 1, (i >> b) & 1
+        if kind == "CX":
+            mat[i ^ (ba << b), i] = 1.0
+        elif kind == "CZ":
+            mat[i, i] = -1.0 if ba and bb else 1.0
+        else:  # SWAP
+            mat[i ^ ((ba ^ bb) << a) ^ ((ba ^ bb) << b), i] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["CX", "CZ", "SWAP"])
+def test_two_qubit_gates_on_every_operand_order(kind):
+    # [DERIVED] every ordered qubit pair on 3 qubits against the basis-index
+    # bit rules: CX(a, b) flips b where a is set, CZ negates where both are
+    # set, SWAP exchanges the two bits
+    for a, b in itertools.permutations(range(3), 2):
+        got = circuit_unitary(Circuit(3).add(Gate(kind, (a, b))))
+        np.testing.assert_array_equal(got, bit_rule_matrix(kind, a, b, 3),
+                                      err_msg=f"{kind}({a}, {b})")
+
+
 def test_bell_state():
     # [DERIVED]
     c = Circuit(2)
@@ -131,6 +157,10 @@ def test_gate_validation():
         Gate("H", (0,), 1.0)  # spurious angle
     with pytest.raises(CircuitError):
         Circuit(2).add(Gate("H", (2,)))
+    with pytest.raises(CircuitError, match="unknown gate kind"):
+        Gate("T", (0,))
+    with pytest.raises(CircuitError, match="expects 2 qubit"):
+        Gate("CZ", (0,))
 
 
 def test_pauli_rotation_matches_matrix_exponential():
