@@ -13,22 +13,26 @@ Gate noise is simulated exactly on a density matrix. The gate list is cut
 greedily, in order, into blocks that act on at most 2 qubits; each block is
 one superoperator, the product of its gates' U (x) U* and depolarizing
 channels, applied to rho with one matrix product. U is the table's matrix
-embedded on the block's qubits by the same kernel. One rho per estimate
-carries the full error model, and each measurement group's basis change
-runs through the same blocks. Readout errors fold into each measured
-distribution. Each measurement group turns a measured outcome into
-its energy through a table over the 2^n outcomes, and its shots are counts
-drawn once from the distribution (one multinomial draw), weighted by that
-table; with shots=0 the exact expectation is taken instead.
+embedded on the block's qubits by the same kernel, and a channel is the mean
+of the same embedding of the Pauli strings built from the table's X, Y and
+Z. One rho per estimate carries the full error model, and each measurement
+group's basis change runs through the same blocks. A group's basis is the
+OR of its terms' (x, z) masks; one rule turns masks into basis-change gates,
+for measurement groups and rotation synthesis alike. Readout errors fold
+into each measured distribution. Each measurement group turns a measured
+outcome into its energy through a table over the 2^n outcomes, and its
+shots are counts drawn once from the distribution (one multinomial draw),
+weighted by that table; with shots=0 the exact expectation is taken instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -151,7 +155,7 @@ class PauliRotation:
         """Basis-change each support qubit to Z, run a CX parity ladder to the
         last support qubit, rotate RZ(-2 * angle) there, and unwind."""
         support = self.qubits
-        enter = _basis_change_gates([PauliTerm(n_qubits, self.x, self.z, 1.0)], n_qubits)
+        enter = _basis_change_gates(self.x, self.z, n_qubits)
         leave = [inv for g in reversed(enter) for inv in _inverse(g)]
         ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
         a = self.angle
@@ -310,10 +314,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise CircuitError(f"noise probability {name}={v} outside [0, 1]")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.p1 == self.p2 == self.readout01 == self.readout10 == 0.0
-
 
 # A noisy estimate holds rho (16 * 4^n bytes, 256 MiB at 12 qubits). While it
 # applies a block it also holds the reordered operand and the product, and a
@@ -340,16 +340,16 @@ def _partition(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
     return blocks
 
 
-def _twirl(j: int, k: int) -> np.ndarray:
-    """Superoperator of rho -> tr_j(rho) (x) I/2 on local qubit j of a k-qubit
-    block, (rho + X rho X + Y rho Y + Z rho Z) / 4 on that qubit. Superoperators
-    act on vec(rho)[r * 2^k + c] = rho[r, c]."""
-    d = 1 << k
-    r, c = np.divmod(np.arange(d * d), d)
-    bit = 1 << j
-    diagonal = ((r ^ c) & bit) == 0
-    same_rest = (((r[:, None] ^ r[None, :]) | (c[:, None] ^ c[None, :])) & ~bit) == 0
-    return 0.5 * (diagonal[:, None] & diagonal[None, :] & same_rest)
+# I and the Paulis X, Y, Z of the gate table
+_PAULIS = (np.eye(2), _GATES["X"][0], _GATES["RY"][0], _GATES["RZ"][0])
+
+
+def _embedded_super(u: np.ndarray, local: tuple[int, ...], b: int) -> np.ndarray:
+    """U (x) U* of the matrix u on these local qubits of a b-qubit block.
+    Superoperators act on vec(rho)[r * 2^b + c] = rho[r, c]."""
+    # the kernel applies u to each row of the identity, giving U^T
+    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, local, b).T
+    return np.kron(full, full.conj())
 
 
 def _gate_super(u: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
@@ -357,21 +357,19 @@ def _gate_super(u: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
     """U (x) U* of the matrix u on these of the block's qubits, followed by the
     exact channel of a uniform non-identity Pauli error with probability p on
     those k qubits, (1 - lam) I + lam T with lam = p 4^k / (4^k - 1) and T the
-    twirl of those qubits, in the block's 4^len(block)-dim space."""
+    twirl, the mean of P (x) P* over the 4^k Pauli strings P on those qubits,
+    in the block's 4^len(block)-dim space."""
     b = len(block)
     local = tuple(block.index(q) for q in qubits)
-    # the kernel applies u to each row of the identity, giving U^T
-    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, local, b).T
-    s = np.kron(full, full.conj())
+    s = _embedded_super(u, local, b)
     if p == 0.0:
         return s
-    identity = np.eye(4**b)
-    twirl = identity
-    for j in local:
-        twirl = _twirl(j, b) @ twirl
     k = len(qubits)
+    # each P (x) P* is real with entries 0 and +-1, so the mean is exact
+    twirl = sum(_embedded_super(reduce(np.kron, paulis), local, b)
+                for paulis in itertools.product(_PAULIS, repeat=k)).real / 4**k
     lam = p * 4**k / (4**k - 1)
-    return ((1.0 - lam) * identity + lam * twirl) @ s
+    return ((1.0 - lam) * np.eye(4**b) + lam * twirl) @ s
 
 
 @lru_cache(maxsize=1024)
@@ -456,39 +454,35 @@ class EstimatorResult:
     seed: int
 
 
-def _qubit_wise_commute(a: PauliTerm, b: PauliTerm) -> bool:
-    overlap = (a.x | a.z) & (b.x | b.z)
-    return ((a.x ^ b.x) | (a.z ^ b.z)) & overlap == 0
-
-
 def group_commuting_terms(h: PauliSum) -> list[list[PauliTerm]]:
-    """Greedy first-fit grouping under qubit-wise commutation (identity dropped)."""
+    """Greedy first-fit grouping under qubit-wise commutation (identity
+    dropped). A group's basis is the OR of its members' (x, z) masks, and a
+    term joins the first group whose basis agrees with it on every qubit that
+    both touch."""
     groups: list[list[PauliTerm]] = []
+    bases: list[tuple[int, int]] = []
     for t in h.terms():
         if t.weight == 0:
             continue
-        for g in groups:
-            if all(_qubit_wise_commute(t, u) for u in g):
-                g.append(t)
+        for i, (x, z) in enumerate(bases):
+            if ((t.x ^ x) | (t.z ^ z)) & (t.x | t.z) & (x | z) == 0:
+                groups[i].append(t)
+                bases[i] = (x | t.x, z | t.z)
                 break
         else:
             groups.append([t])
+            bases.append((t.x, t.z))
     return groups
 
 
-def _basis_change_gates(group: list[PauliTerm], n: int) -> list[Gate]:
-    """Rotate the shared measurement basis of a qubit-wise-commuting group to Z."""
+def _basis_change_gates(x: int, z: int, n: int) -> list[Gate]:
+    """Rotate the Pauli basis with masks (x, z) to Z on each of the n qubits:
+    H for X, and RZ(-pi/2) (S-dagger) then H for Y."""
     gates: list[Gate] = []
     for q in range(n):
-        xb = zb = 0
-        for t in group:
-            if (t.x >> q) & 1 or (t.z >> q) & 1:
-                xb, zb = (t.x >> q) & 1, (t.z >> q) & 1
-                break
-        if xb and not zb:  # X
-            gates.append(Gate("H", (q,)))
-        elif xb and zb:  # Y: S-dagger then H
-            gates.append(Gate("RZ", (q,), -math.pi / 2))
+        if (x >> q) & 1:
+            if (z >> q) & 1:
+                gates.append(Gate("RZ", (q,), -math.pi / 2))
             gates.append(Gate("H", (q,)))
     return gates
 
@@ -509,10 +503,14 @@ def _measurement_plan(n: int, items) -> tuple:
     group of the sum with these ((x, z), coefficient) items, built once per
     Hamiltonian. Above DENSE_CAP qubits the table is None, and each estimate
     builds it and drops it."""
-    groups = group_commuting_terms(PauliSum(n, dict(items)))
-    return tuple((tuple(group), tuple(_basis_change_gates(group, n)),
-                  _outcome_table(group, n) if n <= DENSE_CAP else None)
-                 for group in groups)
+    plan = []
+    for group in group_commuting_terms(PauliSum(n, dict(items))):
+        x = z = 0
+        for t in group:  # the group's basis
+            x, z = x | t.x, z | t.z
+        plan.append((tuple(group), tuple(_basis_change_gates(x, z, n)),
+                     _outcome_table(group, n) if n <= DENSE_CAP else None))
+    return tuple(plan)
 
 
 def _readout_distribution(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
 non-convergence, linear dependence, an (n_alpha, n_beta) sector over the
-exact-solver cap, an unconverged Lanczos solve), 4 an element past Ne, which
-has no built-in STO-3G shells.
+exact-solver cap, an unconverged Lanczos solve, an SPSA calibration whose
+gradient estimates are all zero), 4 an element past Ne, which has no
+built-in STO-3G shells.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     from .basis import UnsupportedElementError
     from .pauli import DenseCapError, LanczosError
     from .scf import ConvergenceError, LinearDependenceError
-    from .spsa import SPSAError
+    from .spsa import CalibrationError
 
     try:
         args = build_parser().parse_args(argv)
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, LinearDependenceError, DenseCapError, LanczosError,
-            SPSAError, FloatingPointError) as exc:
+            CalibrationError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 COEFF_TOL = 1e-12
-# Largest qubit count with dense 2^n arrays (outcome tables, to_matrix):
-# a 2^14 x 2^14 complex matrix is 4 GiB.
+# Largest qubit count with dense 2^n arrays (the estimator's outcome tables).
 DENSE_CAP = 14
 # Largest basis the exact solver accepts. Its sparse matrix holds one entry per
 # connected pair of basis states, a few hundred per state for a molecule.
@@ -176,20 +175,6 @@ class PauliSum:
     def coefficient(self, label: str) -> complex:
         t = PauliTerm.from_label(label)
         return self._terms.get((t.x, t.z), 0.0) * (-1j) ** (t.x & t.z).bit_count()
-
-    # -- dense realization ----------------------------------------------
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix of the sum; refused above DENSE_CAP qubits."""
-        if self.n_qubits > DENSE_CAP:
-            raise DenseCapError(
-                f"{self.n_qubits} qubits exceeds dense-matrix cap {DENSE_CAP}"
-            )
-        dim = 1 << self.n_qubits
-        rows, cols, vals = _restricted_coo(self, np.arange(dim))
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = vals
-        return mat
 
 
 def _restricted_coo(h: PauliSum, basis: np.ndarray

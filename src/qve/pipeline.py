@@ -212,19 +212,19 @@ def summarize_last_fraction(energies, fraction: float = 0.10):
     return float(tail.mean()), float(tail.std())
 
 
-def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
+def run_vqe(cfg: RunConfig) -> Path:
     """Execute one VQE run and write its artifact directory.
 
     Artifacts: convergence.csv, params.jsonl, result.json, config.resolved.
     Deterministic for a fixed (config, seed) apart from the elapsed_ms column.
+    A bad shot count or maxiter is refused before the directory exists.
     """
     from .spsa import SPSAConfig, minimize
 
     if cfg.shots < 1:
         raise PipelineError("shots must be >= 1 for a VQE run")
-    if run_dir is None:
-        run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
-    run_dir = Path(run_dir)
+    spsa_cfg = SPSAConfig(maxiter=cfg.maxiter)
+    run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: (v if not isinstance(v, NoiseModel) else vars(v))
                 for k, v in vars(cfg).items()}
@@ -259,7 +259,6 @@ def run_vqe(cfg: RunConfig, run_dir=None) -> Path:
             params_lines.append(json.dumps(
                 {"iteration": rec.k, "theta": [float(x) for x in rec.theta]}))
 
-        spsa_cfg = SPSAConfig(maxiter=cfg.maxiter)
         result = minimize(cost, theta0, spsa_cfg, cfg.seed, callback=on_iteration)
 
         stage = "report"

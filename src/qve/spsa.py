@@ -102,12 +102,9 @@ class SPSAResult:
     final_energy: EstimatorResult = None
     n_evaluations: int = 0
 
-    def __iter__(self):  # allows `theta, history = minimize(...)`
-        return iter((self.theta, self.history))
-
 
 def minimize(cost, theta0, cfg: SPSAConfig, seed: int, callback=None) -> SPSAResult:
-    """SPSA descent; unpacks as (final theta, per-iteration history).
+    """SPSA descent to a final theta with its per-iteration history.
 
     `cost` maps a parameter vector to an EstimatorResult or a float. The run
     is deterministic for a fixed seed: perturbations come from the stream

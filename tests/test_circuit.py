@@ -256,6 +256,70 @@ def test_grouping_is_qubit_wise_commuting():
                     assert pa == (0, 0) or pb == (0, 0) or pa == pb
 
 
+ENCODINGS = [("jw", False), ("parity", False), ("bk", False), ("parity", True)]
+
+
+def random_pauli_sums(seed, count):
+    """Seeded sums of up to 24 random words on 1-6 qubits, identity included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        items = {(int(rng.integers(1 << n)), int(rng.integers(1 << n))): complex(rng.normal())
+                 for _ in range(int(rng.integers(1, 25)))}
+        yield PauliSum(n, items)
+
+
+def pairwise_first_fit(h):
+    """Greedy first-fit grouping that compares a term's letters with those of
+    every member of a group."""
+    groups = []
+    for t in h.terms():
+        if t.weight == 0:
+            continue
+        for g in groups:
+            if all(a == "I" or b == "I" or a == b
+                   for u in g for a, b in zip(t.label(), u.label())):
+                g.append(t)
+                break
+        else:
+            groups.append([t])
+    return groups
+
+
+def test_grouping_matches_pairwise_first_fit(beh2_problem):
+    # [DERIVED] the one-mask-test grouping equals first-fit grouping by
+    # pairwise letter comparison, group by group and in order, on the four
+    # BeH2 encodings and 200 seeded random sums
+    sums = [problem_to_pauli(beh2_problem, m, t) for m, t in ENCODINGS]
+    for h in sums + list(random_pauli_sums(21, 200)):
+        assert group_commuting_terms(h) == pairwise_first_fit(h)
+
+
+def z_string(label):
+    """The label with every non-identity letter replaced by Z."""
+    return "".join("I" if ch == "I" else "Z" for ch in label)
+
+
+def test_basis_changes_turn_terms_into_z_strings(beh2_problem):
+    # [DERIVED] each measurement group's basis change U, and the entry gates
+    # of each term's Pauli rotation, give U P U^dagger = the Z string on P's
+    # support for every member term P (1e-12): the BeH2 encodings and 20
+    # seeded random sums
+    sums = [problem_to_pauli(beh2_problem, m, t) for m, t in ENCODINGS]
+    for h in sums + list(random_pauli_sums(22, 20)):
+        n = h.n_qubits
+        for group, meas, _ in circuit_module._measurement_plan(n, h.items()):
+            u = circuit_unitary(Circuit(n).extend(meas))
+            for t in group:
+                rot = PauliRotation(t.x, t.z, ParamExpr("a")).decompose(n)
+                enter = itertools.takewhile(
+                    lambda g: g.kind != "CX" and not isinstance(g.angle, ParamExpr), rot)
+                v = circuit_unitary(Circuit(n).extend(enter))
+                p, z = pauli_label_matrix(t.label()), pauli_label_matrix(z_string(t.label()))
+                for w in (u, v):
+                    np.testing.assert_allclose(w @ p @ w.conj().T, z, rtol=0, atol=1e-12)
+
+
 def test_readout_error_bias():
     # [DERIVED] measuring Z on |0> with symmetric readout flip p gives
     # mean 1 - 2p (exactly in expectation; 5 sigma statistically)
@@ -279,10 +343,6 @@ def test_depolarizing_bias():
     assert abs(r.mean - want) < 5 * math.sqrt((1 - want**2) / 60000)
 
 
-def pauli_word(label):
-    return PauliSum.from_labels([(label, 1.0)]).to_matrix()
-
-
 def noisy_density_oracle(gates, n, noise):
     """rho after each gate's unitary and its explicit Kraus sum over the
     4^k - 1 non-identity Pauli words on the gate's k qubits."""
@@ -299,7 +359,7 @@ def noisy_density_oracle(gates, n, noise):
                 label = ["I"] * n
                 for q, ch in zip(g.qubits, letters):
                     label[q] = ch
-                words.append(pauli_word("".join(label)))
+                words.append(pauli_label_matrix("".join(label)))
         kraus = sum(w @ rho @ w for w in words)
         rho = (1 - p) * rho + p / (4**k - 1) * kraus
     return rho
@@ -581,8 +641,6 @@ def test_noise_model_validation():
         NoiseModel(p1=-0.1)
     with pytest.raises(CircuitError):
         NoiseModel(readout01=1.5)
-    assert NoiseModel().is_trivial
-    assert not NoiseModel(p2=0.01).is_trivial
 
 
 def test_transpile_preserves_unitary():

@@ -191,6 +191,17 @@ def test_vqe_zero_shots_is_config_error(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("maxiter", ["0", "-3"])
+def test_vqe_maxiter_below_one_is_config_error(capsys, tmp_path, maxiter):
+    # [TRIVIAL] an SPSA run needs at least one iteration: exit code 2, found
+    # before the run directory is made
+    code, _, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",
+                           "--shots", "16", "--maxiter", maxiter, "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "maxiter" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_vqe_seed_batch(capsys, tmp_path):
     # [TRIVIAL] --seeds runs one directory per seed
     code, out, _ = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",

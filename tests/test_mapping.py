@@ -147,7 +147,8 @@ def test_jw_ladder_signs_follow_mode_order():
     # n_0 + 2 n_1 + 4 n_2: a_1 |110> = -|100> (one occupied mode below mode 1)
     # and a_0 |110> = +|010>
     for mode, target, sign in ((1, 1, -1.0), (0, 2, 1.0)):
-        mat = MAPPERS["jw"](FermionOperator.ladder(3, mode, ANNIHILATE)).to_matrix()
+        ladder = FermionOperator.ladder(3, mode, ANNIHILATE)
+        mat = oracles.pauli_sum_matrix(MAPPERS["jw"](ladder))
         column = np.zeros(8)
         column[target] = sign
         np.testing.assert_allclose(mat[:, 3], column, atol=1e-12)
@@ -345,5 +346,6 @@ def test_beh2_spectra_agree_across_mappings(beh2_problem, mapper):
     h_so, g_so = spin_orbital_expand(beh2_problem)
     op = build_hamiltonian(h_so, g_so, beh2_problem.e_offset)
     ref = np.linalg.eigvalsh(oracles.fermion_matrix(op))
-    got = np.linalg.eigvalsh(problem_to_pauli(beh2_problem, mapper, False).to_matrix())
+    h = problem_to_pauli(beh2_problem, mapper, False)
+    got = np.linalg.eigvalsh(oracles.pauli_sum_matrix(h))
     np.testing.assert_allclose(got, ref, atol=1e-8)

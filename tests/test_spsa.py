@@ -124,17 +124,14 @@ def test_first_step_magnitude_near_target():
     assert TARGET_FIRST_STEP / 2 <= step <= TARGET_FIRST_STEP * 2
 
 
-def test_minimize_deterministic_and_unpackable():
-    # [TRIVIAL] fixed seed reproduces; result unpacks as (theta, history)
+def test_minimize_deterministic():
+    # [TRIVIAL] fixed seed reproduces
     def f(t):
         return float(t @ t)
 
     r1 = minimize(f, np.ones(2), SPSAConfig(maxiter=5), seed=9)
     r2 = minimize(f, np.ones(2), SPSAConfig(maxiter=5), seed=9)
     np.testing.assert_array_equal(r1.theta, r2.theta)
-    theta, history = r1
-    np.testing.assert_array_equal(theta, r1.theta)
-    assert history is r1.history
 
 
 def test_cost_may_return_estimator_result():
