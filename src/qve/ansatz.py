@@ -50,7 +50,7 @@ def excitations(n_alpha: int, n_beta: int, n_spatial: int) -> ExcitationList:
 def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
     """exp(theta * c * P) for an anti-Hermitian term c = i*lambda, as the
     rotation exp(i * lambda * theta * P)."""
-    c = term.label_coefficient
+    c = term.coefficient
     if abs(c.real) > GENERATOR_REAL_TOL:
         raise AnsatzError(f"generator coefficient {c} is not purely imaginary")
     if term.weight == 0:

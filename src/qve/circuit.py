@@ -36,7 +36,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .pauli import DENSE_CAP, DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs
+from .pauli import (DENSE_CAP, DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs,
+                    word_phase, z_signs)
 
 
 class CircuitError(ValueError):
@@ -136,7 +137,8 @@ def _inverse(g: Gate) -> list[Gate]:
 
 @dataclass(frozen=True)
 class PauliRotation:
-    """exp(i * angle * P) for the label-basis Pauli word P with masks (x, z)."""
+    """exp(i * angle * P) for the label word P with masks (x, z), the XYZ
+    string of a `PauliSum` term: word_phase(x, z) X^x Z^z."""
 
     x: int
     z: int
@@ -256,21 +258,14 @@ def _apply_matrix(states: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
     return out.reshape(states.shape)
 
 
-@lru_cache(maxsize=512)
-def _rotation_signs(n: int, x: int, z: int) -> np.ndarray:
-    """(-1)^popcount((b ^ x) & z) for every basis index b."""
-    return parity_signs(flip_index(n, x), z)
-
-
 def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) -> np.ndarray:
     """One operation on the last axis. A rotation is cos(a) psi + i sin(a) P psi,
-    where (P psi)[b] = i^popcount(x & z) (-1)^popcount((b ^ x) & z) psi[b ^ x]."""
+    where P psi = word_phase(x, z) X^x Z^z psi."""
     if not isinstance(op, PauliRotation):
         return _apply_matrix(states, _gate_matrix(op, bindings), op.qubits, n)
     a = op.angle.resolve(bindings or {})
-    phase = (1, 1j, -1, -1j)[(op.x & op.z).bit_count() % 4]
-    flipped = states[..., flip_index(n, op.x)] * _rotation_signs(n, op.x, op.z)
-    return math.cos(a) * states + (1j * phase * math.sin(a)) * flipped
+    flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
+    return math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
 
 
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
@@ -493,7 +488,7 @@ def _outcome_table(group, n: int) -> np.ndarray:
     basis = np.arange(1 << n)
     table = np.zeros(1 << n)
     for t in group:
-        table += t.label_coefficient.real * parity_signs(basis, t.x | t.z)
+        table += t.coefficient.real * parity_signs(basis, t.x | t.z)
     return table
 
 

@@ -71,8 +71,9 @@ MAX_MODES = 63
 @lru_cache(maxsize=None)
 def _ladder(mapper: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks of every mode's two ladder terms: x[p] for both, z[p, j] for term
-    j. Term 0 has coefficient 1/2; term 1 has -1/2 in a_p and +1/2 in a_p^+,
-    since its stored word X_p Z_p is -iY_p. Cached, so read-only.
+    j, each the word X^x Z^z, not the label word. Term 0 has coefficient 1/2;
+    term 1 has -1/2 in a_p and +1/2 in a_p^+, since its word X_p Z_p is -iY_p.
+    Cached, so read-only.
 
     a_p = 1/2 (X_U Z_P + i X_{U-p} Y_p Z_R); the dagger flips the Y sign.
     U is column p of beta (the qubits whose stored parity flips with
@@ -98,7 +99,8 @@ def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
     (w >> i) & 1 of factor i, each with coefficient +/- c / 2^k. Words multiply
     by XOR of their masks times the sign (-1)^popcount(z_left & x_right) of
     moving each X past the Zs on its left. Equal words are summed, and sums
-    under COEFF_TOL dropped, at the end.
+    under COEFF_TOL dropped, at the end; then each X^x Z^z is written as
+    (-i)^popcount(x & z) times its label word.
     """
     n = op.n_modes
     if n > MAX_MODES:
@@ -139,7 +141,8 @@ def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
              + 1j * np.bincount(pairs % len(words), c.imag, len(words)))
     keep = np.abs(total) >= COEFF_TOL
     x, z = ux[words[keep] // len(uz)], uz[words[keep] % len(uz)]
-    return PauliSum(n, dict(zip(zip(x.tolist(), z.tolist()), total[keep].tolist())))
+    c = total[keep] * np.array([1, -1j, -1, 1j])[np.bitwise_count(x & z) % 4]
+    return PauliSum(n, dict(zip(zip(x.tolist(), z.tolist()), c.tolist())))
 
 
 def jordan_wigner(op: FermionOperator) -> PauliSum:

@@ -1,10 +1,10 @@
 """Sparse n-qubit Pauli-sum arithmetic and exact diagonalization.
 
-Terms are stored in symplectic form: a pair of bitmasks (x, z) denotes the
-operator word ``prod_q X^x_q Z^z_q``. A ``Y`` on qubit q corresponds to
-x_q = z_q = 1 with a factor of i folded into the stored coefficient
-(Y = i X Z), so label round-trips like ``"XYZI"`` are exact and a product
-of two words is the XOR of their masks times a sign (see `qve.mapping`).
+A term is a label word such as ``"XYZI"`` with the coefficient of that word,
+so a Hermitian sum has real coefficients. The word is stored as a pair of
+bitmasks (x, z): qubit q holds X, Y or Z when only x_q, both, or only z_q is
+set. Since Y = i X Z, the word acts as `word_phase(x, z)` X^x Z^z; only that
+helper and the mapper, which multiplies words in X^x Z^z form, use the phase.
 
 Qubit 0 is the least significant bit of all basis-state indices.
 """
@@ -63,9 +63,15 @@ def z_signs(n: int, mask: int) -> np.ndarray:
     return out
 
 
+def word_phase(x: int, z: int) -> complex:
+    """i^popcount(x & z): the label word with masks (x, z) is this phase times
+    X^x Z^z, one factor i per Y."""
+    return (1, 1j, -1, -1j)[(x & z).bit_count() % 4]
+
+
 @dataclass(frozen=True)
 class PauliTerm:
-    """One Pauli word with a complex coefficient, in (x, z) mask form."""
+    """One label word with its complex coefficient, in (x, z) mask form."""
 
     n_qubits: int
     x: int
@@ -76,7 +82,6 @@ class PauliTerm:
     def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliTerm":
         """Build a term from a string like "XYZI"; index 0 is qubit 0."""
         x = z = 0
-        n_y = 0
         for q, ch in enumerate(label):
             try:
                 xb, zb = _LABEL_TO_XZ[ch]
@@ -84,13 +89,7 @@ class PauliTerm:
                 raise PauliError(f"invalid Pauli letter {ch!r}") from None
             x |= xb << q
             z |= zb << q
-            n_y += xb & zb
-        return cls(len(label), x, z, complex(coefficient) * (1j**n_y))
-
-    @property
-    def label_coefficient(self) -> complex:
-        """Coefficient with the folded Y-phases removed (the XYZ-string basis)."""
-        return self.coefficient * (-1j) ** (self.x & self.z).bit_count()
+        return cls(len(label), x, z, complex(coefficient))
 
     def label(self) -> str:
         return "".join(
@@ -158,23 +157,15 @@ class PauliSum:
         return len(self._terms)
 
     def dagger(self) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        for (x, z), c in self._terms.items():
-            # (X^x Z^z)^dagger = (-1)^{x.z} X^x Z^z
-            sign = -1.0 if (x & z).bit_count() % 2 else 1.0
-            out._terms[(x, z)] = np.conj(c) * sign
-        return out
+        """The conjugate sum: every label word is Hermitian."""
+        return PauliSum(self.n_qubits, {k: c.conjugate() for k, c in self._terms.items()})
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        for (x, z), c in self._terms.items():
-            lbl_c = c * (-1j) ** (x & z).bit_count()
-            if abs(lbl_c.imag) > tol:
-                return False
-        return True
+        return all(abs(c.imag) <= tol for c in self._terms.values())
 
     def coefficient(self, label: str) -> complex:
         t = PauliTerm.from_label(label)
-        return self._terms.get((t.x, t.z), 0.0) * (-1j) ** (t.x & t.z).bit_count()
+        return self._terms.get((t.x, t.z), 0.0)
 
 
 def _restricted_coo(h: PauliSum, basis: np.ndarray
@@ -182,14 +173,15 @@ def _restricted_coo(h: PauliSum, basis: np.ndarray
     """(row, column, value) triples of h restricted to a sorted array of basis
     indices; rows and columns are positions in `basis`.
 
-    X^x Z^z |b> = (-1)^popcount(b & z) |b ^ x>, so each term sends column b to
-    row searchsorted(basis, b ^ x); targets outside the basis are dropped.
+    X^x Z^z |b> = (-1)^popcount(b & z) |b ^ x>, so each term, c word_phase(x, z)
+    X^x Z^z, sends column b to row searchsorted(basis, b ^ x); targets outside
+    the basis are dropped.
     Terms sharing an x mask are summed first. Distinct x masks send a column
     to distinct rows, so no (row, column) pair repeats.
     """
     by_x: dict[int, list[tuple[int, complex]]] = {}
     for (x, z), c in h._terms.items():
-        by_x.setdefault(x, []).append((z, c))
+        by_x.setdefault(x, []).append((z, c * word_phase(x, z)))
     dim = len(basis)
     rows, cols, vals = [], [], []
     for x, zs in by_x.items():
@@ -285,7 +277,7 @@ def expectation_exact(h: PauliSum, state: np.ndarray) -> float:
         raise PauliError("state dimension mismatch")
     val = 0.0 + 0.0j
     for (x, z), c in h._terms.items():
-        val += c * np.vdot(state[flip_index(n, x)], z_signs(n, z) * state)
+        val += c * word_phase(x, z) * np.vdot(state[flip_index(n, x)], z_signs(n, z) * state)
     if h.is_hermitian() and abs(val.imag) > 1e-10:
         raise PauliError("expectation of a Hermitian sum came out complex")
     return float(val.real)

@@ -217,29 +217,28 @@ def run_vqe(cfg: RunConfig) -> Path:
 
     Artifacts: convergence.csv, params.jsonl, result.json, config.resolved.
     Deterministic for a fixed (config, seed) apart from the elapsed_ms column.
-    A bad shot count or maxiter is refused before the directory exists.
+    A bad shot count or maxiter, fixture, encoding or ansatz is refused before
+    the directory exists; a failure after that writes result.json with the
+    failing stage, optimize or report.
     """
     from .spsa import SPSAConfig, minimize
 
     if cfg.shots < 1:
         raise PipelineError("shots must be >= 1 for a VQE run")
     spsa_cfg = SPSAConfig(maxiter=cfg.maxiter)
+    problem = load_fixture(cfg.fixture)
+    h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
+    circuit = build_ansatz(problem, cfg)
+    names = circuit.parameter_names
+    theta0 = initial_parameters(circuit, cfg)
     run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: (v if not isinstance(v, NoiseModel) else vars(v))
                 for k, v in vars(cfg).items()}
     (run_dir / "config.resolved").write_text(json.dumps(resolved, indent=2) + "\n")
 
-    stage = "problem"
+    stage = "optimize"
     try:
-        problem = load_fixture(cfg.fixture)
-        stage = "hamiltonian"
-        h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
-        stage = "ansatz"
-        circuit = build_ansatz(problem, cfg)
-        names = circuit.parameter_names
-        theta0 = initial_parameters(circuit, cfg)
-        stage = "optimize"
         counter = [0]
         t_start = time.perf_counter()
 

@@ -160,11 +160,21 @@ def pauli_label_matrix(label: str) -> np.ndarray:
 
 
 def pauli_sum_matrix(h) -> np.ndarray:
-    """Dense matrix of a PauliSum from its labels (independent of to_matrix)."""
+    """Dense matrix of a PauliSum from its labels and coefficients. Each word
+    is built letter by letter as a signed permutation of the basis (qubit 0 =
+    least significant bit): each 2x2 factor sends its column bit to the one
+    row bit where it is nonzero. Independent of the solver's mask rule."""
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for t in h.terms():
-        out += t.label_coefficient * pauli_label_matrix(t.label())
+        rows, vals = np.zeros_like(cols), np.full(dim, t.coefficient, dtype=complex)
+        for q, ch in enumerate(t.label()):
+            bit = (cols >> q) & 1
+            target = np.abs(_P1[ch]).argmax(axis=0)[bit]
+            rows |= target << q
+            vals *= _P1[ch][target, bit]
+        out[rows, cols] += vals
     return out
 
 

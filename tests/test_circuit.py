@@ -383,7 +383,7 @@ def noisy_expectation_oracle(c, h, noise):
         rho = noisy_density_oracle(gates, n, noise)
         support = [q for q, ch in enumerate(t.label()) if ch != "I"]
         obs = [math.prod(readout[(b >> q) & 1] for q in support) for b in range(1 << n)]
-        total += t.label_coefficient.real * float(np.real(np.diagonal(rho)) @ obs)
+        total += t.coefficient.real * float(np.real(np.diagonal(rho)) @ obs)
     return total
 
 

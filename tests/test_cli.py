@@ -202,6 +202,20 @@ def test_vqe_maxiter_below_one_is_config_error(capsys, tmp_path, maxiter):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--ham", "missing.ham"), "missing.ham"),
+    (("--ham", str(FIXTURE), "--mapper", "jw", "--taper"), "tapering"),
+])
+def test_vqe_problem_errors_leave_no_run_directory(capsys, tmp_path, args, message):
+    # [TRIVIAL] a missing fixture or an encoding that cannot be tapered is a
+    # configuration error (exit 2), found before the run directory is made
+    code, _, err = run_cli(capsys, "vqe", *args, "--shots", "16", "--maxiter", "1",
+                           "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_vqe_seed_batch(capsys, tmp_path):
     # [TRIVIAL] --seeds runs one directory per seed
     code, out, _ = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qve import ansatz
 from qve.basis import parse_geometry
 from qve.fermion import (ANNIHILATE, CREATE, FermionOperator, build_hamiltonian,
                         hartree_fock_occupation)
@@ -107,7 +108,8 @@ def term_by_term(op, mapper):
 def test_array_rule_sums_like_term_by_term_products(beh2_problem, mapper):
     # [DERIVED] the same words with bit-identical coefficients as per-term
     # products, so fixed-seed runs do not move: BeH2, H4 at 0.9 angstrom and
-    # random one- and two-body operators
+    # random one- and two-body operators. The products give X^x Z^z
+    # coefficients; X^x Z^z is (-i)^popcount(x & z) times the label word.
     h4 = problem_from_geometry(parse_geometry(
         "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))))[0]
     rng = np.random.default_rng(29)
@@ -116,7 +118,24 @@ def test_array_rule_sums_like_term_by_term_products(beh2_problem, mapper):
         h_so, g_so = spin_orbital_expand(problem)
         ops.append(build_hamiltonian(h_so, g_so, problem.e_offset))
     for op in ops:
-        assert MAPPERS[mapper](op).items() == tuple(sorted(term_by_term(op, mapper).items()))
+        reference = {(x, z): c * (-1j) ** (x & z).bit_count()
+                     for (x, z), c in term_by_term(op, mapper).items()}
+        assert MAPPERS[mapper](op).items() == tuple(sorted(reference.items()))
+
+
+def test_label_coefficients_are_real_or_imaginary_exactly(beh2_problem, monkeypatch):
+    # [DERIVED] in the label basis a mapped Hamiltonian is real and each UCCSD
+    # generator term is imaginary, exactly: with its tolerance at 0,
+    # build_uccsd refuses a generator term with any real part. BeH2 in the
+    # four encodings and H4 at 0.9 angstrom
+    monkeypatch.setattr(ansatz, "GENERATOR_REAL_TOL", 0.0)
+    h4 = problem_from_geometry(parse_geometry(
+        "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))))[0]
+    for problem in (beh2_problem, h4):
+        for mapper, taper in (("jw", False), ("parity", False), ("bk", False), ("parity", True)):
+            h = problem_to_pauli(problem, mapper, taper)
+            assert all(c.imag == 0.0 for _, c in h.items())
+            ansatz.build_uccsd(problem.n_alpha, problem.n_beta, problem.n_spatial, mapper, taper)
 
 
 def test_mapping_refuses_more_modes_than_int64_masks_hold():

@@ -32,20 +32,19 @@ def test_label_round_trip():
         assert PauliTerm.from_label(lbl).label() == lbl
 
 
-def test_label_coefficient_undoes_y_phase():
-    # [TRIVIAL] stored coefficient folds i per Y; label_coefficient removes it
-    t = PauliTerm.from_label("YY", 2.0)
-    assert t.coefficient == pytest.approx(-2.0)
-    assert t.label_coefficient == pytest.approx(2.0)
+def test_from_label_keeps_the_label_coefficient():
+    # [TRIVIAL] a term stores the coefficient of its label word, Ys included
+    assert PauliTerm.from_label("YY", 2.0).coefficient == 2.0
 
 
 @given(labels)
 @settings(max_examples=60, deadline=None)
 def test_term_matrix_matches_kron_oracle(lbl):
-    # [DERIVED] the exact solver's sparse realization vs independent
-    # Kronecker assembly
+    # [DERIVED] the exact solver's sparse realization and the oracle's signed
+    # permutation vs independent Kronecker assembly
     h = PauliSum.from_terms([PauliTerm.from_label(lbl, 1.0)])
     np.testing.assert_allclose(solver_matrix(h), pauli_label_matrix(lbl), atol=1e-12)
+    np.testing.assert_array_equal(pauli_sum_matrix(h), pauli_label_matrix(lbl))
 
 
 def test_sum_matrix_matches_oracle():
@@ -150,12 +149,12 @@ def test_sector_solver_matches_full_dense_on_beh2(beh2_problem, mapper, taper):
 @pytest.mark.parametrize("chain", [(2, 0.74), (4, 0.9), (4, 1.5), (6, 0.9), (6, 1.5)])
 def test_sector_solver_matches_full_dense_on_hydrogen_chains(h_chains, chain):
     # [DERIVED] the half-filled sector holds the ground state of a hydrogen
-    # chain: tapered parity and jw sector solves agree with the dense solve
-    # over all 2^n tapered states (1024 for H6)
+    # chain: tapered parity and jw sector solves agree with eigvalsh of the
+    # oracle matrix over all 2^n tapered states (1024 for H6)
     problem = h_chains[chain]
     n, k = problem.n_spatial, problem.n_alpha
     tapered = problem_to_pauli(problem, "parity", True)
-    full, _ = exact_ground_energy(tapered)
+    full = np.linalg.eigvalsh(pauli_sum_matrix(tapered))[0]
     for mapper, taper in (("parity", True), ("jw", False)):
         h = tapered if taper else problem_to_pauli(problem, mapper, taper)
         e, _ = exact_ground_energy(h, sector_basis(n, k, k, mapper, taper))

@@ -17,6 +17,7 @@ from qve.pipeline import (FixtureError, PipelineError, RunConfig, build_ansatz,
                           replay_on_exact, run_vqe, save_fixture,
                           summarize_last_fraction, write_replay_csv)
 from qve.scf import ActiveSpaceProblem
+from qve.spsa import CalibrationError
 
 
 def strip_elapsed(csv_text):
@@ -248,13 +249,22 @@ def test_replay_on_exact(small_run, tmp_path, beh2_problem, beh2_tapered):
 
 
 def test_run_vqe_failure_leaves_diagnostic(tmp_path):
-    # [DERIVED] a failing run still writes result.json with the stage marker
-    cfg = RunConfig(fixture=str(tmp_path / "missing.txt"), maxiter=1,
-                    output_dir=str(tmp_path))
+    # [DERIVED] a missing fixture is refused before the run directory exists;
+    # a run that fails while optimizing writes result.json with the stage
+    # marker. A constant Hamiltonian gives SPSA's calibration zero gradients.
+    runs = tmp_path / "runs"
+    cfg = RunConfig(fixture=str(tmp_path / "missing.txt"), maxiter=1, output_dir=str(runs))
     with pytest.raises(FileNotFoundError):
         run_vqe(cfg)
-    report = json.loads((tmp_path / "uccsd_parity_seed0" / "result.json").read_text())
-    assert report["stage"] == "problem"
+    assert not runs.exists()
+    flat = tmp_path / "flat.ham"
+    flat.write_text("norb 2\nnalpha 1\nnbeta 1\nconstant 1.5\n")
+    cfg = RunConfig(fixture=str(flat), mapper="jw", taper=False, ansatz="hea",
+                    shots=16, maxiter=1, output_dir=str(runs))
+    with pytest.raises(CalibrationError):
+        run_vqe(cfg)
+    report = json.loads((runs / "hea_jw_seed0" / "result.json").read_text())
+    assert report["stage"] == "optimize"
     assert "error" in report
 
 
