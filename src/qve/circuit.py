@@ -15,14 +15,24 @@ one superoperator, the product of its gates' U (x) U* and depolarizing
 channels, applied to rho with one matrix product. U is the table's matrix
 embedded on the block's qubits by the same kernel, and a channel is the mean
 of the same embedding of the Pauli strings built from the table's X, Y and
-Z. One rho per estimate carries the full error model, and each measurement
-group's basis change runs through the same blocks. A group's basis is the
-OR of its terms' (x, z) masks; one rule turns masks into basis-change gates,
-for measurement groups and rotation synthesis alike. Readout errors fold
-into each measured distribution. Each measurement group turns a measured
-outcome into its energy through a table over the 2^n outcomes, and its
-shots are counts drawn once from the distribution (one multinomial draw),
-weighted by that table; with shots=0 the exact expectation is taken instead.
+Z. A circuit keeps, per noise model, the partition and each block's product
+of fixed gates up to its first parameterised one (`_block_plan`), built at
+its first noisy estimate, so an estimate multiplies only what its parameters
+change. A group's basis is the OR of its terms' (x, z) masks, one letter Z,
+X or Y per qubit (Z also where it measures nothing); one rule turns masks
+into basis-change gates, for measurement groups and rotation synthesis
+alike. A group's basis change, diagonal and readout act on each qubit alone,
+so every group is measured at once through one fixed 2x2 map per qubit and
+letter. Noiseless, the maps are the rotations I, H and H S-dagger, applied
+to every group's copy of the state, and readout passes the squared
+amplitudes through each qubit's confusion matrix. Noisy, rho becomes its
+Pauli vector tr(Q rho) once, each group gathers its 2^n words over {I, its
+letter} on each qubit, and the maps, built from the noisy basis-change gates
+and the confusion matrix, give the read-out distribution. Each measurement
+group turns a measured outcome into its energy through a table over the 2^n
+outcomes, and its shots are counts drawn once from the distribution (one
+multinomial draw), weighted by that table; with shots=0 the exact
+expectation is taken instead.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import string
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +187,7 @@ class Circuit:
         self.operations: list[Gate | PauliRotation] = []
         self.parameter_names: list[str] = []
         self._gates: tuple[Gate, ...] | None = None
+        self._plans: dict[NoiseModel, tuple] = {}  # see _block_plan
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -198,6 +210,7 @@ class Circuit:
             self.parameter_names.append(op.angle.name)
         self.operations.append(op)
         self._gates = None
+        self._plans = {}
         return self
 
     def extend(self, ops) -> "Circuit":
@@ -221,6 +234,7 @@ class Circuit:
         out.operations = list(self.operations)
         out.parameter_names = list(self.parameter_names)
         out._gates = self._gates
+        out._plans = dict(self._plans)
         return out
 
 
@@ -311,9 +325,11 @@ class NoiseModel:
 
 
 # A noisy estimate holds rho (16 * 4^n bytes, 256 MiB at 12 qubits). While it
-# applies a block it also holds the reordered operand and the product, and a
-# group's basis change keeps the unrotated rho: three copies of rho at most,
-# 768 MiB at 12 qubits.
+# applies a block it also holds the reordered operand and the product, and
+# while it turns rho into its Pauli vector, the paired copy and each product.
+# Each step drops its input once nothing else holds it, but a caller may hold
+# a call's arguments until it returns (CPython before 3.11 does): three
+# copies of rho at most, 768 MiB at 12 qubits.
 DENSITY_CAP = 12
 
 
@@ -384,19 +400,46 @@ def _rotation_tables(kind: str, q: int, block: tuple[int, ...], p: float) -> tup
     return t0, 0.5 * (s0 - s_pi), s_half - t0
 
 
-def _noisy_blocks(gates, bindings, noise: NoiseModel):
-    """(qubits, superoperator) for each block of the partition: the product of
-    its gates' noisy superoperators, in gate order."""
-    for block, members in _partition(gates):
-        s = None
-        for g in members:
-            p = noise.p1 if len(g.qubits) == 1 else noise.p2
-            if isinstance(g.angle, ParamExpr):
-                t0, t1, t2 = _rotation_tables(g.kind, g.qubits[0], block, p)
-                a = g.angle.resolve(bindings or {})
+def _block_plan(c: Circuit, noise: NoiseModel) -> tuple:
+    """The fixed part of the circuit's noisy evolution under this noise model,
+    built at its first noisy estimate and kept until `add` changes the circuit:
+    for each block of the partition, (qubits, prefix, rest). prefix is the
+    product of the block's fixed gates before its first parameterised one
+    (None if the block starts with one); rest holds each later gate's
+    superoperator, or for a parameterised rotation its tables and angle."""
+    plan = c._plans.get(noise)
+    if plan is None:
+        # a folded circuit repeats its blocks: equal fixed runs on equal
+        # qubits share one product, which keeps a fold's plan small
+        plan, prefixes = [], {}
+        for block, members in _partition(c.gates):
+            ps = [noise.p1 if len(g.qubits) == 1 else noise.p2 for g in members]
+            k = next((i for i, g in enumerate(members) if isinstance(g.angle, ParamExpr)),
+                     len(members))
+            key = (block, tuple(members[:k]))
+            if key not in prefixes:
+                prefix = None
+                for g, p in zip(members[:k], ps):
+                    gs = _fixed_super(g, block, p)
+                    prefix = gs if prefix is None else gs @ prefix
+                prefixes[key] = prefix
+            rest = tuple((*_rotation_tables(g.kind, g.qubits[0], block, p), g.angle)
+                         if isinstance(g.angle, ParamExpr) else _fixed_super(g, block, p)
+                         for g, p in zip(members[k:], ps[k:]))
+            plan.append((block, prefixes[key], rest))
+        plan = c._plans[noise] = tuple(plan)
+    return plan
+
+
+def _noisy_blocks(plan, bindings):
+    """(qubits, superoperator) for each block of the plan: the product of its
+    gates' noisy superoperators, in gate order."""
+    for block, s, rest in plan:
+        for gs in rest:
+            if isinstance(gs, tuple):
+                t0, t1, t2, angle = gs
+                a = angle.resolve(bindings or {})
                 gs = t0 + math.cos(a) * t1 + math.sin(a) * t2
-            else:
-                gs = _fixed_super(g, block, p)
             s = gs if s is None else gs @ s
         yield block, s
 
@@ -430,12 +473,26 @@ def _run_density(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
     n = c.n_qubits
     # the initial rho is bound to no name here, so _evolve can drop it
     return _evolve(np.eye(1, 1 << 2 * n, dtype=complex).reshape((2,) * (2 * n)),
-                   _noisy_blocks(c.gates, bindings, noise), n)
+                   _noisy_blocks(_block_plan(c, noise), bindings), n)
 
 
-def _diagonal(rho: np.ndarray, n: int) -> np.ndarray:
-    """The 2^n diagonal of rho given as 2n bit axes."""
-    return np.einsum(rho, list(range(n)) * 2, list(range(n))).reshape(-1)
+# tr(P rho) for P = I, X, Y, Z of _PAULIS from one qubit's entries
+# (rho_00, rho_01, rho_10, rho_11): the sum over r, c of P[c, r] rho[r, c]
+_PAULI_TRACES = np.array([p.T.reshape(-1) for p in _PAULIS])
+
+
+def _pauli_vector(rho: np.ndarray, n: int) -> np.ndarray:
+    """tr(Q rho) for every n-qubit Pauli word Q of the Hermitian rho given as
+    2n bit axes, at index sum_q 4^q d_q with d_q the index in _PAULIS of Q's
+    letter on qubit q: each qubit's row and column bit are paired, and each
+    pair passes through _PAULI_TRACES."""
+    pairs = [a for i in range(n) for a in (i, n + i)]
+    v = rho.transpose(pairs).reshape(-1)
+    # unless the caller still holds rho, it goes before the first product
+    del rho
+    for j in range(n):
+        v = _PAULI_TRACES @ v.reshape(4**j, 4, -1)
+    return v.reshape(-1).real
 
 
 # -- estimation ------------------------------------------------------------
@@ -492,32 +549,117 @@ def _outcome_table(group, n: int) -> np.ndarray:
     return table
 
 
+# A group's letter on each qubit, from the OR of its terms' masks, is 0, 1 or 2
+# for Z, X or Y: Z also where it measures nothing. _LETTER_MASKS holds each
+# letter's (x, z) on one qubit, and _LETTER_PAULIS its index in _PAULIS.
+_LETTER_MASKS = ((0, 1), (1, 0), (1, 1))
+_LETTER_PAULIS = np.array([3, 1, 2])
+
+# (layer, letter, 2, 2): each letter's basis-change gates on one qubit as two
+# layers applied in turn, I then I, I then H, and S-dagger (RZ(-pi/2)) then H,
+# so that each qubit sees the products of its gates alone
+_BASIS_LAYERS = np.array([
+    [np.eye(2)] * (2 - len(gates)) + [_gate_matrix(g, None) for g in gates]
+    for gates in (_basis_change_gates(x, z, 1) for x, z in _LETTER_MASKS)]).swapaxes(0, 1)
+
+
+class _MeasurementPlan(NamedTuple):
+    groups: tuple[tuple[PauliTerm, ...], ...]
+    letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
+    tables: tuple[np.ndarray | None, ...]
+    words: np.ndarray | None  # (groups, 2^n): indices into _pauli_vector
+
+
 @lru_cache(maxsize=64)
-def _measurement_plan(n: int, items) -> tuple:
-    """(group, basis-change gates, outcome table) for each qubit-wise-commuting
-    group of the sum with these ((x, z), coefficient) items, built once per
-    Hamiltonian. Above DENSE_CAP qubits the table is None, and each estimate
-    builds it and drops it."""
-    plan = []
-    for group in group_commuting_terms(PauliSum(n, dict(items))):
+def _measurement_plan(n: int, items) -> _MeasurementPlan:
+    """The qubit-wise-commuting groups of the sum with these ((x, z),
+    coefficient) items, built once per Hamiltonian: each group's terms, its
+    letter on each qubit, its outcome table and, up to DENSITY_CAP qubits, the
+    index in the Pauli vector of its 2^n words, I or the letter's Pauli on
+    each qubit (word s holds the letter where bit q of s is set). Above
+    DENSE_CAP qubits the tables are None, and each estimate builds them and
+    drops them."""
+    groups = tuple(tuple(g) for g in group_commuting_terms(PauliSum(n, dict(items))))
+    letters = np.zeros((len(groups), n), dtype=np.intp)
+    for i, group in enumerate(groups):
         x = z = 0
         for t in group:  # the group's basis
             x, z = x | t.x, z | t.z
-        plan.append((tuple(group), tuple(_basis_change_gates(x, z, n)),
-                     _outcome_table(group, n) if n <= DENSE_CAP else None))
-    return tuple(plan)
+        xb, zb = (x >> np.arange(n)) & 1, (z >> np.arange(n)) & 1
+        letters[i] = xb + (xb & zb)
+    words = None
+    if n <= DENSITY_CAP:
+        bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+        words = (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
+    tables = tuple(_outcome_table(g, n) if n <= DENSE_CAP else None for g in groups)
+    return _MeasurementPlan(groups, letters, tables, words)
 
 
-def _readout_distribution(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:
-    """Outcome distribution after readout: each qubit's bit passes through the
-    confusion matrix [[1 - r01, r10], [r01, 1 - r10]]."""
+def _confusion(noise: NoiseModel) -> np.ndarray:
+    """P(read b | is b') at [b, b'] on one qubit."""
     r01, r10 = noise.readout01, noise.readout10
+    return np.array([[1 - r01, r10], [r01, 1 - r10]])
+
+
+@lru_cache(maxsize=16)
+def _letter_maps(noise: NoiseModel) -> np.ndarray:
+    """(letters, 2, 2): one qubit's read-out distribution from (tr rho,
+    tr(P rho)), P the letter's Pauli, after the letter's basis-change gates,
+    each with its depolarizing channel at p1, and the confusion matrix. Other
+    Paulis do not reach the diagonal."""
+    maps, confusion = [], _confusion(noise)
+    for (x, z), pauli in zip(_LETTER_MASKS, _LETTER_PAULIS):
+        s = np.eye(4)
+        for g in _basis_change_gates(x, z, 1):
+            s = _gate_super(_gate_matrix(g, None), (0,), (0,), noise.p1) @ s
+        # rho = (tr rho I + tr(P rho) P) / 2 on these two words; the
+        # diagonal is entries 0 and 3 of vec(rho)
+        words = np.stack([_PAULIS[0], _PAULIS[pauli]], axis=-1).reshape(4, 2) / 2
+        maps.append((confusion @ s[[0, 3]] @ words).real)
+    return np.array(maps)
+
+
+def _per_qubit(stack: np.ndarray, layers: np.ndarray) -> np.ndarray:
+    """Each row of stack, over the 2^n outcomes of n qubits, after the 2x2
+    matrix layers[k, row, q] on qubit q, qubit by qubit and on each qubit
+    layer by layer. The einsum does the arithmetic of the gate kernel (a
+    matmul does not), so a state comes out with the bits of its gates applied
+    one by one."""
+    rows, n = stack.shape[0], layers.shape[2]
     for q in range(n):
-        v = probs.reshape(-1, 2, 1 << q)
-        p0, p1 = v[:, 0], v[:, 1]
-        probs = np.stack(((1 - r01) * p0 + r10 * p1, r01 * p0 + (1 - r10) * p1),
-                         axis=1).reshape(-1)
-    return probs
+        for m in layers[:, :, q]:
+            stack = np.einsum("gij,gajb->gaib", m, stack.reshape(rows, -1, 2, 1 << q))
+            stack = stack.reshape(rows, -1)
+    return stack
+
+
+def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseModel | None):
+    """Each group's read-out outcome distribution, in plan order, for groups
+    stacked so that no stack holds more than max(2^n, 2^DENSE_CAP) values.
+    Noisy, rho becomes its Pauli vector once, and each group gathers its words
+    and passes them through its letters' maps. Noiseless, each group's copy of
+    the state passes through its letters' rotations, and the squared
+    amplitudes through the confusion matrix on each qubit."""
+    n = c.n_qubits
+    noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
+    readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
+    if noisy:
+        source = _pauli_vector(_run_density(c, bindings, noise), n)
+        layers = _letter_maps(noise)[None, plan.letters]
+    else:
+        source = run_circuit(c, bindings)
+        layers = _BASIS_LAYERS[:, plan.letters]
+    step = max(1, (1 << DENSE_CAP) >> n)
+    for lo in range(0, len(plan.groups), step):
+        chunk = layers[:, lo:lo + step]
+        rows = chunk.shape[1]
+        if noisy:
+            probs = _per_qubit(source[plan.words[lo:lo + step]], chunk).clip(min=0.0)
+        else:
+            probs = np.abs(_per_qubit(np.broadcast_to(source, (rows, 1 << n)), chunk)) ** 2
+            if readout:
+                probs = _per_qubit(probs, np.broadcast_to(_confusion(noise), (1, rows, n, 2, 2)))
+        yield from probs
 
 
 def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
@@ -541,25 +683,14 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     if shots < 0:
         raise CircuitError("shots must be >= 0")
     n = c.n_qubits
-    noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
-    readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
-    if noisy and n > DENSITY_CAP:
+    if noise is not None and not (noise.p1 == noise.p2 == 0.0) and n > DENSITY_CAP:
         raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
                             f"density-matrix cap {DENSITY_CAP}")
-    base = _run_density(c, bindings, noise) if noisy else run_circuit(c, bindings)
+    plan = _measurement_plan(n, h.items())
     mean = float(h.coefficient("I" * n).real)
     variance = 0.0
-    for gi, (group, meas, table) in enumerate(_measurement_plan(n, h.items())):
-        state = base
-        if noisy:
-            state = _evolve(state, _noisy_blocks(meas, bindings, noise), n)
-            probs = _diagonal(state, n).real.clip(min=0.0)
-        else:
-            for g in meas:
-                state = _apply_op(state, g, bindings, n)
-            probs = np.abs(state) ** 2
-        if readout:
-            probs = _readout_distribution(probs, n, noise)
+    groups = zip(plan.groups, plan.tables, _distributions(c, bindings, plan, noise))
+    for gi, (group, table, probs) in enumerate(groups):
         if table is None:
             table = _outcome_table(group, n)
         if shots == 0:

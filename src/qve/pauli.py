@@ -156,10 +156,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def dagger(self) -> "PauliSum":
-        """The conjugate sum: every label word is Hermitian."""
-        return PauliSum(self.n_qubits, {k: c.conjugate() for k, c in self._terms.items()})
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 

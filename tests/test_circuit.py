@@ -295,21 +295,32 @@ def test_grouping_matches_pairwise_first_fit(beh2_problem):
         assert group_commuting_terms(h) == pairwise_first_fit(h)
 
 
+def basis_rotation(letters):
+    """The plan's basis change for these letters as one dense unitary: the
+    Kronecker product of each qubit's layers, qubit 0 least significant."""
+    first, second = circuit_module._BASIS_LAYERS
+    mat = np.eye(1)
+    for i in letters:
+        mat = np.kron(second[i] @ first[i], mat)
+    return mat
+
+
 def z_string(label):
     """The label with every non-identity letter replaced by Z."""
     return "".join("I" if ch == "I" else "Z" for ch in label)
 
 
 def test_basis_changes_turn_terms_into_z_strings(beh2_problem):
-    # [DERIVED] each measurement group's basis change U, and the entry gates
-    # of each term's Pauli rotation, give U P U^dagger = the Z string on P's
-    # support for every member term P (1e-12): the BeH2 encodings and 20
-    # seeded random sums
+    # [DERIVED] each measurement group's basis change U, the rotation of its
+    # letter on each qubit, and the entry gates of each term's Pauli
+    # rotation, give U P U^dagger = the Z string on P's support for every
+    # member term P (1e-12): the BeH2 encodings and 20 seeded random sums
     sums = [problem_to_pauli(beh2_problem, m, t) for m, t in ENCODINGS]
     for h in sums + list(random_pauli_sums(22, 20)):
         n = h.n_qubits
-        for group, meas, _ in circuit_module._measurement_plan(n, h.items()):
-            u = circuit_unitary(Circuit(n).extend(meas))
+        plan = circuit_module._measurement_plan(n, h.items())
+        for group, letters in zip(plan.groups, plan.letters):
+            u = basis_rotation(letters)
             for t in group:
                 rot = PauliRotation(t.x, t.z, ParamExpr("a")).decompose(n)
                 enter = itertools.takewhile(
@@ -409,6 +420,105 @@ def bound_gates(c, bindings):
             if isinstance(g.angle, ParamExpr) else g for g in c.gates]
 
 
+def measured_letters(group, n):
+    """Each qubit's letter in the group's terms, Z where none touches it."""
+    letters = ["Z"] * n
+    for t in group:
+        for q, ch in enumerate(t.label()):
+            if ch != "I":
+                letters[q] = ch
+    return letters
+
+
+def distribution_oracle(c, bindings, letters, noise):
+    """One group's read-out distribution from dense matrices: the Kraus
+    oracle's rho after the bound circuit and the basis change (H for X,
+    RZ(-pi/2) then H for Y, both noisy), its diagonal, then the Kronecker
+    product of every qubit's confusion matrix."""
+    gates = bound_gates(c, bindings)
+    for q, ch in enumerate(letters):
+        if ch == "Y":
+            gates.append(Gate("RZ", (q,), -math.pi / 2))
+        if ch in "XY":
+            gates.append(Gate("H", (q,)))
+    probs = np.real(np.diagonal(noisy_density_oracle(gates, c.n_qubits, noise)))
+    r01, r10 = noise.readout01, noise.readout10
+    confusion = np.eye(1)
+    for _ in range(c.n_qubits):
+        confusion = np.kron(np.array([[1 - r01, r10], [r01, 1 - r10]]), confusion)
+    return confusion @ probs
+
+
+@pytest.mark.parametrize("dense_cap", [circuit_module.DENSE_CAP, 3])
+@pytest.mark.parametrize("noise", [None, NoiseModel(p1=0.03, p2=0.08),
+                                   NoiseModel(readout01=0.02, readout10=0.07),
+                                   NoiseModel(p1=0.03, p2=0.08, readout01=0.07, readout10=0.02)],
+                         ids=["noiseless", "gates", "readout", "both"])
+def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
+    # [DERIVED] each group's read-out distribution, as the estimator computes
+    # it, equals the dense oracle within 1e-12: random 1-5-qubit circuits with
+    # parameters, random sums with Y terms, asymmetric readout; a DENSE_CAP of
+    # 3 stacks the groups in chunks of 1 to 4
+    monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        c = random_circuit(rng, n, 4 * n) if n > 1 else Circuit(1).h(0).rz(0.3, 0).sx(0)
+        c.ry(ParamExpr("a"), 0).rz(ParamExpr("a", -0.6, 0.2), n - 1).h(n - 1)
+        bindings = {"a": float(rng.uniform(-np.pi, np.pi))}
+        labels = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3 * n)}
+        h = PauliSum.from_labels([(lbl, float(rng.normal())) for lbl in labels | {"Y" * n}])
+        plan = circuit_module._measurement_plan(n, h.items())
+        dists = list(circuit_module._distributions(c, bindings, plan, noise))
+        assert len(dists) == len(plan.groups)
+        for group, probs in zip(plan.groups, dists):
+            want = distribution_oracle(c, bindings, measured_letters(group, n),
+                                       noise or NoiseModel())
+            np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+
+def test_block_plan_is_built_once_per_circuit_and_noise_model(monkeypatch):
+    # [DERIVED] a circuit partitions its gates once per noise model; add
+    # clears its plans, so it then estimates like a freshly built circuit;
+    # add on a copy leaves the original's plan and result unchanged; two noise
+    # models on one circuit each give a fresh circuit's result
+    calls = []
+    original = circuit_module._partition
+    monkeypatch.setattr(circuit_module, "_partition",
+                        lambda gates: calls.append(1) or original(gates))
+
+    def build(grown=False):
+        c = Circuit(3).h(0).cx(0, 1).ry(ParamExpr("a"), 2).cz(1, 2).rx(ParamExpr("b", 0.5), 0)
+        return c.cx(2, 0).rz(ParamExpr("a", -1.0), 1) if grown else c
+
+    h = PauliSum.from_labels([("ZZI", 0.6), ("XIY", -0.3), ("IYX", 0.2), ("ZIZ", 0.1)])
+    noise = NoiseModel(p1=0.01, p2=0.05, readout01=0.02)
+    other = NoiseModel(p1=0.04, p2=0.002)
+    at = {"a": 0.7, "b": -0.4}
+    c = build()
+    first = estimate(c, at, h, 256, 3, noise=noise)
+    assert estimate(c, {"a": -0.2, "b": 1.1}, h, 0, 0, noise=noise).mean != first.mean
+    assert estimate(c, at, h, 256, 3, noise=noise) == first
+    assert len(calls) == 1
+    assert estimate(build(), at, h, 256, 3, noise=noise) == first
+
+    grown = c.copy().cx(2, 0).rz(ParamExpr("a", -1.0), 1)
+    result = estimate(grown, at, h, 256, 3, noise=noise)
+    assert result == estimate(build(True), at, h, 256, 3, noise=noise)
+    assert result.mean != first.mean
+    calls.clear()
+    assert estimate(c, at, h, 256, 3, noise=noise) == first
+    assert calls == []
+
+    c.cx(2, 0).rz(ParamExpr("a", -1.0), 1)
+    assert estimate(c, at, h, 256, 3, noise=noise) == result
+    assert len(calls) == 1
+    want = {m: estimate(build(True), at, h, 0, 0, noise=m).mean for m in (noise, other)}
+    calls.clear()
+    for m in (other, noise, other):
+        assert estimate(c, at, h, 0, 0, noise=m).mean == want[m]
+    assert len(calls) == 1
+
+
 def fused_density(c, bindings, noise):
     dim = 1 << c.n_qubits
     return circuit_module._run_density(c, bindings, noise).reshape(dim, dim)
@@ -484,8 +594,9 @@ def test_partition_invariants():
 
 
 def test_noisy_estimate_peak_memory_is_bounded():
-    # [DERIVED] at 8 qubits a noisy estimate, basis changes included, allocates
-    # less than 4 times the 16 * 4^n bytes of rho at its peak
+    # [DERIVED] at 8 qubits a noisy estimate, measurement included, allocates
+    # at most the three copies of rho's 16 * 4^n bytes that the DENSITY_CAP
+    # comment allows, plus 1 MiB
     n = 8
     c = build_hea(n, 2)
     bindings = dict(zip(c.parameter_names,
@@ -500,7 +611,33 @@ def test_noisy_estimate_peak_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 16 * 4**n
+    assert peak < 3 * 16 * 4**n + 2**20
+
+
+def test_noiseless_estimate_peak_memory_does_not_grow_with_groups():
+    # [DERIVED] groups are stacked at most max(2^n, 2^DENSE_CAP) amplitudes at
+    # a time: a 15-qubit estimate measured in 4 groups and in 64 groups peaks
+    # within 10 % of each other
+    n = 15
+    c = build_hea(n, 1)
+    bindings = dict(zip(c.parameter_names,
+                        np.random.default_rng(5).uniform(-np.pi, np.pi, len(c.parameter_names))))
+    rng = np.random.default_rng(6)
+    few = PauliSum.from_labels([("Z" * n, 1.0), ("X" * n, 0.5), ("Y" * n, 0.25),
+                                ("XY" * (n // 2) + "X", -0.3)])
+    many = PauliSum.from_labels([("".join(rng.choice(list("XYZ"), size=n)), float(rng.normal()))
+                                 for _ in range(64)])
+    peaks = []
+    for h, groups in ((few, 4), (many, 64)):
+        assert len(circuit_module._measurement_plan(n, h.items()).groups) == groups
+        estimate(c, bindings, h, 64, 0)  # fill the caches first
+        tracemalloc.start()
+        try:
+            estimate(c, bindings, h, 64, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1.1 * min(peaks)
 
 
 def test_noisy_sampled_mean_matches_exact_on_folded_uccsd(beh2_tapered):
@@ -531,8 +668,8 @@ def test_counts_match_per_shot_energies(beh2_tapered):
     mean = beh2_tapered.coefficient("I" * n).real
     variance = 0.0
     plan = circuit_module._measurement_plan(n, beh2_tapered.items())
-    for gi, (_, meas, table) in enumerate(plan):
-        probs = np.abs(run_circuit(c.copy().extend(meas), bindings)) ** 2
+    for gi, (letters, table) in enumerate(zip(plan.letters, plan.tables)):
+        probs = np.abs(basis_rotation(letters) @ run_circuit(c, bindings)) ** 2
         counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
         assert counts.sum() == shots
         energies = np.repeat(table, counts)
@@ -611,9 +748,9 @@ def test_outcome_tables_match_dense_oracle(beh2_tapered):
     for h in (beh2_tapered, problem_to_pauli(h4, "jw", False)):
         n = h.n_qubits
         plan = circuit_module._measurement_plan(n, h.items())
-        assert len(plan) > 1
-        for group, meas, table in plan:
-            u = circuit_unitary(Circuit(n).extend(meas))
+        assert len(plan.groups) > 1
+        for group, letters, table in zip(plan.groups, plan.letters, plan.tables):
+            u = basis_rotation(letters)
             h_g = pauli_sum_matrix(PauliSum.from_terms(list(group)))
             diag = np.diagonal(u @ h_g @ u.conj().T)
             np.testing.assert_allclose(table, diag.real, rtol=0, atol=1e-12)
@@ -631,8 +768,7 @@ def test_estimate_above_dense_cap_keeps_no_tables():
     r = estimate(c, {}, h, 64, 0)
     assert r.mean == pytest.approx(-0.5 + 0.25 + 0.125, abs=1e-12)
     assert r.std_error == 0.0
-    plan = circuit_module._measurement_plan(n, h.items())
-    assert len(plan) == 1 and plan[0][2] is None
+    assert circuit_module._measurement_plan(n, h.items()).tables == (None,)
 
 
 def test_noise_model_validation():
