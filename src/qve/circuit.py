@@ -9,6 +9,12 @@ gate's qubits of any batch of states. `_inverse` is the one rule that undoes
 a gate. The noiseless statevector runs each Pauli rotation as one operation;
 every consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
 inversion and folding) sees it decomposed into gates by one synthesis rule.
+At its first run a circuit compiles its statevector program (`_program`),
+one step per operation holding what does not change between runs: the
+parameter's name, scale and offset, a gate's matrix (or rotation basis) and
+einsum axes, a Pauli rotation's masks and phase, and the state after the
+leading fixed gates; `add` clears it. `run_circuit` and `circuit_unitary`
+both run it.
 Gate noise is simulated exactly on a density matrix. The gate list is cut
 greedily, in order, into blocks that act on at most 2 qubits; each block is
 one superoperator, the product of its gates' U (x) U* and depolarizing
@@ -30,9 +36,12 @@ Pauli vector tr(Q rho) once, each group gathers its 2^n words over {I, its
 letter} on each qubit, and the maps, built from the noisy basis-change gates
 and the confusion matrix, give the read-out distribution. Each measurement
 group turns a measured outcome into its energy through a table over the 2^n
-outcomes, and its shots are counts drawn once from the distribution (one
-multinomial draw), weighted by that table; with shots=0 the exact
-expectation is taken instead.
+outcomes. The groups, their letters, tables and word indices, and the
+identity coefficient form the Hamiltonian's measurement plan, built at its
+first estimate and kept on the `PauliSum` until `add_term` changes it. All
+groups' distributions are normalised at once, and each group's shots are
+counts drawn once from its distribution (one multinomial draw), weighted by
+its table; with shots=0 the exact expectation is taken instead.
 """
 
 from __future__ import annotations
@@ -103,17 +112,17 @@ _ROTATION_BASES = {kind: np.stack([np.eye(2), -1j * m], axis=-1)
                    for kind, (m, takes_angle) in _GATES.items() if takes_angle}
 
 
-def _rotation(kind: str, angle: float) -> np.ndarray:
-    """exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P for the kind's
-    Pauli P."""
-    return np.dot(_ROTATION_BASES[kind], (math.cos(angle / 2), math.sin(angle / 2)))
+def _rotation(basis: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P from a kind's
+    _ROTATION_BASES entry (I, -i P)."""
+    return np.dot(basis, (math.cos(angle / 2), math.sin(angle / 2)))
 
 
 @lru_cache(maxsize=1024)
 def _matrix(kind: str, angle: float | None = None) -> np.ndarray:
     """The kind's matrix in operand order, at this angle if it takes one."""
     m, takes_angle = _GATES[kind]
-    return _rotation(kind, angle) if takes_angle else m
+    return _rotation(_ROTATION_BASES[kind], angle) if takes_angle else m
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,7 @@ class Circuit:
         self.parameter_names: list[str] = []
         self._gates: tuple[Gate, ...] | None = None
         self._plans: dict[NoiseModel, tuple] = {}  # see _block_plan
+        self._program: _Program | None = None  # see _program
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -211,6 +221,7 @@ class Circuit:
         self.operations.append(op)
         self._gates = None
         self._plans = {}
+        self._program = None
         return self
 
     def extend(self, ops) -> "Circuit":
@@ -235,20 +246,13 @@ class Circuit:
         out.parameter_names = list(self.parameter_names)
         out._gates = self._gates
         out._plans = dict(self._plans)
+        out._program = self._program
         return out
 
 
 def derive_rng(master_seed: int, *counters: int) -> np.random.Generator:
     """Project-wide PRNG derivation: one PCG64 stream per (seed, path)."""
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, counters)]))
-
-
-def _gate_matrix(gate: Gate, bindings) -> np.ndarray:
-    """The gate's matrix, its angle resolved against the bindings."""
-    a = gate.angle
-    if isinstance(a, ParamExpr):  # a new angle at each call: left uncached
-        return _rotation(gate.kind, a.resolve(bindings or {}))
-    return _matrix(gate.kind, a)
 
 
 @lru_cache(maxsize=1024)
@@ -263,41 +267,90 @@ def _operand_axes(n: int, qubits: tuple[int, ...]) -> tuple:
     return f"{outs}{ins},{view}->{result}", (-1,) + (2,) * n, (2,) * (2 * len(qubits))
 
 
-def _apply_matrix(states: np.ndarray, u: np.ndarray, qubits: tuple[int, ...],
-                  n: int) -> np.ndarray:
-    """The matrix u on these qubits, in operand order, of every n-qubit state
-    on the last axis."""
-    subscripts, view_shape, u_shape = _operand_axes(n, qubits)
+def _apply_matrix(states: np.ndarray, u: np.ndarray, axes: tuple) -> np.ndarray:
+    """The matrix u, in operand order, on every state on the last axis, with
+    axes = _operand_axes(n, qubits) for the qubits it acts on."""
+    subscripts, view_shape, u_shape = axes
     out = np.einsum(subscripts, u.reshape(u_shape), states.reshape(view_shape))
     return out.reshape(states.shape)
 
 
-def _apply_op(states: np.ndarray, op: Gate | PauliRotation, bindings, n: int) -> np.ndarray:
-    """One operation on the last axis. A rotation is cos(a) psi + i sin(a) P psi,
-    where P psi = word_phase(x, z) X^x Z^z psi."""
-    if not isinstance(op, PauliRotation):
-        return _apply_matrix(states, _gate_matrix(op, bindings), op.qubits, n)
-    a = op.angle.resolve(bindings or {})
-    flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
-    return math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
+class _Program(NamedTuple):
+    """A circuit's compiled statevector steps. A step is (parameter, scale,
+    offset, x, z, phase, kernel), with angle a = scale * bindings[parameter]
+    + offset. A Pauli rotation has kernel None and acts as cos(a) psi +
+    (phase sin(a)) (psi * z_signs(z))[flip_index(x)], that is cos(a) psi +
+    i sin(a) P psi with phase = 1j * word_phase(x, z). A gate's kernel is
+    (matrix, its qubits' _operand_axes): its fixed matrix, with parameter
+    None, or the kind's _ROTATION_BASES entry, turned into the matrix at a
+    by _rotation."""
+
+    steps: tuple[tuple, ...]
+    prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
+    rest: tuple[tuple, ...]  # the steps after those gates
+
+
+def _compile(c: Circuit) -> _Program:
+    """The circuit's statevector program, one step per operation."""
+    n = c.n_qubits
+    steps = []
+    for op in c.operations:
+        a = op.angle
+        if isinstance(op, PauliRotation):
+            steps.append((a.name, a.scale, a.offset, op.x, op.z, 1j * word_phase(op.x, op.z),
+                          None))
+        elif isinstance(a, ParamExpr):
+            steps.append((a.name, a.scale, a.offset, 0, 0, 0,
+                          (_ROTATION_BASES[op.kind], _operand_axes(n, op.qubits))))
+        else:
+            steps.append((None, 1.0, 0.0, 0, 0, 0,
+                          (_matrix(op.kind, a), _operand_axes(n, op.qubits))))
+    start = next((i for i, step in enumerate(steps) if step[0] is not None), len(steps))
+    prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None, n)
+    prefix.flags.writeable = False
+    return _Program(tuple(steps), prefix, tuple(steps[start:]))
+
+
+def _program(c: Circuit) -> _Program:
+    """The circuit's program, compiled at its first run and kept until `add`
+    changes the circuit."""
+    if c._program is None:
+        c._program = _compile(c)
+    return c._program
+
+
+def _run_steps(states: np.ndarray, steps, bindings, n: int) -> np.ndarray:
+    """The steps applied in turn to every n-qubit state on the last axis."""
+    bindings = bindings or {}
+    batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
+    try:
+        for name, scale, offset, x, z, phase, kernel in steps:
+            if name is not None:
+                a = scale * bindings[name] + offset
+            if kernel is None:
+                signed = states * z_signs(n, z)
+                flipped = signed[..., flip_index(n, x)] if batched else signed[flip_index(n, x)]
+                states = math.cos(a) * states + (phase * math.sin(a)) * flipped
+                continue
+            m, axes = kernel
+            states = _apply_matrix(states, m if name is None else _rotation(m, a), axes)
+    except KeyError as exc:
+        raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
+    return states
 
 
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
     """Statevector after applying the operations to |0...0>."""
-    state = np.zeros(1 << c.n_qubits, dtype=complex)
-    state[0] = 1.0
-    for op in c.operations:
-        state = _apply_op(state, op, bindings, c.n_qubits)
-    return state
+    program = _program(c)
+    state = _run_steps(program.prefix, program.rest, bindings, c.n_qubits)
+    return state.copy() if state is program.prefix else state
 
 
 def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit (small-circuit verification helper)."""
-    dim = 1 << c.n_qubits
-    cols = np.eye(dim, dtype=complex)
-    for op in c.operations:
-        cols = _apply_op(cols.T, op, bindings, c.n_qubits).T
-    return cols
+    cols = np.eye(1 << c.n_qubits, dtype=complex)
+    # the program runs on the rows of cols.T, each a basis state
+    return _run_steps(cols.T, _program(c).steps, bindings, c.n_qubits).T
 
 
 # -- noise -----------------------------------------------------------------
@@ -359,7 +412,7 @@ def _embedded_super(u: np.ndarray, local: tuple[int, ...], b: int) -> np.ndarray
     """U (x) U* of the matrix u on these local qubits of a b-qubit block.
     Superoperators act on vec(rho)[r * 2^b + c] = rho[r, c]."""
     # the kernel applies u to each row of the identity, giving U^T
-    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, local, b).T
+    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, _operand_axes(b, local)).T
     return np.kron(full, full.conj())
 
 
@@ -386,7 +439,7 @@ def _gate_super(u: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
 @lru_cache(maxsize=1024)
 def _fixed_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
     """The cached superoperator of a gate without a parameter."""
-    return _gate_super(_gate_matrix(gate, None), gate.qubits, block, p)
+    return _gate_super(_matrix(gate.kind, gate.angle), gate.qubits, block, p)
 
 
 @lru_cache(maxsize=256)
@@ -559,27 +612,30 @@ _LETTER_PAULIS = np.array([3, 1, 2])
 # layers applied in turn, I then I, I then H, and S-dagger (RZ(-pi/2)) then H,
 # so that each qubit sees the products of its gates alone
 _BASIS_LAYERS = np.array([
-    [np.eye(2)] * (2 - len(gates)) + [_gate_matrix(g, None) for g in gates]
+    [np.eye(2)] * (2 - len(gates)) + [_matrix(g.kind, g.angle) for g in gates]
     for gates in (_basis_change_gates(x, z, 1) for x, z in _LETTER_MASKS)]).swapaxes(0, 1)
 
 
 class _MeasurementPlan(NamedTuple):
+    identity: float  # the coefficient of the identity word
     groups: tuple[tuple[PauliTerm, ...], ...]
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
     tables: tuple[np.ndarray | None, ...]
     words: np.ndarray | None  # (groups, 2^n): indices into _pauli_vector
 
 
-@lru_cache(maxsize=64)
-def _measurement_plan(n: int, items) -> _MeasurementPlan:
-    """The qubit-wise-commuting groups of the sum with these ((x, z),
-    coefficient) items, built once per Hamiltonian: each group's terms, its
+def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
+    """The qubit-wise-commuting groups of the sum, built at its first estimate
+    and kept on it until `add_term` changes it: each group's terms, its
     letter on each qubit, its outcome table and, up to DENSITY_CAP qubits, the
     index in the Pauli vector of its 2^n words, I or the letter's Pauli on
     each qubit (word s holds the letter where bit q of s is set). Above
     DENSE_CAP qubits the tables are None, and each estimate builds them and
     drops them."""
-    groups = tuple(tuple(g) for g in group_commuting_terms(PauliSum(n, dict(items))))
+    if h._plan is not None:
+        return h._plan
+    n = h.n_qubits
+    groups = tuple(tuple(g) for g in group_commuting_terms(h))
     letters = np.zeros((len(groups), n), dtype=np.intp)
     for i, group in enumerate(groups):
         x = z = 0
@@ -592,7 +648,9 @@ def _measurement_plan(n: int, items) -> _MeasurementPlan:
         bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
         words = (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
     tables = tuple(_outcome_table(g, n) if n <= DENSE_CAP else None for g in groups)
-    return _MeasurementPlan(groups, letters, tables, words)
+    h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables,
+                               words)
+    return h._plan
 
 
 def _confusion(noise: NoiseModel) -> np.ndarray:
@@ -611,7 +669,7 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     for (x, z), pauli in zip(_LETTER_MASKS, _LETTER_PAULIS):
         s = np.eye(4)
         for g in _basis_change_gates(x, z, 1):
-            s = _gate_super(_gate_matrix(g, None), (0,), (0,), noise.p1) @ s
+            s = _gate_super(_matrix(g.kind, g.angle), (0,), (0,), noise.p1) @ s
         # rho = (tr rho I + tr(P rho) P) / 2 on these two words; the
         # diagonal is entries 0 and 3 of vec(rho)
         words = np.stack([_PAULIS[0], _PAULIS[pauli]], axis=-1).reshape(4, 2) / 2
@@ -634,8 +692,8 @@ def _per_qubit(stack: np.ndarray, layers: np.ndarray) -> np.ndarray:
 
 
 def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseModel | None):
-    """Each group's read-out outcome distribution, in plan order, for groups
-    stacked so that no stack holds more than max(2^n, 2^DENSE_CAP) values.
+    """The groups' read-out outcome distributions, one row per group in plan
+    order, in C-ordered stacks of at most max(2^n, 2^DENSE_CAP) values.
     Noisy, rho becomes its Pauli vector once, and each group gathers its words
     and passes them through its letters' maps. Noiseless, each group's copy of
     the state passes through its letters' rotations, and the squared
@@ -659,7 +717,7 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
             probs = np.abs(_per_qubit(np.broadcast_to(source, (rows, 1 << n)), chunk)) ** 2
             if readout:
                 probs = _per_qubit(probs, np.broadcast_to(_confusion(noise), (1, rows, n, 2, 2)))
-        yield from probs
+        yield probs
 
 
 def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
@@ -686,21 +744,25 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     if noise is not None and not (noise.p1 == noise.p2 == 0.0) and n > DENSITY_CAP:
         raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
                             f"density-matrix cap {DENSITY_CAP}")
-    plan = _measurement_plan(n, h.items())
-    mean = float(h.coefficient("I" * n).real)
-    variance = 0.0
-    groups = zip(plan.groups, plan.tables, _distributions(c, bindings, plan, noise))
-    for gi, (group, table, probs) in enumerate(groups):
-        if table is None:
-            table = _outcome_table(group, n)
-        if shots == 0:
-            mean += float(probs @ table)
-            continue
-        counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
-        m = float(counts @ table) / shots
-        mean += m
-        if shots > 1:
-            variance += float(counts @ (table - m) ** 2) / (shots - 1) / shots
+    plan = _measurement_plan(h)
+    mean, variance = plan.identity, 0.0
+    gi = 0
+    for probs in _distributions(c, bindings, plan, noise):
+        if shots:
+            probs = probs / probs.sum(axis=1, keepdims=True)
+        for p in probs:
+            table = plan.tables[gi]
+            if table is None:
+                table = _outcome_table(plan.groups[gi], n)
+            if shots == 0:
+                mean += float(p @ table)
+            else:
+                counts = derive_rng(seed, gi).multinomial(shots, p)
+                m = float(counts @ table) / shots
+                mean += m
+                if shots > 1:
+                    variance += float(counts @ (table - m) ** 2) / (shots - 1) / shots
+            gi += 1
     return EstimatorResult(mean, math.sqrt(variance), shots, seed)
 
 

@@ -142,7 +142,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_zne(args) -> int:
-    from .pipeline import build_ansatz, problem_to_pauli
+    from .pipeline import build_ansatz, parameter_vector, problem_to_pauli
     from .zne import run_zne
     cfg = _run_config(args, args.seed)
     if cfg.noise is None:
@@ -151,14 +151,18 @@ def _cmd_zne(args) -> int:
     circuit = build_ansatz(problem, cfg)
     h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
     if args.params_file:
-        theta = json.loads(Path(args.params_file).read_text())
+        source = args.params_file
+        theta = json.loads(Path(source).read_text())
     elif args.run:
-        theta = json.loads((Path(args.run) / "result.json").read_text())["final_theta"]
+        path = Path(args.run) / "result.json"
+        source = f"{path} final_theta"
+        report = json.loads(path.read_text())
+        # a failed run's result.json holds its error and stage instead
+        theta = report.get("final_theta") if isinstance(report, dict) else None
     else:
         raise _ConfigError("zne needs --params-file or --run for the circuit parameters")
-    if len(theta) != len(circuit.parameter_names):
-        raise _ConfigError("parameter vector does not match the ansatz")
-    bindings = dict(zip(circuit.parameter_names, [float(t) for t in theta]))
+    names = circuit.parameter_names
+    bindings = dict(zip(names, parameter_vector(theta, names, source)))
     folds = [int(f) for f in args.folds.split(",")]
     models = tuple(args.fit.split(","))
     result = run_zne(circuit, bindings, h, folds, cfg.shots, cfg.seed, cfg.noise,

@@ -106,11 +106,14 @@ class PauliTerm:
 class PauliSum:
     """Weighted sum of Pauli words over a fixed qubit count."""
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "_terms", "_plan")
 
     def __init__(self, n_qubits: int, terms: dict[tuple[int, int], complex] | None = None):
         self.n_qubits = n_qubits
         self._terms: dict[tuple[int, int], complex] = dict(terms or {})
+        # the estimator's measurement plan, built from the terms at the first
+        # estimate and dropped when they change
+        self._plan = None
 
     # -- constructors ---------------------------------------------------
 
@@ -137,6 +140,7 @@ class PauliSum:
         if term.n_qubits != self.n_qubits:
             raise PauliError("qubit-count mismatch")
         key = (term.x, term.z)
+        self._plan = None
         c = self._terms.get(key, 0.0) + term.coefficient
         if abs(c) < COEFF_TOL:
             self._terms.pop(key, None)

@@ -289,6 +289,22 @@ def run_vqe(cfg: RunConfig) -> Path:
     return run_dir
 
 
+def parameter_vector(theta, names, source: str) -> list[float]:
+    """theta, read from `source`, as floats: it must be a flat list of one
+    finite number per parameter name; PipelineError otherwise."""
+    if not (isinstance(theta, list) and all(type(t) in (int, float) for t in theta)):
+        raise PipelineError(f"{source}: expected a flat list of {len(names)} numbers")
+    if len(theta) != len(names):
+        raise PipelineError(f"{source}: {len(theta)} parameters, the ansatz has {len(names)}")
+    try:
+        values = [float(t) for t in theta]
+    except OverflowError:  # an integer past the float range
+        values = [math.inf]
+    if not all(math.isfinite(v) for v in values):
+        raise PipelineError(f"{source}: parameters must be finite")
+    return values
+
+
 def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
                     cfg: RunConfig) -> list[tuple[int, float]]:
     """Noiseless exact expectations of the ansatz at every logged theta."""
@@ -297,15 +313,16 @@ def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
     names = circuit.parameter_names
     out = []
     from .circuit import run_circuit
-    for raw in Path(params_log_path).read_text().splitlines():
+    for ln, raw in enumerate(Path(params_log_path).read_text().splitlines(), start=1):
         if not raw.strip():
             continue
         rec = json.loads(raw)
-        theta = rec["theta"]
-        if len(theta) != len(names):
-            raise PipelineError("params log does not match the ansatz parameter count")
+        if not (isinstance(rec, dict) and type(rec.get("iteration")) is int):
+            raise PipelineError(f"{params_log_path}:{ln}: expected an object with an "
+                                f"integer iteration")
+        theta = parameter_vector(rec.get("theta"), names, f"{params_log_path}:{ln} theta")
         psi = run_circuit(circuit, dict(zip(names, theta)))
-        out.append((int(rec["iteration"]), expectation_exact(h, psi)))
+        out.append((rec["iteration"], expectation_exact(h, psi)))
     return out
 
 

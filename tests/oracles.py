@@ -178,6 +178,31 @@ def pauli_sum_matrix(h) -> np.ndarray:
     return out
 
 
+def run_operations_reference(c, bindings, states: np.ndarray) -> np.ndarray:
+    """The circuit's operations applied one call at a time to every state on
+    the last axis of `states`: the bit-identity reference for the compiled
+    statevector program. Unlike the rest of this module it repeats the
+    arithmetic under test, since the program must keep it to the last bit:
+    a gate is its matrix, a parameterised one at its resolved angle, through
+    qve's gate kernel, and a Pauli rotation by a is cos(a) psi + (i
+    word_phase(x, z) sin(a)) (psi z_signs(z))[flip_index(x)]."""
+    from qve.circuit import (_ROTATION_BASES, ParamExpr, PauliRotation, _apply_matrix, _matrix,
+                             _operand_axes, _rotation)
+    from qve.pauli import flip_index, word_phase, z_signs
+    n = c.n_qubits
+    for op in c.operations:
+        if isinstance(op, PauliRotation):
+            a = op.angle.resolve(bindings)
+            flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
+            states = math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
+        else:
+            a = op.angle
+            u = (_rotation(_ROTATION_BASES[op.kind], a.resolve(bindings))
+                 if isinstance(a, ParamExpr) else _matrix(op.kind, a))
+            states = _apply_matrix(states, u, _operand_axes(n, op.qubits))
+    return states
+
+
 def fermion_matrix(op) -> np.ndarray:
     """Dense matrix of a FermionOperator via the ladder_matrix oracle."""
     dim = 1 << op.n_modes

@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import qve.circuit as circuit_module
-from oracles import pauli_label_matrix, pauli_sum_matrix
+from oracles import pauli_label_matrix, pauli_sum_matrix, run_operations_reference
 from qve.ansatz import build_hea, build_uccsd
 from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
@@ -183,6 +183,82 @@ def test_pauli_rotation_matches_matrix_exponential():
         Circuit(2).add(PauliRotation(0b100, 0, ParamExpr("t")))
 
 
+def random_program_circuit(rng, n, depth):
+    """Pauli rotations and parameterised gates with fixed gates after them,
+    over parameters shared between operations."""
+    c = Circuit(n).x(int(rng.integers(n)))
+    for i in range(depth):
+        name = f"t{rng.integers(3)}"
+        scale, offset = (float(v) for v in rng.normal(size=2))
+        if i % 3 == 0:
+            x, z = (int(v) for v in rng.integers(1 << n, size=2))
+            c.add(PauliRotation(x or 1, z, ParamExpr(name, scale, offset)))
+        elif i % 3 == 1:
+            kind = str(rng.choice(["RX", "RY", "RZ"]))
+            c.add(Gate(kind, (int(rng.integers(n)),), ParamExpr(name, scale, offset)))
+        else:
+            c.extend(random_circuit(rng, n, 2).operations)
+    return c
+
+
+def test_program_is_bit_identical_to_per_operation_reference():
+    # [DERIVED] run_circuit and circuit_unitary (batched columns) equal the
+    # per-operation reference bit for bit (array_equal): UCCSD for BeH2 and
+    # H4 under every encoding, HEA, and random circuits in which fixed gates
+    # follow rotations; an unbound parameter raises CircuitError
+    rng = np.random.default_rng(41)
+    circuits = [build_uccsd(na, nb, ns, m, t) for na, nb, ns in ((1, 1, 3), (2, 2, 4))
+                for m, t in ENCODINGS]
+    circuits += [build_hea(4, 2), build_hea(6, 1)]
+    circuits += [random_program_circuit(rng, n, 12) for n in (2, 3, 5) for _ in range(3)]
+    for c in circuits:
+        n = c.n_qubits
+        names = c.parameter_names
+        for theta in rng.uniform(-1.0, 1.0, (2, len(names))):
+            bindings = dict(zip(names, theta))
+            psi = np.eye(1, 1 << n, dtype=complex)[0]
+            assert np.array_equal(run_circuit(c, bindings),
+                                  run_operations_reference(c, bindings, psi))
+            if n <= 6:
+                cols = np.eye(1 << n, dtype=complex)
+                assert np.array_equal(circuit_unitary(c, bindings),
+                                      run_operations_reference(c, bindings, cols.T).T)
+        with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
+            run_circuit(c, dict(zip(names[:-1], theta)))
+        with pytest.raises(CircuitError, match="unbound parameter"):
+            circuit_unitary(c)
+
+
+def test_program_is_compiled_once_per_circuit(monkeypatch):
+    # [DERIVED] a circuit compiles its program at its first run and reuses it
+    # in run_circuit, circuit_unitary and estimate; add compiles it again, and
+    # add on a copy leaves the original's program and states unchanged. The
+    # cached state after the leading fixed gates is never handed out.
+    builds = []
+    original = circuit_module._compile
+    monkeypatch.setattr(circuit_module, "_compile", lambda c: builds.append(1) or original(c))
+    c = Circuit(2).x(0).h(1).add(PauliRotation(0b11, 0b01, ParamExpr("t", 0.7)))
+    at = {"t": 0.3}
+    h = PauliSum.from_labels([("ZZ", 0.5), ("XY", -0.25)])
+    first = run_circuit(c, at)
+    circuit_unitary(c, at)
+    estimate(c, at, h, 64, 0)
+    assert len(builds) == 1
+    copy = c.copy()
+    c.ry(ParamExpr("t"), 1)
+    grown = run_circuit(c, at)
+    assert len(builds) == 2 and not np.array_equal(grown, first)
+    assert np.array_equal(run_circuit(copy, at), first) and len(builds) == 2
+    copy.cz(0, 1)
+    run_circuit(copy, at)
+    assert len(builds) == 3
+    assert np.array_equal(run_circuit(c, at), grown) and len(builds) == 3
+    fixed = Circuit(2).x(0).h(1)
+    state = run_circuit(fixed)
+    state[:] = 0.0
+    assert np.array_equal(run_circuit(fixed), np.array([0, 1, 0, 1]) / math.sqrt(2))
+
+
 def test_inverse_circuit():
     # [DERIVED] U U^{-1} = identity for random circuits (including SqrtX)
     rng = np.random.default_rng(4)
@@ -318,7 +394,7 @@ def test_basis_changes_turn_terms_into_z_strings(beh2_problem):
     sums = [problem_to_pauli(beh2_problem, m, t) for m, t in ENCODINGS]
     for h in sums + list(random_pauli_sums(22, 20)):
         n = h.n_qubits
-        plan = circuit_module._measurement_plan(n, h.items())
+        plan = circuit_module._measurement_plan(h)
         for group, letters in zip(plan.groups, plan.letters):
             u = basis_rotation(letters)
             for t in group:
@@ -467,8 +543,8 @@ def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
         bindings = {"a": float(rng.uniform(-np.pi, np.pi))}
         labels = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3 * n)}
         h = PauliSum.from_labels([(lbl, float(rng.normal())) for lbl in labels | {"Y" * n}])
-        plan = circuit_module._measurement_plan(n, h.items())
-        dists = list(circuit_module._distributions(c, bindings, plan, noise))
+        plan = circuit_module._measurement_plan(h)
+        dists = np.concatenate(list(circuit_module._distributions(c, bindings, plan, noise)))
         assert len(dists) == len(plan.groups)
         for group, probs in zip(plan.groups, dists):
             want = distribution_oracle(c, bindings, measured_letters(group, n),
@@ -629,7 +705,7 @@ def test_noiseless_estimate_peak_memory_does_not_grow_with_groups():
                                  for _ in range(64)])
     peaks = []
     for h, groups in ((few, 4), (many, 64)):
-        assert len(circuit_module._measurement_plan(n, h.items()).groups) == groups
+        assert len(circuit_module._measurement_plan(h).groups) == groups
         estimate(c, bindings, h, 64, 0)  # fill the caches first
         tracemalloc.start()
         try:
@@ -667,7 +743,7 @@ def test_counts_match_per_shot_energies(beh2_tapered):
     shots, seed = 1000, 6
     mean = beh2_tapered.coefficient("I" * n).real
     variance = 0.0
-    plan = circuit_module._measurement_plan(n, beh2_tapered.items())
+    plan = circuit_module._measurement_plan(beh2_tapered)
     for gi, (letters, table) in enumerate(zip(plan.letters, plan.tables)):
         probs = np.abs(basis_rotation(letters) @ run_circuit(c, bindings)) ** 2
         counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
@@ -720,21 +796,51 @@ def test_noisy_estimate_over_density_cap_is_refused():
 
 
 def test_measurement_plan_keyed_on_contents(monkeypatch):
-    # [DERIVED] terms are grouped once per Hamiltonian content; an in-place
-    # add_term gives a new plan and the right estimate
+    # [DERIVED] terms are grouped once per sum, whatever the circuit or noise;
+    # an in-place add_term gives a new plan, and the next estimate equals that
+    # of a fresh PauliSum with the same terms, noiseless and noisy
     calls = []
     original = circuit_module.group_commuting_terms
     monkeypatch.setattr(circuit_module, "group_commuting_terms",
                         lambda h: calls.append(1) or original(h))
     c = Circuit(2).h(0).cx(0, 1)
-    h = PauliSum.from_labels([("ZZ", 0.731), ("XX", -0.269)])
+    h = PauliSum.from_labels([("ZZ", 0.731), ("XX", -0.269), ("II", 0.125)])
     first = estimate(c, {}, h, 64, 1)
     assert estimate(c, {}, h, 64, 1) == first
+    estimate(Circuit(2).h(1), {}, h, 0, 0, noise=NoiseModel(p1=0.01))
     assert len(calls) == 1
     h.add_term(PauliTerm.from_label("ZI", 0.5))
-    r = estimate(c, {}, h, 64, 1, noise=NoiseModel(p1=0.01))
-    assert len(calls) == 2
-    assert r.mean != first.mean
+    h.add_term(PauliTerm.from_label("II", 0.25))
+    fresh = PauliSum.from_terms(h.terms())
+    for noise in (None, NoiseModel(p1=0.01)):
+        r = estimate(c, {}, h, 64, 1, noise=noise)
+        assert r == estimate(c, {}, fresh, 64, 1, noise=noise)
+        assert r.mean != first.mean
+    assert len(calls) == 3  # h once more, and the fresh sum once
+
+
+def test_stacked_normalisation_matches_per_group(beh2_tapered, monkeypatch):
+    # [DERIVED] each stack of distributions is C-ordered, and normalising it
+    # with one sum per row gives, bit for bit, each group's own p / p.sum():
+    # BeH2 UCCSD and HEA, noiseless, readout-only and noisy (clipped at 0),
+    # all groups in one stack and, with a DENSE_CAP of 5, in stacks of two
+    rng = np.random.default_rng(43)
+    noises = [None, NoiseModel(readout01=0.02, readout10=0.05),
+              NoiseModel(p1=0.001, p2=0.01, readout01=0.02, readout10=0.01)]
+    plan = circuit_module._measurement_plan(beh2_tapered)
+    for dense_cap in (circuit_module.DENSE_CAP, 5):
+        monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
+        for c in (build_uccsd(1, 1, 3, "parity", True), build_hea(4, 1)):
+            bindings = dict(zip(c.parameter_names,
+                                rng.uniform(-1.0, 1.0, len(c.parameter_names))))
+            for noise in noises:
+                stacks = list(circuit_module._distributions(c, bindings, plan, noise))
+                assert len(stacks) == (1 if dense_cap > 5 else 4)
+                for probs in stacks:
+                    assert probs.flags.c_contiguous
+                    stacked = probs / probs.sum(axis=1, keepdims=True)
+                    for row, p in zip(stacked, probs):
+                        assert np.array_equal(row, p / p.sum())
 
 
 H4_GEOMETRY = "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))
@@ -747,7 +853,7 @@ def test_outcome_tables_match_dense_oracle(beh2_tapered):
     h4, _ = problem_from_geometry(parse_geometry(H4_GEOMETRY))
     for h in (beh2_tapered, problem_to_pauli(h4, "jw", False)):
         n = h.n_qubits
-        plan = circuit_module._measurement_plan(n, h.items())
+        plan = circuit_module._measurement_plan(h)
         assert len(plan.groups) > 1
         for group, letters, table in zip(plan.groups, plan.letters, plan.tables):
             u = basis_rotation(letters)
@@ -768,7 +874,7 @@ def test_estimate_above_dense_cap_keeps_no_tables():
     r = estimate(c, {}, h, 64, 0)
     assert r.mean == pytest.approx(-0.5 + 0.25 + 0.125, abs=1e-12)
     assert r.std_error == 0.0
-    assert circuit_module._measurement_plan(n, h.items()).tables == (None,)
+    assert circuit_module._measurement_plan(h).tables == (None,)
 
 
 def test_noise_model_validation():

@@ -366,6 +366,58 @@ def test_zne_requires_parameters(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("theta, message", [
+    ("0.5", "flat list of 16 numbers"),
+    (json.dumps([[0.1] * 16]), "flat list of 16 numbers"),
+    (json.dumps([0.1] * 15), "15 parameters, the ansatz has 16"),
+    (json.dumps([0.1] * 15 + [True]), "flat list of 16 numbers"),
+    ("[" + ", ".join(["0.1"] * 15 + ["NaN"]) + "]", "finite"),
+    ("[" + ", ".join(["0.1"] * 15 + ["1" + "0" * 400]) + "]", "finite"),
+], ids=["scalar", "nested", "short", "bool", "nan", "huge-int"])
+def test_zne_malformed_params_file_is_config_error(capsys, tmp_path, theta, message):
+    # [TRIVIAL] a scalar, nested, short, non-numeric or non-finite parameter
+    # vector (an integer past the float range included) exits 2 with a
+    # message naming the file, not with a traceback
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    params = tmp_path / "theta.json"
+    params.write_text(theta)
+    code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--shots", "0", "--noise", str(noise), "--params-file", str(params))
+    assert code == EXIT_CONFIG
+    assert str(params) in err and message in err
+
+
+def test_zne_on_failed_run_is_config_error(capsys, tmp_path):
+    # [TRIVIAL] a failed run's result.json holds its error and stage, not
+    # final_theta: zne exits 2 and names the missing vector
+    (tmp_path / "result.json").write_text(json.dumps({"error": "boom", "stage": "optimize"}))
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--shots", "0", "--noise", str(noise), "--run", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "final_theta" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"iteration": 1}, "theta: expected a flat list of 16 numbers"),
+    ({"iteration": 1, "theta": [0.1] * 15 + [float("nan")]}, "finite"),
+    ({"theta": [0.1] * 16}, "integer iteration"),
+    ([0.1] * 16, "integer iteration"),
+], ids=["no-theta", "nan", "no-iteration", "list"])
+def test_replay_malformed_params_row_is_config_error(capsys, tmp_path, row, message):
+    # [TRIVIAL] a params.jsonl row without theta or iteration, or with a NaN
+    # parameter, exits 2 naming the row's line, and writes no replay.csv
+    good = json.dumps({"iteration": 0, "theta": [0.1] * 16})
+    (tmp_path / "params.jsonl").write_text(good + "\n" + json.dumps(row) + "\n")
+    code, _, err = run_cli(capsys, "replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--run", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert "params.jsonl:2" in err and message in err
+    assert not (tmp_path / "replay.csv").exists()
+
+
 def test_commands_run_without_scipy(tmp_path):
     # [DERIVED] the runtime depends on NumPy alone: `qve exact` and
     # `qve zne --shots 0` (all three fits) leave no scipy module loaded
