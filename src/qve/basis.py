@@ -431,6 +431,8 @@ def parse_geometry(text: str) -> Molecule:
             xyz = tuple(float(u) * scale for u in tok[1:])
         except ValueError:
             raise GeometryError(f"line {ln}: non-numeric coordinate") from None
+        if not all(map(math.isfinite, xyz)):
+            raise GeometryError(f"line {ln}: non-finite coordinate in {line!r}")
         atoms.append((ELEMENT_SYMBOLS[tok[0]], xyz))
     if not atoms:
         raise GeometryError("geometry file contains no atoms")
@@ -438,4 +440,8 @@ def parse_geometry(text: str) -> Molecule:
 
 
 def load_geometry(path) -> Molecule:
-    return parse_geometry(Path(path).read_text())
+    """The geometry file parsed; an error names the file and the line."""
+    try:
+        return parse_geometry(Path(path).read_text())
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None

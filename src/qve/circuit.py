@@ -6,15 +6,20 @@ exp(i a P). What a gate kind is lives in one table, `_GATES`: its 2x2 or 4x4
 matrix with the first operand's bit most significant, or for RX/RY/RZ the
 Pauli of its rotation, and one einsum kernel applies such a matrix to the
 gate's qubits of any batch of states. `_inverse` is the one rule that undoes
-a gate. The noiseless statevector runs each Pauli rotation as one operation;
-every consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
-inversion and folding) sees it decomposed into gates by one synthesis rule.
-At its first run a circuit compiles its statevector program (`_program`),
-one step per operation holding what does not change between runs: the
-parameter's name, scale and offset, a gate's matrix (or rotation basis) and
-einsum axes, a Pauli rotation's masks and phase, and the state after the
-leading fixed gates; `add` clears it. `run_circuit` and `circuit_unitary`
-both run it.
+a gate. The noiseless statevector runs Pauli rotations without decomposing
+them; every consumer of `Circuit.gates` (the noisy path, transpilation,
+statistics, inversion and folding) sees each one decomposed into gates by
+one synthesis rule. At its first run a circuit compiles its statevector
+program (`_program`), holding what does not change between runs: one step
+per gate (the parameter's name, scale and offset, the matrix or rotation
+basis, and einsum axes), and one step per run of consecutive Pauli rotations
+on one parameter, one flip mask and one offset/scale ratio whose words
+commute, such as a UCCSD excitation's mapped terms. Such a run is exp(i a G)
+for its summed generator G, a rotation inside each pair {|b>, |b ^ x>}
+(Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)), applied as
+one vector operation from two 2^n arrays, 24 * 2^n bytes per step. The
+program also holds the state after the leading fixed gates; `add` clears
+it. `run_circuit` and `circuit_unitary` both run it.
 Gate noise is simulated exactly on a density matrix. The gate list is cut
 greedily, in order, into blocks that act on at most 2 qubits; each block is
 one superoperator, the product of its gates' U (x) U* and depolarizing
@@ -29,19 +34,24 @@ X or Y per qubit (Z also where it measures nothing); one rule turns masks
 into basis-change gates, for measurement groups and rotation synthesis
 alike. A group's basis change, diagonal and readout act on each qubit alone,
 so every group is measured at once through one fixed 2x2 map per qubit and
-letter. Noiseless, the maps are the rotations I, H and H S-dagger, applied
-to every group's copy of the state, and readout passes the squared
-amplitudes through each qubit's confusion matrix. Noisy, rho becomes its
-Pauli vector tr(Q rho) once, each group gathers its 2^n words over {I, its
-letter} on each qubit, and the maps, built from the noisy basis-change gates
-and the confusion matrix, give the read-out distribution. Each measurement
+letter, applied by one batched matmul per qubit. Noiseless, the maps are
+the rotations I, H and H S-dagger, each letter's basis-change gates
+multiplied out, applied to every group's copy of the state, and readout
+passes the squared amplitudes through each qubit's confusion matrix. Noisy,
+rho becomes its Pauli vector tr(Q rho) once, each group gathers its 2^n
+words over {I, its letter} on each qubit, and the maps, built from the noisy
+basis-change gates and the confusion matrix, give the read-out
+distribution. Each measurement
 group turns a measured outcome into its energy through a table over the 2^n
 outcomes. The groups, their letters, tables and word indices, and the
 identity coefficient form the Hamiltonian's measurement plan, built at its
-first estimate and kept on the `PauliSum` until `add_term` changes it. All
-groups' distributions are normalised at once, and each group's shots are
-counts drawn once from its distribution (one multinomial draw), weighted by
-its table; with shots=0 the exact expectation is taken instead.
+first estimate and kept on the `PauliSum` until `add_term` changes it, the
+tables as one (groups, 2^n) array. All groups' distributions are normalised
+at once, and each group's shots are counts drawn once from its distribution:
+one generator per estimate makes one multinomial draw over each stack of
+groups, in plan order, and the means and variances are row reductions of
+the counts against the tables. With shots=0 the exact expectation is taken
+instead.
 """
 
 from __future__ import annotations
@@ -277,36 +287,70 @@ def _apply_matrix(states: np.ndarray, u: np.ndarray, axes: tuple) -> np.ndarray:
 
 class _Program(NamedTuple):
     """A circuit's compiled statevector steps. A step is (parameter, scale,
-    offset, x, z, phase, kernel), with angle a = scale * bindings[parameter]
-    + offset. A Pauli rotation has kernel None and acts as cos(a) psi +
-    (phase sin(a)) (psi * z_signs(z))[flip_index(x)], that is cos(a) psi +
-    i sin(a) P psi with phase = 1j * word_phase(x, z). A gate's kernel is
-    (matrix, its qubits' _operand_axes): its fixed matrix, with parameter
-    None, or the kind's _ROTATION_BASES entry, turned into the matrix at a
-    by _rotation."""
+    offset, rotation, kernel), with angle a = scale * bindings[parameter] +
+    offset. A gate's kernel is (matrix, its qubits' _operand_axes): its fixed
+    matrix, with parameter None, or the kind's _ROTATION_BASES entry, turned
+    into the matrix at a by _rotation. A run of Pauli rotations has kernel
+    None and rotation (flip, r, iu), and acts as exp(i a G) for the sum G of
+    its words, each weighted by its angle over a: G psi = w * psi[flip] with
+    flip = flip_index(x), and G^2 = diag(|w|^2), so exp(i a G) psi = cos(a r)
+    psi + sin(a r) iu psi[flip] with r = |w| and iu = i w / r (0 where r is)."""
 
     steps: tuple[tuple, ...]
     prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
     rest: tuple[tuple, ...]  # the steps after those gates
 
 
+def _joins(run: list, op) -> bool:
+    """Whether the Pauli rotation op extends the run of rotations: the same
+    parameter, flip mask x and offset/scale ratio, and a word that commutes
+    with each of theirs, popcount(x & (z ^ z')) even, so that the run's
+    product is the exponential of its summed generator."""
+    a, b = run[0].angle, op.angle
+    return (isinstance(run[0], PauliRotation) and isinstance(op, PauliRotation)
+            and a.name == b.name and run[0].x == op.x and a.scale != 0.0 and b.scale != 0.0
+            and a.offset / a.scale == b.offset / b.scale
+            and all((op.x & (op.z ^ r.z)).bit_count() % 2 == 0 for r in run))
+
+
+def _rotation_step(run: list, n: int) -> tuple:
+    """The step of a run of rotations that _joins: the first one's angle a,
+    and the others' angles as a times the ratio of their scales."""
+    a, x = run[0].angle, run[0].x
+    # a lone rotation of scale 0 is a fixed angle a and weight 1
+    w = sum((r.angle.scale / a.scale if a.scale else 1.0) * word_phase(x, r.z) * z_signs(n, r.z)
+            for r in run)
+    flip = flip_index(n, x)
+    w = w[flip]
+    r = np.abs(w)
+    iu = 1j * np.divide(w, r, out=np.zeros_like(w), where=r > 0.0)
+    return (a.name, a.scale, a.offset, (flip, r, iu), None)
+
+
 def _compile(c: Circuit) -> _Program:
-    """The circuit's statevector program, one step per operation."""
+    """The circuit's statevector program: one step per gate, and one per run
+    of consecutive Pauli rotations that _joins fuses (one per UCCSD
+    excitation, whose mapped terms share their flip mask)."""
     n = c.n_qubits
-    steps = []
+    runs: list[list] = []
     for op in c.operations:
+        if runs and _joins(runs[-1], op):
+            runs[-1].append(op)
+        else:
+            runs.append([op])
+    steps = []
+    for run in runs:
+        op = run[0]
         a = op.angle
         if isinstance(op, PauliRotation):
-            steps.append((a.name, a.scale, a.offset, op.x, op.z, 1j * word_phase(op.x, op.z),
-                          None))
+            steps.append(_rotation_step(run, n))
         elif isinstance(a, ParamExpr):
-            steps.append((a.name, a.scale, a.offset, 0, 0, 0,
+            steps.append((a.name, a.scale, a.offset, None,
                           (_ROTATION_BASES[op.kind], _operand_axes(n, op.qubits))))
         else:
-            steps.append((None, 1.0, 0.0, 0, 0, 0,
-                          (_matrix(op.kind, a), _operand_axes(n, op.qubits))))
+            steps.append((None, 1.0, 0.0, None, (_matrix(op.kind, a), _operand_axes(n, op.qubits))))
     start = next((i for i, step in enumerate(steps) if step[0] is not None), len(steps))
-    prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None, n)
+    prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None)
     prefix.flags.writeable = False
     return _Program(tuple(steps), prefix, tuple(steps[start:]))
 
@@ -319,18 +363,19 @@ def _program(c: Circuit) -> _Program:
     return c._program
 
 
-def _run_steps(states: np.ndarray, steps, bindings, n: int) -> np.ndarray:
-    """The steps applied in turn to every n-qubit state on the last axis."""
+def _run_steps(states: np.ndarray, steps, bindings) -> np.ndarray:
+    """The steps applied in turn to every state on the last axis."""
     bindings = bindings or {}
     batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
     try:
-        for name, scale, offset, x, z, phase, kernel in steps:
+        for name, scale, offset, rotation, kernel in steps:
             if name is not None:
                 a = scale * bindings[name] + offset
-            if kernel is None:
-                signed = states * z_signs(n, z)
-                flipped = signed[..., flip_index(n, x)] if batched else signed[flip_index(n, x)]
-                states = math.cos(a) * states + (phase * math.sin(a)) * flipped
+            if rotation is not None:
+                flip, r, iu = rotation
+                ar = a * r
+                flipped = states[..., flip] if batched else states[flip]
+                states = np.cos(ar) * states + (np.sin(ar) * iu) * flipped
                 continue
             m, axes = kernel
             states = _apply_matrix(states, m if name is None else _rotation(m, a), axes)
@@ -342,7 +387,7 @@ def _run_steps(states: np.ndarray, steps, bindings, n: int) -> np.ndarray:
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
     """Statevector after applying the operations to |0...0>."""
     program = _program(c)
-    state = _run_steps(program.prefix, program.rest, bindings, c.n_qubits)
+    state = _run_steps(program.prefix, program.rest, bindings)
     return state.copy() if state is program.prefix else state
 
 
@@ -350,7 +395,7 @@ def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit (small-circuit verification helper)."""
     cols = np.eye(1 << c.n_qubits, dtype=complex)
     # the program runs on the rows of cols.T, each a basis state
-    return _run_steps(cols.T, _program(c).steps, bindings, c.n_qubits).T
+    return _run_steps(cols.T, _program(c).steps, bindings).T
 
 
 # -- noise -----------------------------------------------------------------
@@ -592,14 +637,15 @@ def _basis_change_gates(x: int, z: int, n: int) -> list[Gate]:
     return gates
 
 
-def _outcome_table(group, n: int) -> np.ndarray:
-    """Energy of the group's terms on each measured outcome b:
-    sum_t c_t (-1)^popcount(b & mask_t)."""
+def _outcome_tables(groups, n: int) -> np.ndarray:
+    """(groups, 2^n): each group's energy on each measured outcome b,
+    sum_t c_t (-1)^popcount(b & mask_t) over its terms t."""
     basis = np.arange(1 << n)
-    table = np.zeros(1 << n)
-    for t in group:
-        table += t.coefficient.real * parity_signs(basis, t.x | t.z)
-    return table
+    tables = np.zeros((len(groups), 1 << n))
+    for table, group in zip(tables, groups):
+        for t in group:
+            table += t.coefficient.real * parity_signs(basis, t.x | t.z)
+    return tables
 
 
 # A group's letter on each qubit, from the OR of its terms' masks, is 0, 1 or 2
@@ -608,19 +654,22 @@ def _outcome_table(group, n: int) -> np.ndarray:
 _LETTER_MASKS = ((0, 1), (1, 0), (1, 1))
 _LETTER_PAULIS = np.array([3, 1, 2])
 
-# (layer, letter, 2, 2): each letter's basis-change gates on one qubit as two
-# layers applied in turn, I then I, I then H, and S-dagger (RZ(-pi/2)) then H,
-# so that each qubit sees the products of its gates alone
-_BASIS_LAYERS = np.array([
-    [np.eye(2)] * (2 - len(gates)) + [_matrix(g.kind, g.angle) for g in gates]
-    for gates in (_basis_change_gates(x, z, 1) for x, z in _LETTER_MASKS)]).swapaxes(0, 1)
+
+@lru_cache(maxsize=1)
+def _basis_rotations() -> np.ndarray:
+    """(letter, 2, 2): the product of each letter's basis-change gates on one
+    qubit, I, H, and H S-dagger (RZ(-pi/2) then H). Built at the first
+    noiseless estimate rather than at import."""
+    return np.array([
+        reduce(lambda m, g: _matrix(g.kind, g.angle) @ m, _basis_change_gates(x, z, 1), np.eye(2))
+        for x, z in _LETTER_MASKS])
 
 
 class _MeasurementPlan(NamedTuple):
     identity: float  # the coefficient of the identity word
     groups: tuple[tuple[PauliTerm, ...], ...]
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
-    tables: tuple[np.ndarray | None, ...]
+    tables: np.ndarray | None  # (groups, 2^n)
     words: np.ndarray | None  # (groups, 2^n): indices into _pauli_vector
 
 
@@ -647,7 +696,7 @@ def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
     if n <= DENSITY_CAP:
         bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
         words = (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
-    tables = tuple(_outcome_table(g, n) if n <= DENSE_CAP else None for g in groups)
+    tables = _outcome_tables(groups, n) if n <= DENSE_CAP else None
     h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables,
                                words)
     return h._plan
@@ -677,17 +726,12 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     return np.array(maps)
 
 
-def _per_qubit(stack: np.ndarray, layers: np.ndarray) -> np.ndarray:
+def _per_qubit(stack: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """Each row of stack, over the 2^n outcomes of n qubits, after the 2x2
-    matrix layers[k, row, q] on qubit q, qubit by qubit and on each qubit
-    layer by layer. The einsum does the arithmetic of the gate kernel (a
-    matmul does not), so a state comes out with the bits of its gates applied
-    one by one."""
-    rows, n = stack.shape[0], layers.shape[2]
+    matrix maps[row, q] on qubit q: one batched matmul per qubit."""
+    rows, n = maps.shape[:2]
     for q in range(n):
-        for m in layers[:, :, q]:
-            stack = np.einsum("gij,gajb->gaib", m, stack.reshape(rows, -1, 2, 1 << q))
-            stack = stack.reshape(rows, -1)
+        stack = np.matmul(maps[:, None, q], stack.reshape(rows, -1, 2, 1 << q)).reshape(rows, -1)
     return stack
 
 
@@ -703,20 +747,20 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
         source = _pauli_vector(_run_density(c, bindings, noise), n)
-        layers = _letter_maps(noise)[None, plan.letters]
+        maps = _letter_maps(noise)[plan.letters]
     else:
         source = run_circuit(c, bindings)
-        layers = _BASIS_LAYERS[:, plan.letters]
+        maps = _basis_rotations()[plan.letters]
     step = max(1, (1 << DENSE_CAP) >> n)
     for lo in range(0, len(plan.groups), step):
-        chunk = layers[:, lo:lo + step]
-        rows = chunk.shape[1]
+        chunk = maps[lo:lo + step]
+        rows = len(chunk)
         if noisy:
             probs = _per_qubit(source[plan.words[lo:lo + step]], chunk).clip(min=0.0)
         else:
             probs = np.abs(_per_qubit(np.broadcast_to(source, (rows, 1 << n)), chunk)) ** 2
             if readout:
-                probs = _per_qubit(probs, np.broadcast_to(_confusion(noise), (1, rows, n, 2, 2)))
+                probs = _per_qubit(probs, np.broadcast_to(_confusion(noise), (rows, n, 2, 2)))
         yield probs
 
 
@@ -728,9 +772,9 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     counts drawn once per group: one multinomial draw over its 2^n outcomes,
     whose mean and unbiased variance come from the counts and the group's
     outcome table, so the cost does not grow with `shots`. Group estimates
-    are summed and their variances propagated independently. Group g draws
-    from the PRNG stream derived from (seed, g), so results do not depend on
-    evaluation order. With gate noise (p1 or p2 > 0) the circuit runs once
+    are summed and their variances propagated independently. All groups draw
+    from the one PRNG stream derived from the seed, a stack of groups at a
+    time in plan order. With gate noise (p1 or p2 > 0) the circuit runs once
     on a density matrix, which is refused above DENSITY_CAP qubits. Readout
     errors pass each group's distribution through the confusion matrices
     before sampling. With shots=0 the result is the exact expectation, noise
@@ -745,24 +789,23 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
         raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
                             f"density-matrix cap {DENSITY_CAP}")
     plan = _measurement_plan(h)
+    rng = derive_rng(seed)
     mean, variance = plan.identity, 0.0
-    gi = 0
+    lo = 0
     for probs in _distributions(c, bindings, plan, noise):
-        if shots:
-            probs = probs / probs.sum(axis=1, keepdims=True)
-        for p in probs:
-            table = plan.tables[gi]
-            if table is None:
-                table = _outcome_table(plan.groups[gi], n)
-            if shots == 0:
-                mean += float(p @ table)
-            else:
-                counts = derive_rng(seed, gi).multinomial(shots, p)
-                m = float(counts @ table) / shots
-                mean += m
-                if shots > 1:
-                    variance += float(counts @ (table - m) ** 2) / (shots - 1) / shots
-            gi += 1
+        hi = lo + len(probs)
+        tables = (plan.tables[lo:hi] if plan.tables is not None
+                  else _outcome_tables(plan.groups[lo:hi], n))
+        lo = hi
+        if shots == 0:
+            mean += float(np.vecdot(probs, tables).sum())
+            continue
+        counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+        means = np.vecdot(counts, tables) / shots
+        mean += float(means.sum())
+        if shots > 1:
+            sq = np.vecdot(counts, (tables - means[:, None]) ** 2)
+            variance += float(sq.sum()) / (shots - 1) / shots
     return EstimatorResult(mean, math.sqrt(variance), shots, seed)
 
 

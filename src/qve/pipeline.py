@@ -18,7 +18,7 @@ from .ansatz import build_hea, build_uccsd
 from .basis import Molecule, build_integrals
 from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian
-from .mapping import qubit_operator, sector_basis
+from .mapping import MAX_MODES, qubit_operator, sector_basis
 from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
@@ -38,6 +38,14 @@ def _symmetry_orbit(p, q, r, s):
             (r, q, p, s), (s, p, q, r), (p, s, r, q), (q, r, s, p)}
 
 
+def _finite(tok: str, where: str) -> float:
+    """The token as a finite float; nan and inf are refused with the place."""
+    v = float(tok)
+    if not math.isfinite(v):
+        raise FixtureError(f"{where}: non-finite number {tok!r}")
+    return v
+
+
 def load_fixture(path) -> ActiveSpaceProblem:
     """Parse the line-oriented Hamiltonian fixture format.
 
@@ -45,7 +53,9 @@ def load_fixture(path) -> ActiveSpaceProblem:
     (physicist <pq|rs>, 0-based); `#` starts a comment. Stored entries are
     expanded to their full symmetry orbits. `norb`, `nalpha` and `nbeta` are
     required: they fix the orbital space and the exact solver's electron
-    sector. `constant` defaults to 0.
+    sector. `constant` defaults to 0. Non-finite numbers are refused, and
+    the orbital count is checked against the mapper's mode limit before any
+    tensor is allocated.
     """
     headers = {"constant": 0.0}
     h_entries: dict[tuple[int, int], float] = {}
@@ -57,41 +67,46 @@ def load_fixture(path) -> ActiveSpaceProblem:
         if not line:
             continue
         tok = line.split()
+        where = f"{path}:{ln}"
         try:
             if tok[0] in ("norb", "nalpha", "nbeta") and len(tok) == 2:
                 headers[tok[0]] = int(tok[1])
             elif tok[0] == "constant" and len(tok) == 2:
-                headers["constant"] = float(tok[1])
+                headers["constant"] = _finite(tok[1], where)
             elif tok[0] == "h" and len(tok) == 4:
                 p, q = int(tok[1]), int(tok[2])
                 key = (min(p, q), max(p, q))
                 if key in seen_h:
-                    raise FixtureError(f"{path}:{ln}: duplicate h entry ({p},{q})")
+                    raise FixtureError(f"{where}: duplicate h entry ({p},{q})")
                 seen_h.add(key)
-                v = float(tok[3])
+                v = _finite(tok[3], where)
                 h_entries[(p, q)] = v
                 h_entries[(q, p)] = v
             elif tok[0] == "g" and len(tok) == 6:
                 p, q, r, s = (int(t) for t in tok[1:5])
                 key = min(_symmetry_orbit(p, q, r, s))
                 if key in seen_g:
-                    raise FixtureError(f"{path}:{ln}: duplicate g entry ({p},{q},{r},{s})")
+                    raise FixtureError(f"{where}: duplicate g entry ({p},{q},{r},{s})")
                 seen_g.add(key)
-                v = float(tok[5])
+                v = _finite(tok[5], where)
                 for idx in _symmetry_orbit(p, q, r, s):
                     g_entries[idx] = v
             else:
-                raise FixtureError(f"{path}:{ln}: malformed line {raw.strip()!r}")
+                raise FixtureError(f"{where}: malformed line {raw.strip()!r}")
         except FixtureError:
             raise
         except ValueError:
-            raise FixtureError(f"{path}:{ln}: malformed number in {raw.strip()!r}") from None
+            raise FixtureError(f"{where}: malformed number in {raw.strip()!r}") from None
     missing = [k for k in ("norb", "nalpha", "nbeta") if k not in headers]
     if "norb" in missing:  # no index can be range-checked without it
         raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
     n = headers["norb"]
-    if n < 1:
-        raise FixtureError("norb must be >= 1")
+    if not 1 <= n <= MAX_MODES // 2:
+        raise FixtureError(f"{path}: header norb {n} outside [1, {MAX_MODES // 2}]: "
+                           f"the mapper takes at most {MAX_MODES} spin orbitals")
+    for k in ("nalpha", "nbeta"):
+        if headers.get(k, 0) < 0:
+            raise FixtureError(f"{path}: header {k} {headers[k]} is negative")
     h1 = np.zeros((n, n))
     h2 = np.zeros((n, n, n, n))
     for (p, q), v in h_entries.items():

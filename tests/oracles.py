@@ -180,26 +180,70 @@ def pauli_sum_matrix(h) -> np.ndarray:
 
 def run_operations_reference(c, bindings, states: np.ndarray) -> np.ndarray:
     """The circuit's operations applied one call at a time to every state on
-    the last axis of `states`: the bit-identity reference for the compiled
-    statevector program. Unlike the rest of this module it repeats the
-    arithmetic under test, since the program must keep it to the last bit:
-    a gate is its matrix, a parameterised one at its resolved angle, through
-    qve's gate kernel, and a Pauli rotation by a is cos(a) psi + (i
-    word_phase(x, z) sin(a)) (psi z_signs(z))[flip_index(x)]."""
+    the last axis of `states`. The compiled program fuses rotations and
+    agrees with this to rounding."""
+    for op in c.operations:
+        states = _operation_reference(op, bindings, states, c.n_qubits)
+    return states
+
+
+def _operation_reference(op, bindings, states: np.ndarray, n: int) -> np.ndarray:
+    """One operation on every n-qubit state on the last axis: a gate is its
+    matrix, a parameterised one at its resolved angle, through qve's gate
+    kernel, and a Pauli rotation by a is cos(a) psi + (i word_phase(x, z)
+    sin(a)) (psi z_signs(z))[flip_index(x)]."""
     from qve.circuit import (_ROTATION_BASES, ParamExpr, PauliRotation, _apply_matrix, _matrix,
                              _operand_axes, _rotation)
     from qve.pauli import flip_index, word_phase, z_signs
+    if isinstance(op, PauliRotation):
+        a = op.angle.resolve(bindings)
+        flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
+        return math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
+    a = op.angle
+    u = (_rotation(_ROTATION_BASES[op.kind], a.resolve(bindings))
+         if isinstance(a, ParamExpr) else _matrix(op.kind, a))
+    return _apply_matrix(states, u, _operand_axes(n, op.qubits))
+
+
+def run_fused_reference(c, bindings, states: np.ndarray) -> np.ndarray:
+    """The bit-identity reference for the compiled statevector program: the
+    circuit's operations applied in turn to every state on the last axis, a
+    gate as in run_operations_reference and each run of consecutive Pauli
+    rotations on one parameter, one flip mask x, one offset/scale ratio and
+    pairwise commuting words as exp(i a G). It repeats the arithmetic under
+    test, since the program must keep it to the last bit: a is the run's
+    first angle, G the sum of its words, each weighted by its scale over the
+    first one's, w = (sum of those weights times word_phase(x, z) z_signs(z))
+    [flip_index(x)], and exp(i a G) psi = cos(a |w|) psi + sin(a |w|)
+    (i w / |w|) psi[flip_index(x)], with 0 for w / |w| where |w| = 0."""
+    from qve.circuit import PauliRotation
+    from qve.pauli import flip_index, word_phase, z_signs
     n = c.n_qubits
-    for op in c.operations:
-        if isinstance(op, PauliRotation):
-            a = op.angle.resolve(bindings)
-            flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
-            states = math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
-        else:
-            a = op.angle
-            u = (_rotation(_ROTATION_BASES[op.kind], a.resolve(bindings))
-                 if isinstance(a, ParamExpr) else _matrix(op.kind, a))
-            states = _apply_matrix(states, u, _operand_axes(n, op.qubits))
+    ops = list(c.operations)
+    i = 0
+    while i < len(ops):
+        first = ops[i]
+        if not isinstance(first, PauliRotation):
+            states = _operation_reference(first, bindings, states, n)
+            i += 1
+            continue
+        run, a0 = [first], first.angle
+        for op in ops[i + 1:]:
+            b = op.angle if isinstance(op, PauliRotation) else None
+            if (b is None or b.name != a0.name or op.x != first.x or a0.scale == 0
+                    or b.scale == 0 or b.offset / b.scale != a0.offset / a0.scale
+                    or any(bin(op.x & (op.z ^ r.z)).count("1") % 2 for r in run)):
+                break
+            run.append(op)
+        i += len(run)
+        weights = [r.angle.scale / a0.scale if a0.scale else 1.0 for r in run]
+        w = sum(lam * word_phase(r.x, r.z) * z_signs(n, r.z) for lam, r in zip(weights, run))
+        flip = flip_index(n, first.x)
+        w = w[flip]
+        r = np.abs(w)
+        iu = 1j * np.divide(w, r, out=np.zeros_like(w), where=r > 0.0)
+        a = a0.resolve(bindings)
+        states = np.cos(a * r) * states + (np.sin(a * r) * iu) * states[..., flip]
     return states
 
 

@@ -10,7 +10,7 @@ from qve.basis import (ANGSTROM_TO_BOHR, BasisError, GaussianPrimitive,
                        GeometryError, Molecule, UnsupportedElementError,
                        basis_for, boys, build_integrals, eri, hermite_e, kinetic,
                        nuclear_attraction, nuclear_repulsion, overlap,
-                       parse_geometry, sto3g_shells)
+                       load_geometry, parse_geometry, sto3g_shells)
 from qve.scf import run_rhf
 
 S = (0, 0, 0)
@@ -329,6 +329,15 @@ def test_parse_geometry_units_and_errors(tmp_path):
         parse_geometry("units bohr\nH 0 0\n")
     with pytest.raises(GeometryError):
         parse_geometry("units bohr\n# only comments\n")
+    # a non-finite coordinate, also one that overflows in the unit
+    # conversion, names its line; load_geometry adds the file
+    for coord in ("nan", "-inf", "1e308"):
+        with pytest.raises(GeometryError, match="line 3: non-finite coordinate"):
+            parse_geometry(f"units angstrom\nH 0 0 0\nH 0 0 {coord}\n")
+    geo = tmp_path / "nan.geom"
+    geo.write_text("units bohr\nH nan 0 0\n")
+    with pytest.raises(GeometryError, match=f"{geo}: line 2: non-finite coordinate"):
+        load_geometry(geo)
 
 
 def test_geometry_active_space_lines():

@@ -10,7 +10,8 @@ import pytest
 from scipy.linalg import expm
 
 import qve.circuit as circuit_module
-from oracles import pauli_label_matrix, pauli_sum_matrix, run_operations_reference
+from oracles import (pauli_label_matrix, pauli_sum_matrix, run_fused_reference,
+                     run_operations_reference)
 from qve.ansatz import build_hea, build_uccsd
 from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
@@ -201,32 +202,83 @@ def random_program_circuit(rng, n, depth):
     return c
 
 
-def test_program_is_bit_identical_to_per_operation_reference():
+def uccsd_circuits(sectors):
+    return [build_uccsd(*sector, m, t) for sector in sectors for m, t in ENCODINGS]
+
+
+def program_circuits(rng):
+    """UCCSD for BeH2 and H4 under every encoding, HEA, and random circuits in
+    which fixed gates follow rotations."""
+    circuits = uccsd_circuits([(1, 1, 3), (2, 2, 4)]) + [build_hea(4, 2), build_hea(6, 1)]
+    return circuits + [random_program_circuit(rng, n, 12) for n in (2, 3, 5) for _ in range(3)]
+
+
+def test_program_is_bit_identical_to_fused_reference():
     # [DERIVED] run_circuit and circuit_unitary (batched columns) equal the
-    # per-operation reference bit for bit (array_equal): UCCSD for BeH2 and
-    # H4 under every encoding, HEA, and random circuits in which fixed gates
-    # follow rotations; an unbound parameter raises CircuitError
+    # plain fused-step reference bit for bit (array_equal) on the program
+    # circuits; an unbound parameter raises CircuitError
     rng = np.random.default_rng(41)
-    circuits = [build_uccsd(na, nb, ns, m, t) for na, nb, ns in ((1, 1, 3), (2, 2, 4))
-                for m, t in ENCODINGS]
-    circuits += [build_hea(4, 2), build_hea(6, 1)]
-    circuits += [random_program_circuit(rng, n, 12) for n in (2, 3, 5) for _ in range(3)]
-    for c in circuits:
+    for c in program_circuits(rng):
         n = c.n_qubits
         names = c.parameter_names
         for theta in rng.uniform(-1.0, 1.0, (2, len(names))):
             bindings = dict(zip(names, theta))
             psi = np.eye(1, 1 << n, dtype=complex)[0]
             assert np.array_equal(run_circuit(c, bindings),
-                                  run_operations_reference(c, bindings, psi))
+                                  run_fused_reference(c, bindings, psi))
             if n <= 6:
                 cols = np.eye(1 << n, dtype=complex)
                 assert np.array_equal(circuit_unitary(c, bindings),
-                                      run_operations_reference(c, bindings, cols.T).T)
+                                      run_fused_reference(c, bindings, cols.T).T)
         with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
             run_circuit(c, dict(zip(names[:-1], theta)))
         with pytest.raises(CircuitError, match="unbound parameter"):
             circuit_unitary(c)
+
+
+def test_program_matches_per_operation_reference():
+    # [DERIVED] the fused program's state equals the per-operation reference
+    # within 1e-13 on the program circuits and on H6 UCCSD under every
+    # encoding (828 rotations); each UCCSD excitation is one step
+    rng = np.random.default_rng(42)
+    for c in program_circuits(rng) + uccsd_circuits([(3, 3, 6)]):
+        names = c.parameter_names
+        for theta in rng.uniform(-1.0, 1.0, (2, len(names))):
+            bindings = dict(zip(names, theta))
+            psi = np.eye(1, 1 << c.n_qubits, dtype=complex)[0]
+            np.testing.assert_allclose(run_circuit(c, bindings),
+                                       run_operations_reference(c, bindings, psi),
+                                       rtol=0, atol=1e-13)
+    for c in uccsd_circuits([(1, 1, 3), (2, 2, 4), (3, 3, 6)]):
+        steps = circuit_module._program(c).steps
+        assert sum(step[3] is not None for step in steps) == len(c.parameter_names)
+
+
+def test_fused_runs_match_matrix_exponentials():
+    # [DERIVED] a circuit of Pauli rotations equals the product of their
+    # expm(i a_j P_j) within 1e-12, and the program fuses exactly the runs on
+    # one parameter, flip mask and offset/scale ratio whose words commute:
+    # XX and YY with equal weights fuse (|w| = 0 on even parity); YY at
+    # another ratio stands alone; YX anticommutes with YY; IX commutes with
+    # ZX but on another parameter; XZ and XI at one ratio fuse with weights 1
+    # and -1/2; each rotation of scale 0 stands alone
+    t = ParamExpr("t", 0.75, 0.375)
+    ops = [("XX", t), ("YY", t), ("YY", ParamExpr("t", 1.0, 0.25)),
+           ("YX", ParamExpr("t", 1.0, 0.25)), ("ZX", ParamExpr("u", -1.25)),
+           ("IX", ParamExpr("t", 0.5)), ("XZ", ParamExpr("t", 0.5, 0.125)),
+           ("XI", ParamExpr("t", -0.25, -0.0625)), ("XY", ParamExpr("t", 0.0, 0.8)),
+           ("XY", ParamExpr("t", 0.0, 0.8))]
+    c = Circuit(2).h(0)
+    for lbl, angle in ops:
+        term = PauliTerm.from_label(lbl)
+        c.add(PauliRotation(term.x, term.z, angle))
+    assert len(circuit_module._program(c).steps) == 1 + 8
+    at = {"t": 0.83, "u": -0.41}
+    want = embed(np.array([[1, 1], [1, -1]]) / math.sqrt(2), 0, 2)
+    for lbl, angle in ops:
+        want = expm(1j * angle.resolve(at) * pauli_label_matrix(lbl)) @ want
+    np.testing.assert_allclose(circuit_unitary(c, at), want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run_circuit(c, at), want[:, 0], rtol=0, atol=1e-12)
 
 
 def test_program_is_compiled_once_per_circuit(monkeypatch):
@@ -373,11 +425,10 @@ def test_grouping_matches_pairwise_first_fit(beh2_problem):
 
 def basis_rotation(letters):
     """The plan's basis change for these letters as one dense unitary: the
-    Kronecker product of each qubit's layers, qubit 0 least significant."""
-    first, second = circuit_module._BASIS_LAYERS
+    Kronecker product of each qubit's rotation, qubit 0 least significant."""
     mat = np.eye(1)
     for i in letters:
-        mat = np.kron(second[i] @ first[i], mat)
+        mat = np.kron(circuit_module._basis_rotations()[i], mat)
     return mat
 
 
@@ -735,26 +786,79 @@ def uccsd_bindings(seed):
 
 
 def test_counts_match_per_shot_energies(beh2_tapered):
-    # [DERIVED] each group draws one count vector; its mean and unbiased
-    # variance equal those of the per-shot energy list np.repeat(table, counts)
-    # (1e-12). At shots=1 the standard error is 0.
+    # [DERIVED] one generator, derive_rng(seed), draws one count vector per
+    # group from the stacked rows of all groups' distributions in plan order;
+    # each group's mean and unbiased variance equal those of the per-shot
+    # energy list np.repeat(table, counts) (1e-12). At shots=1 the standard
+    # error is 0.
     c, bindings = uccsd_bindings(4)
     n = c.n_qubits
     shots, seed = 1000, 6
     mean = beh2_tapered.coefficient("I" * n).real
     variance = 0.0
     plan = circuit_module._measurement_plan(beh2_tapered)
-    for gi, (letters, table) in enumerate(zip(plan.letters, plan.tables)):
-        probs = np.abs(basis_rotation(letters) @ run_circuit(c, bindings)) ** 2
-        counts = derive_rng(seed, gi).multinomial(shots, probs / probs.sum())
-        assert counts.sum() == shots
-        energies = np.repeat(table, counts)
+    probs = np.array([np.abs(basis_rotation(letters) @ run_circuit(c, bindings)) ** 2
+                      for letters in plan.letters])
+    counts = derive_rng(seed).multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+    for row, table in zip(counts, plan.tables):
+        assert row.sum() == shots
+        energies = np.repeat(table, row)
         mean += energies.mean()
         variance += energies.var(ddof=1) / shots
     r = estimate(c, bindings, beh2_tapered, shots, seed)
     assert r.mean == pytest.approx(mean, abs=1e-12)
     assert r.std_error == pytest.approx(math.sqrt(variance), abs=1e-12)
     assert estimate(c, bindings, beh2_tapered, 1, seed).std_error == 0.0
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(p1=0.001, p2=0.01, readout01=0.02)],
+                         ids=["noiseless", "noisy"])
+def test_one_generator_across_stacks(beh2_tapered, noise, monkeypatch):
+    # [DERIVED] the estimate draws every stack of groups from one generator in
+    # plan order: with a DENSE_CAP of 5 (stacks of two groups) and of 3 (one
+    # group per stack, outcome tables built per estimate) it equals, within
+    # 1e-12, the single-stack estimate, and the draws equal one generator's
+    # multinomial calls row by row; restarting the stream for each group
+    # gives another mean
+    c, bindings = uccsd_bindings(7)
+    shots, seed = 500, 11
+    whole = estimate(c, bindings, beh2_tapered, shots, seed, noise=noise)
+    plan = circuit_module._measurement_plan(beh2_tapered)
+    probs = np.concatenate(list(circuit_module._distributions(c, bindings, plan, noise)))
+    probs /= probs.sum(axis=1, keepdims=True)
+    rng = derive_rng(seed)
+    rows = np.array([rng.multinomial(shots, p) for p in probs])
+    assert np.array_equal(rows, derive_rng(seed).multinomial(shots, probs))
+    means = np.vecdot(rows, plan.tables) / shots
+    assert whole.mean == pytest.approx(plan.identity + means.sum(), abs=1e-12)
+    fresh = sum(derive_rng(seed).multinomial(shots, p) @ t for p, t in zip(probs, plan.tables))
+    assert abs(plan.identity + fresh / shots - whole.mean) > 1e-6
+    for dense_cap in (5, 3):
+        monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
+        h = PauliSum.from_terms(beh2_tapered.terms())  # a plan at this cap
+        stacks = list(circuit_module._distributions(c, bindings, plan, noise))
+        assert [len(p) for p in stacks] == ([2, 2, 2, 1] if dense_cap == 5 else [1] * 7)
+        r = estimate(c, bindings, h, shots, seed, noise=noise)
+        assert (circuit_module._measurement_plan(h).tables is None) == (dense_cap == 3)
+        assert r.mean == pytest.approx(whole.mean, abs=1e-12)
+        assert r.std_error == pytest.approx(whole.std_error, abs=1e-12)
+
+
+def test_sampled_means_are_unbiased_over_seeds(beh2_tapered):
+    # [DERIVED] over 400 seeds at 256 shots, the mean of the noiseless and of
+    # the readout-noisy UCCSD estimates lies within 4 standard errors of the
+    # exact expectation (z-score), and the reported standard errors agree
+    # with the seeds' spread within 20 %
+    c, bindings = uccsd_bindings(12)
+    for noise in (None, NoiseModel(readout01=0.03, readout10=0.05)):
+        exact = estimate(c, bindings, beh2_tapered, 0, 0, noise=noise).mean
+        results = [estimate(c, bindings, beh2_tapered, 256, seed, noise=noise)
+                   for seed in range(400)]
+        means = np.array([r.mean for r in results])
+        errors = np.array([r.std_error for r in results])
+        z = (means.mean() - exact) / (np.sqrt(np.mean(errors ** 2)) / math.sqrt(len(means)))
+        assert abs(z) < 4.0
+        assert 0.8 < means.std(ddof=1) / np.sqrt(np.mean(errors ** 2)) < 1.2
 
 
 def test_terashot_estimate_is_cheap(beh2_tapered):
@@ -874,7 +978,7 @@ def test_estimate_above_dense_cap_keeps_no_tables():
     r = estimate(c, {}, h, 64, 0)
     assert r.mean == pytest.approx(-0.5 + 0.25 + 0.125, abs=1e-12)
     assert r.std_error == 0.0
-    assert circuit_module._measurement_plan(h).tables == (None,)
+    assert circuit_module._measurement_plan(h).tables is None
 
 
 def test_noise_model_validation():

@@ -247,6 +247,48 @@ def test_fixture_without_electron_counts_is_config_error(capsys, tmp_path, comma
         assert out == "" and f"missing header {header}" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "hamiltonian"])
+def test_non_finite_input_is_config_error(capsys, tmp_path, command):
+    # [DERIVED] a NaN fixture entry or geometry coordinate: exit code 2 with
+    # the file and line, where `qve exact` printed 0.0 and the geometry error
+    # named no line
+    if command == "exact":
+        path = tmp_path / "nan.ham"
+        path.write_text("norb 1\nnalpha 1\nnbeta 0\nh 0 0 nan\n")
+        argv = ["exact", "--ham", str(path), "--mapper", "jw"]
+        where = f"{path}:4:"
+    else:
+        path = tmp_path / "nan.geom"
+        path.write_text("units angstrom\nH 0 0 0\nH 0 0 nan\n")
+        argv = ["hamiltonian", "--geometry", str(path), "--out", str(tmp_path / "x.ham")]
+        where = f"{path}: line 3:"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == "" and where in err and "non-finite" in err
+
+
+def test_oversized_fixture_is_refused_before_allocation(tmp_path):
+    # [DERIVED] norb 70 (140 spin orbitals, past the 63-mode limit) exits 2
+    # before any tensor is allocated: under a 1 GB address-space limit, where
+    # the 192 MB h2 and the 3 GB spin-orbital tensor used to end in an
+    # out-of-memory failure
+    import qve
+    ham = tmp_path / "big.ham"
+    ham.write_text("norb 70\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng 69 69 69 69 0.5\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+        "from qve.cli import main\n"
+        f"sys.exit(main(['exact', '--ham', {str(ham)!r}, '--mapper', 'jw']))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "header norb 70 outside" in done.stderr
+
+
 def test_unsupported_element_is_element_error(capsys, tmp_path):
     # [DERIVED] Na is past Ne, where the built-in STO-3G ends: exit code 4
     geo = tmp_path / "nah.geom"

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,33 @@ def test_fixture_parse_errors(tmp_path):
     f.write_text("wibble 3\n")
     with pytest.raises(FixtureError, match="malformed"):
         load_fixture(f)
+
+
+def test_fixture_refuses_non_finite_numbers(tmp_path):
+    # [DERIVED] nan and inf, in the constant, an h or a g entry, or a number
+    # past the float range, are refused with the file and line; a NaN entry
+    # used to vanish from the Hamiltonian and `qve exact` printed 0.0
+    f = tmp_path / "bad.txt"
+    for body in ("h 0 0 nan", "constant inf", "g 0 1 0 1 -inf", "h 0 1 1e999"):
+        f.write_text(f"norb 2\nnalpha 1\nnbeta 1\n{body}\n")
+        with pytest.raises(FixtureError, match=re.escape(f"{f}:4: non-finite number")):
+            load_fixture(f)
+
+
+def test_fixture_header_ranges(tmp_path):
+    # [DERIVED] norb outside [1, MAX_MODES // 2] and a negative electron count
+    # are refused with a message naming the header; norb 31 (62 modes) loads
+    f = tmp_path / "bad.txt"
+    for norb in (0, 32, 70):
+        f.write_text(f"norb {norb}\nnalpha 1\nnbeta 1\n")
+        with pytest.raises(FixtureError, match=f"header norb {norb} outside"):
+            load_fixture(f)
+    for header in ("nalpha", "nbeta"):
+        f.write_text(f"norb 2\nnalpha 1\nnbeta 1\n{header} -1\n".replace(f"{header} 1\n", ""))
+        with pytest.raises(FixtureError, match=f"header {header} -1 is negative"):
+            load_fixture(f)
+    f.write_text("norb 31\nnalpha 1\nnbeta 1\n")
+    assert load_fixture(f).n_spatial == 31
 
 
 def test_fixture_duplicate_detection_spans_orbit(tmp_path):
