@@ -20,28 +20,30 @@ for its summed generator G, a rotation inside each pair {|b>, |b ^ x>}
 one vector operation from two 2^n arrays, 24 * 2^n bytes per step. The
 program also holds the state after the leading fixed gates; `add` clears
 it. `run_circuit` and `circuit_unitary` both run it.
-Gate noise is simulated exactly on a density matrix. The gate list is cut
-greedily, in order, into blocks that act on at most 2 qubits; each block is
-one superoperator, the product of its gates' U (x) U* and depolarizing
-channels, applied to rho with one matrix product. U is the table's matrix
-embedded on the block's qubits by the same kernel, and a channel is the mean
-of the same embedding of the Pauli strings built from the table's X, Y and
-Z. A circuit keeps, per noise model, the partition and each block's product
-of fixed gates up to its first parameterised one (`_block_plan`), built at
-its first noisy estimate, so an estimate multiplies only what its parameters
-change. A group's basis is the OR of its terms' (x, z) masks, one letter Z,
-X or Y per qubit (Z also where it measures nothing); one rule turns masks
-into basis-change gates, for measurement groups and rotation synthesis
-alike. A group's basis change, diagonal and readout act on each qubit alone,
-so every group is measured at once through one fixed 2x2 map per qubit and
-letter, applied by one batched matmul per qubit. Noiseless, the maps are
-the rotations I, H and H S-dagger, each letter's basis-change gates
-multiplied out, applied to every group's copy of the state, and readout
-passes the squared amplitudes through each qubit's confusion matrix. Noisy,
-rho becomes its Pauli vector tr(Q rho) once, each group gathers its 2^n
-words over {I, its letter} on each qubit, and the maps, built from the noisy
-basis-change gates and the confusion matrix, give the read-out
-distribution. Each measurement
+Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
+matrix, at index sum_q 4^q d_q with d_q the index in _PAULIS (I, X, Y, Z) of
+Q's letter on qubit q. A gate's Pauli transfer matrix comes from the table's
+matrix; a Clifford gate's is a signed permutation, and the depolarizing
+channel after a gate scales each word that is not I on its k qubits by
+1 - p 4^k / (4^k - 1). Each maximal run of fixed Clifford gates on at most
+SEGMENT_SPAN qubits is one segment, a gather and a multiply over their words
+(over all n qubits' words up to SEGMENT_SPAN), cached by its gates so that
+folded circuits reuse it; every other gate, a rotation by a parameter or a
+non-Clifford angle, is one 4x4 map T0 + cos(a) T1 + sin(a) T2 on its qubit.
+A circuit keeps these steps per noise model (`_noisy_plan`), built at its
+first noisy estimate and cleared by `add`. A group's basis is the OR of its
+terms' (x, z) masks, one letter Z, X or Y per qubit (Z also where it
+measures nothing); one rule turns masks into basis-change gates, for
+measurement groups and rotation synthesis alike. A group's basis change,
+diagonal and readout act on each qubit alone, so every group is measured at
+once through one fixed 2x2 map per qubit and letter, applied by one batched
+matmul per qubit. Noiseless, the maps are the rotations I, H and H
+S-dagger, each letter's basis-change gates multiplied out, applied to every
+group's copy of the state, and readout passes the squared amplitudes
+through each qubit's confusion matrix. Noisy, each group gathers its 2^n
+words over {I, its letter} on each qubit from the Pauli vector, and the
+maps, built from the noisy basis-change gates' transfer matrices and the
+confusion matrix, give the read-out distribution. Each measurement
 group turns a measured outcome into its energy through a table over the 2^n
 outcomes. The groups, their letters, tables and word indices, and the
 identity coefficient form the Hamiltonian's measurement plan, built at its
@@ -56,7 +58,6 @@ instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from collections import deque
@@ -206,7 +207,7 @@ class Circuit:
         self.operations: list[Gate | PauliRotation] = []
         self.parameter_names: list[str] = []
         self._gates: tuple[Gate, ...] | None = None
-        self._plans: dict[NoiseModel, tuple] = {}  # see _block_plan
+        self._plans: dict[NoiseModel, _NoisyPlan] = {}  # see _noisy_plan
         self._program: _Program | None = None  # see _program
 
     @property
@@ -422,175 +423,190 @@ class NoiseModel:
                 raise CircuitError(f"noise probability {name}={v} outside [0, 1]")
 
 
-# A noisy estimate holds rho (16 * 4^n bytes, 256 MiB at 12 qubits). While it
-# applies a block it also holds the reordered operand and the product, and
-# while it turns rho into its Pauli vector, the paired copy and each product.
-# Each step drops its input once nothing else holds it, but a caller may hold
-# a call's arguments until it returns (CPython before 3.11 does): three
-# copies of rho at most, 768 MiB at 12 qubits.
+# A noisy estimate holds the Pauli vector tr(Q rho), 8 * 4^n bytes (128 MiB at
+# 12 qubits). A step holds its input until it returns. Above SEGMENT_SPAN
+# qubits a segment step also holds the vector with the segment's axes in
+# front, then its gathered product, then the product with the axes moved
+# back: three copies at most, 384 MiB at 12 qubits.
 DENSITY_CAP = 12
 
-
-def _partition(gates) -> list[tuple[tuple[int, ...], list[Gate]]]:
-    """Greedy in-order blocks of gates whose combined qubits number at most 2:
-    (sorted block qubits, gates) for each block."""
-    blocks: list[tuple[tuple[int, ...], list[Gate]]] = []
-    qubits: set[int] = set()
-    members: list[Gate] = []
-    for g in gates:
-        union = qubits.union(g.qubits)
-        if len(union) > 2:
-            blocks.append((tuple(sorted(qubits)), members))
-            union, members = set(g.qubits), []
-        qubits = union
-        members.append(g)
-    if members:
-        blocks.append((tuple(sorted(qubits)), members))
-    return blocks
-
+# A segment of Clifford gates acts on at most this many qubits, so its table
+# holds at most 4^SEGMENT_SPAN words; up to this many qubits it covers them all.
+SEGMENT_SPAN = 4
 
 # I and the Paulis X, Y, Z of the gate table
 _PAULIS = (np.eye(2), _GATES["X"][0], _GATES["RY"][0], _GATES["RZ"][0])
 
 
-def _embedded_super(u: np.ndarray, local: tuple[int, ...], b: int) -> np.ndarray:
-    """U (x) U* of the matrix u on these local qubits of a b-qubit block.
-    Superoperators act on vec(rho)[r * 2^b + c] = rho[r, c]."""
-    # the kernel applies u to each row of the identity, giving U^T
-    full = _apply_matrix(np.eye(1 << b, dtype=complex), u, _operand_axes(b, local)).T
-    return np.kron(full, full.conj())
+@lru_cache(maxsize=1024)
+def _transfer(kind: str, angle: float | None = None) -> tuple[np.ndarray, bool]:
+    """The gate's Pauli transfer matrix R[a, b] = tr(P_a U P_b U^dagger) / 2^k
+    over the words of its k operands (word sum_j 4^j d_j holds _PAULIS[d_j] on
+    operand j), and whether the gate is Clifford: every row of R is +-1 in one
+    place within 1e-12. A Clifford R is rounded to that signed permutation."""
+    u = _matrix(kind, angle)
+    k = len(u).bit_length() - 1
+    w = np.array([reduce(np.kron, [_PAULIS[(a >> 2 * j) & 3] for j in range(k)])
+                  for a in range(4**k)])
+    r = np.einsum("aij,jk,bkl,li->ab", w, u, w, u.conj().T, optimize=True).real / len(u)
+    rounded = np.rint(r)
+    clifford = bool(np.abs(r - rounded).max() <= 1e-12 and (np.abs(rounded).sum(axis=1) == 1).all())
+    return (rounded if clifford else r), clifford
 
 
-def _gate_super(u: np.ndarray, qubits: tuple[int, ...], block: tuple[int, ...],
-                p: float) -> np.ndarray:
-    """U (x) U* of the matrix u on these of the block's qubits, followed by the
-    exact channel of a uniform non-identity Pauli error with probability p on
-    those k qubits, (1 - lam) I + lam T with lam = p 4^k / (4^k - 1) and T the
-    twirl, the mean of P (x) P* over the 4^k Pauli strings P on those qubits,
-    in the block's 4^len(block)-dim space."""
-    b = len(block)
-    local = tuple(block.index(q) for q in qubits)
-    s = _embedded_super(u, local, b)
-    if p == 0.0:
-        return s
-    k = len(qubits)
-    # each P (x) P* is real with entries 0 and +-1, so the mean is exact
-    twirl = sum(_embedded_super(reduce(np.kron, paulis), local, b)
-                for paulis in itertools.product(_PAULIS, repeat=k)).real / 4**k
-    lam = p * 4**k / (4**k - 1)
-    return ((1.0 - lam) * np.eye(4**b) + lam * twirl) @ s
+def _fidelities(k: int, p: float) -> np.ndarray:
+    """How a uniform non-identity Pauli error with probability p on k qubits
+    scales each of their 4^k words: 1 - p 4^k / (4^k - 1) for all but I."""
+    f = np.full(4**k, 1.0 - p * 4**k / (4**k - 1))
+    f[0] = 1.0
+    return f
 
 
 @lru_cache(maxsize=1024)
-def _fixed_super(gate: Gate, block: tuple[int, ...], p: float) -> np.ndarray:
-    """The cached superoperator of a gate without a parameter."""
-    return _gate_super(_matrix(gate.kind, gate.angle), gate.qubits, block, p)
+def _lifted(kind: str, angle: float | None, positions: tuple[int, ...], m: int,
+            p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The noisy Clifford gate on these positions of an m-qubit segment as
+    (src, coef): word w of its output is coef[w] times word src[w] of its
+    input, over the words sum_i 4^i d_i with d_i the letter at position i."""
+    r, _ = _transfer(kind, angle)
+    gate_src = np.abs(r).argmax(axis=1)
+    gate_coef = r.sum(axis=1) * _fidelities(len(positions), p)  # one nonzero per row
+    w = np.arange(4**m)
+    shifts = 2 * np.array(positions)
+    digits = (w[:, None] >> shifts) & 3
+    out = digits @ (4 ** np.arange(len(positions)))  # each word's gate-local word
+    src_digits = (gate_src[out][:, None] >> (2 * np.arange(len(positions)))) & 3
+    return w + ((src_digits - digits) << shifts).sum(axis=1), gate_coef[out]
 
 
-@lru_cache(maxsize=256)
-def _rotation_tables(kind: str, q: int, block: tuple[int, ...], p: float) -> tuple:
-    """(T0, T1, T2) with superoperator T0 + cos(a) T1 + sin(a) T2 for the noisy
-    rotation by a: U = cos(a/2) I - i sin(a/2) P makes U (x) U* affine in
-    (1, cos a, sin a), so three angles fix it."""
-    s0, s_pi, s_half = (_gate_super(_matrix(kind, a), (q,), block, p)
-                        for a in (0.0, math.pi, math.pi / 2))
-    t0 = 0.5 * (s0 + s_pi)
-    return t0, 0.5 * (s0 - s_pi), s_half - t0
+@lru_cache(maxsize=1024)
+def _segment(gates: tuple[Gate, ...], n: int, p1: float, p2: float) -> tuple:
+    """(qubits, src, coef) of a run of noisy Clifford gates: all n qubits up to
+    SEGMENT_SPAN, else the sorted qubits of the run, and the product of the
+    gates' _lifted maps over their words."""
+    qubits = tuple(range(n)) if n <= SEGMENT_SPAN else tuple(
+        sorted({q for g in gates for q in g.qubits}))
+    src = coef = None
+    for g in gates:
+        positions = tuple(qubits.index(q) for q in g.qubits)
+        s, k = _lifted(g.kind, g.angle, positions, len(qubits), p1 if len(positions) == 1 else p2)
+        src, coef = (s, k) if src is None else (src[s], k * coef[s])
+    return qubits, src, coef
 
 
-def _block_plan(c: Circuit, noise: NoiseModel) -> tuple:
-    """The fixed part of the circuit's noisy evolution under this noise model,
-    built at its first noisy estimate and kept until `add` changes the circuit:
-    for each block of the partition, (qubits, prefix, rest). prefix is the
-    product of the block's fixed gates before its first parameterised one
-    (None if the block starts with one); rest holds each later gate's
-    superoperator, or for a parameterised rotation its tables and angle."""
+@lru_cache(maxsize=64)
+def _rotation_transfer(kind: str, p: float) -> np.ndarray:
+    """(3, 4, 4): T0, T1, T2 with the noisy rotation's transfer matrix
+    T0 + cos(a) T1 + sin(a) T2 at angle a. U = cos(a/2) I - i sin(a/2) P
+    makes R affine in (1, cos a, sin a), so three angles fix it."""
+    r0, r_pi, r_half = (_transfer(kind, a)[0] for a in (0.0, math.pi, math.pi / 2))
+    t0 = 0.5 * (r0 + r_pi)
+    return _fidelities(1, p)[:, None] * np.array([t0, 0.5 * (r0 - r_pi), r_half - t0])
+
+
+def _split(gates) -> list[tuple[bool, tuple[Gate, ...]]]:
+    """The gate list cut in order into steps: (True, gates) for each maximal
+    run of fixed Clifford gates on at most SEGMENT_SPAN qubits together, and
+    (False, (gate,)) for each rotation by a parameter or by a non-Clifford
+    angle."""
+    steps: list[tuple[bool, tuple[Gate, ...]]] = []
+    run: list[Gate] = []
+    qubits: set[int] = set()
+    for g in gates:
+        if isinstance(g.angle, ParamExpr) or not _transfer(g.kind, g.angle)[1]:
+            if run:
+                steps.append((True, tuple(run)))
+            steps.append((False, (g,)))
+            run, qubits = [], set()
+            continue
+        union = qubits.union(g.qubits)
+        if len(union) > SEGMENT_SPAN:
+            steps.append((True, tuple(run)))
+            run, union = [], set(g.qubits)
+        run.append(g)
+        qubits = union
+    if run:
+        steps.append((True, tuple(run)))
+    return steps
+
+
+class _NoisyPlan(NamedTuple):
+    """A circuit's noisy steps under one noise model: (qubits, src, coef) for
+    a segment (see _segment), (qubit, i) for rotation i, whose angle is
+    scale * bindings[parameter] + offset, or offset where parameter is None."""
+
+    steps: tuple[tuple, ...]
+    angles: tuple[tuple[str | None, float, float], ...]
+    tables: np.ndarray  # (rotations, 3, 4, 4): each rotation's _rotation_transfer
+
+
+def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
+    """The circuit's noisy steps under this noise model, compiled at its first
+    noisy estimate and kept until `add` changes the circuit. Segments are
+    cached by their gates, so a folded circuit reuses those of its parts."""
     plan = c._plans.get(noise)
     if plan is None:
-        # a folded circuit repeats its blocks: equal fixed runs on equal
-        # qubits share one product, which keeps a fold's plan small
-        plan, prefixes = [], {}
-        for block, members in _partition(c.gates):
-            ps = [noise.p1 if len(g.qubits) == 1 else noise.p2 for g in members]
-            k = next((i for i, g in enumerate(members) if isinstance(g.angle, ParamExpr)),
-                     len(members))
-            key = (block, tuple(members[:k]))
-            if key not in prefixes:
-                prefix = None
-                for g, p in zip(members[:k], ps):
-                    gs = _fixed_super(g, block, p)
-                    prefix = gs if prefix is None else gs @ prefix
-                prefixes[key] = prefix
-            rest = tuple((*_rotation_tables(g.kind, g.qubits[0], block, p), g.angle)
-                         if isinstance(g.angle, ParamExpr) else _fixed_super(g, block, p)
-                         for g, p in zip(members[k:], ps[k:]))
-            plan.append((block, prefixes[key], rest))
-        plan = c._plans[noise] = tuple(plan)
+        n = c.n_qubits
+        steps, angles, tables = [], [], []
+        for clifford, members in _split(c.gates):
+            if clifford:
+                steps.append(_segment(members, n, noise.p1, noise.p2))
+                continue
+            g = members[0]
+            a = g.angle
+            steps.append((g.qubits[0], len(angles)))
+            angles.append((a.name, a.scale, a.offset) if isinstance(a, ParamExpr)
+                          else (None, 0.0, float(a)))
+            tables.append(_rotation_transfer(g.kind, noise.p1))
+        plan = c._plans[noise] = _NoisyPlan(tuple(steps), tuple(angles),
+                                            np.array(tables).reshape(-1, 3, 4, 4))
     return plan
 
 
-def _noisy_blocks(plan, bindings):
-    """(qubits, superoperator) for each block of the plan: the product of its
-    gates' noisy superoperators, in gate order."""
-    for block, s, rest in plan:
-        for gs in rest:
-            if isinstance(gs, tuple):
-                t0, t1, t2, angle = gs
-                a = angle.resolve(bindings or {})
-                gs = t0 + math.cos(a) * t1 + math.sin(a) * t2
-            s = gs if s is None else gs @ s
-        yield block, s
+def _apply_segment(r: np.ndarray, n: int, qubits: tuple[int, ...], src: np.ndarray,
+                   coef: np.ndarray) -> np.ndarray:
+    """The Pauli vector r after a segment: one gather and one multiply over
+    the segment's words, with its qubits' axes of r's (4,) * n view moved to
+    the front when it does not cover all n qubits."""
+    m = len(qubits)
+    if m == n:
+        return coef * r[src]
+    axes = [n - 1 - q for q in reversed(qubits)]
+    front = np.moveaxis(r.reshape((4,) * n), axes, range(m)).reshape(4**m, -1)
+    out = front[src]
+    del front
+    out *= coef[:, None]
+    return np.moveaxis(out.reshape((4,) * n), range(m), axes).reshape(-1)
 
 
-@lru_cache(maxsize=512)
-def _block_axes(n: int, block: tuple[int, ...]) -> tuple:
-    """Axis order of rho's (2,) * 2n view that puts the block's row bits, then
-    its column bits, in front (most significant first), and its inverse."""
-    front = [n - 1 - q for q in reversed(block)]
-    front += [a + n for a in front]
-    perm = front + [a for a in range(2 * n) if a not in front]
-    return tuple(perm), tuple(int(a) for a in np.argsort(perm))
-
-
-def _evolve(rho: np.ndarray, blocks, n: int) -> np.ndarray:
-    """rho, as 2n bit axes, after each (qubits, superoperator) block: one
-    matmul over the block's row and column axes moved to the front."""
-    for block, s in blocks:
-        perm, inverse = _block_axes(n, block)
-        front = rho.transpose(perm).reshape(len(s), -1)
-        # at most two copies of rho live here: the caller's reference alone
-        # keeps the input, and the operand goes before the next one is made
-        del rho
-        rho = (s @ front).reshape((2,) * (2 * n)).transpose(inverse)
-        del front
-    return rho
-
-
-def _run_density(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
-    """rho, as 2n bit axes, after the noisy gate list on |0...0><0...0|."""
+def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
+    """tr(Q rho) for every n-qubit Pauli word Q, at index sum_q 4^q d_q with
+    d_q the index in _PAULIS of Q's letter on qubit q, for rho after the noisy
+    gate list on |0...0>: one gather per segment, and one 4x4 map per
+    rotation on the (4^(n-1-q), 4, 4^q) view of its qubit q."""
     n = c.n_qubits
-    # the initial rho is bound to no name here, so _evolve can drop it
-    return _evolve(np.eye(1, 1 << 2 * n, dtype=complex).reshape((2,) * (2 * n)),
-                   _noisy_blocks(_block_plan(c, noise), bindings), n)
-
-
-# tr(P rho) for P = I, X, Y, Z of _PAULIS from one qubit's entries
-# (rho_00, rho_01, rho_10, rho_11): the sum over r, c of P[c, r] rho[r, c]
-_PAULI_TRACES = np.array([p.T.reshape(-1) for p in _PAULIS])
-
-
-def _pauli_vector(rho: np.ndarray, n: int) -> np.ndarray:
-    """tr(Q rho) for every n-qubit Pauli word Q of the Hermitian rho given as
-    2n bit axes, at index sum_q 4^q d_q with d_q the index in _PAULIS of Q's
-    letter on qubit q: each qubit's row and column bit are paired, and each
-    pair passes through _PAULI_TRACES."""
-    pairs = [a for i in range(n) for a in (i, n + i)]
-    v = rho.transpose(pairs).reshape(-1)
-    # unless the caller still holds rho, it goes before the first product
-    del rho
-    for j in range(n):
-        v = _PAULI_TRACES @ v.reshape(4**j, 4, -1)
-    return v.reshape(-1).real
+    plan = _noisy_plan(c, noise)
+    bindings = bindings or {}
+    try:
+        a = np.array([offset if name is None else scale * bindings[name] + offset
+                      for name, scale, offset in plan.angles])
+    except KeyError as exc:
+        raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
+    t = plan.tables
+    maps = t[:, 0] + np.cos(a)[:, None, None] * t[:, 1] + np.sin(a)[:, None, None] * t[:, 2]
+    # |0...0><0...0| has tr(Q rho) = 1 on the words over {I, Z}, else 0
+    r = np.zeros((4,) * n)
+    r[(slice(None, None, 3),) * n] = 1.0
+    r = r.reshape(-1)
+    for step in plan.steps:
+        if len(step) == 3:
+            r = _apply_segment(r, n, *step)
+        elif step[0] == 0:  # a plain matrix product is faster than the stacked one
+            r = (r.reshape(-1, 4) @ maps[step[1]].T).reshape(-1)
+        else:
+            q, i = step
+            r = np.matmul(maps[i], r.reshape(-1, 4, 1 << 2 * q)).reshape(-1)
+    return r
 
 
 # -- estimation ------------------------------------------------------------
@@ -670,7 +686,7 @@ class _MeasurementPlan(NamedTuple):
     groups: tuple[tuple[PauliTerm, ...], ...]
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
     tables: np.ndarray | None  # (groups, 2^n)
-    words: np.ndarray | None  # (groups, 2^n): indices into _pauli_vector
+    words: np.ndarray | None  # (groups, 2^n): indices into _run_pauli's vector
 
 
 def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
@@ -715,14 +731,13 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     each with its depolarizing channel at p1, and the confusion matrix. Other
     Paulis do not reach the diagonal."""
     maps, confusion = [], _confusion(noise)
+    # the diagonal of rho is (tr rho +- tr(Z rho)) / 2
+    diagonal = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2
     for (x, z), pauli in zip(_LETTER_MASKS, _LETTER_PAULIS):
-        s = np.eye(4)
+        r = np.eye(4)
         for g in _basis_change_gates(x, z, 1):
-            s = _gate_super(_matrix(g.kind, g.angle), (0,), (0,), noise.p1) @ s
-        # rho = (tr rho I + tr(P rho) P) / 2 on these two words; the
-        # diagonal is entries 0 and 3 of vec(rho)
-        words = np.stack([_PAULIS[0], _PAULIS[pauli]], axis=-1).reshape(4, 2) / 2
-        maps.append((confusion @ s[[0, 3]] @ words).real)
+            r = _fidelities(1, noise.p1)[:, None] * _transfer(g.kind, g.angle)[0] @ r
+        maps.append(confusion @ diagonal @ r[[0, 3]][:, [0, pauli]])
     return np.array(maps)
 
 
@@ -746,7 +761,7 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
     noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
-        source = _pauli_vector(_run_density(c, bindings, noise), n)
+        source = _run_pauli(c, bindings, noise)
         maps = _letter_maps(noise)[plan.letters]
     else:
         source = run_circuit(c, bindings)
@@ -775,7 +790,7 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     are summed and their variances propagated independently. All groups draw
     from the one PRNG stream derived from the seed, a stack of groups at a
     time in plan order. With gate noise (p1 or p2 > 0) the circuit runs once
-    on a density matrix, which is refused above DENSITY_CAP qubits. Readout
+    on the Pauli vector of rho, which is refused above DENSITY_CAP qubits. Readout
     errors pass each group's distribution through the confusion matrices
     before sampling. With shots=0 the result is the exact expectation, noise
     included.
@@ -787,7 +802,7 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     n = c.n_qubits
     if noise is not None and not (noise.p1 == noise.p2 == 0.0) and n > DENSITY_CAP:
         raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
-                            f"density-matrix cap {DENSITY_CAP}")
+                            f"Pauli-vector cap {DENSITY_CAP}")
     plan = _measurement_plan(h)
     rng = derive_rng(seed)
     mean, variance = plan.identity, 0.0

@@ -52,10 +52,14 @@ def _load_noise(path):
         tok = line.split()
         if len(tok) != 2 or tok[0] not in ("p1", "p2", "readout01", "readout10"):
             raise _ConfigError(f"{path}:{ln}: expected `p1|p2|readout01|readout10 VALUE`")
+        if tok[0] in values:
+            raise _ConfigError(f"{path}:{ln}: repeated key {tok[0]}")
         try:
             values[tok[0]] = float(tok[1])
         except ValueError:
             raise _ConfigError(f"{path}:{ln}: non-numeric value {tok[1]!r}") from None
+        if not 0.0 <= values[tok[0]] <= 1.0:  # NaN fails this too
+            raise _ConfigError(f"{path}:{ln}: {tok[0]} {tok[1]} outside [0, 1]")
     return NoiseModel(**values)
 
 

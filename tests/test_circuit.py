@@ -604,13 +604,13 @@ def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
 
 
 def test_block_plan_is_built_once_per_circuit_and_noise_model(monkeypatch):
-    # [DERIVED] a circuit partitions its gates once per noise model; add
-    # clears its plans, so it then estimates like a freshly built circuit;
-    # add on a copy leaves the original's plan and result unchanged; two noise
-    # models on one circuit each give a fresh circuit's result
+    # [DERIVED] a circuit cuts its gates into noisy steps once per noise
+    # model; add clears its plans, so it then estimates like a freshly built
+    # circuit; add on a copy leaves the original's plan and result unchanged;
+    # two noise models on one circuit each give a fresh circuit's result
     calls = []
-    original = circuit_module._partition
-    monkeypatch.setattr(circuit_module, "_partition",
+    original = circuit_module._split
+    monkeypatch.setattr(circuit_module, "_split",
                         lambda gates: calls.append(1) or original(gates))
 
     def build(grown=False):
@@ -646,9 +646,26 @@ def test_block_plan_is_built_once_per_circuit_and_noise_model(monkeypatch):
     assert len(calls) == 1
 
 
+def word_matrix(w, n):
+    """The Pauli word at index sum_q 4^q d_q, d_q its letter's index in IXYZ
+    on qubit q, as a dense matrix."""
+    return pauli_label_matrix("".join("IXYZ"[(w >> 2 * q) & 3] for q in range(n)))
+
+
+def pauli_vector_oracle(rho, n):
+    """tr(Q rho) for every n-qubit word Q of the dense rho, in that index."""
+    return np.array([np.sum(word_matrix(w, n).T * rho).real for w in range(4**n)])
+
+
 def fused_density(c, bindings, noise):
-    dim = 1 << c.n_qubits
-    return circuit_module._run_density(c, bindings, noise).reshape(dim, dim)
+    """The noisy engine's Pauli vector tr(Q rho) of the circuit's output."""
+    return circuit_module._run_pauli(c, bindings, noise)
+
+
+def assert_matches_kraus_oracle(c, bindings, noise):
+    n = c.n_qubits
+    want = pauli_vector_oracle(noisy_density_oracle(bound_gates(c, bindings), n, noise), n)
+    np.testing.assert_allclose(fused_density(c, bindings, noise), want, rtol=0, atol=1e-12)
 
 
 def beh2_circuits():
@@ -662,68 +679,123 @@ def beh2_circuits():
 
 
 def test_fused_density_matches_oracle_on_operand_orders_and_parameters():
-    # [DERIVED] fused blocks equal the per-gate Kraus oracle (1e-12) for
-    # reversed and non-adjacent 2-qubit operands, parameterised rotations, and
+    # [DERIVED] the Pauli vector of the noisy output equals tr(Q rho) of the
+    # per-gate Kraus oracle (1e-12) for reversed and non-adjacent 2-qubit
+    # operands, parameterised rotations and fixed non-Clifford angles, and
     # noise on 1-qubit gates only, on 2-qubit gates only, or on both
     c = Circuit(4)
     c.h(0).rx(ParamExpr("a"), 1).cx(2, 0).ry(ParamExpr("b", -0.7, 0.3), 3)
     c.swap(0, 3).rz(ParamExpr("a", 2.0), 0).cz(3, 1).sx(2).cx(1, 3)
     c.rz(ParamExpr("b"), 2).x(1).ry(0.4, 0).cx(0, 2).rx(-1.1, 3).swap(3, 1)
     bindings = {"a": 0.83, "b": -2.1}
-    gates = bound_gates(c, bindings)
     for noise in (NoiseModel(p1=0.04), NoiseModel(p2=0.09), NoiseModel(p1=0.02, p2=0.07)):
-        np.testing.assert_allclose(fused_density(c, bindings, noise),
-                                   noisy_density_oracle(gates, 4, noise), rtol=0, atol=1e-12)
+        assert_matches_kraus_oracle(c, bindings, noise)
+
+
+def test_fused_density_matches_oracle_above_segment_span():
+    # [DERIVED] on 5 qubits, above SEGMENT_SPAN, segments act on their own
+    # (non-adjacent) qubits' axes and rotations on every qubit, the first and
+    # last included: the Pauli vector equals the Kraus oracle's (1e-12)
+    rng = np.random.default_rng(9)
+    c = random_circuit(rng, 5, 30)
+    for q in range(5):
+        c.ry(ParamExpr("a", 1.0 + q), q).cx(q, (q + 2) % 5).rz(ParamExpr("b", -0.5, q), q)
+    segments = [sorted({q for g in members for q in g.qubits})
+                for clifford, members in circuit_module._split(c.gates) if clifford]
+    assert max(map(len, segments)) == circuit_module.SEGMENT_SPAN
+    assert any(qs[-1] - qs[0] >= len(qs) for qs in segments)  # some are not adjacent
+    assert_matches_kraus_oracle(c, {"a": 0.61, "b": -1.3}, NoiseModel(p1=0.03, p2=0.06))
 
 
 @pytest.mark.parametrize("fold", [1, 3])
 def test_fused_density_matches_oracle_on_beh2_ansatze(fold):
     # [DERIVED] BeH2 UCCSD and HEA at random theta, folded 1 and 3 times: the
-    # fused rho equals the per-gate Kraus oracle within 1e-12
+    # Pauli vector equals the per-gate Kraus oracle's within 1e-12
     noise = NoiseModel(p1=0.002, p2=0.02)
     for _, c, bindings in beh2_circuits():
-        folded = fold_circuit(c, fold)
-        np.testing.assert_allclose(fused_density(folded, bindings, noise),
-                                   noisy_density_oracle(bound_gates(folded, bindings), 4, noise),
-                                   rtol=0, atol=1e-12)
+        assert_matches_kraus_oracle(fold_circuit(c, fold), bindings, noise)
 
 
 def test_fused_density_matches_oracle_on_transpiled_uccsd():
-    # [DERIVED] UCCSD lowered to {SqrtX, RZ, CZ} on a linear chain: fused rho
-    # equals the per-gate Kraus oracle within 1e-12
+    # [DERIVED] UCCSD lowered to {SqrtX, RZ, CZ} on a linear chain: the Pauli
+    # vector equals the per-gate Kraus oracle's within 1e-12
     _, c, bindings = beh2_circuits()[0]
     t, _, _ = transpile(c, [(0, 1), (1, 2), (2, 3)])
-    noise = NoiseModel(p1=0.001, p2=0.01)
-    np.testing.assert_allclose(fused_density(t, bindings, noise),
-                               noisy_density_oracle(bound_gates(t, bindings), 4, noise),
-                               rtol=0, atol=1e-12)
+    assert_matches_kraus_oracle(t, bindings, NoiseModel(p1=0.001, p2=0.01))
+
+
+def test_clifford_transfer_is_the_dense_conjugation():
+    # [DERIVED] each fixed kind, and RX/RY/RZ at multiples of pi/2, is stored
+    # as a signed permutation R with U^dagger P_a U = R[a, b] P_b for its one
+    # nonzero R[a, b], computed densely (1e-12); other angles are not Clifford
+    cases = [(kind, None) for kind in ("X", "H", "SqrtX", "CX", "CZ", "SWAP")]
+    cases += [(kind, k * math.pi / 2) for kind in ("RX", "RY", "RZ") for k in range(-2, 4)]
+    for kind, angle in cases:
+        k = 2 if kind in ("CX", "CZ", "SWAP") else 1
+        u = circuit_unitary(Circuit(k).add(Gate(kind, tuple(range(k)), angle)))
+        r, clifford = circuit_module._transfer(kind, angle)
+        assert clifford
+        assert set(np.unique(r)) <= {-1.0, 0.0, 1.0}
+        assert (np.abs(r).sum(axis=1) == 1).all()
+        for a in range(4**k):
+            b = int(np.abs(r[a]).argmax())
+            np.testing.assert_allclose(u.conj().T @ word_matrix(a, k) @ u,
+                                       r[a, b] * word_matrix(b, k), rtol=0, atol=1e-12)
+    for kind in ("RX", "RY", "RZ"):
+        assert not circuit_module._transfer(kind, 0.3)[1]
 
 
 def test_partition_invariants():
-    # [DERIVED] the greedy partition keeps every gate once and in order, each
-    # block spans at most 2 qubits, and each block ends only where the next
-    # gate would make it span 3; BeH2 UCCSD has 542 gates in 203 blocks and
-    # HEA 19 in 11
+    # [DERIVED] the noisy steps keep every gate once and in order; a segment
+    # is a run of fixed Clifford gates on at most SEGMENT_SPAN qubits that
+    # ends only at a rotation step or where the next gate would make it span
+    # more; every other step is one rotation by a parameter or a non-Clifford
+    # angle; BeH2 UCCSD has 542 gates in 40 rotation steps and 41 segments,
+    # HEA 19 in 16 and 1
+    span = circuit_module.SEGMENT_SPAN
     rng = np.random.default_rng(4)
-    cases = [(c, None) for c in (random_circuit(rng, 5, 40), random_circuit(rng, 2, 10))]
-    cases += [(c, (len(c.gates), blocks))
-              for (_, c, _), blocks in zip(beh2_circuits(), ((542, 203), (19, 11)))]
+    cases = [(c, None) for c in (random_circuit(rng, 6, 60), random_circuit(rng, 2, 10))]
+    cases += [(c, want) for (_, c, _), want in zip(beh2_circuits(), ((40, 41), (16, 1)))]
     for c, want in cases:
-        blocks = circuit_module._partition(c.gates)
-        assert [g for _, members in blocks for g in members] == list(c.gates)
-        for qubits, members in blocks:
-            assert len(qubits) <= 2
-            assert set(qubits) == {q for g in members for q in g.qubits}
-        for (qubits, _), (_, after) in zip(blocks, blocks[1:]):
-            assert len(set(qubits) | set(after[0].qubits)) > 2
+        steps = circuit_module._split(c.gates)
+        assert [g for _, members in steps for g in members] == list(c.gates)
+        for clifford, members in steps:
+            fixed_clifford = [not isinstance(g.angle, ParamExpr)
+                              and circuit_module._transfer(g.kind, g.angle)[1] for g in members]
+            if clifford:
+                assert all(fixed_clifford)
+                assert len({q for g in members for q in g.qubits}) <= span
+            else:
+                assert len(members) == 1 and members[0].kind in ("RX", "RY", "RZ")
+                assert not fixed_clifford[0]
+        for (clifford, members), (next_clifford, after) in zip(steps, steps[1:]):
+            if clifford and next_clifford:
+                assert len({q for g in members + after[:1] for q in g.qubits}) > span
         if want is not None:
-            assert (len(c.gates), len(blocks)) == want[1]
+            assert (sum(not cl for cl, _ in steps), sum(cl for cl, _ in steps)) == want
+
+
+def test_fold_five_compiles_no_new_segment():
+    # [DERIVED] segments are cached by their gates, n and p: after folds 1 and
+    # 3 of BeH2 UCCSD and HEA, fold 5 finds every segment in the cache, and
+    # fold 3 reuses those of fold 1
+    noise = NoiseModel(p1=0.001, p2=0.01)
+    circuit_module._segment.cache_clear()
+    for _, c, _ in beh2_circuits():
+        circuit_module._noisy_plan(fold_circuit(c, 1), noise)
+        before = circuit_module._segment.cache_info()
+        circuit_module._noisy_plan(fold_circuit(c, 3), noise)
+        after = circuit_module._segment.cache_info()
+        assert after.hits > before.hits
+        circuit_module._noisy_plan(fold_circuit(c, 5), noise)
+        assert circuit_module._segment.cache_info().misses == after.misses
 
 
 def test_noisy_estimate_peak_memory_is_bounded():
     # [DERIVED] at 8 qubits a noisy estimate, measurement included, allocates
-    # at most the three copies of rho's 16 * 4^n bytes that the DENSITY_CAP
-    # comment allows, plus 1 MiB
+    # at most the three copies of the Pauli vector's 8 * 4^n bytes that the
+    # DENSITY_CAP comment allows, plus 1 MiB (and so less than the three
+    # copies of a 16 * 4^n-byte density matrix allowed before)
     n = 8
     c = build_hea(n, 2)
     bindings = dict(zip(c.parameter_names,
@@ -739,6 +811,7 @@ def test_noisy_estimate_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 16 * 4**n + 2**20
+    assert peak < 3 * 8 * 4**n + 2**20
 
 
 def test_noiseless_estimate_peak_memory_does_not_grow_with_groups():
@@ -892,7 +965,7 @@ def test_noisy_readout_sampled_means_match_exact(beh2_tapered):
 
 
 def test_noisy_estimate_over_density_cap_is_refused():
-    # [TRIVIAL] 13 qubits would need a 1 GiB density matrix: refused up front
+    # [TRIVIAL] 13 qubits would need a 512 MiB Pauli vector: refused up front
     c = Circuit(13).x(0)
     h = PauliSum.from_labels([("Z" + "I" * 12, 1.0)])
     with pytest.raises(DenseCapError):

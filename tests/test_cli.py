@@ -366,6 +366,31 @@ def test_bad_noise_file_is_config_error(capsys, tmp_path):
     assert "missing.cfg" in err
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("p1 nan\n", 1, "outside [0, 1]"),
+    ("p2 0.01\np1 inf\n", 2, "outside [0, 1]"),
+    ("# rates\np1 -inf\n", 2, "outside [0, 1]"),
+    ("p1 2\n", 1, "outside [0, 1]"),
+    ("readout01 -0.1\n", 1, "outside [0, 1]"),
+    ("p1 0.001\np2 0.01\np1 0.5\n", 3, "repeated key p1"),
+], ids=["nan", "inf", "minus-inf", "above-one", "negative", "repeated"])
+def test_noise_file_values_are_refused_with_file_and_line(capsys, tmp_path, text, line, message):
+    # [TRIVIAL] a non-finite or out-of-range probability, or a key given
+    # twice, exits 2 with the file and line, before any run directory is made
+    noise = tmp_path / "noise.cfg"
+    noise.write_text(text)
+    out_dir = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                             "--maxiter", "1", "--shots", "16", "--noise", str(noise),
+                             "--out", str(out_dir))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"{noise}:{line}:" in err and message in err
+    assert not out_dir.exists()
+    code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--shots", "0", "--noise", str(noise), "--params-file", str(noise))
+    assert code == EXIT_CONFIG and f"{noise}:{line}:" in err
+
+
 def test_qve_threads_env(capsys, monkeypatch, tmp_path):
     # [TRIVIAL] invalid QVE_THREADS is a config error; a valid value works
     monkeypatch.setenv("QVE_THREADS", "zero")
