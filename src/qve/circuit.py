@@ -17,9 +17,12 @@ on one parameter, one flip mask and one offset/scale ratio whose words
 commute, such as a UCCSD excitation's mapped terms. Such a run is exp(i a G)
 for its summed generator G, a rotation inside each pair {|b>, |b ^ x>}
 (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)), applied as
-one vector operation from two 2^n arrays, 24 * 2^n bytes per step. The
-program also holds the state after the leading fixed gates; `add` clears
-it. `run_circuit` and `circuit_unitary` both run it.
+one vector operation from two 2^n arrays, 24 * 2^n bytes per step. These
+steps are stacked, at most max(1, 2^DENSE_CAP >> n) at a time, and one
+vectorized pass per stack makes all its angles and cos/sin tables, so each
+step is one gather and one multiply-add. The program also holds the state
+after the leading fixed gates; `add` clears it. `run_circuit` and
+`circuit_unitary` both run it.
 Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
 matrix, at index sum_q 4^q d_q with d_q the index in _PAULIS (I, X, Y, Z) of
 Q's letter on qubit q. A gate's Pauli transfer matrix comes from the table's
@@ -29,31 +32,37 @@ channel after a gate scales each word that is not I on its k qubits by
 SEGMENT_SPAN qubits is one segment, a gather and a multiply over their words
 (over all n qubits' words up to SEGMENT_SPAN), cached by its gates so that
 folded circuits reuse it; every other gate, a rotation by a parameter or a
-non-Clifford angle, is one 4x4 map T0 + cos(a) T1 + sin(a) T2 on its qubit.
-A circuit keeps these steps per noise model (`_noisy_plan`), built at its
-first noisy estimate and cleared by `add`. A group's basis is the OR of its
-terms' (x, z) masks, one letter Z, X or Y per qubit (Z also where it
-measures nothing); one rule turns masks into basis-change gates, for
-measurement groups and rotation synthesis alike. A group's basis change,
-diagonal and readout act on each qubit alone, so every group is measured at
-once through one fixed 2x2 map per qubit and letter, applied by one batched
-matmul per qubit. Noiseless, the maps are the rotations I, H and H
-S-dagger, each letter's basis-change gates multiplied out, applied to every
-group's copy of the state, and readout passes the squared amplitudes
-through each qubit's confusion matrix. Noisy, each group gathers its 2^n
-words over {I, its letter} on each qubit from the Pauli vector, and the
-maps, built from the noisy basis-change gates' transfer matrices and the
-confusion matrix, give the read-out distribution. Each measurement
-group turns a measured outcome into its energy through a table over the 2^n
-outcomes. The groups, their letters, tables and word indices, and the
-identity coefficient form the Hamiltonian's measurement plan, built at its
-first estimate and kept on the `PauliSum` until `add_term` changes it, the
-tables as one (groups, 2^n) array. All groups' distributions are normalised
-at once, and each group's shots are counts drawn once from its distribution:
-one generator per estimate makes one multinomial draw over each stack of
-groups, in plan order, and the means and variances are row reductions of
-the counts against the tables. With shots=0 the exact expectation is taken
-instead.
+non-Clifford angle, is one 4x4 map T0 + cos(a) T1 + sin(a) T2 on its qubit,
+and joins the previous one-qubit step on that qubit when no step since then
+acts on it (each HEA layer's RY and RZ), the step's map the product of its
+members'. A circuit keeps these steps per noise model (`_noisy_plan`),
+built at its first noisy estimate and cleared by `add`. A group's basis is
+the OR of its terms' (x, z) masks, one letter Z, X or Y per qubit (Z also
+where it measures nothing); one rule turns masks into basis-change gates,
+for measurement groups and rotation synthesis alike. A group's basis change,
+diagonal and readout act on each qubit alone, one fixed 2x2 map per qubit
+and letter, so its read-out map factorises over any partition of the
+qubits: it acts as Kronecker blocks, each the Kronecker product of the maps
+on a run of at most SEGMENT_SPAN consecutive qubits, and every group is
+measured at once by one batched matmul per block (one up to SEGMENT_SPAN
+qubits). Noiseless, the maps are the rotations I, H and H S-dagger, each
+letter's basis-change gates multiplied out, applied to the state for every
+group, and readout passes the squared amplitudes through the blocks of the
+confusion matrix, one set shared by all groups. Noisy, each group gathers
+its 2^n words over {I, its letter} on each qubit from the Pauli vector, and
+the maps, built from the noisy basis-change gates' transfer matrices and
+the confusion matrix, give the read-out distribution. The blocks are built
+at first use and kept with the measurement plan per noise model. Each
+measurement group turns a measured outcome into its energy through a table
+over the 2^n outcomes. The groups, their letters, tables and word indices,
+and the identity coefficient form the Hamiltonian's measurement plan, built
+at its first estimate and kept on the `PauliSum` until `add_term` changes
+it, the tables as one (groups, 2^n) array. All groups' distributions are
+normalised at once, and each group's shots are counts drawn once from its
+distribution: one generator per estimate makes one multinomial draw over
+each stack of groups, in plan order, and the means and variances are row
+reductions of the counts against the tables. With shots=0 the exact
+expectation is taken instead.
 """
 
 from __future__ import annotations
@@ -292,14 +301,32 @@ class _Program(NamedTuple):
     offset. A gate's kernel is (matrix, its qubits' _operand_axes): its fixed
     matrix, with parameter None, or the kind's _ROTATION_BASES entry, turned
     into the matrix at a by _rotation. A run of Pauli rotations has kernel
-    None and rotation (flip, r, iu), and acts as exp(i a G) for the sum G of
-    its words, each weighted by its angle over a: G psi = w * psi[flip] with
-    flip = flip_index(x), and G^2 = diag(|w|^2), so exp(i a G) psi = cos(a r)
-    psi + sin(a r) iu psi[flip] with r = |w| and iu = i w / r (0 where r is)."""
+    None and rotation (flip, stack, row), and acts as exp(i a G) for the sum G
+    of its words, each weighted by its angle over a: G psi = w * psi[flip]
+    with flip = flip_index(x), and G^2 = diag(|w|^2), so exp(i a G) psi =
+    cos(a r) psi + sin(a r) iu psi[flip] with r = |w| and iu = i w / r (0
+    where r is), r and iu row `row` of its _Stack."""
 
     steps: tuple[tuple, ...]
     prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
     rest: tuple[tuple, ...]  # the steps after those gates
+
+
+class _Stack(NamedTuple):
+    """Consecutive rotation steps of a program, at most max(1, 2^DENSE_CAP >>
+    n) of them, whose angles and cos/sin tables one vectorized pass makes."""
+
+    names: tuple[str, ...]
+    scales: np.ndarray
+    offsets: np.ndarray
+    r: np.ndarray  # (steps, 2^n)
+    iu: np.ndarray  # (steps, 2^n)
+
+    def tables(self, bindings) -> tuple[np.ndarray, np.ndarray]:
+        """cos(a r) and sin(a r) iu for every step, a its angle."""
+        a = self.scales * np.array([bindings[name] for name in self.names]) + self.offsets
+        ar = a[:, None] * self.r
+        return np.cos(ar), np.sin(ar) * self.iu
 
 
 def _joins(run: list, op) -> bool:
@@ -315,8 +342,8 @@ def _joins(run: list, op) -> bool:
 
 
 def _rotation_step(run: list, n: int) -> tuple:
-    """The step of a run of rotations that _joins: the first one's angle a,
-    and the others' angles as a times the ratio of their scales."""
+    """(angle, flip, r, iu) of a run of rotations that _joins: the first one's
+    angle a, and the others' angles as a times the ratio of their scales."""
     a, x = run[0].angle, run[0].x
     # a lone rotation of scale 0 is a fixed angle a and weight 1
     w = sum((r.angle.scale / a.scale if a.scale else 1.0) * word_phase(x, r.z) * z_signs(n, r.z)
@@ -325,13 +352,14 @@ def _rotation_step(run: list, n: int) -> tuple:
     w = w[flip]
     r = np.abs(w)
     iu = 1j * np.divide(w, r, out=np.zeros_like(w), where=r > 0.0)
-    return (a.name, a.scale, a.offset, (flip, r, iu), None)
+    return a, flip, r, iu
 
 
 def _compile(c: Circuit) -> _Program:
     """The circuit's statevector program: one step per gate, and one per run
     of consecutive Pauli rotations that _joins fuses (one per UCCSD
-    excitation, whose mapped terms share their flip mask)."""
+    excitation, whose mapped terms share their flip mask), these stacked in
+    order into _Stacks."""
     n = c.n_qubits
     runs: list[list] = []
     for op in c.operations:
@@ -339,17 +367,25 @@ def _compile(c: Circuit) -> _Program:
             runs[-1].append(op)
         else:
             runs.append([op])
-    steps = []
+    steps, fused = [], []
     for run in runs:
         op = run[0]
         a = op.angle
         if isinstance(op, PauliRotation):
-            steps.append(_rotation_step(run, n))
+            fused.append((len(steps), *_rotation_step(run, n)))
+            steps.append(None)  # filled in below, with its stack
         elif isinstance(a, ParamExpr):
             steps.append((a.name, a.scale, a.offset, None,
                           (_ROTATION_BASES[op.kind], _operand_axes(n, op.qubits))))
         else:
             steps.append((None, 1.0, 0.0, None, (_matrix(op.kind, a), _operand_axes(n, op.qubits))))
+    size = max(1, (1 << DENSE_CAP) >> n)
+    for lo in range(0, len(fused), size):
+        index, angles, flips, r, iu = zip(*fused[lo:lo + size])
+        stack = _Stack(tuple(a.name for a in angles), np.array([a.scale for a in angles]),
+                       np.array([a.offset for a in angles]), np.array(r), np.array(iu))
+        for row, (i, a, flip) in enumerate(zip(index, angles, flips)):
+            steps[i] = (a.name, a.scale, a.offset, (flip, stack, row), None)
     start = next((i for i, step in enumerate(steps) if step[0] is not None), len(steps))
     prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None)
     prefix.flags.writeable = False
@@ -365,21 +401,26 @@ def _program(c: Circuit) -> _Program:
 
 
 def _run_steps(states: np.ndarray, steps, bindings) -> np.ndarray:
-    """The steps applied in turn to every state on the last axis."""
+    """The steps applied in turn to every state on the last axis. A rotation
+    step's cos/sin tables come from its _Stack's one pass, made at the
+    stack's first step and dropped at the next stack's."""
     bindings = bindings or {}
     batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
+    stack = None
     try:
         for name, scale, offset, rotation, kernel in steps:
-            if name is not None:
-                a = scale * bindings[name] + offset
             if rotation is not None:
-                flip, r, iu = rotation
-                ar = a * r
+                flip, step_stack, row = rotation
+                if step_stack is not stack:
+                    stack = step_stack
+                    cos, siu = stack.tables(bindings)
                 flipped = states[..., flip] if batched else states[flip]
-                states = np.cos(ar) * states + (np.sin(ar) * iu) * flipped
+                states = cos[row] * states + siu[row] * flipped
                 continue
             m, axes = kernel
-            states = _apply_matrix(states, m if name is None else _rotation(m, a), axes)
+            if name is not None:
+                m = _rotation(m, scale * bindings[name] + offset)
+            states = _apply_matrix(states, m, axes)
     except KeyError as exc:
         raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
     return states
@@ -424,10 +465,12 @@ class NoiseModel:
 
 
 # A noisy estimate holds the Pauli vector tr(Q rho), 8 * 4^n bytes (128 MiB at
-# 12 qubits). A step holds its input until it returns. Above SEGMENT_SPAN
-# qubits a segment step also holds the vector with the segment's axes in
-# front, then its gathered product, then the product with the axes moved
-# back: three copies at most, 384 MiB at 12 qubits.
+# 12 qubits). A step holds its input until it returns. A segment on
+# consecutive qubits also holds its gathered copy, scaled in place: two
+# copies. Above SEGMENT_SPAN qubits a segment on other qubits also holds the
+# vector with the segment's axes in front, then its gathered product, then
+# the product with the axes moved back: three copies at most, 384 MiB at 12
+# qubits.
 DENSITY_CAP = 12
 
 # A segment of Clifford gates acts on at most this many qubits, so its table
@@ -438,17 +481,27 @@ SEGMENT_SPAN = 4
 _PAULIS = (np.eye(2), _GATES["X"][0], _GATES["RY"][0], _GATES["RZ"][0])
 
 
+@lru_cache(maxsize=2)
+def _pauli_words(k: int) -> np.ndarray:
+    """(4^k, 2^k, 2^k): the words over k operands, word sum_j 4^j d_j holding
+    _PAULIS[d_j] on operand j, operand 0 most significant in the matrix."""
+    words = np.ones((1, 1, 1))
+    for _ in range(k):  # each new operand: most significant in the word, least in the matrix
+        words = np.array([np.kron(v, p) for p in _PAULIS for v in words])
+    return words
+
+
 @lru_cache(maxsize=1024)
 def _transfer(kind: str, angle: float | None = None) -> tuple[np.ndarray, bool]:
     """The gate's Pauli transfer matrix R[a, b] = tr(P_a U P_b U^dagger) / 2^k
-    over the words of its k operands (word sum_j 4^j d_j holds _PAULIS[d_j] on
-    operand j), and whether the gate is Clifford: every row of R is +-1 in one
-    place within 1e-12. A Clifford R is rounded to that signed permutation."""
+    over the words of its k operands (see _pauli_words), and whether the gate
+    is Clifford: every row of R is +-1 in one place within 1e-12. A Clifford R
+    is rounded to that signed permutation."""
     u = _matrix(kind, angle)
-    k = len(u).bit_length() - 1
-    w = np.array([reduce(np.kron, [_PAULIS[(a >> 2 * j) & 3] for j in range(k)])
-                  for a in range(4**k)])
-    r = np.einsum("aij,jk,bkl,li->ab", w, u, w, u.conj().T, optimize=True).real / len(u)
+    w = _pauli_words(len(u).bit_length() - 1)
+    # tr(P_a C_b) = sum_ij P_a[i, j] C_b[j, i] for C_b = U P_b U^dagger
+    transposed = np.swapaxes(u @ w @ u.conj().T, 1, 2)
+    r = (w.reshape(len(w), -1) @ transposed.reshape(len(w), -1).T).real / len(u)
     rounded = np.rint(r)
     clifford = bool(np.abs(r - rounded).max() <= 1e-12 and (np.abs(rounded).sum(axis=1) == 1).all())
     return (rounded if clifford else r), clifford
@@ -532,45 +585,72 @@ def _split(gates) -> list[tuple[bool, tuple[Gate, ...]]]:
 
 class _NoisyPlan(NamedTuple):
     """A circuit's noisy steps under one noise model: (qubits, src, coef) for
-    a segment (see _segment), (qubit, i) for rotation i, whose angle is
+    a segment (see _segment), (qubit, j) for one-qubit step j, the product of
+    one or more rotations on its qubit in gate order: rotation first[j], then
+    for each later member position, rotation i on step j for each pair of
+    that position's (steps, rotations) arrays in merged. Rotation i's angle is
     scale * bindings[parameter] + offset, or offset where parameter is None."""
 
     steps: tuple[tuple, ...]
     angles: tuple[tuple[str | None, float, float], ...]
     tables: np.ndarray  # (rotations, 3, 4, 4): each rotation's _rotation_transfer
+    first: np.ndarray  # (one-qubit steps,): each step's first rotation
+    merged: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
     """The circuit's noisy steps under this noise model, compiled at its first
     noisy estimate and kept until `add` changes the circuit. Segments are
-    cached by their gates, so a folded circuit reuses those of its parts."""
+    cached by their gates, so a folded circuit reuses those of its parts. A
+    rotation joins the previous one-qubit step on its qubit when no step
+    since then acts on that qubit, since it commutes with all of them."""
     plan = c._plans.get(noise)
     if plan is None:
         n = c.n_qubits
-        steps, angles, tables = [], [], []
-        for clifford, members in _split(c.gates):
+        steps, angles, tables, members = [], [], [], []
+        last: dict[int, int] = {}  # qubit -> the one-qubit step a rotation there joins
+        for clifford, gates in _split(c.gates):
             if clifford:
-                steps.append(_segment(members, n, noise.p1, noise.p2))
+                steps.append(_segment(gates, n, noise.p1, noise.p2))
+                for g in gates:
+                    for q in g.qubits:
+                        last.pop(q, None)
                 continue
-            g = members[0]
-            a = g.angle
-            steps.append((g.qubits[0], len(angles)))
+            g = gates[0]
+            a, q = g.angle, g.qubits[0]
+            if q in last:
+                members[last[q]].append(len(angles))
+            else:
+                last[q] = len(members)
+                steps.append((q, len(members)))
+                members.append([len(angles)])
             angles.append((a.name, a.scale, a.offset) if isinstance(a, ParamExpr)
                           else (None, 0.0, float(a)))
             tables.append(_rotation_transfer(g.kind, noise.p1))
+        merged = tuple((np.array([j for j, m in enumerate(members) if len(m) > k], dtype=np.intp),
+                        np.array([m[k] for m in members if len(m) > k], dtype=np.intp))
+                       for k in range(1, max(map(len, members), default=1)))
         plan = c._plans[noise] = _NoisyPlan(tuple(steps), tuple(angles),
-                                            np.array(tables).reshape(-1, 3, 4, 4))
+                                            np.array(tables).reshape(-1, 3, 4, 4),
+                                            np.array([m[0] for m in members], dtype=np.intp),
+                                            merged)
     return plan
 
 
 def _apply_segment(r: np.ndarray, n: int, qubits: tuple[int, ...], src: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
     """The Pauli vector r after a segment: one gather and one multiply over
-    the segment's words, with its qubits' axes of r's (4,) * n view moved to
-    the front when it does not cover all n qubits."""
+    the segment's words. On consecutive qubits lo..lo+m-1 the gather runs
+    along the middle axis of r's (4^(n-lo-m), 4^m, 4^lo) view; otherwise the
+    segment's qubits' axes of r's (4,) * n view move to the front and back."""
     m = len(qubits)
     if m == n:
         return coef * r[src]
+    lo = qubits[0]
+    if qubits[-1] - lo == m - 1:
+        out = np.take(r.reshape(-1, 4**m, 4**lo), src, axis=1)
+        out *= coef[:, None]
+        return out.reshape(-1)
     axes = [n - 1 - q for q in reversed(qubits)]
     front = np.moveaxis(r.reshape((4,) * n), axes, range(m)).reshape(4**m, -1)
     out = front[src]
@@ -583,7 +663,7 @@ def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
     """tr(Q rho) for every n-qubit Pauli word Q, at index sum_q 4^q d_q with
     d_q the index in _PAULIS of Q's letter on qubit q, for rho after the noisy
     gate list on |0...0>: one gather per segment, and one 4x4 map per
-    rotation on the (4^(n-1-q), 4, 4^q) view of its qubit q."""
+    one-qubit step on the (4^(n-1-q), 4, 4^q) view of its qubit q."""
     n = c.n_qubits
     plan = _noisy_plan(c, noise)
     bindings = bindings or {}
@@ -593,7 +673,10 @@ def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
     except KeyError as exc:
         raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
     t = plan.tables
-    maps = t[:, 0] + np.cos(a)[:, None, None] * t[:, 1] + np.sin(a)[:, None, None] * t[:, 2]
+    rotations = t[:, 0] + np.cos(a)[:, None, None] * t[:, 1] + np.sin(a)[:, None, None] * t[:, 2]
+    maps = rotations[plan.first]
+    for j, i in plan.merged:
+        maps[j] = rotations[i] @ maps[j]
     # |0...0><0...0| has tr(Q rho) = 1 on the words over {I, Z}, else 0
     r = np.zeros((4,) * n)
     r[(slice(None, None, 3),) * n] = 1.0
@@ -604,8 +687,8 @@ def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
         elif step[0] == 0:  # a plain matrix product is faster than the stacked one
             r = (r.reshape(-1, 4) @ maps[step[1]].T).reshape(-1)
         else:
-            q, i = step
-            r = np.matmul(maps[i], r.reshape(-1, 4, 1 << 2 * q)).reshape(-1)
+            q, j = step
+            r = np.matmul(maps[j], r.reshape(-1, 4, 1 << 2 * q)).reshape(-1)
     return r
 
 
@@ -687,6 +770,7 @@ class _MeasurementPlan(NamedTuple):
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
     tables: np.ndarray | None  # (groups, 2^n)
     words: np.ndarray | None  # (groups, 2^n): indices into _run_pauli's vector
+    blocks: dict  # read-out _kron_blocks by noise model (see _distributions)
 
 
 def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
@@ -714,7 +798,7 @@ def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
         words = (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
     tables = _outcome_tables(groups, n) if n <= DENSE_CAP else None
     h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables,
-                               words)
+                               words, {})
     return h._plan
 
 
@@ -741,12 +825,45 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     return np.array(maps)
 
 
-def _per_qubit(stack: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Each row of stack, over the 2^n outcomes of n qubits, after the 2x2
-    matrix maps[row, q] on qubit q: one batched matmul per qubit."""
-    rows, n = maps.shape[:2]
-    for q in range(n):
-        stack = np.matmul(maps[:, None, q], stack.reshape(rows, -1, 2, 1 << q)).reshape(rows, -1)
+def _kron_blocks(maps: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+    """(lo, K) for each run of at most SEGMENT_SPAN consecutive qubits from
+    qubit lo: K[..., :, :] is the Kronecker product of the 2x2 maps[..., q,
+    :, :] over the run's qubits q, the highest one's most significant, or for
+    lo = 0, which multiplies from the right, its transpose."""
+    n = maps.shape[-3]
+    blocks = []
+    for lo in range(0, n, SEGMENT_SPAN):
+        k = maps[..., lo, :, :]
+        for q in range(lo + 1, min(lo + SEGMENT_SPAN, n)):
+            d = 2 * k.shape[-1]
+            k = (maps[..., q, :, None, :, None] * k[..., None, :, None, :]).reshape(
+                *k.shape[:-2], d, d)
+        blocks.append((lo, k if lo else np.ascontiguousarray(np.swapaxes(k, -1, -2))))
+    return tuple(blocks)
+
+
+def _kept_blocks(plan: _MeasurementPlan, key, maps) -> tuple:
+    """The plan's _kron_blocks of maps() under key, built at the first use."""
+    blocks = plan.blocks.get(key)
+    if blocks is None:
+        blocks = plan.blocks[key] = _kron_blocks(maps())
+    return blocks
+
+
+def _through_blocks(stack: np.ndarray, blocks, lo: int, hi: int) -> np.ndarray:
+    """The rows of stack over the 2^n outcomes, or its one row shared by
+    groups lo..hi-1, after each block on its qubits: a (groups, d, d) block
+    applies group lo + i's matrix to row i, a (d, d) block its one matrix to
+    every row. One batched matmul per block."""
+    rows = max(len(stack), hi - lo)
+    for q, k in blocks:
+        k = k[lo:hi] if k.ndim == 3 else k
+        d = k.shape[-1]
+        if q == 0:
+            stack = stack.reshape(len(stack), -1, d) @ k
+        else:
+            stack = np.matmul(k[..., None, :, :], stack.reshape(len(stack), -1, d, 1 << q))
+        stack = stack.reshape(rows, -1)
     return stack
 
 
@@ -754,28 +871,33 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
     """The groups' read-out outcome distributions, one row per group in plan
     order, in C-ordered stacks of at most max(2^n, 2^DENSE_CAP) values.
     Noisy, rho becomes its Pauli vector once, and each group gathers its words
-    and passes them through its letters' maps. Noiseless, each group's copy of
-    the state passes through its letters' rotations, and the squared
-    amplitudes through the confusion matrix on each qubit."""
+    and passes them through its letters' maps. Noiseless, the state passes
+    through each group's letters' rotations, and the squared amplitudes
+    through the confusion matrices. The maps act as the plan's Kronecker
+    blocks of at most SEGMENT_SPAN qubits, built at first use and kept under
+    None for the rotations and under the noise model for its noisy maps or,
+    readout only, its confusion blocks shared by all groups."""
     n = c.n_qubits
     noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
         source = _run_pauli(c, bindings, noise)
-        maps = _letter_maps(noise)[plan.letters]
+        blocks = _kept_blocks(plan, noise, lambda: _letter_maps(noise)[plan.letters])
     else:
-        source = run_circuit(c, bindings)
-        maps = _basis_rotations()[plan.letters]
+        source = run_circuit(c, bindings)[None]
+        blocks = _kept_blocks(plan, None, lambda: _basis_rotations()[plan.letters])
+        if readout:
+            confusion = _kept_blocks(plan, noise,
+                                     lambda: np.broadcast_to(_confusion(noise), (n, 2, 2)))
     step = max(1, (1 << DENSE_CAP) >> n)
     for lo in range(0, len(plan.groups), step):
-        chunk = maps[lo:lo + step]
-        rows = len(chunk)
+        hi = min(lo + step, len(plan.groups))
         if noisy:
-            probs = _per_qubit(source[plan.words[lo:lo + step]], chunk).clip(min=0.0)
+            probs = _through_blocks(source[plan.words[lo:hi]], blocks, lo, hi).clip(min=0.0)
         else:
-            probs = np.abs(_per_qubit(np.broadcast_to(source, (rows, 1 << n)), chunk)) ** 2
+            probs = np.abs(_through_blocks(source, blocks, lo, hi)) ** 2
             if readout:
-                probs = _per_qubit(probs, np.broadcast_to(_confusion(noise), (rows, n, 2, 2)))
+                probs = _through_blocks(probs, confusion, lo, hi)
         yield probs
 
 

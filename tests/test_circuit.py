@@ -481,11 +481,13 @@ def test_depolarizing_bias():
     assert abs(r.mean - want) < 5 * math.sqrt((1 - want**2) / 60000)
 
 
-def noisy_density_oracle(gates, n, noise):
-    """rho after each gate's unitary and its explicit Kraus sum over the
-    4^k - 1 non-identity Pauli words on the gate's k qubits."""
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
+def noisy_density_oracle(gates, n, noise, rho=None):
+    """rho (|0...0><0...0| by default) after each gate's unitary and its
+    explicit Kraus sum over the 4^k - 1 non-identity Pauli words on the
+    gate's k qubits."""
+    if rho is None:
+        rho = np.zeros((1 << n, 1 << n), dtype=complex)
+        rho[0, 0] = 1.0
     for g in gates:
         u = circuit_unitary(Circuit(n).add(g))
         rho = u @ rho @ u.conj().T
@@ -557,23 +559,40 @@ def measured_letters(group, n):
     return letters
 
 
-def distribution_oracle(c, bindings, letters, noise):
+def confusion_oracle(n, noise):
+    """The Kronecker product of every qubit's confusion matrix."""
+    r01, r10 = noise.readout01, noise.readout10
+    confusion = np.eye(1)
+    for _ in range(n):
+        confusion = np.kron(np.array([[1 - r01, r10], [r01, 1 - r10]]), confusion)
+    return confusion
+
+
+def distribution_oracle(rho, letters, noise):
     """One group's read-out distribution from dense matrices: the Kraus
-    oracle's rho after the bound circuit and the basis change (H for X,
-    RZ(-pi/2) then H for Y, both noisy), its diagonal, then the Kronecker
-    product of every qubit's confusion matrix."""
-    gates = bound_gates(c, bindings)
+    oracle's rho after the basis change (H for X, RZ(-pi/2) then H for Y,
+    both noisy), its diagonal, then the Kronecker product of every qubit's
+    confusion matrix."""
+    gates = []
     for q, ch in enumerate(letters):
         if ch == "Y":
             gates.append(Gate("RZ", (q,), -math.pi / 2))
         if ch in "XY":
             gates.append(Gate("H", (q,)))
-    probs = np.real(np.diagonal(noisy_density_oracle(gates, c.n_qubits, noise)))
-    r01, r10 = noise.readout01, noise.readout10
-    confusion = np.eye(1)
-    for _ in range(c.n_qubits):
-        confusion = np.kron(np.array([[1 - r01, r10], [r01, 1 - r10]]), confusion)
-    return confusion @ probs
+    probs = np.real(np.diagonal(noisy_density_oracle(gates, len(letters), noise, rho)))
+    return confusion_oracle(len(letters), noise) @ probs
+
+
+def pure_distribution_oracle(psi, letters, noise):
+    """One group's read-out distribution of the pure state psi: |V psi|^2 for
+    V the Kronecker product of each qubit's basis change (I for Z, H for X,
+    H S^dagger for Y), then the Kronecker product of the confusion matrices."""
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    change = {"Z": np.eye(2), "X": hadamard, "Y": hadamard @ np.diag([1, -1j])}
+    v = np.eye(1)
+    for ch in letters:  # qubit 0 the least significant factor
+        v = np.kron(change[ch], v)
+    return confusion_oracle(len(letters), noise) @ np.abs(v @ psi) ** 2
 
 
 @pytest.mark.parametrize("dense_cap", [circuit_module.DENSE_CAP, 3])
@@ -583,12 +602,15 @@ def distribution_oracle(c, bindings, letters, noise):
                          ids=["noiseless", "gates", "readout", "both"])
 def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
     # [DERIVED] each group's read-out distribution, as the estimator computes
-    # it, equals the dense oracle within 1e-12: random 1-5-qubit circuits with
-    # parameters, random sums with Y terms, asymmetric readout; a DENSE_CAP of
-    # 3 stacks the groups in chunks of 1 to 4
+    # it, equals the dense oracle within 1e-12: random circuits with
+    # parameters on 1-9 qubits without gate noise (across the read-out block
+    # boundaries 4|5 and 8|9; the per-operation reference state) and on 1-6
+    # with it (the Kraus oracle), random sums with Y terms, asymmetric
+    # readout; a DENSE_CAP of 3 stacks the groups in chunks of 1 to 4
     monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
     rng = np.random.default_rng(31)
-    for n in range(1, 6):
+    pure = noise is None or noise.p1 == noise.p2 == 0.0
+    for n in range(1, 10 if pure else 7):
         c = random_circuit(rng, n, 4 * n) if n > 1 else Circuit(1).h(0).rz(0.3, 0).sx(0)
         c.ry(ParamExpr("a"), 0).rz(ParamExpr("a", -0.6, 0.2), n - 1).h(n - 1)
         bindings = {"a": float(rng.uniform(-np.pi, np.pi))}
@@ -597,9 +619,14 @@ def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
         plan = circuit_module._measurement_plan(h)
         dists = np.concatenate(list(circuit_module._distributions(c, bindings, plan, noise)))
         assert len(dists) == len(plan.groups)
+        if pure:
+            psi = run_operations_reference(c, bindings, np.eye(1, 1 << n, dtype=complex)[0])
+        else:
+            rho = noisy_density_oracle(bound_gates(c, bindings), n, noise)
         for group, probs in zip(plan.groups, dists):
-            want = distribution_oracle(c, bindings, measured_letters(group, n),
-                                       noise or NoiseModel())
+            letters = measured_letters(group, n)
+            want = (pure_distribution_oracle(psi, letters, noise or NoiseModel()) if pure
+                    else distribution_oracle(rho, letters, noise))
             np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
 
 
@@ -694,17 +721,58 @@ def test_fused_density_matches_oracle_on_operand_orders_and_parameters():
 
 def test_fused_density_matches_oracle_above_segment_span():
     # [DERIVED] on 5 qubits, above SEGMENT_SPAN, segments act on their own
-    # (non-adjacent) qubits' axes and rotations on every qubit, the first and
-    # last included: the Pauli vector equals the Kraus oracle's (1e-12)
+    # qubits' axes, non-adjacent ones and consecutive ones at the bottom
+    # (from qubit 0), in the middle and at the top (to qubit 4), and
+    # rotations on every qubit, the first and last included: the Pauli vector
+    # equals the Kraus oracle's (1e-12)
     rng = np.random.default_rng(9)
     c = random_circuit(rng, 5, 30)
     for q in range(5):
         c.ry(ParamExpr("a", 1.0 + q), q).cx(q, (q + 2) % 5).rz(ParamExpr("b", -0.5, q), q)
+    c.cx(0, 1).h(2).cz(2, 1).rx(ParamExpr("a", 0.3), 4)
+    c.swap(1, 3).sx(2).rz(ParamExpr("b"), 0)
+    c.cz(4, 3).h(2).cx(3, 2).ry(ParamExpr("a", -0.8), 0)
     segments = [sorted({q for g in members for q in g.qubits})
                 for clifford, members in circuit_module._split(c.gates) if clifford]
     assert max(map(len, segments)) == circuit_module.SEGMENT_SPAN
     assert any(qs[-1] - qs[0] >= len(qs) for qs in segments)  # some are not adjacent
+    assert all(qs in segments for qs in ([0, 1, 2], [1, 2, 3], [2, 3, 4]))
     assert_matches_kraus_oracle(c, {"a": 0.61, "b": -1.3}, NoiseModel(p1=0.03, p2=0.06))
+
+
+def one_qubit_steps(plan):
+    """Each one-qubit step of a noisy plan as (qubit, its rotations in order)."""
+    members = [[int(i)] for i in plan.first]
+    for steps, rotations in plan.merged:
+        for j, i in zip(steps, rotations):
+            members[j].append(int(i))
+    return [(step[0], members[step[1]]) for step in plan.steps if len(step) == 2]
+
+
+def test_rotations_merge_across_steps_that_leave_their_qubit():
+    # [DERIVED] a rotation joins the previous one-qubit step on its qubit when
+    # no step since then acts on that qubit: across a segment on other qubits
+    # and across other qubits' rotations, not across a gate on its qubit. On
+    # 6 qubits: qubit 0's three rotations form one step, qubit 4's two do
+    # not, nor qubit 1's, qubit 5's two do, and the Pauli vector equals the
+    # Kraus oracle's (1e-12); BeH2 HEA runs 8 one-qubit steps, each layer's
+    # RY and RZ on a qubit, and 1 segment, UCCSD 40 and 41
+    c = Circuit(6)
+    c.ry(ParamExpr("a"), 0).rx(ParamExpr("b"), 4).rz(0.4, 5).ry(ParamExpr("b", 0.5), 1)
+    c.cx(1, 2).h(4).rz(ParamExpr("a", -1.0, 0.3), 0)  # a segment on 1, 2 and 4
+    c.rz(ParamExpr("b"), 4).rx(ParamExpr("a"), 3).ry(ParamExpr("a", 2.0), 5)
+    c.cz(2, 3).rx(ParamExpr("b", 0.7), 0).ry(ParamExpr("b"), 1)
+    noise = NoiseModel(p1=0.03, p2=0.07)
+    plan = circuit_module._noisy_plan(c, noise)
+    assert one_qubit_steps(plan) == [(0, [0, 4, 8]), (4, [1]), (5, [2, 7]), (1, [3]),
+                                     (4, [5]), (3, [6]), (1, [9])]
+    assert sum(len(step) == 3 for step in plan.steps) == 2
+    assert_matches_kraus_oracle(c, {"a": 0.83, "b": -1.4}, noise)
+    for (name, beh2, _), want in zip(beh2_circuits(), ((40, 41), (8, 1))):
+        plan = circuit_module._noisy_plan(beh2, noise)
+        assert (len(one_qubit_steps(plan)), len(plan.steps) - len(one_qubit_steps(plan))) == want
+        if name == "hea":
+            assert all(len(m) == 2 for _, m in one_qubit_steps(plan))
 
 
 @pytest.mark.parametrize("fold", [1, 3])
