@@ -4,25 +4,25 @@ Qubit 0 is the least significant bit of basis-state indices, matching the
 Pauli and Fock modules. A circuit holds gates and Pauli rotations
 exp(i a P). What a gate kind is lives in one table, `_GATES`: its 2x2 or 4x4
 matrix with the first operand's bit most significant, or for RX/RY/RZ the
-Pauli of its rotation, and one einsum kernel applies such a matrix to the
-gate's qubits of any batch of states. `_inverse` is the one rule that undoes
-a gate. The noiseless statevector runs Pauli rotations without decomposing
-them; every consumer of `Circuit.gates` (the noisy path, transpilation,
-statistics, inversion and folding) sees each one decomposed into gates by
-one synthesis rule. At its first run a circuit compiles its statevector
-program (`_program`), holding what does not change between runs: one step
-per gate (the parameter's name, scale and offset, the matrix or rotation
-basis, and einsum axes), and one step per run of consecutive Pauli rotations
-on one parameter, one flip mask and one offset/scale ratio whose words
-commute, such as a UCCSD excitation's mapped terms. Such a run is exp(i a G)
-for its summed generator G, a rotation inside each pair {|b>, |b ^ x>}
-(Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)), applied as
-one vector operation from two 2^n arrays, 24 * 2^n bytes per step. These
-steps are stacked, at most max(1, 2^DENSE_CAP >> n) at a time, and one
-vectorized pass per stack makes all its angles and cos/sin tables, so each
-step is one gather and one multiply-add. The program also holds the state
-after the leading fixed gates; `add` clears it. `run_circuit` and
-`circuit_unitary` both run it.
+Pauli of its rotation. `_inverse` is the one rule that undoes a gate. The
+noiseless statevector runs Pauli rotations without decomposing them; every
+consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
+inversion and folding) sees each one decomposed into gates by one synthesis
+rule. At its first run a circuit compiles its statevector program
+(`_program`): every operation is one step psi <- a psi + b psi[flip]. A
+fixed gate's matrix is nonzero only at columns i and i ^ f of row i, one
+operand mask f per kind, and its a and b are two complex 2^n tables
+(32 * 2^n bytes). An RX/RY/RZ gate is a Pauli rotation, and each run of
+consecutive Pauli rotations on one parameter, one flip mask and one
+offset/scale ratio whose words commute (a UCCSD excitation's mapped terms)
+is exp(i t G) for its summed generator G, a rotation inside each pair
+{|b>, |b ^ x>} (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)):
+a = cos(t r), b = sin(t r) iu from two 2^n arrays r, iu (24 * 2^n bytes, 16
+in a stack whose every step has a constant r, as lone rotations do), made
+once where t is fixed and by one vectorized pass per stack of at most
+max(1, 2^DENSE_CAP >> n) steps where it is a parameter. The program also
+holds the state after the leading fixed steps; `add` clears it, and a
+program over STATEVECTOR_BYTES is refused before its first 2^n array.
 Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
 matrix, at index sum_q 4^q d_q with d_q the index in _PAULIS (I, X, Y, Z) of
 Q's letter on qubit q. A gate's Pauli transfer matrix comes from the table's
@@ -68,7 +68,6 @@ expectation is taken instead.
 from __future__ import annotations
 
 import math
-import string
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -127,22 +126,15 @@ _GATES: dict[str, tuple[np.ndarray, bool]] = {
 }
 
 
-# (I, -i P) on the last axis for each rotation kind's Pauli P
-_ROTATION_BASES = {kind: np.stack([np.eye(2), -1j * m], axis=-1)
-                   for kind, (m, takes_angle) in _GATES.items() if takes_angle}
-
-
-def _rotation(basis: np.ndarray, angle: float) -> np.ndarray:
-    """exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P from a kind's
-    _ROTATION_BASES entry (I, -i P)."""
-    return np.dot(basis, (math.cos(angle / 2), math.sin(angle / 2)))
-
-
 @lru_cache(maxsize=1024)
 def _matrix(kind: str, angle: float | None = None) -> np.ndarray:
-    """The kind's matrix in operand order, at this angle if it takes one."""
+    """The kind's matrix in operand order, at this angle if it takes one:
+    exp(-i angle P / 2) = cos(angle/2) I - i sin(angle/2) P for its Pauli P."""
     m, takes_angle = _GATES[kind]
-    return _rotation(_ROTATION_BASES[kind], angle) if takes_angle else m
+    if not takes_angle:
+        return m
+    basis = np.stack([np.eye(2), -1j * m], axis=-1)  # (I, -i P) on the last axis
+    return np.dot(basis, (math.cos(angle / 2), math.sin(angle / 2)))
 
 
 @dataclass(frozen=True)
@@ -178,11 +170,12 @@ def _inverse(g: Gate) -> list[Gate]:
 @dataclass(frozen=True)
 class PauliRotation:
     """exp(i * angle * P) for the label word P with masks (x, z), the XYZ
-    string of a `PauliSum` term: word_phase(x, z) X^x Z^z."""
+    string of a `PauliSum` term: word_phase(x, z) X^x Z^z. The statevector
+    compile also gives a fixed RX/RY/RZ angle this form, as a float."""
 
     x: int
     z: int
-    angle: ParamExpr
+    angle: ParamExpr | float
 
     def __post_init__(self):
         if not self.x | self.z:
@@ -275,58 +268,60 @@ def derive_rng(master_seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, counters)]))
 
 
-@lru_cache(maxsize=1024)
-def _operand_axes(n: int, qubits: tuple[int, ...]) -> tuple:
-    """(einsum subscripts, view shape, matrix shape) that apply a matrix on
-    these qubits to a (batch, 2, ..., 2) view of the states, in which qubit q
-    is axis n - q."""
-    view = string.ascii_letters[:n + 1]
-    ins = "".join(view[n - q] for q in qubits)
-    outs = string.ascii_letters[n + 1:n + 1 + len(qubits)]
-    result = view.translate(str.maketrans(ins, outs))
-    return f"{outs}{ins},{view}->{result}", (-1,) + (2,) * n, (2,) * (2 * len(qubits))
-
-
-def _apply_matrix(states: np.ndarray, u: np.ndarray, axes: tuple) -> np.ndarray:
-    """The matrix u, in operand order, on every state on the last axis, with
-    axes = _operand_axes(n, qubits) for the qubits it acts on."""
-    subscripts, view_shape, u_shape = axes
-    out = np.einsum(subscripts, u.reshape(u_shape), states.reshape(view_shape))
-    return out.reshape(states.shape)
-
-
 class _Program(NamedTuple):
-    """A circuit's compiled statevector steps. A step is (parameter, scale,
-    offset, rotation, kernel), with angle a = scale * bindings[parameter] +
-    offset. A gate's kernel is (matrix, its qubits' _operand_axes): its fixed
-    matrix, with parameter None, or the kind's _ROTATION_BASES entry, turned
-    into the matrix at a by _rotation. A run of Pauli rotations has kernel
-    None and rotation (flip, stack, row), and acts as exp(i a G) for the sum G
-    of its words, each weighted by its angle over a: G psi = w * psi[flip]
-    with flip = flip_index(x), and G^2 = diag(|w|^2), so exp(i a G) psi =
-    cos(a r) psi + sin(a r) iu psi[flip] with r = |w| and iu = i w / r (0
-    where r is), r and iu row `row` of its _Stack."""
+    """A circuit's compiled statevector steps. A step is (flip, stack, row)
+    and acts as psi <- a psi + b psi[flip]. A fixed step has stack None and
+    row its (a, b). A rotation step runs a run of Pauli rotations, exp(i t G)
+    for the sum G of its words, each weighted by its angle over t, t =
+    scale * bindings[parameter] + offset the first one's angle: G psi =
+    w * psi[flip] with flip = flip_index(x), and G^2 = diag(|w|^2), so a =
+    cos(t r) and b = sin(t r) iu with r = |w| and iu = i w / r (0 where r
+    is), row `row` of its _Stack's tables."""
 
     steps: tuple[tuple, ...]
-    prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
-    rest: tuple[tuple, ...]  # the steps after those gates
+    prefix: np.ndarray  # read-only: |0...0> after the leading fixed steps
+    rest: tuple[tuple, ...]  # the steps after those
 
 
 class _Stack(NamedTuple):
-    """Consecutive rotation steps of a program, at most max(1, 2^DENSE_CAP >>
-    n) of them, whose angles and cos/sin tables one vectorized pass makes."""
+    """Consecutive rotation steps on parameters, at most max(1, 2^DENSE_CAP
+    >> n) of them, whose angles and cos/sin tables one vectorized pass makes."""
 
     names: tuple[str, ...]
     scales: np.ndarray
     offsets: np.ndarray
-    r: np.ndarray  # (steps, 2^n)
+    r: np.ndarray  # (steps, 2^n), or (steps, 1) where each row is constant
     iu: np.ndarray  # (steps, 2^n)
 
     def tables(self, bindings) -> tuple[np.ndarray, np.ndarray]:
-        """cos(a r) and sin(a r) iu for every step, a its angle."""
-        a = self.scales * np.array([bindings[name] for name in self.names]) + self.offsets
-        ar = a[:, None] * self.r
-        return np.cos(ar), np.sin(ar) * self.iu
+        """cos(t r) and sin(t r) iu for every step, t its angle."""
+        t = self.scales * np.array([bindings[name] for name in self.names]) + self.offsets
+        tr = t[:, None] * self.r
+        return np.cos(tr), np.sin(tr) * self.iu
+
+
+# A statevector program holds, per basis state, 24 B for each rotation step's
+# r and iu (or a and b at a fixed angle), 32 B for each fixed gate's a and b,
+# and 8 B for each flip_index and z_signs entry its compile creates, at most
+# one per step and one per rotation; the temporaries of one compile step, or
+# a run's state and those of one step, add 80 B. _compile refuses a program
+# over this many bytes.
+STATEVECTOR_BYTES = 1 << 30
+
+
+def _as_rotation(op):
+    """An RX/RY/RZ gate as the Pauli rotation exp(i (-angle / 2) P) on its
+    qubit, the angle a float where it is fixed; any other operation as it is.
+    The table's Pauli P is the label word with x set off the diagonal and z
+    where P[1, 1 ^ x] differs from P[0, x]."""
+    if not isinstance(op, Gate) or op.angle is None:
+        return op
+    m, q, a = _GATES[op.kind][0], op.qubits[0], op.angle
+    x = int(m[0, 0] == 0)
+    z = int(m[1, 1 ^ x] != m[0, x])
+    half = (ParamExpr(a.name, -0.5 * a.scale, -0.5 * a.offset) if isinstance(a, ParamExpr)
+            else -0.5 * float(a))
+    return PauliRotation(x << q, z << q, half)
 
 
 def _joins(run: list, op) -> bool:
@@ -335,58 +330,82 @@ def _joins(run: list, op) -> bool:
     with each of theirs, popcount(x & (z ^ z')) even, so that the run's
     product is the exponential of its summed generator."""
     a, b = run[0].angle, op.angle
-    return (isinstance(run[0], PauliRotation) and isinstance(op, PauliRotation)
+    return (isinstance(a, ParamExpr) and isinstance(b, ParamExpr)
             and a.name == b.name and run[0].x == op.x and a.scale != 0.0 and b.scale != 0.0
             and a.offset / a.scale == b.offset / b.scale
             and all((op.x & (op.z ^ r.z)).bit_count() % 2 == 0 for r in run))
 
 
 def _rotation_step(run: list, n: int) -> tuple:
-    """(angle, flip, r, iu) of a run of rotations that _joins: the first one's
-    angle a, and the others' angles as a times the ratio of their scales."""
-    a, x = run[0].angle, run[0].x
-    # a lone rotation of scale 0 is a fixed angle a and weight 1
-    w = sum((r.angle.scale / a.scale if a.scale else 1.0) * word_phase(x, r.z) * z_signs(n, r.z)
-            for r in run)
+    """(flip, r, iu) of a run of rotations that _joins, the others' angles the
+    first one's times the ratio of their scales."""
+    x, first = run[0].x, run[0].angle
+    w = sum((r.angle.scale / first.scale if len(run) > 1 else 1.0)
+            * word_phase(x, r.z) * z_signs(n, r.z) for r in run)
     flip = flip_index(n, x)
     w = w[flip]
     r = np.abs(w)
     iu = 1j * np.divide(w, r, out=np.zeros_like(w), where=r > 0.0)
-    return a, flip, r, iu
+    return flip, r, iu
+
+
+def _gate_step(g: Gate, n: int) -> tuple:
+    """The fixed gate's step. Row i of its matrix m is nonzero only at columns
+    i and i ^ f, f the largest such XOR, so at a basis state whose operand
+    bits are i (the first operand's most significant) a = m[i, i] and b =
+    m[i, i ^ f], 0 where f = 0."""
+    m = _GATES[g.kind][0].astype(complex)
+    rows, cols = np.nonzero(m)
+    f = int((rows ^ cols).max())
+    k, basis = len(g.qubits), np.arange(1 << n)
+    i = sum(((basis >> q) & 1) << (k - 1 - j) for j, q in enumerate(g.qubits))
+    mask = sum(1 << q for j, q in enumerate(g.qubits) if (f >> (k - 1 - j)) & 1)
+    return flip_index(n, mask), None, (m[i, i], m[i, i ^ f] if f else 0 * m[i, i])
 
 
 def _compile(c: Circuit) -> _Program:
-    """The circuit's statevector program: one step per gate, and one per run
-    of consecutive Pauli rotations that _joins fuses (one per UCCSD
-    excitation, whose mapped terms share their flip mask), these stacked in
-    order into _Stacks."""
+    """The circuit's statevector program: one step per fixed gate, and one
+    per run of consecutive Pauli rotations that _joins fuses (one per UCCSD
+    excitation, whose mapped terms share their flip mask), RX/RY/RZ gates
+    included; those on parameters stacked in order into _Stacks. Refused
+    with DenseCapError over STATEVECTOR_BYTES, before any 2^n array."""
     n = c.n_qubits
     runs: list[list] = []
-    for op in c.operations:
+    for op in map(_as_rotation, c.operations):
         if runs and _joins(runs[-1], op):
             runs[-1].append(op)
         else:
             runs.append([op])
+    fixed = sum(isinstance(run[0], Gate) for run in runs)
+    rotations = sum(map(len, runs)) - fixed
+    need = (24 * (len(runs) - fixed) + 32 * fixed + 8 * (len(runs) + rotations) + 80) << n
+    if need > STATEVECTOR_BYTES:
+        raise DenseCapError(f"statevector program of {len(runs)} steps on {n} qubits needs "
+                            f"{need} bytes, over the cap of {STATEVECTOR_BYTES}")
     steps, fused = [], []
     for run in runs:
         op = run[0]
-        a = op.angle
-        if isinstance(op, PauliRotation):
-            fused.append((len(steps), *_rotation_step(run, n)))
+        if isinstance(op, Gate):
+            steps.append(_gate_step(op, n))
+        elif isinstance(op.angle, ParamExpr):
+            fused.append((len(steps), op.angle, *_rotation_step(run, n)))
             steps.append(None)  # filled in below, with its stack
-        elif isinstance(a, ParamExpr):
-            steps.append((a.name, a.scale, a.offset, None,
-                          (_ROTATION_BASES[op.kind], _operand_axes(n, op.qubits))))
         else:
-            steps.append((None, 1.0, 0.0, None, (_matrix(op.kind, a), _operand_axes(n, op.qubits))))
+            flip, r, iu = _rotation_step(run, n)
+            tr = op.angle * r
+            steps.append((flip, None, (np.cos(tr), np.sin(tr) * iu)))
     size = max(1, (1 << DENSE_CAP) >> n)
-    for lo in range(0, len(fused), size):
-        index, angles, flips, r, iu = zip(*fused[lo:lo + size])
+    while fused:  # a chunk leaves fused as it is stacked: its rows are held once
+        chunk, fused = fused[:size], fused[size:]
+        index, angles, flips, r, iu = zip(*chunk)
+        r = np.array(r)
+        if (r == r[:, :1]).all():  # such as lone rotations', whose r is 1
+            r = r[:, :1].copy()
         stack = _Stack(tuple(a.name for a in angles), np.array([a.scale for a in angles]),
-                       np.array([a.offset for a in angles]), np.array(r), np.array(iu))
-        for row, (i, a, flip) in enumerate(zip(index, angles, flips)):
-            steps[i] = (a.name, a.scale, a.offset, (flip, stack, row), None)
-    start = next((i for i, step in enumerate(steps) if step[0] is not None), len(steps))
+                       np.array([a.offset for a in angles]), r, np.array(iu))
+        for row, (i, flip) in enumerate(zip(index, flips)):
+            steps[i] = (flip, stack, row)
+    start = next((i for i, step in enumerate(steps) if step[1] is not None), len(steps))
     prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None)
     prefix.flags.writeable = False
     return _Program(tuple(steps), prefix, tuple(steps[start:]))
@@ -402,25 +421,21 @@ def _program(c: Circuit) -> _Program:
 
 def _run_steps(states: np.ndarray, steps, bindings) -> np.ndarray:
     """The steps applied in turn to every state on the last axis. A rotation
-    step's cos/sin tables come from its _Stack's one pass, made at the
-    stack's first step and dropped at the next stack's."""
+    step's a and b come from its _Stack's one pass, made at the stack's first
+    step and dropped at the next stack's."""
     bindings = bindings or {}
     batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
     stack = None
     try:
-        for name, scale, offset, rotation, kernel in steps:
-            if rotation is not None:
-                flip, step_stack, row = rotation
+        for flip, step_stack, row in steps:
+            if step_stack is None:
+                a, b = row
+            else:
                 if step_stack is not stack:
                     stack = step_stack
                     cos, siu = stack.tables(bindings)
-                flipped = states[..., flip] if batched else states[flip]
-                states = cos[row] * states + siu[row] * flipped
-                continue
-            m, axes = kernel
-            if name is not None:
-                m = _rotation(m, scale * bindings[name] + offset)
-            states = _apply_matrix(states, m, axes)
+                a, b = cos[row], siu[row]
+            states = a * states + b * (states[..., flip] if batched else states[flip])
     except KeyError as exc:
         raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
     return states
@@ -435,9 +450,10 @@ def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
 
 def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit (small-circuit verification helper)."""
+    steps = _program(c).steps  # an oversized program is refused before the 4^n identity
     cols = np.eye(1 << c.n_qubits, dtype=complex)
     # the program runs on the rows of cols.T, each a basis state
-    return _run_steps(cols.T, _program(c).steps, bindings).T
+    return _run_steps(cols.T, steps, bindings).T
 
 
 # -- noise -----------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
 non-convergence, linear dependence, an (n_alpha, n_beta) sector over the
-exact-solver cap, an unconverged Lanczos solve, an SPSA calibration whose
-gradient estimates are all zero), 4 an element past Ne, which has no
-built-in STO-3G shells.
+exact-solver cap, an unconverged Lanczos solve, a noisy estimate over the
+Pauli-vector cap, a statevector program over its byte cap, an SPSA
+calibration whose gradient estimates are all zero), 4 an element past Ne,
+which has no built-in STO-3G shells.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """

@@ -8,6 +8,7 @@ dense matrices built directly on the occupation basis.
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
 
@@ -187,22 +188,53 @@ def run_operations_reference(c, bindings, states: np.ndarray) -> np.ndarray:
     return states
 
 
+# Gate matrices in operand order, the first operand's bit most significant,
+# and the Pauli P of each rotation kind exp(-i angle P / 2).
+_GATE_MATRICES = {
+    "X": _P1["X"], "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2.0),
+    "SqrtX": 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]),
+    "CX": np.eye(4)[[0, 1, 3, 2]], "CZ": np.diag([1.0, 1.0, 1.0, -1.0]),
+    "SWAP": np.eye(4)[[0, 2, 1, 3]],
+}
+_ROTATION_PAULIS = {"RX": "X", "RY": "Y", "RZ": "Z"}
+
+
+def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
+    """A gate kind's matrix in operand order; a rotation's at this angle,
+    cos(angle/2) I - i sin(angle/2) P."""
+    if kind in _ROTATION_PAULIS:
+        p = _P1[_ROTATION_PAULIS[kind]]
+        return math.cos(angle / 2) * np.eye(2) - 1j * math.sin(angle / 2) * p
+    return _GATE_MATRICES[kind]
+
+
+def apply_matrix(states: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
+    """The matrix u, in operand order, on these qubits of every n-qubit state
+    on the last axis: one einsum over the (batch, 2, ..., 2) view of the
+    states, in which qubit q is axis n - q."""
+    view = string.ascii_letters[:n + 1]
+    ins = "".join(view[n - q] for q in qubits)
+    outs = string.ascii_letters[n + 1:n + 1 + len(qubits)]
+    subscripts = f"{outs}{ins},{view}->{view.translate(str.maketrans(ins, outs))}"
+    out = np.einsum(subscripts, u.reshape((2,) * (2 * len(qubits))),
+                    states.reshape((-1,) + (2,) * n))
+    return out.reshape(states.shape)
+
+
 def _operation_reference(op, bindings, states: np.ndarray, n: int) -> np.ndarray:
     """One operation on every n-qubit state on the last axis: a gate is its
-    matrix, a parameterised one at its resolved angle, through qve's gate
-    kernel, and a Pauli rotation by a is cos(a) psi + (i word_phase(x, z)
-    sin(a)) (psi z_signs(z))[flip_index(x)]."""
-    from qve.circuit import (_ROTATION_BASES, ParamExpr, PauliRotation, _apply_matrix, _matrix,
-                             _operand_axes, _rotation)
+    gate_matrix, a parameterised one at its resolved angle, through
+    apply_matrix, and a Pauli rotation by a is cos(a) psi + (i word_phase(x,
+    z) sin(a)) (psi z_signs(z))[flip_index(x)]."""
+    from qve.circuit import ParamExpr, PauliRotation
     from qve.pauli import flip_index, word_phase, z_signs
     if isinstance(op, PauliRotation):
         a = op.angle.resolve(bindings)
         flipped = (states * z_signs(n, op.z))[..., flip_index(n, op.x)]
         return math.cos(a) * states + (1j * word_phase(op.x, op.z) * math.sin(a)) * flipped
     a = op.angle
-    u = (_rotation(_ROTATION_BASES[op.kind], a.resolve(bindings))
-         if isinstance(a, ParamExpr) else _matrix(op.kind, a))
-    return _apply_matrix(states, u, _operand_axes(n, op.qubits))
+    u = gate_matrix(op.kind, a.resolve(bindings) if isinstance(a, ParamExpr) else a)
+    return apply_matrix(states, u, op.qubits, n)
 
 
 def run_fused_reference(c, bindings, states: np.ndarray) -> np.ndarray:

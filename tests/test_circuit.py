@@ -62,7 +62,9 @@ def embed(u1, q, n):
 
 
 def test_single_qubit_gate_matrices():
-    # [DERIVED] every 1-qubit gate vs its reference matrix via kron embedding
+    # [DERIVED] every 1-qubit gate vs its reference matrix via kron embedding;
+    # every kind in the gate table without an angle has the one-flip form of
+    # the statevector step: row i nonzero only at columns i and i ^ f
     t = 0.7321
     refs = {
         ("X", None): pauli_label_matrix("X"),
@@ -75,6 +77,14 @@ def test_single_qubit_gate_matrices():
             c = Circuit(3)
             c.add(Gate(kind, (q,), angle))
             np.testing.assert_allclose(circuit_unitary(c), embed(ref, q, 3), atol=1e-12)
+    for kind, (m, takes_angle) in circuit_module._GATES.items():
+        if not takes_angle:
+            k = len(m).bit_length() - 1  # on qubits k-1..0 the step's rows are m's
+            flip, _, (a, b) = circuit_module._gate_step(Gate(kind, tuple(range(k)[::-1])), k)
+            i = np.arange(len(m))
+            rebuilt = np.diag(a)
+            rebuilt[i, flip] += b
+            assert np.array_equal(rebuilt, m), kind
 
 
 def test_two_qubit_gate_matrices():
@@ -239,7 +249,9 @@ def test_program_is_bit_identical_to_fused_reference():
 def test_program_matches_per_operation_reference():
     # [DERIVED] the fused program's state equals the per-operation reference
     # within 1e-13 on the program circuits and on H6 UCCSD under every
-    # encoding (828 rotations); each UCCSD excitation is one step
+    # encoding (828 rotations); each UCCSD excitation is one stacked step, and
+    # BeH2's HEA(4, 1) compiles to its 16 rotations as the rows of one stack,
+    # which keeps one r per row (each is 1), and its 3 CX as fixed steps
     rng = np.random.default_rng(42)
     for c in program_circuits(rng) + uccsd_circuits([(3, 3, 6)]):
         names = c.parameter_names
@@ -251,7 +263,11 @@ def test_program_matches_per_operation_reference():
                                        rtol=0, atol=1e-13)
     for c in uccsd_circuits([(1, 1, 3), (2, 2, 4), (3, 3, 6)]):
         steps = circuit_module._program(c).steps
-        assert sum(step[3] is not None for step in steps) == len(c.parameter_names)
+        assert sum(step[1] is not None for step in steps) == len(c.parameter_names)
+    steps = circuit_module._program(build_hea(4, 1)).steps
+    stacks = {id(step[1]): step[1] for step in steps if step[1] is not None}
+    assert [(len(s.names), s.r.shape) for s in stacks.values()] == [(16, (16, 1))]
+    assert sum(step[1] is None for step in steps) == 3 and len(steps) == 16 + 3
 
 
 def test_fused_runs_match_matrix_exponentials():
@@ -261,22 +277,35 @@ def test_fused_runs_match_matrix_exponentials():
     # XX and YY with equal weights fuse (|w| = 0 on even parity); YY at
     # another ratio stands alone; YX anticommutes with YY; IX commutes with
     # ZX but on another parameter; XZ and XI at one ratio fuse with weights 1
-    # and -1/2; each rotation of scale 0 stands alone
+    # and -1/2, and RX(t) on qubit 0, exp(i (-t/2) XI), joins them at that
+    # ratio; each rotation of scale 0 stands alone, and so do a fixed RZ and a
+    # CX between runs
     t = ParamExpr("t", 0.75, 0.375)
     ops = [("XX", t), ("YY", t), ("YY", ParamExpr("t", 1.0, 0.25)),
-           ("YX", ParamExpr("t", 1.0, 0.25)), ("ZX", ParamExpr("u", -1.25)),
+           ("YX", ParamExpr("t", 1.0, 0.25)), Gate("RZ", (1,), 0.3), Gate("CX", (0, 1)),
+           ("ZX", ParamExpr("u", -1.25)),
            ("IX", ParamExpr("t", 0.5)), ("XZ", ParamExpr("t", 0.5, 0.125)),
-           ("XI", ParamExpr("t", -0.25, -0.0625)), ("XY", ParamExpr("t", 0.0, 0.8)),
-           ("XY", ParamExpr("t", 0.0, 0.8))]
+           ("XI", ParamExpr("t", -0.25, -0.0625)), Gate("RX", (0,), ParamExpr("t", 0.5, 0.125)),
+           ("XY", ParamExpr("t", 0.0, 0.8)), ("XY", ParamExpr("t", 0.0, 0.8))]
     c = Circuit(2).h(0)
-    for lbl, angle in ops:
-        term = PauliTerm.from_label(lbl)
-        c.add(PauliRotation(term.x, term.z, angle))
-    assert len(circuit_module._program(c).steps) == 1 + 8
+    for op in ops:
+        if isinstance(op, Gate):
+            c.add(op)
+        else:
+            term = PauliTerm.from_label(op[0])
+            c.add(PauliRotation(term.x, term.z, op[1]))
+    assert len(circuit_module._program(c).steps) == 1 + 8 + 2
     at = {"t": 0.83, "u": -0.41}
     want = embed(np.array([[1, 1], [1, -1]]) / math.sqrt(2), 0, 2)
-    for lbl, angle in ops:
-        want = expm(1j * angle.resolve(at) * pauli_label_matrix(lbl)) @ want
+    for op in ops:
+        if not isinstance(op, Gate):
+            want = expm(1j * op[1].resolve(at) * pauli_label_matrix(op[0])) @ want
+        elif op.kind == "CX":
+            want = bit_rule_matrix("CX", 0, 1, 2) @ want
+        elif op.kind == "RZ":
+            want = embed(u_rz(op.angle), 1, 2) @ want
+        else:
+            want = embed(u_rx(op.angle.resolve(at)), 0, 2) @ want
     np.testing.assert_allclose(circuit_unitary(c, at), want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(run_circuit(c, at), want[:, 0], rtol=0, atol=1e-12)
 
@@ -1038,6 +1067,24 @@ def test_noisy_estimate_over_density_cap_is_refused():
     h = PauliSum.from_labels([("Z" + "I" * 12, 1.0)])
     with pytest.raises(DenseCapError):
         estimate(c, {}, h, 16, 0, noise=NoiseModel(p1=0.01))
+
+
+def test_oversized_statevector_program_is_refused():
+    # [DERIVED] a 40-qubit HEA program would hold 2^40-entry tables: run_circuit
+    # and circuit_unitary refuse it with DenseCapError before any 2^n array,
+    # allocating less than 1 MiB on the way
+    c = build_hea(40, 1)
+    bindings = dict.fromkeys(c.parameter_names, 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCapError, match="statevector program of 199 steps on 40 qubits"):
+            run_circuit(c, bindings)
+        with pytest.raises(DenseCapError, match="over the cap"):
+            circuit_unitary(c, bindings)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_measurement_plan_keyed_on_contents(monkeypatch):

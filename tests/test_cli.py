@@ -289,6 +289,29 @@ def test_oversized_fixture_is_refused_before_allocation(tmp_path):
     assert "header norb 70 outside" in done.stderr
 
 
+def test_oversized_noiseless_vqe_is_numeric_error(tmp_path):
+    # [DERIVED] norb 16 under jw is 32 qubits, whose statevector program would
+    # need far more than the 3 GiB address-space limit: exit 3 with an error
+    # line and no traceback, where a 2^32-entry array used to raise out of
+    # the compile
+    import qve
+    ham = tmp_path / "big.ham"
+    ham.write_text("norb 16\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng 15 15 15 15 0.5\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from qve.cli import main\n"
+        f"sys.exit(main(['vqe', '--ham', {str(ham)!r}, '--mapper', 'jw', '--maxiter', '2',"
+        f" '--shots', '16', '--out', {str(tmp_path / 'runs')!r}]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert done.stderr.startswith("error: statevector program") and "Traceback" not in done.stderr
+
+
 def test_unsupported_element_is_element_error(capsys, tmp_path):
     # [DERIVED] Na is past Ne, where the built-in STO-3G ends: exit code 4
     geo = tmp_path / "nah.geom"
