@@ -9,7 +9,7 @@ noiseless statevector runs Pauli rotations without decomposing them; every
 consumer of `Circuit.gates` (the noisy path, transpilation, statistics,
 inversion and folding) sees each one decomposed into gates by one synthesis
 rule. At its first run a circuit compiles its statevector program
-(`_program`): every operation is one step psi <- a psi + b psi[flip]. A
+(`_compile`): every operation is one step psi <- a psi + b psi[flip]. A
 fixed gate's matrix is nonzero only at columns i and i ^ f of row i, one
 operand mask f per kind, and its a and b are two complex 2^n tables
 (32 * 2^n bytes). An RX/RY/RZ gate is a Pauli rotation, and each run of
@@ -21,8 +21,7 @@ a = cos(t r), b = sin(t r) iu from two 2^n arrays r, iu (24 * 2^n bytes, 16
 in a stack whose every step has a constant r, as lone rotations do), made
 once where t is fixed and by one vectorized pass per stack of at most
 max(1, 2^DENSE_CAP >> n) steps where it is a parameter. The program also
-holds the state after the leading fixed steps; `add` clears it, and a
-program over STATEVECTOR_BYTES is refused before its first 2^n array.
+holds the state after the leading fixed steps.
 Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
 matrix, at index sum_q 4^q d_q with d_q the index in _PAULIS (I, X, Y, Z) of
 Q's letter on qubit q. A gate's Pauli transfer matrix comes from the table's
@@ -35,8 +34,15 @@ folded circuits reuse it; every other gate, a rotation by a parameter or a
 non-Clifford angle, is one 4x4 map T0 + cos(a) T1 + sin(a) T2 on its qubit,
 and joins the previous one-qubit step on that qubit when no step since then
 acts on it (each HEA layer's RY and RZ), the step's map the product of its
-members'. A circuit keeps these steps per noise model (`_noisy_plan`),
-built at its first noisy estimate and cleared by `add`. A group's basis is
+members'. Both compiles follow one contract: everything that does not depend
+on the parameters is decided when the circuit compiles, and a run binds them
+once, as one vector over `parameter_names` (`_bind`), and applies the steps.
+A circuit keeps its compiled forms in one dict (`_compiled`), the
+statevector program under None and the noisy steps (`_noisy_plan`) under
+their noise model, built at first use and cleared by `add`. Either compile
+refuses, with DenseCapError and before its first 2^n or 4^n array, a form
+whose memory exceeds the one byte cap SIMULATOR_BYTES (1 GiB); under gate
+noise that is more than 12 qubits. A group's basis is
 the OR of its terms' (x, z) masks, one letter Z, X or Y per qubit (Z also
 where it measures nothing); one rule turns masks into basis-change gates,
 for measurement groups and rotation synthesis alike. A group's basis change,
@@ -209,8 +215,7 @@ class Circuit:
         self.operations: list[Gate | PauliRotation] = []
         self.parameter_names: list[str] = []
         self._gates: tuple[Gate, ...] | None = None
-        self._plans: dict[NoiseModel, _NoisyPlan] = {}  # see _noisy_plan
-        self._program: _Program | None = None  # see _program
+        self._compiled: dict = {}  # see _compiled
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -233,8 +238,7 @@ class Circuit:
             self.parameter_names.append(op.angle.name)
         self.operations.append(op)
         self._gates = None
-        self._plans = {}
-        self._program = None
+        self._compiled = {}
         return self
 
     def extend(self, ops) -> "Circuit":
@@ -258,8 +262,7 @@ class Circuit:
         out.operations = list(self.operations)
         out.parameter_names = list(self.parameter_names)
         out._gates = self._gates
-        out._plans = dict(self._plans)
-        out._program = self._program
+        out._compiled = dict(self._compiled)
         return out
 
 
@@ -268,12 +271,23 @@ def derive_rng(master_seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, counters)]))
 
 
+def _bind(c: Circuit, bindings) -> np.ndarray:
+    """The parameter vector theta of a run: the bindings in the order of
+    c.parameter_names, then the -0.0 that fixed angles read (see _Angles).
+    The first unbound parameter is refused by name."""
+    bindings = bindings or {}
+    for name in c.parameter_names:
+        if name not in bindings:
+            raise CircuitError(f"unbound parameter {name!r}")
+    return np.array([bindings[name] for name in c.parameter_names] + [-0.0])
+
+
 class _Program(NamedTuple):
     """A circuit's compiled statevector steps. A step is (flip, stack, row)
     and acts as psi <- a psi + b psi[flip]. A fixed step has stack None and
     row its (a, b). A rotation step runs a run of Pauli rotations, exp(i t G)
     for the sum G of its words, each weighted by its angle over t, t =
-    scale * bindings[parameter] + offset the first one's angle: G psi =
+    scale * theta[position] + offset the first one's angle: G psi =
     w * psi[flip] with flip = flip_index(x), and G^2 = diag(|w|^2), so a =
     cos(t r) and b = sin(t r) iu with r = |w| and iu = i w / r (0 where r
     is), row `row` of its _Stack's tables."""
@@ -283,30 +297,58 @@ class _Program(NamedTuple):
     rest: tuple[tuple, ...]  # the steps after those
 
 
+class _Angles(NamedTuple):
+    """Compiled angles scale * theta[position] + offset, theta the parameter
+    vector that _bind makes: position is the parameter's index in
+    parameter_names or, for a fixed angle, theta's trailing -0.0 at scale 0,
+    so that the angle is exactly its offset (0 * -0.0 + offset = offset, -0.0
+    included)."""
+
+    positions: np.ndarray
+    scales: np.ndarray
+    offsets: np.ndarray
+
+    def at(self, theta: np.ndarray) -> np.ndarray:
+        return self.scales * theta[self.positions] + self.offsets
+
+
+def _angles(c: Circuit, angles) -> _Angles:
+    """The angles, ParamExprs or fixed floats, against c's parameter vector."""
+    names = c.parameter_names + [None]  # None: theta's trailing -0.0
+    exprs = [a if isinstance(a, ParamExpr) else ParamExpr(None, 0.0, float(a)) for a in angles]
+    return _Angles(np.array([names.index(a.name) for a in exprs], dtype=np.intp),
+                   np.array([a.scale for a in exprs], dtype=float),
+                   np.array([a.offset for a in exprs], dtype=float))
+
+
 class _Stack(NamedTuple):
     """Consecutive rotation steps on parameters, at most max(1, 2^DENSE_CAP
     >> n) of them, whose angles and cos/sin tables one vectorized pass makes."""
 
-    names: tuple[str, ...]
-    scales: np.ndarray
-    offsets: np.ndarray
+    angles: _Angles
     r: np.ndarray  # (steps, 2^n), or (steps, 1) where each row is constant
     iu: np.ndarray  # (steps, 2^n)
 
-    def tables(self, bindings) -> tuple[np.ndarray, np.ndarray]:
-        """cos(t r) and sin(t r) iu for every step, t its angle."""
-        t = self.scales * np.array([bindings[name] for name in self.names]) + self.offsets
-        tr = t[:, None] * self.r
+    def tables(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos(t r) and sin(t r) iu for every step, t its angle at theta."""
+        tr = self.angles.at(theta)[:, None] * self.r
         return np.cos(tr), np.sin(tr) * self.iu
 
 
-# A statevector program holds, per basis state, 24 B for each rotation step's
-# r and iu (or a and b at a fixed angle), 32 B for each fixed gate's a and b,
-# and 8 B for each flip_index and z_signs entry its compile creates, at most
-# one per step and one per rotation; the temporaries of one compile step, or
-# a run's state and those of one step, add 80 B. _compile refuses a program
-# over this many bytes.
-STATEVECTOR_BYTES = 1 << 30
+# The byte cap of both simulators, checked when a circuit compiles, before its
+# first 2^n or 4^n array. A statevector program holds, per basis state, 24 B
+# for each rotation step's r and iu (or a and b at a fixed angle), 32 B for
+# each fixed gate's a and b, and 8 B for each flip_index and z_signs entry its
+# compile creates, at most one per step and one per rotation; the temporaries
+# of one compile step, or a run's state and those of one step, add 80 B. A
+# noisy run holds at most three copies of the 8 * 4^n-byte Pauli vector (see
+# _apply_segment): 384 MiB at 12 qubits, 1.5 GiB at 13.
+SIMULATOR_BYTES = 1 << 30
+
+
+def _within_cap(need: int, what: str) -> None:
+    if need > SIMULATOR_BYTES:
+        raise DenseCapError(f"{what} needs {need} bytes, over the cap of {SIMULATOR_BYTES}")
 
 
 def _as_rotation(op):
@@ -368,7 +410,7 @@ def _compile(c: Circuit) -> _Program:
     per run of consecutive Pauli rotations that _joins fuses (one per UCCSD
     excitation, whose mapped terms share their flip mask), RX/RY/RZ gates
     included; those on parameters stacked in order into _Stacks. Refused
-    with DenseCapError over STATEVECTOR_BYTES, before any 2^n array."""
+    with DenseCapError over SIMULATOR_BYTES, before any 2^n array."""
     n = c.n_qubits
     runs: list[list] = []
     for op in map(_as_rotation, c.operations):
@@ -378,10 +420,8 @@ def _compile(c: Circuit) -> _Program:
             runs.append([op])
     fixed = sum(isinstance(run[0], Gate) for run in runs)
     rotations = sum(map(len, runs)) - fixed
-    need = (24 * (len(runs) - fixed) + 32 * fixed + 8 * (len(runs) + rotations) + 80) << n
-    if need > STATEVECTOR_BYTES:
-        raise DenseCapError(f"statevector program of {len(runs)} steps on {n} qubits needs "
-                            f"{need} bytes, over the cap of {STATEVECTOR_BYTES}")
+    _within_cap((24 * (len(runs) - fixed) + 32 * fixed + 8 * (len(runs) + rotations) + 80) << n,
+                f"statevector program of {len(runs)} steps on {n} qubits")
     steps, fused = [], []
     for run in runs:
         op = run[0]
@@ -401,8 +441,7 @@ def _compile(c: Circuit) -> _Program:
         r = np.array(r)
         if (r == r[:, :1]).all():  # such as lone rotations', whose r is 1
             r = r[:, :1].copy()
-        stack = _Stack(tuple(a.name for a in angles), np.array([a.scale for a in angles]),
-                       np.array([a.offset for a in angles]), r, np.array(iu))
+        stack = _Stack(_angles(c, angles), r, np.array(iu))
         for row, (i, flip) in enumerate(zip(index, flips)):
             steps[i] = (flip, stack, row)
     start = next((i for i, step in enumerate(steps) if step[1] is not None), len(steps))
@@ -411,49 +450,46 @@ def _compile(c: Circuit) -> _Program:
     return _Program(tuple(steps), prefix, tuple(steps[start:]))
 
 
-def _program(c: Circuit) -> _Program:
-    """The circuit's program, compiled at its first run and kept until `add`
+def _compiled(c: Circuit, noise: NoiseModel | None = None):
+    """The circuit's statevector program (noise None) or its noisy steps
+    under this noise model, compiled at first use and kept until `add`
     changes the circuit."""
-    if c._program is None:
-        c._program = _compile(c)
-    return c._program
+    if noise not in c._compiled:
+        c._compiled[noise] = _compile(c) if noise is None else _noisy_plan(c, noise)
+    return c._compiled[noise]
 
 
-def _run_steps(states: np.ndarray, steps, bindings) -> np.ndarray:
-    """The steps applied in turn to every state on the last axis. A rotation
-    step's a and b come from its _Stack's one pass, made at the stack's first
-    step and dropped at the next stack's."""
-    bindings = bindings or {}
+def _run_steps(states: np.ndarray, steps, theta) -> np.ndarray:
+    """The steps applied in turn to every state on the last axis, at the bound
+    parameter vector theta. A rotation step's a and b come from its _Stack's
+    one pass, made at the stack's first step and dropped at the next stack's."""
     batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
     stack = None
-    try:
-        for flip, step_stack, row in steps:
-            if step_stack is None:
-                a, b = row
-            else:
-                if step_stack is not stack:
-                    stack = step_stack
-                    cos, siu = stack.tables(bindings)
-                a, b = cos[row], siu[row]
-            states = a * states + b * (states[..., flip] if batched else states[flip])
-    except KeyError as exc:
-        raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
+    for flip, step_stack, row in steps:
+        if step_stack is None:
+            a, b = row
+        else:
+            if step_stack is not stack:
+                stack = step_stack
+                cos, siu = stack.tables(theta)
+            a, b = cos[row], siu[row]
+        states = a * states + b * (states[..., flip] if batched else states[flip])
     return states
 
 
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
     """Statevector after applying the operations to |0...0>."""
-    program = _program(c)
-    state = _run_steps(program.prefix, program.rest, bindings)
+    program = _compiled(c)
+    state = _run_steps(program.prefix, program.rest, _bind(c, bindings))
     return state.copy() if state is program.prefix else state
 
 
 def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit (small-circuit verification helper)."""
-    steps = _program(c).steps  # an oversized program is refused before the 4^n identity
+    steps = _compiled(c).steps  # an oversized program is refused before the 4^n identity
     cols = np.eye(1 << c.n_qubits, dtype=complex)
     # the program runs on the rows of cols.T, each a basis state
-    return _run_steps(cols.T, steps, bindings).T
+    return _run_steps(cols.T, steps, _bind(c, bindings)).T
 
 
 # -- noise -----------------------------------------------------------------
@@ -479,15 +515,6 @@ class NoiseModel:
             if not 0.0 <= v <= 1.0:
                 raise CircuitError(f"noise probability {name}={v} outside [0, 1]")
 
-
-# A noisy estimate holds the Pauli vector tr(Q rho), 8 * 4^n bytes (128 MiB at
-# 12 qubits). A step holds its input until it returns. A segment on
-# consecutive qubits also holds its gathered copy, scaled in place: two
-# copies. Above SEGMENT_SPAN qubits a segment on other qubits also holds the
-# vector with the segment's axes in front, then its gathered product, then
-# the product with the axes moved back: three copies at most, 384 MiB at 12
-# qubits.
-DENSITY_CAP = 12
 
 # A segment of Clifford gates acts on at most this many qubits, so its table
 # holds at most 4^SEGMENT_SPAN words; up to this many qubits it covers them all.
@@ -604,53 +631,49 @@ class _NoisyPlan(NamedTuple):
     a segment (see _segment), (qubit, j) for one-qubit step j, the product of
     one or more rotations on its qubit in gate order: rotation first[j], then
     for each later member position, rotation i on step j for each pair of
-    that position's (steps, rotations) arrays in merged. Rotation i's angle is
-    scale * bindings[parameter] + offset, or offset where parameter is None."""
+    that position's (steps, rotations) arrays in merged; angles holds
+    rotation i's angle at row i."""
 
     steps: tuple[tuple, ...]
-    angles: tuple[tuple[str | None, float, float], ...]
+    angles: _Angles
     tables: np.ndarray  # (rotations, 3, 4, 4): each rotation's _rotation_transfer
     first: np.ndarray  # (one-qubit steps,): each step's first rotation
     merged: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
-    """The circuit's noisy steps under this noise model, compiled at its first
-    noisy estimate and kept until `add` changes the circuit. Segments are
-    cached by their gates, so a folded circuit reuses those of its parts. A
+    """The circuit's noisy steps under this noise model. Segments are cached
+    by their gates, so a folded circuit reuses those of its parts. A
     rotation joins the previous one-qubit step on its qubit when no step
-    since then acts on that qubit, since it commutes with all of them."""
-    plan = c._plans.get(noise)
-    if plan is None:
-        n = c.n_qubits
-        steps, angles, tables, members = [], [], [], []
-        last: dict[int, int] = {}  # qubit -> the one-qubit step a rotation there joins
-        for clifford, gates in _split(c.gates):
-            if clifford:
-                steps.append(_segment(gates, n, noise.p1, noise.p2))
-                for g in gates:
-                    for q in g.qubits:
-                        last.pop(q, None)
-                continue
-            g = gates[0]
-            a, q = g.angle, g.qubits[0]
-            if q in last:
-                members[last[q]].append(len(angles))
-            else:
-                last[q] = len(members)
-                steps.append((q, len(members)))
-                members.append([len(angles)])
-            angles.append((a.name, a.scale, a.offset) if isinstance(a, ParamExpr)
-                          else (None, 0.0, float(a)))
-            tables.append(_rotation_transfer(g.kind, noise.p1))
-        merged = tuple((np.array([j for j, m in enumerate(members) if len(m) > k], dtype=np.intp),
-                        np.array([m[k] for m in members if len(m) > k], dtype=np.intp))
-                       for k in range(1, max(map(len, members), default=1)))
-        plan = c._plans[noise] = _NoisyPlan(tuple(steps), tuple(angles),
-                                            np.array(tables).reshape(-1, 3, 4, 4),
-                                            np.array([m[0] for m in members], dtype=np.intp),
-                                            merged)
-    return plan
+    since then acts on that qubit, since it commutes with all of them.
+    Refused over SIMULATOR_BYTES, three copies of the Pauli vector, before
+    any 4^n array."""
+    n = c.n_qubits
+    _within_cap(24 << 2 * n, f"noisy run on {n} qubits (three copies of its Pauli vector)")
+    steps, angles, tables, members = [], [], [], []
+    last: dict[int, int] = {}  # qubit -> the one-qubit step a rotation there joins
+    for clifford, gates in _split(c.gates):
+        if clifford:
+            steps.append(_segment(gates, n, noise.p1, noise.p2))
+            for g in gates:
+                for q in g.qubits:
+                    last.pop(q, None)
+            continue
+        g = gates[0]
+        q = g.qubits[0]
+        if q in last:
+            members[last[q]].append(len(angles))
+        else:
+            last[q] = len(members)
+            steps.append((q, len(members)))
+            members.append([len(angles)])
+        angles.append(g.angle)
+        tables.append(_rotation_transfer(g.kind, noise.p1))
+    merged = tuple((np.array([j for j, m in enumerate(members) if len(m) > k], dtype=np.intp),
+                    np.array([m[k] for m in members if len(m) > k], dtype=np.intp))
+                   for k in range(1, max(map(len, members), default=1)))
+    return _NoisyPlan(tuple(steps), _angles(c, angles), np.array(tables).reshape(-1, 3, 4, 4),
+                      np.array([m[0] for m in members], dtype=np.intp), merged)
 
 
 def _apply_segment(r: np.ndarray, n: int, qubits: tuple[int, ...], src: np.ndarray,
@@ -658,7 +681,12 @@ def _apply_segment(r: np.ndarray, n: int, qubits: tuple[int, ...], src: np.ndarr
     """The Pauli vector r after a segment: one gather and one multiply over
     the segment's words. On consecutive qubits lo..lo+m-1 the gather runs
     along the middle axis of r's (4^(n-lo-m), 4^m, 4^lo) view; otherwise the
-    segment's qubits' axes of r's (4,) * n view move to the front and back."""
+    segment's qubits' axes of r's (4,) * n view move to the front and back.
+    Memory: r is 8 * 4^n bytes, and a step holds its input until it returns.
+    On consecutive qubits it also holds the gathered copy, scaled in place:
+    two copies. On other qubits it also holds the vector with the segment's
+    axes in front, then its gathered product, then the product with the axes
+    moved back: three copies at most, which SIMULATOR_BYTES bounds."""
     m = len(qubits)
     if m == n:
         return coef * r[src]
@@ -681,13 +709,8 @@ def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
     gate list on |0...0>: one gather per segment, and one 4x4 map per
     one-qubit step on the (4^(n-1-q), 4, 4^q) view of its qubit q."""
     n = c.n_qubits
-    plan = _noisy_plan(c, noise)
-    bindings = bindings or {}
-    try:
-        a = np.array([offset if name is None else scale * bindings[name] + offset
-                      for name, scale, offset in plan.angles])
-    except KeyError as exc:
-        raise CircuitError(f"unbound parameter {exc.args[0]!r}") from None
+    plan = _compiled(c, noise)
+    a = plan.angles.at(_bind(c, bindings))
     t = plan.tables
     rotations = t[:, 0] + np.cos(a)[:, None, None] * t[:, 1] + np.sin(a)[:, None, None] * t[:, 2]
     maps = rotations[plan.first]
@@ -785,18 +808,16 @@ class _MeasurementPlan(NamedTuple):
     groups: tuple[tuple[PauliTerm, ...], ...]
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
     tables: np.ndarray | None  # (groups, 2^n)
-    words: np.ndarray | None  # (groups, 2^n): indices into _run_pauli's vector
-    blocks: dict  # read-out _kron_blocks by noise model (see _distributions)
+    # read-out _kron_blocks by noise model (see _distributions), and under
+    # "words" the (groups, 2^n) indices into _run_pauli's vector
+    kept: dict
 
 
 def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
     """The qubit-wise-commuting groups of the sum, built at its first estimate
     and kept on it until `add_term` changes it: each group's terms, its
-    letter on each qubit, its outcome table and, up to DENSITY_CAP qubits, the
-    index in the Pauli vector of its 2^n words, I or the letter's Pauli on
-    each qubit (word s holds the letter where bit q of s is set). Above
-    DENSE_CAP qubits the tables are None, and each estimate builds them and
-    drops them."""
+    letter on each qubit and its outcome table. Above DENSE_CAP qubits the
+    tables are None, and each estimate builds them and drops them."""
     if h._plan is not None:
         return h._plan
     n = h.n_qubits
@@ -808,14 +829,18 @@ def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
             x, z = x | t.x, z | t.z
         xb, zb = (x >> np.arange(n)) & 1, (z >> np.arange(n)) & 1
         letters[i] = xb + (xb & zb)
-    words = None
-    if n <= DENSITY_CAP:
-        bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
-        words = (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
     tables = _outcome_tables(groups, n) if n <= DENSE_CAP else None
-    h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables,
-                               words, {})
+    h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables, {})
     return h._plan
+
+
+def _words(letters: np.ndarray) -> np.ndarray:
+    """(groups, 2^n): the index in the Pauli vector of each group's 2^n
+    words, I or its letter's Pauli on each qubit, word s holding the letter
+    where bit q of s is set."""
+    n = letters.shape[1]
+    bits = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+    return (_LETTER_PAULIS[letters] * 4 ** np.arange(n)) @ bits
 
 
 def _confusion(noise: NoiseModel) -> np.ndarray:
@@ -858,12 +883,12 @@ def _kron_blocks(maps: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(blocks)
 
 
-def _kept_blocks(plan: _MeasurementPlan, key, maps) -> tuple:
-    """The plan's _kron_blocks of maps() under key, built at the first use."""
-    blocks = plan.blocks.get(key)
-    if blocks is None:
-        blocks = plan.blocks[key] = _kron_blocks(maps())
-    return blocks
+def _kept(plan: _MeasurementPlan, key, build):
+    """plan.kept[key], built by build() at the first use."""
+    value = plan.kept.get(key)
+    if value is None:
+        value = plan.kept[key] = build()
+    return value
 
 
 def _through_blocks(stack: np.ndarray, blocks, lo: int, hi: int) -> np.ndarray:
@@ -892,24 +917,26 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
     through the confusion matrices. The maps act as the plan's Kronecker
     blocks of at most SEGMENT_SPAN qubits, built at first use and kept under
     None for the rotations and under the noise model for its noisy maps or,
-    readout only, its confusion blocks shared by all groups."""
+    readout only, its confusion blocks shared by all groups; the groups' word
+    indices are kept next to them at the first noisy estimate."""
     n = c.n_qubits
     noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
         source = _run_pauli(c, bindings, noise)
-        blocks = _kept_blocks(plan, noise, lambda: _letter_maps(noise)[plan.letters])
+        words = _kept(plan, "words", lambda: _words(plan.letters))
+        blocks = _kept(plan, noise, lambda: _kron_blocks(_letter_maps(noise)[plan.letters]))
     else:
         source = run_circuit(c, bindings)[None]
-        blocks = _kept_blocks(plan, None, lambda: _basis_rotations()[plan.letters])
+        blocks = _kept(plan, None, lambda: _kron_blocks(_basis_rotations()[plan.letters]))
         if readout:
-            confusion = _kept_blocks(plan, noise,
-                                     lambda: np.broadcast_to(_confusion(noise), (n, 2, 2)))
+            confusion = _kept(plan, noise, lambda: _kron_blocks(
+                np.broadcast_to(_confusion(noise), (n, 2, 2))))
     step = max(1, (1 << DENSE_CAP) >> n)
     for lo in range(0, len(plan.groups), step):
         hi = min(lo + step, len(plan.groups))
         if noisy:
-            probs = _through_blocks(source[plan.words[lo:hi]], blocks, lo, hi).clip(min=0.0)
+            probs = _through_blocks(source[words[lo:hi]], blocks, lo, hi).clip(min=0.0)
         else:
             probs = np.abs(_through_blocks(source, blocks, lo, hi)) ** 2
             if readout:
@@ -928,19 +955,18 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     are summed and their variances propagated independently. All groups draw
     from the one PRNG stream derived from the seed, a stack of groups at a
     time in plan order. With gate noise (p1 or p2 > 0) the circuit runs once
-    on the Pauli vector of rho, which is refused above DENSITY_CAP qubits. Readout
-    errors pass each group's distribution through the confusion matrices
-    before sampling. With shots=0 the result is the exact expectation, noise
-    included.
+    on the Pauli vector of rho. Readout errors pass each group's distribution
+    through the confusion matrices before sampling. With shots=0 the result
+    is the exact expectation, noise included. The circuit's compile refuses,
+    with DenseCapError, a statevector program or a noisy Pauli vector over
+    the one byte cap SIMULATOR_BYTES (1 GiB), before its first 2^n or 4^n
+    array: gate noise on more than 12 qubits is refused.
     """
     if h.n_qubits != c.n_qubits:
         raise CircuitError("Hamiltonian/circuit qubit-count mismatch")
     if shots < 0:
         raise CircuitError("shots must be >= 0")
     n = c.n_qubits
-    if noise is not None and not (noise.p1 == noise.p2 == 0.0) and n > DENSITY_CAP:
-        raise DenseCapError(f"noisy estimate on {n} qubits exceeds the "
-                            f"Pauli-vector cap {DENSITY_CAP}")
     plan = _measurement_plan(h)
     rng = derive_rng(seed)
     mean, variance = plan.identity, 0.0

@@ -2,10 +2,16 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
 non-convergence, linear dependence, an (n_alpha, n_beta) sector over the
-exact-solver cap, an unconverged Lanczos solve, a noisy estimate over the
-Pauli-vector cap, a statevector program over its byte cap, an SPSA
-calibration whose gradient estimates are all zero), 4 an element past Ne,
-which has no built-in STO-3G shells.
+exact-solver cap, an unconverged Lanczos solve, a circuit over the one
+1 GiB byte cap of both simulators, checked when it compiles (a statevector
+program, or gate noise on more than 12 qubits), an SPSA calibration whose
+gradient estimates are all zero), 4 an element past Ne, which has no
+built-in STO-3G shells. `vqe` compiles its circuit before it makes the run
+directory, so a run refused by the byte cap writes nothing.
+
+vqe, replay and zne take the same run flags, so that one command line
+serves all three: replay reads --ansatz and --reps and checks the --noise
+file; zne also reads --shots, --seed and --noise; the rest are ignored.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
 """

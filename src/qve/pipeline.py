@@ -233,8 +233,10 @@ def run_vqe(cfg: RunConfig) -> Path:
     Artifacts: convergence.csv, params.jsonl, result.json, config.resolved.
     Deterministic for a fixed (config, seed) apart from the elapsed_ms column.
     A bad shot count or maxiter, fixture, encoding or ansatz is refused before
-    the directory exists; a failure after that writes result.json with the
-    failing stage, optimize or report.
+    the directory exists, and so is a circuit over the simulators' byte cap:
+    the run evaluates theta0 exactly first, which compiles the circuit. A
+    failure after that writes result.json with the failing stage, optimize
+    or report.
     """
     from .spsa import SPSAConfig, minimize
 
@@ -246,6 +248,9 @@ def run_vqe(cfg: RunConfig) -> Path:
     circuit = build_ansatz(problem, cfg)
     names = circuit.parameter_names
     theta0 = initial_parameters(circuit, cfg)
+    # the result is dropped: the estimate compiles the circuit, so that one
+    # over the byte cap is refused before anything is written
+    estimate(circuit, dict(zip(names, theta0)), h, 0, 0, noise=cfg.noise)
     run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: (v if not isinstance(v, NoiseModel) else vars(v))

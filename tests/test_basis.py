@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qve.basis import (ANGSTROM_TO_BOHR, BasisError, GaussianPrimitive,
+from qve.basis import (ANGSTROM_TO_BOHR, BasisError, ContractedOrbital, GaussianPrimitive,
                        GeometryError, Molecule, UnsupportedElementError,
                        basis_for, boys, build_integrals, eri, hermite_e, kinetic,
                        nuclear_attraction, nuclear_repulsion, overlap,
@@ -28,12 +28,19 @@ def test_primitive_normalization_by_quadrature():
 
 
 def test_normalization_input_validation():
-    # [TRIVIAL]
+    # [TRIVIAL] bad primitives, contractions and electron counts are refused
     from qve.basis import normalize_primitive
     with pytest.raises(BasisError):
         normalize_primitive(-1.0, S)
     with pytest.raises(BasisError):
         normalize_primitive(1.0, (-1, 0, 0))
+    with pytest.raises(BasisError, match="at least one primitive"):
+        ContractedOrbital(())
+    for other in (prim(0.5, (0.0, 0.0, 1.0)), GaussianPrimitive(0.5, (1, 0, 0), (0.0, 0.0, 0.0))):
+        with pytest.raises(BasisError, match="share angular and center"):
+            ContractedOrbital(((1.0, prim(1.0)), (0.5, other)))
+    with pytest.raises(BasisError, match="negative electron count"):
+        Molecule(((1, (0.0, 0.0, 0.0)),), charge=2).n_electrons
 
 
 def test_gaussian_product_theorem():
@@ -329,6 +336,8 @@ def test_parse_geometry_units_and_errors(tmp_path):
         parse_geometry("units bohr\nH 0 0\n")
     with pytest.raises(GeometryError):
         parse_geometry("units bohr\n# only comments\n")
+    with pytest.raises(GeometryError, match="line 2: non-numeric coordinate"):
+        parse_geometry("units bohr\nH 0 zero 0\n")
     # a non-finite coordinate, also one that overflows in the unit
     # conversion, names its line; load_geometry adds the file
     for coord in ("nan", "-inf", "1e308"):

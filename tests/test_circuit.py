@@ -172,6 +172,8 @@ def test_gate_validation():
         Gate("T", (0,))
     with pytest.raises(CircuitError, match="expects 2 qubit"):
         Gate("CZ", (0,))
+    with pytest.raises(CircuitError, match="at least one qubit"):
+        Circuit(0)
 
 
 def test_pauli_rotation_matches_matrix_exponential():
@@ -226,7 +228,8 @@ def program_circuits(rng):
 def test_program_is_bit_identical_to_fused_reference():
     # [DERIVED] run_circuit and circuit_unitary (batched columns) equal the
     # plain fused-step reference bit for bit (array_equal) on the program
-    # circuits; an unbound parameter raises CircuitError
+    # circuits; an unbound parameter raises CircuitError, on the noisy
+    # engine too
     rng = np.random.default_rng(41)
     for c in program_circuits(rng):
         n = c.n_qubits
@@ -242,6 +245,8 @@ def test_program_is_bit_identical_to_fused_reference():
                                       run_fused_reference(c, bindings, cols.T).T)
         with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
             run_circuit(c, dict(zip(names[:-1], theta)))
+        with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
+            circuit_module._run_pauli(c, dict(zip(names[:-1], theta)), NoiseModel(p1=0.01))
         with pytest.raises(CircuitError, match="unbound parameter"):
             circuit_unitary(c)
 
@@ -262,11 +267,11 @@ def test_program_matches_per_operation_reference():
                                        run_operations_reference(c, bindings, psi),
                                        rtol=0, atol=1e-13)
     for c in uccsd_circuits([(1, 1, 3), (2, 2, 4), (3, 3, 6)]):
-        steps = circuit_module._program(c).steps
+        steps = circuit_module._compiled(c).steps
         assert sum(step[1] is not None for step in steps) == len(c.parameter_names)
-    steps = circuit_module._program(build_hea(4, 1)).steps
+    steps = circuit_module._compiled(build_hea(4, 1)).steps
     stacks = {id(step[1]): step[1] for step in steps if step[1] is not None}
-    assert [(len(s.names), s.r.shape) for s in stacks.values()] == [(16, (16, 1))]
+    assert [(len(s.angles.positions), s.r.shape) for s in stacks.values()] == [(16, (16, 1))]
     assert sum(step[1] is None for step in steps) == 3 and len(steps) == 16 + 3
 
 
@@ -294,7 +299,7 @@ def test_fused_runs_match_matrix_exponentials():
         else:
             term = PauliTerm.from_label(op[0])
             c.add(PauliRotation(term.x, term.z, op[1]))
-    assert len(circuit_module._program(c).steps) == 1 + 8 + 2
+    assert len(circuit_module._compiled(c).steps) == 1 + 8 + 2
     at = {"t": 0.83, "u": -0.41}
     want = embed(np.array([[1, 1], [1, -1]]) / math.sqrt(2), 0, 2)
     for op in ops:
@@ -352,7 +357,8 @@ def test_inverse_circuit():
 def test_estimate_exact_mode():
     # [TRIVIAL] shots=0 equals the dense expectation; with noise it is the
     # exact noisy expectation: depolarized X gives -(1 - 4p/3), symmetric
-    # readout flips on |0> give 1 - 2p
+    # readout flips on |0> give 1 - 2p; a Hamiltonian on another qubit count
+    # and negative shots are refused
     c = Circuit(2)
     c.h(0).cx(0, 1)
     h = PauliSum.from_labels([("ZZ", 1.0), ("XX", 0.5), ("II", 0.25)])
@@ -368,6 +374,10 @@ def test_estimate_exact_mode():
     r = estimate(Circuit(1).rz(0.0, 0), {}, z, 0, 0,
                  noise=NoiseModel(readout01=p, readout10=p))
     assert r.mean == pytest.approx(1 - 2 * p, abs=1e-12)
+    with pytest.raises(CircuitError, match="qubit-count mismatch"):
+        estimate(c, {}, z, 0, 0)
+    with pytest.raises(CircuitError, match="shots must be >= 0"):
+        estimate(c, {}, h, -1, 0)
 
 
 def test_estimate_deterministic_and_trivial_noise_identical():
@@ -891,7 +901,7 @@ def test_fold_five_compiles_no_new_segment():
 def test_noisy_estimate_peak_memory_is_bounded():
     # [DERIVED] at 8 qubits a noisy estimate, measurement included, allocates
     # at most the three copies of the Pauli vector's 8 * 4^n bytes that the
-    # DENSITY_CAP comment allows, plus 1 MiB (and so less than the three
+    # SIMULATOR_BYTES comment allows, plus 1 MiB (and so less than the three
     # copies of a 16 * 4^n-byte density matrix allowed before)
     n = 8
     c = build_hea(n, 2)
@@ -1062,11 +1072,21 @@ def test_noisy_readout_sampled_means_match_exact(beh2_tapered):
 
 
 def test_noisy_estimate_over_density_cap_is_refused():
-    # [TRIVIAL] 13 qubits would need a 512 MiB Pauli vector: refused up front
+    # [TRIVIAL] at 13 qubits three copies of the 512 MiB Pauli vector exceed
+    # the 1 GiB byte cap: the noisy compile refuses them before any 4^n
+    # array, allocating less than 1 MiB; 12 qubits (384 MiB) compile
+    noise = NoiseModel(p1=0.01)
     c = Circuit(13).x(0)
     h = PauliSum.from_labels([("Z" + "I" * 12, 1.0)])
-    with pytest.raises(DenseCapError):
-        estimate(c, {}, h, 16, 0, noise=NoiseModel(p1=0.01))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseCapError, match="noisy run on 13 qubits .* over the cap"):
+            estimate(c, {}, h, 16, 0, noise=noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(circuit_module._noisy_plan(Circuit(12).x(0), noise).steps) == 1
 
 
 def test_oversized_statevector_program_is_refused():

@@ -289,27 +289,50 @@ def test_oversized_fixture_is_refused_before_allocation(tmp_path):
     assert "header norb 70 outside" in done.stderr
 
 
-def test_oversized_noiseless_vqe_is_numeric_error(tmp_path):
-    # [DERIVED] norb 16 under jw is 32 qubits, whose statevector program would
-    # need far more than the 3 GiB address-space limit: exit 3 with an error
-    # line and no traceback, where a 2^32-entry array used to raise out of
-    # the compile
+def vqe_under_address_limit(tmp_path, norb: int, *args: str):
+    """`qve vqe --mapper jw` on a norb-orbital, one-alpha, one-beta fixture,
+    run in a subprocess under a 3 GiB address-space limit."""
     import qve
     ham = tmp_path / "big.ham"
-    ham.write_text("norb 16\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng 15 15 15 15 0.5\n")
+    g = " ".join([str(norb - 1)] * 4)
+    ham.write_text(f"norb {norb}\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng {g} 0.5\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = ["vqe", "--ham", str(ham), "--mapper", "jw", "--maxiter", "2", "--shots", "16",
+            "--out", str(tmp_path / "runs"), *args]
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
         "from qve.cli import main\n"
-        f"sys.exit(main(['vqe', '--ham', {str(ham)!r}, '--mapper', 'jw', '--maxiter', '2',"
-        f" '--shots', '16', '--out', {str(tmp_path / 'runs')!r}]))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+        f"sys.exit(main({argv!r}))\n")
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_oversized_noiseless_vqe_is_numeric_error(tmp_path):
+    # [DERIVED] norb 16 under jw is 32 qubits, whose statevector program would
+    # need far more than the 3 GiB address-space limit: exit 3 with an error
+    # line and no traceback, where a 2^32-entry array used to raise out of
+    # the compile, and no run directory, since the run compiles before it
+    # writes anything
+    done = vqe_under_address_limit(tmp_path, 16)
     assert done.returncode == EXIT_NUMERIC, done.stderr
     assert done.stderr.startswith("error: statevector program") and "Traceback" not in done.stderr
+    assert not (tmp_path / "runs" / "uccsd_jw_seed0").exists()
+
+
+def test_oversized_noisy_vqe_is_numeric_error(tmp_path):
+    # [DERIVED] norb 7 under jw is 14 qubits, whose noisy run would hold three
+    # copies of a 2 GiB Pauli vector, over the 1 GiB byte cap: exit 3 with an
+    # error line that names the cap, no traceback, and no run directory
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    done = vqe_under_address_limit(tmp_path, 7, "--ansatz", "hea", "--noise", str(noise))
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert done.stderr.startswith("error: noisy run on 14 qubits")
+    assert "over the cap of 1073741824" in done.stderr and "Traceback" not in done.stderr
+    assert not (tmp_path / "runs" / "hea_jw_seed0").exists()
 
 
 def test_unsupported_element_is_element_error(capsys, tmp_path):
@@ -396,10 +419,12 @@ def test_bad_noise_file_is_config_error(capsys, tmp_path):
     ("p1 2\n", 1, "outside [0, 1]"),
     ("readout01 -0.1\n", 1, "outside [0, 1]"),
     ("p1 0.001\np2 0.01\np1 0.5\n", 3, "repeated key p1"),
-], ids=["nan", "inf", "minus-inf", "above-one", "negative", "repeated"])
+    ("p2 0.01\np1 abc\n", 2, "non-numeric value 'abc'"),
+], ids=["nan", "inf", "minus-inf", "above-one", "negative", "repeated", "non-numeric"])
 def test_noise_file_values_are_refused_with_file_and_line(capsys, tmp_path, text, line, message):
-    # [TRIVIAL] a non-finite or out-of-range probability, or a key given
-    # twice, exits 2 with the file and line, before any run directory is made
+    # [TRIVIAL] a non-finite, out-of-range or non-numeric probability, or a
+    # key given twice, exits 2 with the file and line, before any run
+    # directory is made
     noise = tmp_path / "noise.cfg"
     noise.write_text(text)
     out_dir = tmp_path / "runs"
@@ -415,11 +440,13 @@ def test_noise_file_values_are_refused_with_file_and_line(capsys, tmp_path, text
 
 
 def test_qve_threads_env(capsys, monkeypatch, tmp_path):
-    # [TRIVIAL] invalid QVE_THREADS is a config error; a valid value works
-    monkeypatch.setenv("QVE_THREADS", "zero")
-    code, _, err = run_cli(capsys, "map", "--ham", str(FIXTURE))
-    assert code == EXIT_CONFIG
-    assert "QVE_THREADS" in err
+    # [TRIVIAL] invalid QVE_THREADS, not an integer or not positive, is a
+    # config error; a valid value works
+    for value in ("zero", "0"):
+        monkeypatch.setenv("QVE_THREADS", value)
+        code, _, err = run_cli(capsys, "map", "--ham", str(FIXTURE))
+        assert code == EXIT_CONFIG
+        assert f"QVE_THREADS must be a positive integer, got {value!r}" in err
     monkeypatch.setenv("QVE_THREADS", "1")
     code, _, _ = run_cli(capsys, "map", "--ham", str(FIXTURE))
     assert code == EXIT_OK
@@ -448,12 +475,18 @@ def test_qve_threads_caps_blas_threads():
 
 
 def test_zne_requires_parameters(capsys, tmp_path):
-    # [TRIVIAL]
+    # [TRIVIAL] zne without circuit parameters, or without a noise file,
+    # exits 2
     noise = tmp_path / "noise.cfg"
     noise.write_text("p1 0.001\n")
     code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper",
                            "--ansatz", "hea", "--noise", str(noise))
     assert code == EXIT_CONFIG
+    params = tmp_path / "theta.json"
+    params.write_text(json.dumps([0.1] * 16))
+    code, _, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper",
+                           "--ansatz", "hea", "--params-file", str(params))
+    assert code == EXIT_CONFIG and "zne requires --noise" in err
 
 
 @pytest.mark.parametrize("theta, message", [

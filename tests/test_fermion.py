@@ -74,10 +74,15 @@ def test_hartree_fock_occupation_blocked():
 
 
 def test_mode_range_check():
-    # [TRIVIAL]
+    # [TRIVIAL] a mode past the operator's, operators on different mode
+    # counts, and integral tensors of mismatched shapes are refused
     op = FermionOperator(2)
     with pytest.raises(FermionError):
         op.add_term(LadderTerm(((2, CREATE),), 1.0))
+    with pytest.raises(FermionError, match="mode-count mismatch"):
+        multiply(op, FermionOperator(3))
+    with pytest.raises(FermionError, match="tensor shape mismatch"):
+        build_hamiltonian(np.zeros((2, 2)), np.zeros((2, 2, 2, 3)), 0.0)
 
 
 def test_build_hamiltonian_matches_dense_oracle():

@@ -30,6 +30,8 @@ def test_label_round_trip():
     # [TRIVIAL] symplectic storage must reproduce the label exactly
     for lbl in ("I", "X", "Y", "Z", "XYZI", "YYZX", "IIII"):
         assert PauliTerm.from_label(lbl).label() == lbl
+    with pytest.raises(PauliError, match="invalid Pauli letter 'Q'"):
+        PauliTerm.from_label("XQ")
 
 
 def test_from_label_keeps_the_label_coefficient():
@@ -55,10 +57,15 @@ def test_sum_matrix_matches_oracle():
 
 
 def test_add_term_cancellation():
-    # [TRIVIAL] exact cancellation removes the term
+    # [TRIVIAL] exact cancellation removes the term; an empty term list and a
+    # term on another qubit count are refused
     h = PauliSum.from_labels([("XY", 1.0)])
     h.add_term(PauliTerm.from_label("XY", -1.0))
     assert len(h) == 0
+    with pytest.raises(PauliError, match="empty term list"):
+        PauliSum.from_terms([])
+    with pytest.raises(PauliError, match="qubit-count mismatch"):
+        h.add_term(PauliTerm.from_label("XYZ"))
 
 
 def test_weight():
@@ -94,6 +101,8 @@ def test_exact_ground_energy_transverse_pair():
     e, v = exact_ground_energy(h)
     assert e == pytest.approx(-np.sqrt(1.25), abs=1e-12)
     np.testing.assert_allclose(pauli_sum_matrix(h) @ v, e * v, atol=1e-10)
+    # the zero sum has no matrix entries, and its ground energy is 0
+    assert exact_ground_energy(PauliSum.zero(2))[0] == 0.0
 
 
 def test_exact_ground_energy_rejects_non_hermitian():
@@ -190,10 +199,12 @@ def test_expectation_exact_matches_quadratic_form():
 
 
 def test_expectation_exact_rejects_unnormalized():
-    # [TRIVIAL]
+    # [TRIVIAL] an unnormalized state, and a state of another dimension
     h = PauliSum.from_labels([("Z", 1.0)])
     with pytest.raises(PauliError):
         expectation_exact(h, np.array([1.0, 1.0]))
+    with pytest.raises(PauliError, match="state dimension mismatch"):
+        expectation_exact(h, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 def test_lanczos_step_limit_raises():

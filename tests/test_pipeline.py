@@ -102,6 +102,9 @@ def test_fixture_parse_errors(tmp_path):
     f.write_text("norb 2\nh 0 5 1.0\n")
     with pytest.raises(FixtureError, match="out of range"):
         load_fixture(f)
+    f.write_text("norb 2\nnalpha 1\nnbeta 1\ng 0 0 0 2 1.0\n")
+    with pytest.raises(FixtureError, match=r"g index \(.*\) out of range for norb 2"):
+        load_fixture(f)
     f.write_text("norb 2\nh 0 zero 1.0\n")
     with pytest.raises(FixtureError):
         load_fixture(f)
@@ -274,6 +277,10 @@ def test_replay_on_exact(small_run, tmp_path, beh2_problem, beh2_tapered):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iteration,energy_ha"
     assert len(lines) == 5
+    # a blank line in the log is skipped
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n  \n".join((run_dir / "params.jsonl").read_text().splitlines()) + "\n")
+    assert replay_on_exact(spaced, beh2_problem, cfg) == rows
 
 
 def test_run_vqe_failure_leaves_diagnostic(tmp_path):
@@ -294,6 +301,18 @@ def test_run_vqe_failure_leaves_diagnostic(tmp_path):
     report = json.loads((runs / "hea_jw_seed0" / "result.json").read_text())
     assert report["stage"] == "optimize"
     assert "error" in report
+
+
+def test_run_vqe_above_the_sector_cap_has_no_exact_target(tmp_path, monkeypatch):
+    # [TRIVIAL] a sector over the exact-solver cap still gives a report, one
+    # without the exact target and its delta
+    import qve.mapping
+    monkeypatch.setattr(qve.mapping, "SECTOR_CAP", 1)
+    cfg = RunConfig(fixture=str(FIXTURE), ansatz="hea", shots=16, maxiter=1,
+                    output_dir=str(tmp_path))
+    report = json.loads((run_vqe(cfg) / "result.json").read_text())
+    assert "final_energy_ha" in report
+    assert not {"exact_energy_ha", "exact_sector", "delta_e_ha"} & set(report)
 
 
 def test_hamiltonian_fixture_runs_full_chain(tmp_path, capsys):

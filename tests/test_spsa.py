@@ -99,6 +99,11 @@ def test_evaluation_accounting():
     assert [r.function_evals_so_far for r in result.history] == \
         [50 + 3 * k for k in range(1, m + 1)]
     assert [r.k for r in result.history] == list(range(1, m + 1))
+    # a preset a skips the calibration: 3 per iteration and the final one
+    calls[0] = 0
+    result = minimize(f, np.ones(3), SPSAConfig(maxiter=m, a=0.05), seed=0)
+    assert calls[0] == result.n_evaluations == 3 * m + 1
+    assert [r.function_evals_so_far for r in result.history] == [3 * k for k in range(1, m + 1)]
 
 
 def test_single_iteration_accounting():
