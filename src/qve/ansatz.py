@@ -55,9 +55,7 @@ def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
         raise AnsatzError(f"generator coefficient {c} is not purely imaginary")
     if term.weight == 0:
         raise AnsatzError("cannot synthesize evolution of an identity term")
-    lam = c.imag
-    return PauliRotation(term.x, term.z,
-                         ParamExpr(param.name, lam * param.scale, lam * param.offset))
+    return PauliRotation(term.x, term.z, param.scaled(c.imag))  # lambda = c.imag
 
 
 def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:

@@ -19,9 +19,10 @@ is exp(i t G) for its summed generator G, a rotation inside each pair
 {|b>, |b ^ x>} (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)):
 a = cos(t r), b = sin(t r) iu from two 2^n arrays r, iu (24 * 2^n bytes, 16
 in a stack whose every step has a constant r, as lone rotations do), made
-once where t is fixed and by one vectorized pass per stack of at most
-max(1, 2^DENSE_CAP >> n) steps where it is a parameter. The program also
-holds the state after the leading fixed steps.
+by one vectorized pass per stack of at most max(1, 2^DENSE_CAP >> n)
+steps; a fixed angle is a stack row at scale 0, exactly its offset (see
+_Angles). The program also holds the state after the leading fixed gates,
+and `run_circuit`, its only entry, applies the rest to it.
 Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
 matrix, at index sum_q 4^q d_q with d_q the index in _PAULIS (I, X, Y, Z) of
 Q's letter on qubit q. A gate's Pauli transfer matrix comes from the table's
@@ -75,14 +76,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import (DENSE_CAP, DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs,
-                    word_phase, z_signs)
+from .pauli import (DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs, word_phase,
+                    z_signs)
+
+# Largest qubit count with dense 2^n arrays per measurement group (the
+# estimator's outcome tables); it also sizes the stacks of rotation steps and
+# of groups, at most max(1, 2^DENSE_CAP >> n) of them.
+DENSE_CAP = 14
 
 
 class CircuitError(ValueError):
@@ -109,8 +115,16 @@ class ParamExpr:
     def __neg__(self) -> "ParamExpr":
         return ParamExpr(self.name, -self.scale, -self.offset)
 
+    def scaled(self, k: float) -> "ParamExpr":
+        return ParamExpr(self.name, k * self.scale, k * self.offset)
+
     def shifted(self, delta: float) -> "ParamExpr":
         return ParamExpr(self.name, self.scale, self.offset + delta)
+
+
+def _scaled(angle, k: float):
+    """k times the angle, a ParamExpr or a fixed float."""
+    return angle.scaled(k) if isinstance(angle, ParamExpr) else k * float(angle)
 
 
 # What each gate kind is. A k-qubit gate on qubits (q_0, ..., q_{k-1}) acts
@@ -166,8 +180,7 @@ def _inverse(g: Gate) -> list[Gate]:
     """Gates that undo g: a rotation by the negated angle, SqrtX followed by X
     for SqrtX, and every other kind itself."""
     if g.angle is not None:
-        a = -g.angle if isinstance(g.angle, ParamExpr) else -float(g.angle)
-        return [Gate(g.kind, g.qubits, a)]
+        return [Gate(g.kind, g.qubits, _scaled(g.angle, -1.0))]
     if g.kind == "SqrtX":
         return [g, Gate("X", g.qubits)]
     return [g]
@@ -176,8 +189,9 @@ def _inverse(g: Gate) -> list[Gate]:
 @dataclass(frozen=True)
 class PauliRotation:
     """exp(i * angle * P) for the label word P with masks (x, z), the XYZ
-    string of a `PauliSum` term: word_phase(x, z) X^x Z^z. The statevector
-    compile also gives a fixed RX/RY/RZ angle this form, as a float."""
+    string of a `PauliSum` term: word_phase(x, z) X^x Z^z. The angle is a
+    ParamExpr or a fixed float; the statevector compile also gives a fixed
+    RX/RY/RZ gate this form."""
 
     x: int
     z: int
@@ -199,8 +213,7 @@ class PauliRotation:
         enter = _basis_change_gates(self.x, self.z, n_qubits)
         leave = [inv for g in reversed(enter) for inv in _inverse(g)]
         ladder = [Gate("CX", (support[i], support[i + 1])) for i in range(len(support) - 1)]
-        a = self.angle
-        rot = Gate("RZ", (support[-1],), ParamExpr(a.name, -2.0 * a.scale, -2.0 * a.offset))
+        rot = Gate("RZ", (support[-1],), _scaled(self.angle, -2.0))
         return enter + ladder + [rot] + list(reversed(ladder)) + leave
 
 
@@ -284,16 +297,16 @@ def _bind(c: Circuit, bindings) -> np.ndarray:
 
 class _Program(NamedTuple):
     """A circuit's compiled statevector steps. A step is (flip, stack, row)
-    and acts as psi <- a psi + b psi[flip]. A fixed step has stack None and
-    row its (a, b). A rotation step runs a run of Pauli rotations, exp(i t G)
-    for the sum G of its words, each weighted by its angle over t, t =
-    scale * theta[position] + offset the first one's angle: G psi =
-    w * psi[flip] with flip = flip_index(x), and G^2 = diag(|w|^2), so a =
-    cos(t r) and b = sin(t r) iu with r = |w| and iu = i w / r (0 where r
-    is), row `row` of its _Stack's tables."""
+    and acts as psi <- a psi + b psi[flip]. A fixed gate's step has stack
+    None and row its (a, b). A rotation step runs a run of Pauli rotations,
+    fixed or on a parameter, exp(i t G) for the sum G of its words, each
+    weighted by its angle over t, t = scale * theta[position] + offset the
+    first one's angle: G psi = w * psi[flip] with flip = flip_index(x), and
+    G^2 = diag(|w|^2), so a = cos(t r) and b = sin(t r) iu with r = |w| and
+    iu = i w / r (0 where r is), row `row` of its _Stack's tables."""
 
     steps: tuple[tuple, ...]
-    prefix: np.ndarray  # read-only: |0...0> after the leading fixed steps
+    prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
     rest: tuple[tuple, ...]  # the steps after those
 
 
@@ -322,8 +335,9 @@ def _angles(c: Circuit, angles) -> _Angles:
 
 
 class _Stack(NamedTuple):
-    """Consecutive rotation steps on parameters, at most max(1, 2^DENSE_CAP
-    >> n) of them, whose angles and cos/sin tables one vectorized pass makes."""
+    """Consecutive rotation steps, at most max(1, 2^DENSE_CAP >> n) of them,
+    whose angles and cos/sin tables one vectorized pass makes. A fixed
+    rotation is a row at scale 0, its angle exactly its offset (see _Angles)."""
 
     angles: _Angles
     r: np.ndarray  # (steps, 2^n), or (steps, 1) where each row is constant
@@ -337,12 +351,12 @@ class _Stack(NamedTuple):
 
 # The byte cap of both simulators, checked when a circuit compiles, before its
 # first 2^n or 4^n array. A statevector program holds, per basis state, 24 B
-# for each rotation step's r and iu (or a and b at a fixed angle), 32 B for
-# each fixed gate's a and b, and 8 B for each flip_index and z_signs entry its
-# compile creates, at most one per step and one per rotation; the temporaries
-# of one compile step, or a run's state and those of one step, add 80 B. A
-# noisy run holds at most three copies of the 8 * 4^n-byte Pauli vector (see
-# _apply_segment): 384 MiB at 12 qubits, 1.5 GiB at 13.
+# for each rotation step's r and iu, 32 B for each fixed gate's a and b, and
+# 8 B for each flip_index and z_signs entry its compile creates, at most one
+# per step and one per rotation; the temporaries of one compile step, or a
+# run's state and those of one step, add 80 B. A noisy run holds at most three
+# copies of the 8 * 4^n-byte Pauli vector (see _apply_segment): 384 MiB at 12
+# qubits, 1.5 GiB at 13.
 SIMULATOR_BYTES = 1 << 30
 
 
@@ -361,9 +375,7 @@ def _as_rotation(op):
     m, q, a = _GATES[op.kind][0], op.qubits[0], op.angle
     x = int(m[0, 0] == 0)
     z = int(m[1, 1 ^ x] != m[0, x])
-    half = (ParamExpr(a.name, -0.5 * a.scale, -0.5 * a.offset) if isinstance(a, ParamExpr)
-            else -0.5 * float(a))
-    return PauliRotation(x << q, z << q, half)
+    return PauliRotation(x << q, z << q, _scaled(a, -0.5))
 
 
 def _joins(run: list, op) -> bool:
@@ -409,8 +421,8 @@ def _compile(c: Circuit) -> _Program:
     """The circuit's statevector program: one step per fixed gate, and one
     per run of consecutive Pauli rotations that _joins fuses (one per UCCSD
     excitation, whose mapped terms share their flip mask), RX/RY/RZ gates
-    included; those on parameters stacked in order into _Stacks. Refused
-    with DenseCapError over SIMULATOR_BYTES, before any 2^n array."""
+    included, stacked in order into _Stacks. Refused with DenseCapError over
+    SIMULATOR_BYTES, before any 2^n array."""
     n = c.n_qubits
     runs: list[list] = []
     for op in map(_as_rotation, c.operations):
@@ -424,16 +436,11 @@ def _compile(c: Circuit) -> _Program:
                 f"statevector program of {len(runs)} steps on {n} qubits")
     steps, fused = [], []
     for run in runs:
-        op = run[0]
-        if isinstance(op, Gate):
-            steps.append(_gate_step(op, n))
-        elif isinstance(op.angle, ParamExpr):
-            fused.append((len(steps), op.angle, *_rotation_step(run, n)))
-            steps.append(None)  # filled in below, with its stack
+        if isinstance(run[0], Gate):
+            steps.append(_gate_step(run[0], n))
         else:
-            flip, r, iu = _rotation_step(run, n)
-            tr = op.angle * r
-            steps.append((flip, None, (np.cos(tr), np.sin(tr) * iu)))
+            fused.append((len(steps), run[0].angle, *_rotation_step(run, n)))
+            steps.append(None)  # filled in below, with its stack
     size = max(1, (1 << DENSE_CAP) >> n)
     while fused:  # a chunk leaves fused as it is stacked: its rows are held once
         chunk, fused = fused[:size], fused[size:]
@@ -459,11 +466,10 @@ def _compiled(c: Circuit, noise: NoiseModel | None = None):
     return c._compiled[noise]
 
 
-def _run_steps(states: np.ndarray, steps, theta) -> np.ndarray:
-    """The steps applied in turn to every state on the last axis, at the bound
-    parameter vector theta. A rotation step's a and b come from its _Stack's
-    one pass, made at the stack's first step and dropped at the next stack's."""
-    batched = states.ndim > 1  # a lone state gathers faster without the ellipsis
+def _run_steps(state: np.ndarray, steps, theta) -> np.ndarray:
+    """The steps applied in turn to the state, at the bound parameter vector
+    theta. A rotation step's a and b come from its _Stack's one pass, made at
+    the stack's first step and dropped at the next stack's."""
     stack = None
     for flip, step_stack, row in steps:
         if step_stack is None:
@@ -473,8 +479,8 @@ def _run_steps(states: np.ndarray, steps, theta) -> np.ndarray:
                 stack = step_stack
                 cos, siu = stack.tables(theta)
             a, b = cos[row], siu[row]
-        states = a * states + b * (states[..., flip] if batched else states[flip])
-    return states
+        state = a * state + b * state[flip]
+    return state
 
 
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
@@ -482,14 +488,6 @@ def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
     program = _compiled(c)
     state = _run_steps(program.prefix, program.rest, _bind(c, bindings))
     return state.copy() if state is program.prefix else state
-
-
-def circuit_unitary(c: Circuit, bindings=None) -> np.ndarray:
-    """Dense unitary of the circuit (small-circuit verification helper)."""
-    steps = _compiled(c).steps  # an oversized program is refused before the 4^n identity
-    cols = np.eye(1 << c.n_qubits, dtype=complex)
-    # the program runs on the rows of cols.T, each a basis state
-    return _run_steps(cols.T, steps, _bind(c, bindings)).T
 
 
 # -- noise -----------------------------------------------------------------
@@ -510,10 +508,10 @@ class NoiseModel:
     readout10: float = 0.0
 
     def __post_init__(self):
-        for name in ("p1", "p2", "readout01", "readout10"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise CircuitError(f"noise probability {name}={v} outside [0, 1]")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not 0.0 <= v <= 1.0:  # NaN fails this too
+                raise CircuitError(f"noise probability {f.name}={v} outside [0, 1]")
 
 
 # A segment of Clifford gates acts on at most this many qubits, so its table
@@ -550,9 +548,12 @@ def _transfer(kind: str, angle: float | None = None) -> tuple[np.ndarray, bool]:
     return (rounded if clifford else r), clifford
 
 
-def _fidelities(k: int, p: float) -> np.ndarray:
-    """How a uniform non-identity Pauli error with probability p on k qubits
-    scales each of their 4^k words: 1 - p 4^k / (4^k - 1) for all but I."""
+def _fidelities(k: int, noise: NoiseModel) -> np.ndarray:
+    """How the depolarizing channel after a k-qubit gate, a uniform
+    non-identity Pauli error with probability p (p1 for one qubit, else p2),
+    scales each of the 4^k words on its qubits: 1 - p 4^k / (4^k - 1) for
+    all but I."""
+    p = noise.p1 if k == 1 else noise.p2
     f = np.full(4**k, 1.0 - p * 4**k / (4**k - 1))
     f[0] = 1.0
     return f
@@ -560,13 +561,13 @@ def _fidelities(k: int, p: float) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _lifted(kind: str, angle: float | None, positions: tuple[int, ...], m: int,
-            p: float) -> tuple[np.ndarray, np.ndarray]:
+            noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """The noisy Clifford gate on these positions of an m-qubit segment as
     (src, coef): word w of its output is coef[w] times word src[w] of its
     input, over the words sum_i 4^i d_i with d_i the letter at position i."""
     r, _ = _transfer(kind, angle)
     gate_src = np.abs(r).argmax(axis=1)
-    gate_coef = r.sum(axis=1) * _fidelities(len(positions), p)  # one nonzero per row
+    gate_coef = r.sum(axis=1) * _fidelities(len(positions), noise)  # one nonzero per row
     w = np.arange(4**m)
     shifts = 2 * np.array(positions)
     digits = (w[:, None] >> shifts) & 3
@@ -576,7 +577,7 @@ def _lifted(kind: str, angle: float | None, positions: tuple[int, ...], m: int,
 
 
 @lru_cache(maxsize=1024)
-def _segment(gates: tuple[Gate, ...], n: int, p1: float, p2: float) -> tuple:
+def _segment(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple:
     """(qubits, src, coef) of a run of noisy Clifford gates: all n qubits up to
     SEGMENT_SPAN, else the sorted qubits of the run, and the product of the
     gates' _lifted maps over their words."""
@@ -585,19 +586,19 @@ def _segment(gates: tuple[Gate, ...], n: int, p1: float, p2: float) -> tuple:
     src = coef = None
     for g in gates:
         positions = tuple(qubits.index(q) for q in g.qubits)
-        s, k = _lifted(g.kind, g.angle, positions, len(qubits), p1 if len(positions) == 1 else p2)
+        s, k = _lifted(g.kind, g.angle, positions, len(qubits), noise)
         src, coef = (s, k) if src is None else (src[s], k * coef[s])
     return qubits, src, coef
 
 
 @lru_cache(maxsize=64)
-def _rotation_transfer(kind: str, p: float) -> np.ndarray:
+def _rotation_transfer(kind: str, noise: NoiseModel) -> np.ndarray:
     """(3, 4, 4): T0, T1, T2 with the noisy rotation's transfer matrix
     T0 + cos(a) T1 + sin(a) T2 at angle a. U = cos(a/2) I - i sin(a/2) P
     makes R affine in (1, cos a, sin a), so three angles fix it."""
     r0, r_pi, r_half = (_transfer(kind, a)[0] for a in (0.0, math.pi, math.pi / 2))
     t0 = 0.5 * (r0 + r_pi)
-    return _fidelities(1, p)[:, None] * np.array([t0, 0.5 * (r0 - r_pi), r_half - t0])
+    return _fidelities(1, noise)[:, None] * np.array([t0, 0.5 * (r0 - r_pi), r_half - t0])
 
 
 def _split(gates) -> list[tuple[bool, tuple[Gate, ...]]]:
@@ -654,7 +655,7 @@ def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
     last: dict[int, int] = {}  # qubit -> the one-qubit step a rotation there joins
     for clifford, gates in _split(c.gates):
         if clifford:
-            steps.append(_segment(gates, n, noise.p1, noise.p2))
+            steps.append(_segment(gates, n, noise))
             for g in gates:
                 for q in g.qubits:
                     last.pop(q, None)
@@ -668,7 +669,7 @@ def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
             steps.append((q, len(members)))
             members.append([len(angles)])
         angles.append(g.angle)
-        tables.append(_rotation_transfer(g.kind, noise.p1))
+        tables.append(_rotation_transfer(g.kind, noise))
     merged = tuple((np.array([j for j, m in enumerate(members) if len(m) > k], dtype=np.intp),
                     np.array([m[k] for m in members if len(m) > k], dtype=np.intp))
                    for k in range(1, max(map(len, members), default=1)))
@@ -861,7 +862,7 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     for (x, z), pauli in zip(_LETTER_MASKS, _LETTER_PAULIS):
         r = np.eye(4)
         for g in _basis_change_gates(x, z, 1):
-            r = _fidelities(1, noise.p1)[:, None] * _transfer(g.kind, g.angle)[0] @ r
+            r = _fidelities(1, noise)[:, None] * _transfer(g.kind, g.angle)[0] @ r
         maps.append(confusion @ diagonal @ r[[0, 3]][:, [0, pauli]])
     return np.array(maps)
 
@@ -908,6 +909,13 @@ def _through_blocks(stack: np.ndarray, blocks, lo: int, hi: int) -> np.ndarray:
     return stack
 
 
+def _engine(noise: NoiseModel | None) -> NoiseModel | None:
+    """The key in `_compiled` of the engine that runs the circuit under this
+    noise: the noise model itself where it has gate noise (p1 or p2 > 0),
+    else None, the statevector program."""
+    return noise if noise is not None and not (noise.p1 == noise.p2 == 0.0) else None
+
+
 def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseModel | None):
     """The groups' read-out outcome distributions, one row per group in plan
     order, in C-ordered stacks of at most max(2^n, 2^DENSE_CAP) values.
@@ -920,7 +928,7 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
     readout only, its confusion blocks shared by all groups; the groups' word
     indices are kept next to them at the first noisy estimate."""
     n = c.n_qubits
-    noisy = noise is not None and not (noise.p1 == noise.p2 == 0.0)
+    noisy = _engine(noise) is not None
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
         source = _run_pauli(c, bindings, noise)
@@ -960,13 +968,15 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
     is the exact expectation, noise included. The circuit's compile refuses,
     with DenseCapError, a statevector program or a noisy Pauli vector over
     the one byte cap SIMULATOR_BYTES (1 GiB), before its first 2^n or 4^n
-    array: gate noise on more than 12 qubits is refused.
+    array and before the measurement plan: gate noise on more than 12 qubits
+    is refused.
     """
     if h.n_qubits != c.n_qubits:
         raise CircuitError("Hamiltonian/circuit qubit-count mismatch")
     if shots < 0:
         raise CircuitError("shots must be >= 0")
     n = c.n_qubits
+    _compiled(c, _engine(noise))  # a circuit over the byte cap is refused before the plan
     plan = _measurement_plan(h)
     rng = derive_rng(seed)
     mean, variance = plan.identity, 0.0

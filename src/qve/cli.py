@@ -22,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 EXIT_OK = 0
@@ -50,23 +50,29 @@ def _apply_thread_cap() -> None:
 
 
 def _load_noise(path):
-    from .circuit import NoiseModel
+    """The NoiseModel of a noise file: one `KEY VALUE` line per field of
+    NoiseModel, which refuses a value out of its range; every error names
+    the file and line."""
+    from .circuit import CircuitError, NoiseModel
+    keys = [f.name for f in fields(NoiseModel)]
     values = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
             continue
         tok = line.split()
-        if len(tok) != 2 or tok[0] not in ("p1", "p2", "readout01", "readout10"):
-            raise _ConfigError(f"{path}:{ln}: expected `p1|p2|readout01|readout10 VALUE`")
+        if len(tok) != 2 or tok[0] not in keys:
+            raise _ConfigError(f"{path}:{ln}: expected `{'|'.join(keys)} VALUE`")
         if tok[0] in values:
             raise _ConfigError(f"{path}:{ln}: repeated key {tok[0]}")
         try:
             values[tok[0]] = float(tok[1])
         except ValueError:
             raise _ConfigError(f"{path}:{ln}: non-numeric value {tok[1]!r}") from None
-        if not 0.0 <= values[tok[0]] <= 1.0:  # NaN fails this too
-            raise _ConfigError(f"{path}:{ln}: {tok[0]} {tok[1]} outside [0, 1]")
+        try:
+            NoiseModel(**{tok[0]: values[tok[0]]})
+        except CircuitError as exc:
+            raise _ConfigError(f"{path}:{ln}: {exc}") from None
     return NoiseModel(**values)
 
 
@@ -204,7 +210,8 @@ def _add_run_args(p):
     p.add_argument("--shots", type=int, default=4096)
     p.add_argument("--maxiter", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", help="noise config file (p1/p2/readout01/readout10)")
+    p.add_argument("--noise", help="noise config file: `KEY VALUE` lines, "
+                   "one per field of qve.circuit.NoiseModel")
     p.add_argument("--out", default="runs", help="output directory")
 
 

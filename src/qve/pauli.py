@@ -17,8 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 COEFF_TOL = 1e-12
-# Largest qubit count with dense 2^n arrays (the estimator's outcome tables).
-DENSE_CAP = 14
 # Largest basis the exact solver accepts. Its sparse matrix holds one entry per
 # connected pair of basis states, a few hundred per state for a molecule.
 SECTOR_CAP = 1 << 14

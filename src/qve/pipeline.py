@@ -9,7 +9,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,6 @@ def load_fixture(path) -> ActiveSpaceProblem:
     headers = {"constant": 0.0}
     h_entries: dict[tuple[int, int], float] = {}
     g_entries: dict[tuple[int, int, int, int], float] = {}
-    seen_h: set = set()
-    seen_g: set = set()
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -75,19 +73,15 @@ def load_fixture(path) -> ActiveSpaceProblem:
                 headers["constant"] = _finite(tok[1], where)
             elif tok[0] == "h" and len(tok) == 4:
                 p, q = int(tok[1]), int(tok[2])
-                key = (min(p, q), max(p, q))
-                if key in seen_h:
+                if (p, q) in h_entries:  # each entry is held in both orientations
                     raise FixtureError(f"{where}: duplicate h entry ({p},{q})")
-                seen_h.add(key)
                 v = _finite(tok[3], where)
                 h_entries[(p, q)] = v
                 h_entries[(q, p)] = v
             elif tok[0] == "g" and len(tok) == 6:
                 p, q, r, s = (int(t) for t in tok[1:5])
-                key = min(_symmetry_orbit(p, q, r, s))
-                if key in seen_g:
+                if (p, q, r, s) in g_entries:  # each entry is held at its whole orbit
                     raise FixtureError(f"{where}: duplicate g entry ({p},{q},{r},{s})")
-                seen_g.add(key)
                 v = _finite(tok[5], where)
                 for idx in _symmetry_orbit(p, q, r, s):
                     g_entries[idx] = v
@@ -253,9 +247,7 @@ def run_vqe(cfg: RunConfig) -> Path:
     estimate(circuit, dict(zip(names, theta0)), h, 0, 0, noise=cfg.noise)
     run_dir = Path(cfg.output_dir) / f"{cfg.ansatz}_{cfg.mapper}_seed{cfg.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {k: (v if not isinstance(v, NoiseModel) else vars(v))
-                for k, v in vars(cfg).items()}
-    (run_dir / "config.resolved").write_text(json.dumps(resolved, indent=2) + "\n")
+    (run_dir / "config.resolved").write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
     stage = "optimize"
     try:

@@ -52,10 +52,6 @@ class IterationRecord:
     function_evals_so_far: int
 
 
-def _mean(value) -> float:
-    return float(value.mean) if isinstance(value, EstimatorResult) else float(value)
-
-
 def _as_result(value, shots=0, seed=0) -> EstimatorResult:
     if isinstance(value, EstimatorResult):
         return value
@@ -77,8 +73,8 @@ def spsa_gradient(cost, theta: np.ndarray, c_k: float, delta: np.ndarray):
     """Two-sided simultaneous-perturbation gradient estimate (2 evaluations)."""
     if not np.all(np.abs(delta) == 1):
         raise SPSAError("perturbation must be a +-1 vector")
-    e_plus = _mean(cost(theta + c_k * delta))
-    e_minus = _mean(cost(theta - c_k * delta))
+    e_plus = _as_result(cost(theta + c_k * delta)).mean
+    e_minus = _as_result(cost(theta - c_k * delta)).mean
     return (e_plus - e_minus) / (2.0 * c_k) / delta
 
 

@@ -58,7 +58,10 @@ _POLY_DEGREES = {"linear": 1, "quadratic": 2}
 
 
 def _points_needed(model: str) -> int:
-    """Fewest folds a fit takes: degree + 1 for a polynomial, 3 otherwise."""
+    """Fewest folds a fit takes: degree + 1 for a polynomial, 3 otherwise.
+    A model not in FIT_MODELS is refused."""
+    if model not in FIT_MODELS:
+        raise ZNEError(f"unknown extrapolation model {model!r}")
     return _POLY_DEGREES.get(model, 2) + 1
 
 
@@ -136,14 +139,12 @@ def extrapolate(points: list[ZNEPoint], model: str) -> FitResult:
         coeffs = np.polyfit(lam, e, _POLY_DEGREES[model])
         resid = float(np.sum((np.polyval(coeffs, lam) - e) ** 2))
         return FitResult(model, float(np.polyval(coeffs, 0.0)), tuple(coeffs), resid)
-    if model == "exponential":
-        fit = _fit_exponential(lam, e)
-        if fit is None:
-            quad = extrapolate(points, "quadratic")
-            return FitResult(model, quad.e_zero, quad.params, quad.residual, fallback=True)
-        (a, b, c), resid = fit
-        return FitResult(model, a + b, (a, b, c), resid)
-    raise ZNEError(f"unknown extrapolation model {model!r}")
+    fit = _fit_exponential(lam, e)
+    if fit is None:
+        quad = extrapolate(points, "quadratic")
+        return FitResult(model, quad.e_zero, quad.params, quad.residual, fallback=True)
+    (a, b, c), resid = fit
+    return FitResult(model, a + b, (a, b, c), resid)
 
 
 def run_zne(c: Circuit, bindings, h: PauliSum, folds: list[int], shots: int,
@@ -151,16 +152,18 @@ def run_zne(c: Circuit, bindings, h: PauliSum, folds: list[int], shots: int,
     """Measure every fold under the same noise model and extrapolate.
 
     Every fold is measured with the same seed and noise model, mirroring a
-    single measurement session.
+    single measurement session. Bad folds or an unknown model are refused
+    before the first fold is measured.
     """
     if sorted(folds) != list(folds) or not folds or folds[0] != 1:
         raise ZNEError("folds must be ascending and include 1")
+    needs = {model: _points_needed(model) for model in models}
     points = []
     for f in folds:
         folded = fold_circuit(c, f)
         points.append(ZNEPoint(f, estimate(folded, bindings, h, shots, seed, noise=noise)))
     fits = {}
-    for model in models:
-        if len(points) >= _points_needed(model):
+    for model, need in needs.items():
+        if len(points) >= need:
             fits[model] = extrapolate(points, model)
     return ZNEResult(points[0].energy.mean, points, fits)

@@ -237,6 +237,28 @@ def _operation_reference(op, bindings, states: np.ndarray, n: int) -> np.ndarray
     return apply_matrix(states, u, op.qubits, n)
 
 
+def circuit_unitary(c, bindings=None) -> np.ndarray:
+    """Dense unitary of the circuit: its compiled statevector steps (the
+    engine's own program) applied to every basis state, column j the image
+    of |j>. The program is compiled, and an oversized one refused, before
+    the 4^n identity exists."""
+    from qve.circuit import _bind, _compiled
+    steps = _compiled(c).steps
+    theta = _bind(c, bindings)
+    states = np.eye(1 << c.n_qubits, dtype=complex)  # row j is |j>
+    stack = None
+    for flip, step_stack, row in steps:
+        if step_stack is None:
+            a, b = row
+        else:
+            if step_stack is not stack:
+                stack = step_stack
+                cos, siu = stack.tables(theta)
+            a, b = cos[row], siu[row]
+        states = a * states + b * states[:, flip]
+    return states.T
+
+
 def run_fused_reference(c, bindings, states: np.ndarray) -> np.ndarray:
     """The bit-identity reference for the compiled statevector program: the
     circuit's operations applied in turn to every state on the last axis, a

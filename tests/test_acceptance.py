@@ -16,9 +16,10 @@ from scipy.optimize import minimize as scipy_minimize
 
 import oracles
 from conftest import FIXTURE
+from oracles import circuit_unitary
 from qve.ansatz import build_hea, build_uccsd, hf_state_circuit
-from qve.circuit import (NoiseModel, circuit_stats, circuit_unitary,
-                         derive_rng, estimate, run_circuit, transpile)
+from qve.circuit import (NoiseModel, circuit_stats, derive_rng, estimate, run_circuit,
+                         transpile)
 from qve.fermion import hartree_fock_occupation
 from qve.mapping import MAPPERS, mapping_stats
 from qve.pauli import exact_ground_energy, expectation_exact

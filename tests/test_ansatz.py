@@ -8,10 +8,11 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
+from oracles import circuit_unitary
 from qve.ansatz import (AnsatzError, _generator_rotation, build_hea, build_uccsd,
                         excitations, hf_state_circuit)
 from qve.circuit import Circuit, CircuitStats, ParamExpr, PauliRotation, \
-    circuit_stats, circuit_unitary, run_circuit, transpile
+    circuit_stats, run_circuit, transpile
 from qve.fermion import hartree_fock_occupation
 from qve.mapping import MAPPERS, MappingError, encode_occupation
 from qve.pauli import PauliSum, PauliTerm, expectation_exact

@@ -10,13 +10,13 @@ import pytest
 from scipy.linalg import expm
 
 import qve.circuit as circuit_module
-from oracles import (pauli_label_matrix, pauli_sum_matrix, run_fused_reference,
-                     run_operations_reference)
+from oracles import (circuit_unitary, pauli_label_matrix, pauli_sum_matrix,
+                     run_fused_reference, run_operations_reference)
 from qve.ansatz import build_hea, build_uccsd
 from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
                          NoiseModel, ParamExpr, PauliRotation, TranspileError,
-                         circuit_stats, circuit_unitary, derive_rng, estimate,
+                         circuit_stats, derive_rng, estimate,
                          group_commuting_terms, inverse_circuit, run_circuit,
                          transpile)
 from qve.pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
@@ -194,6 +194,30 @@ def test_pauli_rotation_matches_matrix_exponential():
         PauliRotation(0, 0, ParamExpr("t"))
     with pytest.raises(CircuitError):
         Circuit(2).add(PauliRotation(0b100, 0, ParamExpr("t")))
+
+
+def test_fixed_angle_pauli_rotation_matches_bound_parameter():
+    # [DERIVED] a Pauli rotation at a fixed angle 0.3 equals the same rotation
+    # on a parameter bound to 0.3, within 1e-12, wherever its decomposed
+    # gates are used: a noisy exact estimate, a fold (through the inverse
+    # circuit) and a transpiled unitary; the statevector runs it as a stack
+    # row at scale 0
+    term = PauliTerm.from_label("XYZ")
+    fixed = Circuit(3).h(0).add(PauliRotation(term.x, term.z, 0.3))
+    bound = Circuit(3).h(0).add(PauliRotation(term.x, term.z, ParamExpr("t")))
+    at = {"t": 0.3}
+    h = PauliSum.from_labels([("ZZI", 0.5), ("XYZ", -0.25), ("IYX", 0.375)])
+    noise = NoiseModel(p1=0.01, p2=0.02, readout01=0.01, readout10=0.03)
+    np.testing.assert_allclose(run_circuit(fixed), run_circuit(bound, at), rtol=0, atol=1e-12)
+    for f in (1, 3):
+        want = estimate(fold_circuit(bound, f), at, h, 0, 0, noise=noise).mean
+        got = estimate(fold_circuit(fixed, f), {}, h, 0, 0, noise=noise).mean
+        assert got == pytest.approx(want, abs=1e-12)
+    coupling = [(0, 1), (1, 2)]
+    np.testing.assert_allclose(circuit_unitary(transpile(fixed, coupling)[0]),
+                               circuit_unitary(transpile(bound, coupling)[0], at),
+                               rtol=0, atol=1e-12)
+    assert circuit_stats(fixed).gate_counts == circuit_stats(bound).gate_counts
 
 
 def random_program_circuit(rng, n, depth):
@@ -883,9 +907,9 @@ def test_partition_invariants():
 
 
 def test_fold_five_compiles_no_new_segment():
-    # [DERIVED] segments are cached by their gates, n and p: after folds 1 and
-    # 3 of BeH2 UCCSD and HEA, fold 5 finds every segment in the cache, and
-    # fold 3 reuses those of fold 1
+    # [DERIVED] segments are cached by their gates, n and noise model: after
+    # folds 1 and 3 of BeH2 UCCSD and HEA, fold 5 finds every segment in the
+    # cache, and fold 3 reuses those of fold 1
     noise = NoiseModel(p1=0.001, p2=0.01)
     circuit_module._segment.cache_clear()
     for _, c, _ in beh2_circuits():
@@ -1074,18 +1098,22 @@ def test_noisy_readout_sampled_means_match_exact(beh2_tapered):
 def test_noisy_estimate_over_density_cap_is_refused():
     # [TRIVIAL] at 13 qubits three copies of the 512 MiB Pauli vector exceed
     # the 1 GiB byte cap: the noisy compile refuses them before any 4^n
-    # array, allocating less than 1 MiB; 12 qubits (384 MiB) compile
+    # array, allocating less than 1 MiB; 12 qubits (384 MiB) compile. The
+    # compile comes before the measurement plan, so a sum of 27 groups,
+    # whose outcome tables would hold 27 * 8 * 2^13 B = 1.7 MiB, is refused
+    # within the same 1 MiB
     noise = NoiseModel(p1=0.01)
     c = Circuit(13).x(0)
-    h = PauliSum.from_labels([("Z" + "I" * 12, 1.0)])
-    tracemalloc.start()
-    try:
-        with pytest.raises(DenseCapError, match="noisy run on 13 qubits .* over the cap"):
-            estimate(c, {}, h, 16, 0, noise=noise)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    many = [("".join(word) + "I" * 10, 1.0) for word in itertools.product("XYZ", repeat=3)]
+    for h in (PauliSum.from_labels([("Z" + "I" * 12, 1.0)]), PauliSum.from_labels(many)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DenseCapError, match="noisy run on 13 qubits .* over the cap"):
+                estimate(c, {}, h, 16, 0, noise=noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     assert len(circuit_module._noisy_plan(Circuit(12).x(0), noise).steps) == 1
 
 

@@ -511,6 +511,24 @@ def test_zne_malformed_params_file_is_config_error(capsys, tmp_path, theta, mess
     assert str(params) in err and message in err
 
 
+def test_zne_unknown_fit_is_refused_before_any_fold(capsys, tmp_path, monkeypatch):
+    # [TRIVIAL] an unknown --fit model exits 2 before any fold is estimated,
+    # not after every fold has run
+    import qve.zne
+    calls = []
+    monkeypatch.setattr(qve.zne, "estimate", lambda *args, **kwargs: calls.append(args))
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    params = tmp_path / "theta.json"
+    params.write_text(json.dumps([0.1] * 16))
+    code, out, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                             "--shots", "0", "--noise", str(noise), "--params-file", str(params),
+                             "--fit", "linear,bogus")
+    assert code == EXIT_CONFIG and out == ""
+    assert "unknown extrapolation model 'bogus'" in err
+    assert calls == []
+
+
 def test_zne_on_failed_run_is_config_error(capsys, tmp_path):
     # [TRIVIAL] a failed run's result.json holds its error and stage, not
     # final_theta: zne exits 2 and names the missing vector

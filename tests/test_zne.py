@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from qve.circuit import Circuit, EstimatorResult, NoiseModel, circuit_unitary, \
-    estimate, run_circuit
+from oracles import circuit_unitary
+from qve.circuit import Circuit, EstimatorResult, NoiseModel, estimate, run_circuit
 from qve.pauli import PauliSum
 from qve.zne import (FIT_MODELS, ZNEError, ZNEPoint, extrapolate, fold_circuit,
                      run_zne)
