@@ -548,12 +548,13 @@ def _transfer(kind: str, angle: float | None = None) -> tuple[np.ndarray, bool]:
     return (rounded if clifford else r), clifford
 
 
-def _fidelities(k: int, noise: NoiseModel) -> np.ndarray:
+def _fidelities(k: int, p1: float, p2: float) -> np.ndarray:
     """How the depolarizing channel after a k-qubit gate, a uniform
     non-identity Pauli error with probability p (p1 for one qubit, else p2),
     scales each of the 4^k words on its qubits: 1 - p 4^k / (4^k - 1) for
-    all but I."""
-    p = noise.p1 if k == 1 else noise.p2
+    all but I. The tables built on it are cached on p1 and p2, all of the
+    noise model that they read."""
+    p = p1 if k == 1 else p2
     f = np.full(4**k, 1.0 - p * 4**k / (4**k - 1))
     f[0] = 1.0
     return f
@@ -561,13 +562,13 @@ def _fidelities(k: int, noise: NoiseModel) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _lifted(kind: str, angle: float | None, positions: tuple[int, ...], m: int,
-            noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+            p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
     """The noisy Clifford gate on these positions of an m-qubit segment as
     (src, coef): word w of its output is coef[w] times word src[w] of its
     input, over the words sum_i 4^i d_i with d_i the letter at position i."""
     r, _ = _transfer(kind, angle)
     gate_src = np.abs(r).argmax(axis=1)
-    gate_coef = r.sum(axis=1) * _fidelities(len(positions), noise)  # one nonzero per row
+    gate_coef = r.sum(axis=1) * _fidelities(len(positions), p1, p2)  # one nonzero per row
     w = np.arange(4**m)
     shifts = 2 * np.array(positions)
     digits = (w[:, None] >> shifts) & 3
@@ -577,7 +578,7 @@ def _lifted(kind: str, angle: float | None, positions: tuple[int, ...], m: int,
 
 
 @lru_cache(maxsize=1024)
-def _segment(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple:
+def _segment(gates: tuple[Gate, ...], n: int, p1: float, p2: float) -> tuple:
     """(qubits, src, coef) of a run of noisy Clifford gates: all n qubits up to
     SEGMENT_SPAN, else the sorted qubits of the run, and the product of the
     gates' _lifted maps over their words."""
@@ -586,19 +587,19 @@ def _segment(gates: tuple[Gate, ...], n: int, noise: NoiseModel) -> tuple:
     src = coef = None
     for g in gates:
         positions = tuple(qubits.index(q) for q in g.qubits)
-        s, k = _lifted(g.kind, g.angle, positions, len(qubits), noise)
+        s, k = _lifted(g.kind, g.angle, positions, len(qubits), p1, p2)
         src, coef = (s, k) if src is None else (src[s], k * coef[s])
     return qubits, src, coef
 
 
 @lru_cache(maxsize=64)
-def _rotation_transfer(kind: str, noise: NoiseModel) -> np.ndarray:
+def _rotation_transfer(kind: str, p1: float, p2: float) -> np.ndarray:
     """(3, 4, 4): T0, T1, T2 with the noisy rotation's transfer matrix
     T0 + cos(a) T1 + sin(a) T2 at angle a. U = cos(a/2) I - i sin(a/2) P
     makes R affine in (1, cos a, sin a), so three angles fix it."""
     r0, r_pi, r_half = (_transfer(kind, a)[0] for a in (0.0, math.pi, math.pi / 2))
     t0 = 0.5 * (r0 + r_pi)
-    return _fidelities(1, noise)[:, None] * np.array([t0, 0.5 * (r0 - r_pi), r_half - t0])
+    return _fidelities(1, p1, p2)[:, None] * np.array([t0, 0.5 * (r0 - r_pi), r_half - t0])
 
 
 def _split(gates) -> list[tuple[bool, tuple[Gate, ...]]]:
@@ -655,7 +656,7 @@ def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
     last: dict[int, int] = {}  # qubit -> the one-qubit step a rotation there joins
     for clifford, gates in _split(c.gates):
         if clifford:
-            steps.append(_segment(gates, n, noise))
+            steps.append(_segment(gates, n, noise.p1, noise.p2))
             for g in gates:
                 for q in g.qubits:
                     last.pop(q, None)
@@ -669,7 +670,7 @@ def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
             steps.append((q, len(members)))
             members.append([len(angles)])
         angles.append(g.angle)
-        tables.append(_rotation_transfer(g.kind, noise))
+        tables.append(_rotation_transfer(g.kind, noise.p1, noise.p2))
     merged = tuple((np.array([j for j, m in enumerate(members) if len(m) > k], dtype=np.intp),
                     np.array([m[k] for m in members if len(m) > k], dtype=np.intp))
                    for k in range(1, max(map(len, members), default=1)))
@@ -862,7 +863,7 @@ def _letter_maps(noise: NoiseModel) -> np.ndarray:
     for (x, z), pauli in zip(_LETTER_MASKS, _LETTER_PAULIS):
         r = np.eye(4)
         for g in _basis_change_gates(x, z, 1):
-            r = _fidelities(1, noise)[:, None] * _transfer(g.kind, g.angle)[0] @ r
+            r = _fidelities(1, noise.p1, noise.p2)[:, None] * _transfer(g.kind, g.angle)[0] @ r
         maps.append(confusion @ diagonal @ r[[0, 3]][:, [0, pauli]])
     return np.array(maps)
 

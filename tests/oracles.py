@@ -238,25 +238,13 @@ def _operation_reference(op, bindings, states: np.ndarray, n: int) -> np.ndarray
 
 
 def circuit_unitary(c, bindings=None) -> np.ndarray:
-    """Dense unitary of the circuit: its compiled statevector steps (the
-    engine's own program) applied to every basis state, column j the image
-    of |j>. The program is compiled, and an oversized one refused, before
-    the 4^n identity exists."""
-    from qve.circuit import _bind, _compiled
-    steps = _compiled(c).steps
-    theta = _bind(c, bindings)
-    states = np.eye(1 << c.n_qubits, dtype=complex)  # row j is |j>
-    stack = None
-    for flip, step_stack, row in steps:
-        if step_stack is None:
-            a, b = row
-        else:
-            if step_stack is not stack:
-                stack = step_stack
-                cos, siu = stack.tables(theta)
-            a, b = cos[row], siu[row]
-        states = a * states + b * states[:, flip]
-    return states.T
+    """Dense unitary of the circuit: the engine's own compiled steps, run by
+    its _run_steps on each basis state, column j the image of |j>. The
+    program is compiled, and an oversized one refused, before the 4^n
+    identity exists."""
+    from qve.circuit import _bind, _compiled, _run_steps
+    steps, theta = _compiled(c).steps, _bind(c, bindings)
+    return np.array([_run_steps(e, steps, theta) for e in np.eye(1 << c.n_qubits, dtype=complex)]).T
 
 
 def run_fused_reference(c, bindings, states: np.ndarray) -> np.ndarray:

@@ -250,7 +250,7 @@ def program_circuits(rng):
 
 
 def test_program_is_bit_identical_to_fused_reference():
-    # [DERIVED] run_circuit and circuit_unitary (batched columns) equal the
+    # [DERIVED] run_circuit and circuit_unitary (each basis column) equal the
     # plain fused-step reference bit for bit (array_equal) on the program
     # circuits; an unbound parameter raises CircuitError, on the noisy
     # engine too
@@ -907,9 +907,9 @@ def test_partition_invariants():
 
 
 def test_fold_five_compiles_no_new_segment():
-    # [DERIVED] segments are cached by their gates, n and noise model: after
-    # folds 1 and 3 of BeH2 UCCSD and HEA, fold 5 finds every segment in the
-    # cache, and fold 3 reuses those of fold 1
+    # [DERIVED] segments are cached by their gates, n and p: after folds 1 and
+    # 3 of BeH2 UCCSD and HEA, fold 5 finds every segment in the cache, and
+    # fold 3 reuses those of fold 1
     noise = NoiseModel(p1=0.001, p2=0.01)
     circuit_module._segment.cache_clear()
     for _, c, _ in beh2_circuits():
