@@ -14,6 +14,10 @@ serves all three: replay reads --ansatz and --reps and checks the --noise
 file; zne also reads --shots, --seed and --noise; the rest are ignored.
 
 NumPy is imported only after QVE_THREADS has set the BLAS thread variables.
+Each command imports only the modules it runs: `map` and `exact` load
+neither the integrals nor the circuit stack, and an error is classified by
+the qualified names of its classes, so that no module is loaded only to
+name the errors it could raise.
 """
 
 from __future__ import annotations
@@ -33,6 +37,28 @@ EXIT_ELEMENT = 4
 
 class _ConfigError(ValueError):
     pass
+
+
+# The exit code of each error class that is not a configuration error, by
+# qualified name; any other ValueError, and a missing file, exits 2.
+_EXIT_CODES = {
+    "qve.basis.UnsupportedElementError": EXIT_ELEMENT,
+    "qve.scf.ConvergenceError": EXIT_NUMERIC,
+    "qve.scf.LinearDependenceError": EXIT_NUMERIC,
+    "qve.pauli.DenseCapError": EXIT_NUMERIC,
+    "qve.pauli.LanczosError": EXIT_NUMERIC,
+    "qve.spsa.CalibrationError": EXIT_NUMERIC,
+    "builtins.FloatingPointError": EXIT_NUMERIC,
+}
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of the first of the error's classes that has one."""
+    for cls in type(exc).__mro__:
+        code = _EXIT_CODES.get(f"{cls.__module__}.{cls.__qualname__}")
+        if code is not None:
+            return code
+    return EXIT_CONFIG
 
 
 def _apply_thread_cap() -> None:
@@ -262,30 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         _apply_thread_cap()  # before the first NumPy import, which reads the caps
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    from .basis import UnsupportedElementError
-    from .pauli import DenseCapError, LanczosError
-    from .scf import ConvergenceError, LinearDependenceError
-    from .spsa import CalibrationError
-
-    try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UnsupportedElementError as exc:
+    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ELEMENT
-    except (_ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConvergenceError, LinearDependenceError, DenseCapError, LanczosError,
-            CalibrationError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

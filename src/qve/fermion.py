@@ -179,16 +179,26 @@ def build_hamiltonian(h_so: np.ndarray, g_so: np.ndarray, e_offset: float) -> Fe
     """Assemble H = e_offset + sum h_pq a+_p a_q + 1/2 sum <pq|rs> a+_p a+_q a_s a_r.
 
     ``h_so`` and ``g_so`` are spin-orbital tensors (g in physicist notation).
+    Each entry is added in its normal order, in C order: a+_p a_q already is
+    normal-ordered; a+_p a+_q a_s a_r vanishes for p = q or r = s, and is
+    otherwise a+_min(p,q) a+_max(p,q) a_min(r,s) a_max(r,s), its sign flipped
+    once for p > q and once for s > r.
     """
     n = h_so.shape[0]
     if h_so.shape != (n, n) or g_so.shape != (n, n, n, n):
         raise FermionError("tensor shape mismatch")
     op = FermionOperator.scalar(n, e_offset)
-    # argwhere lists indices in C order, the order of the nested index loops
-    for p, q in np.argwhere(abs(h_so) >= COEFF_TOL).tolist():
-        op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
+    create = [(m, CREATE) for m in range(n)]
+    annihilate = [(m, ANNIHILATE) for m in range(n)]
+    # nonzero lists indices in C order, the order of the nested index loops
+    p, q = np.nonzero(abs(h_so) >= COEFF_TOL)
+    for a, b, v in zip(p.tolist(), q.tolist(), h_so[p, q].tolist()):
+        op._add_normal((create[a], annihilate[b]), v)
     half_g = 0.5 * g_so
-    for p, q, r, s in np.argwhere(abs(half_g) >= COEFF_TOL).tolist():
-        op.add_term(LadderTerm(
-            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), half_g[p, q, r, s]))
+    p, q, r, s = np.nonzero(abs(half_g) >= COEFF_TOL)
+    keep = (p != q) & (r != s)
+    value = half_g[p, q, r, s] * np.where((p > q) == (s > r), 1.0, -1.0)
+    modes = np.stack([np.minimum(p, q), np.maximum(p, q), np.minimum(r, s), np.maximum(r, s)])
+    for (a, b, c, d), v in zip(modes[:, keep].T.tolist(), value[keep].tolist()):
+        op._add_normal((create[a], create[b], annihilate[c], annihilate[d]), v)
     return op

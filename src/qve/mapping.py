@@ -221,6 +221,18 @@ def qubit_operator(op: FermionOperator, mapper: str, taper: bool,
     return h
 
 
+def _encoded(occupied: np.ndarray, mapper: str, taper: bool, n: int) -> np.ndarray:
+    """`encode_occupation` as basis indices, for an array of occupations of
+    n modes, each a mode mask (mode p at bit p)."""
+    state = np.zeros_like(occupied)
+    for i, row in enumerate(_encoding_rows(mapper, n)):
+        state |= (np.bitwise_count(occupied & row) & 1).astype(state.dtype) << i
+    if taper:
+        q1, q2 = _parity_qubits(n)
+        state = _drop_bit(_drop_bit(state, q2), q1)
+    return state
+
+
 def encode_occupation(occupations: tuple[int, ...], mapper: str,
                       taper: bool) -> tuple[int, ...]:
     """Qubit bits (qubit 0 first) of the basis state encoding a Fock occupation.
@@ -231,21 +243,16 @@ def encode_occupation(occupations: tuple[int, ...], mapper: str,
     _check_encoding(mapper, taper)
     n = len(occupations)
     occupied = sum(1 << p for p, b in enumerate(occupations) if b)
-    state = sum(((row & occupied).bit_count() & 1) << i
-                for i, row in enumerate(_encoding_rows(mapper, n)))
-    if taper:
-        q1, q2 = _parity_qubits(n)
-        state = _drop_bit(_drop_bit(state, q2), q1)
-        n -= 2
-    return tuple((state >> q) & 1 for q in range(n))
+    state = int(_encoded(np.array([occupied]), mapper, taper, n)[0])
+    return tuple((state >> q) & 1 for q in range(n - 2 if taper else n))
 
 
 def sector_basis(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
                  taper: bool) -> np.ndarray:
     """Sorted qubit basis indices of every occupation with n_alpha alpha and
-    n_beta beta electrons (blocked spin ordering), each encoded by
-    `encode_occupation`. Sectors over SECTOR_CAP states are refused before
-    any is enumerated."""
+    n_beta beta electrons (blocked spin ordering), encoded as
+    `encode_occupation` encodes one, all in one array. Sectors over
+    SECTOR_CAP states are refused before any is enumerated."""
     size = comb(n_spatial, n_alpha) * comb(n_spatial, n_beta)
     if size > SECTOR_CAP:
         raise DenseCapError(
@@ -254,15 +261,11 @@ def sector_basis(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
     if size == 0:
         raise MappingError(
             f"no ({n_alpha}, {n_beta}) occupation fits in {n_spatial} orbitals")
-    states = []
-    for alpha in combinations(range(n_spatial), n_alpha):
-        for beta in combinations(range(n_spatial, 2 * n_spatial), n_beta):
-            occ = [0] * (2 * n_spatial)
-            for p in alpha + beta:
-                occ[p] = 1
-            bits = encode_occupation(tuple(occ), mapper, taper)
-            states.append(sum(b << q for q, b in enumerate(bits)))
-    return np.array(sorted(states))
+    _check_encoding(mapper, taper)
+    alpha = [sum(1 << p for p in c) for c in combinations(range(n_spatial), n_alpha)]
+    beta = [sum(1 << p for p in c) << n_spatial for c in combinations(range(n_spatial), n_beta)]
+    occupied = np.bitwise_or.outer(alpha, beta).ravel()
+    return np.sort(_encoded(occupied, mapper, taper, 2 * n_spatial))
 
 
 def mapping_stats(h: PauliSum) -> MappingStats:

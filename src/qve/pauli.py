@@ -22,6 +22,9 @@ COEFF_TOL = 1e-12
 SECTOR_CAP = 1 << 14
 # Largest basis diagonalized densely by eigh; above it, Lanczos.
 DENSE_SOLVE_MAX = 1024
+# (group or term, column) entries that one step of the sparse-matrix build
+# holds, at most 34 bytes of temporaries each.
+COO_BLOCK = 1 << 18
 
 _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -173,31 +176,50 @@ def _restricted_coo(h: PauliSum, basis: np.ndarray
 
     X^x Z^z |b> = (-1)^popcount(b & z) |b ^ x>, so each term, c word_phase(x, z)
     X^x Z^z, sends column b to row searchsorted(basis, b ^ x); targets outside
-    the basis are dropped.
-    Terms sharing an x mask are summed first. Distinct x masks send a column
-    to distinct rows, so no (row, column) pair repeats.
+    the basis are dropped. The terms sharing an x mask form a group, and the
+    groups come in order of first appearance. A group's value at column b is
+    the sum of its terms' c (-1)^popcount(b & z), added in term order along
+    the term axis of one (terms x columns) array. Distinct x masks send a
+    column to distinct rows, so no (row, column) pair repeats. No step holds
+    more than COO_BLOCK (group or term, column) entries at once.
     """
-    by_x: dict[int, list[tuple[int, complex]]] = {}
+    by_x: dict[int, tuple[list[int], list[complex]]] = {}
     for (x, z), c in h._terms.items():
-        by_x.setdefault(x, []).append((z, c * word_phase(x, z)))
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-    for x, zs in by_x.items():
-        target = basis ^ x
-        row = np.minimum(np.searchsorted(basis, target), dim - 1)
-        keep = basis[row] == target
-        col = np.flatnonzero(keep)
-        kept = basis[col]
-        val = np.zeros(len(col), dtype=complex)
-        for z, c in zs:
-            val += c * parity_signs(kept, z)
-        nonzero = val != 0
-        rows.append(row[col[nonzero]])
-        cols.append(col[nonzero])
-        vals.append(val[nonzero])
-    if not rows:
+        zs, cs = by_x.setdefault(x, ([], []))
+        zs.append(z)
+        cs.append(c * word_phase(x, z))
+    if not by_x:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=complex)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    dim = len(basis)
+    # each group's columns whose target lies in the basis, and their rows
+    padded = np.append(basis, -1)  # searchsorted gives dim past the last state
+    xs = np.array(list(by_x))
+    cols, rows, bounds = [], [], [0]
+    step = max(1, COO_BLOCK // dim)
+    for g0 in range(0, len(xs), step):
+        target = basis ^ xs[g0:g0 + step, None]
+        row = np.searchsorted(basis, target)
+        hit = padded[row] == target
+        g, col = np.nonzero(hit)
+        cols.append(col)
+        rows.append(row[g, col])
+        bounds += (bounds[-1] + np.cumsum(hit.sum(axis=1))).tolist()
+    cols, rows = np.concatenate(cols), np.concatenate(rows)
+    val = np.empty(len(cols), dtype=complex)
+    for (zs, cs), p0, p1 in zip(by_x.values(), bounds, bounds[1:]):
+        z, c = np.array(zs)[:, None], np.array(cs)[:, None]
+        if not c.imag.any():
+            c = c.real  # the loop's imaginary parts would all sum to +0.0
+        step = max(1, COO_BLOCK // len(zs))
+        for a in range(p0, p1, step):
+            b = min(a + step, p1)
+            odd = np.bitwise_count(basis[cols[a:b]] & z) & 1
+            total = np.zeros(b - a, dtype=c.dtype)
+            for term in c - 2 * c * odd:  # each term's c (-1)^popcount(b & z)
+                total += term
+            val[a:b] = total
+    nonzero = val != 0
+    return rows[nonzero], cols[nonzero], val[nonzero]
 
 
 def _lanczos(rows, cols, vals, dim: int, max_steps: int = 400,

@@ -11,17 +11,19 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ansatz import build_hea, build_uccsd
-from .basis import Molecule, build_integrals
-from .circuit import Circuit, NoiseModel, estimate
 from .fermion import build_hamiltonian
 from .mapping import MAX_MODES, qubit_operator, sector_basis
 from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy, expectation_exact
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
+
+if TYPE_CHECKING:  # the integrals and the circuit stack load where a run needs them
+    from .basis import Molecule
+    from .circuit import Circuit, NoiseModel
 
 
 class FixtureError(ValueError):
@@ -55,11 +57,13 @@ def load_fixture(path) -> ActiveSpaceProblem:
     required: they fix the orbital space and the exact solver's electron
     sector. `constant` defaults to 0. Non-finite numbers are refused, and
     the orbital count is checked against the mapper's mode limit before any
-    tensor is allocated.
+    tensor is allocated. Every error names the file, and an error in an
+    entry, its index range included, names its line.
     """
     headers = {"constant": 0.0}
-    h_entries: dict[tuple[int, int], float] = {}
-    g_entries: dict[tuple[int, int, int, int], float] = {}
+    # each entry's value and the `path:line` it came from
+    h_entries: dict[tuple[int, int], tuple[float, str]] = {}
+    g_entries: dict[tuple[int, int, int, int], tuple[float, str]] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#")[0].strip()
         if not line:
@@ -76,15 +80,14 @@ def load_fixture(path) -> ActiveSpaceProblem:
                 if (p, q) in h_entries:  # each entry is held in both orientations
                     raise FixtureError(f"{where}: duplicate h entry ({p},{q})")
                 v = _finite(tok[3], where)
-                h_entries[(p, q)] = v
-                h_entries[(q, p)] = v
+                h_entries[(p, q)] = h_entries[(q, p)] = (v, where)
             elif tok[0] == "g" and len(tok) == 6:
                 p, q, r, s = (int(t) for t in tok[1:5])
                 if (p, q, r, s) in g_entries:  # each entry is held at its whole orbit
                     raise FixtureError(f"{where}: duplicate g entry ({p},{q},{r},{s})")
                 v = _finite(tok[5], where)
                 for idx in _symmetry_orbit(p, q, r, s):
-                    g_entries[idx] = v
+                    g_entries[idx] = (v, where)
             else:
                 raise FixtureError(f"{where}: malformed line {raw.strip()!r}")
         except FixtureError:
@@ -103,13 +106,13 @@ def load_fixture(path) -> ActiveSpaceProblem:
             raise FixtureError(f"{path}: header {k} {headers[k]} is negative")
     h1 = np.zeros((n, n))
     h2 = np.zeros((n, n, n, n))
-    for (p, q), v in h_entries.items():
+    for (p, q), (v, where) in h_entries.items():
         if not (0 <= p < n and 0 <= q < n):
-            raise FixtureError(f"h index ({p},{q}) out of range for norb {n}")
+            raise FixtureError(f"{where}: h index ({p},{q}) out of range for norb {n}")
         h1[p, q] = v
-    for idx, v in g_entries.items():
+    for idx, (v, where) in g_entries.items():
         if not all(0 <= i < n for i in idx):
-            raise FixtureError(f"g index {idx} out of range for norb {n}")
+            raise FixtureError(f"{where}: g index {idx} out of range for norb {n}")
         h2[idx] = v
     if missing:
         raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
@@ -141,6 +144,7 @@ def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:
 def problem_from_geometry(mol: Molecule) -> tuple[ActiveSpaceProblem, SCFResult]:
     """Molecule -> integrals -> RHF -> MO transform -> active-space problem,
     over the molecule's core and active MOs (by default the full space)."""
+    from .basis import build_integrals
     ints = build_integrals(mol)
     n_mo = ints.overlap.shape[0]
     core, active, pairs = mol.active_space(n_mo)
@@ -190,6 +194,7 @@ class RunConfig:
 
 
 def build_ansatz(problem: ActiveSpaceProblem, cfg: RunConfig) -> Circuit:
+    from .ansatz import build_hea, build_uccsd
     n_qubits = 2 * problem.n_spatial - (2 if cfg.taper else 0)
     if cfg.ansatz == "uccsd":
         return build_uccsd(problem.n_alpha, problem.n_beta, problem.n_spatial,
@@ -232,6 +237,7 @@ def run_vqe(cfg: RunConfig) -> Path:
     failure after that writes result.json with the failing stage, optimize
     or report.
     """
+    from .circuit import estimate
     from .spsa import SPSAConfig, minimize
 
     if cfg.shots < 1:

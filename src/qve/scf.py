@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import IntegralSet
+if TYPE_CHECKING:  # annotations only: the integrals load with the geometry path
+    from .basis import IntegralSet
 
 MAX_SCF_ITERATIONS = 200
 ENERGY_TOL = 1e-10

@@ -45,6 +45,26 @@ def h2_problem():
     return mol, ints, scf, problem
 
 
+@pytest.fixture(scope="session")
+def hchain_fixtures(tmp_path_factory):
+    """`qve hamiltonian` fixture files of linear H2, H4, H6 and H8 at 0.9
+    angstrom spacing, by atom count: (1, 1) to (4, 4) half-filled sectors of
+    4 to 4900 states."""
+    import contextlib
+    import io
+
+    from qve.cli import main
+    out = tmp_path_factory.mktemp("hchain")
+    paths = {}
+    for n in (2, 4, 6, 8):
+        geom = out / f"h{n}.geom"
+        geom.write_text("units angstrom\n" + "".join(f"H 0 0 {0.9 * i:.6f}\n" for i in range(n)))
+        paths[n] = out / f"h{n}.ham"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["hamiltonian", "--geometry", str(geom), "--out", str(paths[n])]) == 0
+    return paths
+
+
 def pytest_terminal_summary(terminalreporter):
     """Repeat the acceptance-criterion verdict lines after the run summary."""
     mod = sys.modules.get("test_acceptance")

@@ -324,3 +324,68 @@ def random_number_conserving(n_spatial: int, rng: np.random.Generator):
                         op.add_term(LadderTerm(
                             ((r, CREATE), (s, CREATE), (q, ANNIHILATE), (p, ANNIHILATE)), v / 2))
     return op
+
+
+# -- loop references for the array paths of fermion, mapping and pauli -----
+#
+# Each is the loop form its array path replaced, with the same arithmetic in
+# the same order, so the tests require exact equality.
+
+
+def build_hamiltonian_reference(h_so: np.ndarray, g_so: np.ndarray, e_offset: float):
+    """`fermion.build_hamiltonian` by the generic normal-ordering rewrite:
+    each tensor entry one `FermionOperator.add_term`, in C order."""
+    from qve.fermion import ANNIHILATE, CREATE, FermionOperator, LadderTerm
+    from qve.pauli import COEFF_TOL
+    op = FermionOperator.scalar(h_so.shape[0], e_offset)
+    for p, q in np.argwhere(abs(h_so) >= COEFF_TOL).tolist():
+        op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
+    half_g = 0.5 * g_so
+    for p, q, r, s in np.argwhere(abs(half_g) >= COEFF_TOL).tolist():
+        op.add_term(LadderTerm(
+            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), half_g[p, q, r, s]))
+    return op
+
+
+def restricted_coo_reference(h, basis: np.ndarray):
+    """`pauli._restricted_coo` one term at a time: each term's signs added
+    to its x mask's values from 0, in term order."""
+    from qve.pauli import parity_signs, word_phase
+    by_x: dict[int, list[tuple[int, complex]]] = {}
+    for (x, z), c in h._terms.items():
+        by_x.setdefault(x, []).append((z, c * word_phase(x, z)))
+    dim = len(basis)
+    rows, cols, vals = [], [], []
+    for x, zs in by_x.items():
+        target = basis ^ x
+        row = np.minimum(np.searchsorted(basis, target), dim - 1)
+        col = np.flatnonzero(basis[row] == target)
+        val = np.zeros(len(col), dtype=complex)
+        for z, c in zs:
+            val += c * parity_signs(basis[col], z)
+        nonzero = val != 0
+        rows.append(row[col[nonzero]])
+        cols.append(col[nonzero])
+        vals.append(val[nonzero])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def sector_basis_reference(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
+                           taper: bool) -> np.ndarray:
+    """`mapping.sector_basis` one occupation at a time: qubit i of each state
+    is the parity of the occupied modes in row i of the encoding, and with
+    taper the two parity qubits n_spatial - 1 and 2 n_spatial - 1 go."""
+    from itertools import combinations
+
+    from qve.mapping import _encoding_rows
+    n = 2 * n_spatial
+    rows = _encoding_rows(mapper, n)
+    dropped = (n_spatial - 1, n - 1) if taper else ()
+    states = []
+    for alpha in combinations(range(n_spatial), n_alpha):
+        for beta in combinations(range(n_spatial, n), n_beta):
+            occupied = sum(1 << p for p in alpha + beta)
+            bits = [(row & occupied).bit_count() & 1 for row in rows]
+            kept = [b for q, b in enumerate(bits) if q not in dropped]
+            states.append(sum(b << q for q, b in enumerate(kept)))
+    return np.array(sorted(states))

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, JSON outputs, artifacts, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -247,6 +248,21 @@ def test_fixture_without_electron_counts_is_config_error(capsys, tmp_path, comma
         assert out == "" and f"missing header {header}" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("h 5 5 -1.0", "h index (5,5) out of range for norb 2"),
+    ("g 0 0 0 7 0.5", "g index ("),
+], ids=["h", "g"])
+def test_fixture_index_out_of_range_names_file_and_line(capsys, tmp_path, entry, message):
+    # [TRIVIAL] an h or g index past norb exits 2 naming the file and the
+    # entry's line, found once norb is known after the parse
+    ham = tmp_path / "range.ham"
+    ham.write_text(f"norb 2\nnalpha 1\nnbeta 1\nh 0 0 -1.0\n{entry}\n")
+    code, out, err = run_cli(capsys, "exact", "--ham", str(ham), "--mapper", "jw")
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"error: {ham}:5: ") and message in err
+    assert "out of range for norb 2" in err
+
+
 @pytest.mark.parametrize("command", ["exact", "hamiltonian"])
 def test_non_finite_input_is_config_error(capsys, tmp_path, command):
     # [DERIVED] a NaN fixture entry or geometry coordinate: exit code 2 with
@@ -380,6 +396,87 @@ def test_scf_nonconvergence_is_numeric_error(capsys, tmp_path, monkeypatch):
                            "--out", str(tmp_path / "x.ham"))
     assert code == EXIT_NUMERIC
     assert "did not converge" in err
+
+
+def test_unconverged_lanczos_is_numeric_error(capsys, monkeypatch):
+    # [TRIVIAL] a Lanczos solve that stops unconverged (every sector solved by
+    # Lanczos, one step allowed): exit code 3 with the solver's message
+    from qve import pauli
+    monkeypatch.setattr(pauli, "DENSE_SOLVE_MAX", 1)
+    monkeypatch.setattr(pauli, "_lanczos", functools.partial(pauli._lanczos, max_steps=1))
+    code, out, err = run_cli(capsys, "exact", "--ham", str(FIXTURE), "--taper")
+    assert code == EXIT_NUMERIC and out == ""
+    assert "Lanczos did not converge in 1 steps on 9 states" in err
+
+
+def test_zero_calibration_gradient_is_numeric_error(capsys, tmp_path, monkeypatch):
+    # [TRIVIAL] a cost that never changes makes every SPSA calibration
+    # gradient zero: exit code 3, and the run's result.json names the stage;
+    # the run reads qve.circuit.estimate when it starts, so the patch reaches it
+    import qve.circuit
+    from qve.circuit import EstimatorResult
+    monkeypatch.setattr(qve.circuit, "estimate",
+                        lambda *args, **kwargs: EstimatorResult(-1.0, 0.0, 16, 0))
+    code, _, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--shots", "16", "--maxiter", "2", "--out", str(tmp_path))
+    assert code == EXIT_NUMERIC
+    assert "all calibration gradient estimates are zero" in err
+    report = json.loads((tmp_path / "hea_parity_seed0" / "result.json").read_text())
+    assert report["stage"] == "optimize"
+
+
+def test_exit_code_of_each_error_class():
+    # [TRIVIAL] the classification by qualified class name gives each
+    # documented error its exit code, subclasses and builtins included
+    from qve import basis, cli, mapping, pauli, pipeline, scf, spsa
+    codes = {
+        basis.UnsupportedElementError: EXIT_ELEMENT,
+        scf.ConvergenceError: EXIT_NUMERIC,
+        scf.LinearDependenceError: EXIT_NUMERIC,
+        pauli.DenseCapError: EXIT_NUMERIC,
+        pauli.LanczosError: EXIT_NUMERIC,
+        spsa.CalibrationError: EXIT_NUMERIC,
+        FloatingPointError: EXIT_NUMERIC,
+        cli._ConfigError: EXIT_CONFIG,
+        pipeline.FixtureError: EXIT_CONFIG,
+        mapping.MappingError: EXIT_CONFIG,
+        basis.GeometryError: EXIT_CONFIG,
+        pauli.PauliError: EXIT_CONFIG,
+        ValueError: EXIT_CONFIG,
+        FileNotFoundError: EXIT_CONFIG,
+    }
+    for cls, code in codes.items():
+        assert cli._exit_code(cls("x")) == code, cls
+    assert cli._exit_code(type("Sub", (pauli.DenseCapError,), {})("x")) == EXIT_NUMERIC
+
+
+def test_commands_load_only_their_modules(tmp_path):
+    # [DERIVED] `qve exact` and `qve map` load neither the integrals nor the
+    # circuit stack, and `qve hamiltonian` no circuit stack: each command
+    # imports what it runs, and its errors are classified without imports
+    import qve
+    geom = tmp_path / "h2.geom"
+    geom.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qve.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    commands = {
+        "exact": ["exact", "--ham", str(FIXTURE), "--taper"],
+        "map": ["map", "--ham", str(FIXTURE), "--mapper", "bk"],
+        "hamiltonian": ["hamiltonian", "--geometry", str(geom), "--out", str(tmp_path / "h2.ham")],
+    }
+    for name, argv in commands.items():
+        script = (
+            "import json, sys\n"
+            "from qve.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('qve.')]))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout.strip().splitlines()[-1]))
+        assert not loaded & {"qve.circuit", "qve.spsa", "qve.ansatz", "qve.zne"}, (name, loaded)
+        assert ("qve.basis" in loaded) == (name == "hamiltonian"), (name, loaded)
 
 
 def test_oversized_exact_is_numeric_error(capsys, tmp_path):

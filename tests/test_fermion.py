@@ -1,14 +1,13 @@
 """Second-quantization checks against explicit occupation-basis matrices."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 import oracles
 from qve.fermion import (ANNIHILATE, CREATE, FermionError, FermionOperator, LadderTerm,
                         build_hamiltonian, hartree_fock_occupation, multiply)
-from qve.pauli import COEFF_TOL
+from qve.pipeline import load_fixture
+from qve.scf import spin_orbital_expand
 
 
 def random_string(rng, n_modes, length):
@@ -111,17 +110,21 @@ def test_build_hamiltonian_matches_dense_oracle():
                         @ oracles.ladder_matrix(n, r, False))
     np.testing.assert_allclose(oracles.fermion_matrix(op), expected, atol=1e-10)
     # the same term dict, values and insertion order, as term-by-term loops
-    loops = FermionOperator.scalar(n, 0.25)
-    for p in range(n):
-        for q in range(n):
-            if abs(h_so[p, q]) >= COEFF_TOL:
-                loops.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
-    for p, q, r, s in itertools.product(range(n), repeat=4):
-        c = 0.5 * g_so[p, q, r, s]
-        if abs(c) >= COEFF_TOL:
-            loops.add_term(LadderTerm(
-                ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), c))
+    loops = oracles.build_hamiltonian_reference(h_so, g_so, 0.25)
     assert list(op._terms.items()) == list(loops._terms.items())
+
+
+@pytest.mark.parametrize("source", ["bundled", 2, 4, 6])
+def test_build_hamiltonian_matches_generic_rewrite(beh2_problem, hchain_fixtures, source):
+    # [DERIVED] on the bundled fixture and on `qve hamiltonian`'s H2, H4 and
+    # H6 fixtures, direct assembly gives the generic normal-ordering
+    # rewrite's term dict: the same strings in the same order, each value ==
+    problem = beh2_problem if source == "bundled" else load_fixture(hchain_fixtures[source])
+    h_so, g_so = spin_orbital_expand(problem)
+    op = build_hamiltonian(h_so, g_so, problem.e_offset)
+    ref = oracles.build_hamiltonian_reference(h_so, g_so, problem.e_offset)
+    assert len(op) > 1
+    assert list(op._terms.items()) == list(ref._terms.items())
 
 
 def test_h2_hamiltonian_ground_state_is_fci(h2_problem):

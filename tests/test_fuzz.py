@@ -65,6 +65,8 @@ def run_main(*argv):
 @example(FIXTURE_BODY.replace("nbeta 1\n", ""))  # no nbeta
 @example("norb 1\nnalpha 1\nnbeta 0\nh 0 0 nan\n")  # a non-finite entry
 @example("norb 70\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng 69 69 69 69 0.5\n")  # past 63 modes
+@example("norb 2\nnalpha 1\nnbeta 1\nh 0 0 -1.0\nh 5 5 -1.0\n")  # an h index past norb
+@example("norb 2\nnalpha 1\nnbeta 1\nh 0 0 -1.0\ng 0 0 0 7 0.5\n")  # a g index past norb
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_mutated_fixture_exits_cleanly(tmp_path_factory, text):
     # [TRIVIAL] `qve exact` on a mutated fixture returns 0, 2 or 3 and

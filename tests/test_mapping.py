@@ -301,6 +301,19 @@ def test_sector_basis_encodes_each_occupation():
     assert np.all(np.diff(basis) > 0)
 
 
+@pytest.mark.parametrize("mapper, taper", [("jw", False), ("bk", False), ("parity", False),
+                                           ("parity", True)])
+def test_sector_basis_matches_occupation_loop(mapper, taper):
+    # [DERIVED] the one-array encoding gives the occupation-by-occupation
+    # loop's sorted indices exactly: on the sectors of the bundled fixture and
+    # of linear H2, H4 and H6, and on sectors with no alpha, no beta or all
+    # alpha electrons
+    for sector in ((3, 1, 1), (2, 1, 1), (4, 2, 2), (6, 3, 3), (3, 0, 2), (4, 2, 0), (3, 3, 1)):
+        got = sector_basis(*sector, mapper, taper)
+        want = oracles.sector_basis_reference(*sector, mapper, taper)
+        assert got.dtype == want.dtype and np.array_equal(got, want), sector
+
+
 def test_sector_basis_refuses_oversized_and_empty_sectors():
     # [TRIVIAL] the size check needs no enumeration; an empty sector is an error
     with pytest.raises(DenseCapError, match="34134779536 states"):

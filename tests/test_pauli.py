@@ -1,17 +1,19 @@
 """Pauli algebra checks against an independent Kronecker-product oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pauli_label_matrix, pauli_sum_matrix
+from oracles import pauli_label_matrix, pauli_sum_matrix, restricted_coo_reference
 from qve import pauli
 from qve.basis import parse_geometry
 from qve.mapping import sector_basis
 from qve.pauli import (DenseCapError, LanczosError, PauliError, PauliSum, PauliTerm,
                        exact_ground_energy, expectation_exact)
-from qve.pipeline import problem_from_geometry, problem_to_pauli
+from qve.pipeline import load_fixture, problem_from_geometry, problem_to_pauli
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
@@ -186,6 +188,61 @@ def test_lanczos_matches_dense_on_h6_sector(h_chains, monkeypatch):
     e_lanczos, v_lanczos = exact_ground_energy(h, basis)
     assert e_lanczos == pytest.approx(e_dense, abs=1e-10)
     assert abs(np.vdot(v_dense, v_lanczos)) == pytest.approx(1.0, abs=1e-8)
+
+
+def assert_same_triples(got, want):
+    """Equal dtypes and entries in the same order, which Lanczos's matvec
+    sums in."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mapper, taper", ENCODINGS)
+def test_restricted_coo_matches_term_loop(beh2_problem, hchain_fixtures, mapper, taper):
+    # [DERIVED] the grouped sign arrays give the term-by-term loop's triples
+    # exactly, on the bundled fixture and on `qve hamiltonian`'s H2, H4 and
+    # H6 fixtures, with one block or many
+    problems = [beh2_problem] + [load_fixture(hchain_fixtures[n]) for n in (2, 4, 6)]
+    for problem in problems:
+        h = problem_to_pauli(problem, mapper, taper)
+        basis = sector_basis(problem.n_spatial, problem.n_alpha, problem.n_beta, mapper, taper)
+        want = restricted_coo_reference(h, basis)
+        assert_same_triples(pauli._restricted_coo(h, basis), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pauli, "COO_BLOCK", 7)
+            assert_same_triples(pauli._restricted_coo(h, basis), want)
+
+
+def test_restricted_coo_matches_term_loop_on_complex_sums():
+    # [DERIVED] complex coefficients, Y words and x masks that first appear
+    # out of sorted order give the loop's triples too
+    rng = np.random.default_rng(3)
+    words = ["".join(rng.choice(list("IXYZ"), 6)) for _ in range(60)]
+    h = PauliSum.from_labels([(w, complex(rng.normal(), rng.normal())) for w in words])
+    basis = np.sort(rng.choice(64, 40, replace=False))
+    assert_same_triples(pauli._restricted_coo(h, basis), restricted_coo_reference(h, basis))
+
+
+def test_restricted_coo_on_h8_sector_holds_one_block(hchain_fixtures, monkeypatch):
+    # [DERIVED] the (4, 4) sector of linear H8 (4900 states, solved by
+    # Lanczos) gives the loop's triples, and with 4096-entry blocks the peak
+    # beyond the unfiltered and the returned triples (55 MiB) stays under
+    # 2 MiB: the nonzero mask (0.9 MiB) and one block; an unblocked (x masks
+    # x states) search alone holds 60 MiB
+    problem = load_fixture(hchain_fixtures[8])
+    h = problem_to_pauli(problem, "jw", False)
+    basis = sector_basis(8, 4, 4, "jw", False)
+    assert len(basis) == 4900 > pauli.DENSE_SOLVE_MAX
+    want = restricted_coo_reference(h, basis)
+    monkeypatch.setattr(pauli, "COO_BLOCK", 1 << 12)
+    tracemalloc.start()
+    try:
+        got = pauli._restricted_coo(h, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_triples(got, want)
+    assert peak - 2 * sum(a.nbytes for a in got) < 2 << 20
 
 
 def test_expectation_exact_matches_quadratic_form():
