@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, ParamExpr, PauliRotation
-from .fermion import ANNIHILATE, CREATE, FermionOperator, FockState, hartree_fock_occupation
+from .fermion import ANNIHILATE, CREATE, FermionOperator, hartree_fock_occupation
 from .mapping import encode_occupation, qubit_operator
 from .pauli import PauliTerm
 
@@ -32,7 +32,7 @@ class ExcitationList:
 
 def excitations(n_alpha: int, n_beta: int, n_spatial: int) -> ExcitationList:
     """All spin-conserving singles and doubles, lexicographically ordered."""
-    occ = hartree_fock_occupation(n_alpha, n_beta, n_spatial).occupations
+    occ = hartree_fock_occupation(n_alpha, n_beta, n_spatial)
     occupied = [m for m, b in enumerate(occ) if b]
     virtual = [m for m, b in enumerate(occ) if not b]
     spin = [m // n_spatial for m in range(2 * n_spatial)]
@@ -58,9 +58,9 @@ def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
     return PauliRotation(term.x, term.z, param.scaled(c.imag))  # lambda = c.imag
 
 
-def hf_state_circuit(occupation: FockState, mapper: str, taper: bool = False) -> Circuit:
-    """X gates preparing the mapped Hartree-Fock basis state."""
-    bits = encode_occupation(occupation.occupations, mapper, taper)
+def hf_state_circuit(occupation: tuple[int, ...], mapper: str, taper: bool = False) -> Circuit:
+    """X gates preparing the mapped basis state of an occupation tuple."""
+    bits = encode_occupation(occupation, mapper, taper)
     c = Circuit(len(bits))
     for q, b in enumerate(bits):
         if b:

@@ -394,9 +394,9 @@ def build_integrals(mol: Molecule) -> IntegralSet:
 
 
 def parse_geometry(text: str) -> Molecule:
-    """Parse a `units angstrom|bohr` header, `SYMBOL x y z` atom lines and the
-    optional active-space lines `core I J ...` and `active I J ...` (0-based
-    MO indices)."""
+    """Parse one `units angstrom|bohr` header, `SYMBOL x y z` atom lines and
+    the optional active-space lines `core I J ...` and `active I J ...`
+    (0-based MO indices), each at most once."""
     scale = None
     atoms = []
     mos: dict[str, tuple[int, ...]] = {}
@@ -417,6 +417,8 @@ def parse_geometry(text: str) -> Molecule:
                 raise GeometryError(f"line {ln}: expected `{key} I J ...`")
             continue
         if key == "units":
+            if scale is not None:
+                raise GeometryError(f"line {ln}: second `units` line")
             if len(tok) != 2 or tok[1].lower() not in ("angstrom", "bohr"):
                 raise GeometryError(f"line {ln}: units must be `angstrom` or `bohr`")
             scale = ANGSTROM_TO_BOHR if tok[1].lower() == "angstrom" else 1.0

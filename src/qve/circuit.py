@@ -63,13 +63,13 @@ at first use and kept with the measurement plan per noise model. Each
 measurement group turns a measured outcome into its energy through a table
 over the 2^n outcomes. The groups, their letters, tables and word indices,
 and the identity coefficient form the Hamiltonian's measurement plan, built
-at its first estimate and kept on the `PauliSum` until `add_term` changes
-it, the tables as one (groups, 2^n) array. All groups' distributions are
-normalised at once, and each group's shots are counts drawn once from its
-distribution: one generator per estimate makes one multinomial draw over
-each stack of groups, in plan order, and the means and variances are row
-reductions of the counts against the tables. With shots=0 the exact
-expectation is taken instead.
+at its first estimate and kept on the `PauliSum` for the sum's life (a sum
+is never changed once built), the tables as one (groups, 2^n) array. All
+groups' distributions are normalised at once, and each group's shots are
+counts drawn once from its distribution: one generator per estimate makes
+one multinomial draw over each stack of groups, in plan order, and the
+means and variances are row reductions of the counts against the tables.
+With shots=0 the exact expectation is taken instead.
 """
 
 from __future__ import annotations
@@ -817,9 +817,9 @@ class _MeasurementPlan(NamedTuple):
 
 def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
     """The qubit-wise-commuting groups of the sum, built at its first estimate
-    and kept on it until `add_term` changes it: each group's terms, its
-    letter on each qubit and its outcome table. Above DENSE_CAP qubits the
-    tables are None, and each estimate builds them and drops them."""
+    and kept on it for its life, since a sum is never changed: each group's
+    terms, its letter on each qubit and its outcome table. Above DENSE_CAP
+    qubits the tables are None, and each estimate builds them and drops them."""
     if h._plan is not None:
         return h._plan
     n = h.n_qubits

@@ -1,6 +1,7 @@
 """Command-line interface: qve hamiltonian | map | exact | vqe | replay | zne.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (SCF
+Exit codes: 0 success, 2 configuration error (an OSError too, such as a
+missing file or a path of the wrong kind), 3 numeric failure (SCF
 non-convergence, linear dependence, an (n_alpha, n_beta) sector over the
 exact-solver cap, an unconverged Lanczos solve, a circuit over the one
 1 GiB byte cap of both simulators, checked when it compiles (a statevector
@@ -40,7 +41,8 @@ class _ConfigError(ValueError):
 
 
 # The exit code of each error class that is not a configuration error, by
-# qualified name; any other ValueError, and a missing file, exits 2.
+# qualified name; any other ValueError, and an OSError (a missing file, or a
+# path of the wrong kind), exits 2.
 _EXIT_CODES = {
     "qve.basis.UnsupportedElementError": EXIT_ELEMENT,
     "qve.scf.ConvergenceError": EXIT_NUMERIC,
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
         _apply_thread_cap()  # before the first NumPy import, which reads the caps
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, FileNotFoundError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

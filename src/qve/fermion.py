@@ -7,11 +7,9 @@ the sign convention tied to mode-index order: a mode-p ladder operator picks up
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .pauli import COEFF_TOL
+from .pauli import COEFF_TOL, _accumulate
 
 CREATE = True
 ANNIHILATE = False
@@ -21,33 +19,13 @@ class FermionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Occupation bit list over spin-orbital modes."""
-
-    occupations: tuple[int, ...]
-
-    def index(self) -> int:
-        """Basis index with mode 0 as the least significant bit."""
-        return sum(b << i for i, b in enumerate(self.occupations))
-
-
-@dataclass(frozen=True)
-class LadderTerm:
-    """Ordered product of ladder operators with a complex coefficient.
-
-    ``factors`` applies left to right as written; an empty tuple is a scalar.
-    """
-
-    factors: tuple[tuple[int, bool], ...]
-    coefficient: complex
-
-
 class FermionOperator:
     """Linear combination of ladder strings over a fixed mode count.
 
     Stored in normal order: creations (indices strictly increasing) to the
-    left of annihilations (indices strictly increasing).
+    left of annihilations (indices strictly increasing). A ladder string is a
+    tuple of (mode, create) factors, applied left to right as written; an
+    empty tuple is a scalar.
     """
 
     __slots__ = ("n_modes", "_terms")
@@ -59,41 +37,35 @@ class FermionOperator:
     @classmethod
     def scalar(cls, n_modes: int, value: complex) -> "FermionOperator":
         op = cls(n_modes)
-        op._add_normal((), complex(value))
+        _accumulate(op._terms, (), complex(value))
         return op
 
     @classmethod
     def from_term(cls, n_modes: int, factors, coefficient: complex = 1.0) -> "FermionOperator":
         op = cls(n_modes)
-        op.add_term(LadderTerm(tuple(factors), complex(coefficient)))
+        op.add_term(tuple(factors), complex(coefficient))
         return op
 
     @classmethod
     def ladder(cls, n_modes: int, mode: int, create: bool) -> "FermionOperator":
         return cls.from_term(n_modes, [(mode, create)])
 
-    def terms(self) -> list[LadderTerm]:
-        return [LadderTerm(f, c) for f, c in sorted(self._terms.items(),
-                                                    key=lambda kv: (len(kv[0]), kv[0]))]
+    def terms(self) -> list[tuple[tuple[tuple[int, bool], ...], complex]]:
+        """(factors, coefficient) pairs, shortest strings first, each length
+        in factor order."""
+        return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def __len__(self) -> int:
         return len(self._terms)
 
     # -- normal ordering ------------------------------------------------
 
-    def _add_normal(self, factors: tuple[tuple[int, bool], ...], coeff: complex) -> None:
-        c = self._terms.get(factors, 0.0) + coeff
-        if abs(c) < COEFF_TOL:
-            self._terms.pop(factors, None)
-        else:
-            self._terms[factors] = c
-
-    def add_term(self, term: LadderTerm) -> None:
-        """Add one ladder string, rewriting it into normal order."""
-        for mode, _ in term.factors:
+    def add_term(self, factors: tuple[tuple[int, bool], ...], coefficient: complex) -> None:
+        """Add one ladder string times coefficient, rewriting it into normal order."""
+        for mode, _ in factors:
             if not 0 <= mode < self.n_modes:
                 raise FermionError(f"mode {mode} out of range for {self.n_modes} modes")
-        stack = [(list(term.factors), term.coefficient)]
+        stack = [(list(factors), coefficient)]
         while stack:
             factors, coeff = stack.pop()
             swapped = False
@@ -119,7 +91,7 @@ class FermionOperator:
             if swapped is None:
                 continue
             if not swapped:
-                self._add_normal(tuple(factors), coeff)
+                _accumulate(self._terms, tuple(factors), coeff)
 
     # -- algebra ---------------------------------------------------------
 
@@ -128,7 +100,7 @@ class FermionOperator:
         out = FermionOperator(self.n_modes)
         out._terms = dict(self._terms)
         for f, c in other._terms.items():
-            out._add_normal(f, c)
+            _accumulate(out._terms, f, c)
         return out
 
     def __sub__(self, other: "FermionOperator") -> "FermionOperator":
@@ -148,7 +120,7 @@ class FermionOperator:
         out = FermionOperator(self.n_modes)
         for f, c in self._terms.items():
             rev = tuple((m, not k) for m, k in reversed(f))
-            out.add_term(LadderTerm(rev, np.conj(c)))
+            out.add_term(rev, np.conj(c))
         return out
 
     def _check(self, other: "FermionOperator") -> None:
@@ -162,17 +134,17 @@ def multiply(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     out = FermionOperator(a.n_modes)
     for fa, ca in a._terms.items():
         for fb, cb in b._terms.items():
-            out.add_term(LadderTerm(fa + fb, ca * cb))
+            out.add_term(fa + fb, ca * cb)
     return out
 
 
-def hartree_fock_occupation(n_alpha: int, n_beta: int, n_spatial: int) -> FockState:
-    """Reference determinant in blocked (alpha then beta) spin ordering."""
+def hartree_fock_occupation(n_alpha: int, n_beta: int, n_spatial: int) -> tuple[int, ...]:
+    """Occupation bits of the reference determinant, one per spin-orbital
+    mode in blocked (alpha then beta) spin ordering."""
     if n_alpha > n_spatial or n_beta > n_spatial:
         raise FermionError("electron count exceeds orbital count")
-    occ = [1] * n_alpha + [0] * (n_spatial - n_alpha) \
-        + [1] * n_beta + [0] * (n_spatial - n_beta)
-    return FockState(tuple(occ))
+    return (1,) * n_alpha + (0,) * (n_spatial - n_alpha) \
+        + (1,) * n_beta + (0,) * (n_spatial - n_beta)
 
 
 def build_hamiltonian(h_so: np.ndarray, g_so: np.ndarray, e_offset: float) -> FermionOperator:
@@ -193,12 +165,12 @@ def build_hamiltonian(h_so: np.ndarray, g_so: np.ndarray, e_offset: float) -> Fe
     # nonzero lists indices in C order, the order of the nested index loops
     p, q = np.nonzero(abs(h_so) >= COEFF_TOL)
     for a, b, v in zip(p.tolist(), q.tolist(), h_so[p, q].tolist()):
-        op._add_normal((create[a], annihilate[b]), v)
+        _accumulate(op._terms, (create[a], annihilate[b]), v)
     half_g = 0.5 * g_so
     p, q, r, s = np.nonzero(abs(half_g) >= COEFF_TOL)
     keep = (p != q) & (r != s)
     value = half_g[p, q, r, s] * np.where((p > q) == (s > r), 1.0, -1.0)
     modes = np.stack([np.minimum(p, q), np.maximum(p, q), np.minimum(r, s), np.maximum(r, s)])
     for (a, b, c, d), v in zip(modes[:, keep].T.tolist(), value[keep].tolist()):
-        op._add_normal((create[a], create[b], annihilate[c], annihilate[d]), v)
+        _accumulate(op._terms, (create[a], create[b], annihilate[c], annihilate[d]), v)
     return op

@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .fermion import FermionOperator
-from .pauli import COEFF_TOL, SECTOR_CAP, DenseCapError, PauliSum, PauliTerm
+from .pauli import COEFF_TOL, SECTOR_CAP, DenseCapError, PauliSum, _accumulate
 
 
 class MappingError(ValueError):
@@ -110,11 +110,11 @@ def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
     if not terms:
         return PauliSum.zero(n)
     groups: dict[tuple[bool, ...], list[int]] = {}
-    for s, term in enumerate(terms):
-        groups.setdefault(tuple(k for _, k in term.factors), []).append(s)
+    for s, (factors, _) in enumerate(terms):
+        groups.setdefault(tuple(k for _, k in factors), []).append(s)
     strings, xs, zs, signs = [], [], [], []
     for pattern, members in groups.items():
-        modes = np.array([[m for m, _ in terms[s].factors] for s in members], dtype=np.intp)
+        modes = np.array([[m for m, _ in terms[s][0]] for s in members], dtype=np.intp)
         z = np.zeros((len(members), 1), dtype=np.int64)
         sign = np.ones(z.shape)
         for i, create in enumerate(pattern):  # factor i's two terms double the words
@@ -135,7 +135,7 @@ def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
     # one- and two-body strings). Across strings the words then add up in term
     # order, the order in which term-by-term products would add them.
     pairs, pair = np.unique(np.concatenate(strings) * len(words) + word, return_inverse=True)
-    scaled = np.array([t.coefficient * 0.5 ** len(t.factors) for t in terms])
+    scaled = np.array([c * 0.5 ** len(factors) for factors, c in terms])
     c = scaled[pairs // len(words)] * np.bincount(pair, np.concatenate(signs))
     total = (np.bincount(pairs % len(words), c.real, len(words))
              + 1j * np.bincount(pairs % len(words), c.imag, len(words)))
@@ -187,19 +187,17 @@ def taper_two_qubits(h: PauliSum, n_alpha: int, n_beta: int) -> PauliSum:
     q1, q2 = _parity_qubits(h.n_qubits)
     ev1 = -1.0 if n_alpha % 2 else 1.0
     ev2 = -1.0 if (n_alpha + n_beta) % 2 else 1.0
-    out = PauliSum.zero(h.n_qubits - 2)
-    for t in h.terms():
-        if (t.x >> q1) & 1 or (t.x >> q2) & 1:
+    out = PauliSum(h.n_qubits - 2)
+    for (x, z), c in h.items():
+        if (x >> q1) & 1 or (x >> q2) & 1:
             raise MappingError(
                 "X/Y on a parity qubit: operator does not conserve spin-sector parity")
-        c = t.coefficient
-        if (t.z >> q1) & 1:
+        if (z >> q1) & 1:
             c *= ev1
-        if (t.z >> q2) & 1:
+        if (z >> q2) & 1:
             c *= ev2
-        x = _drop_bit(_drop_bit(t.x, q2), q1)
-        z = _drop_bit(_drop_bit(t.z, q2), q1)
-        out.add_term(PauliTerm(h.n_qubits - 2, x, z, c))
+        x, z = _drop_bit(_drop_bit(x, q2), q1), _drop_bit(_drop_bit(z, q2), q1)
+        _accumulate(out._terms, (x, z), c)
     return out
 
 
@@ -270,6 +268,6 @@ def sector_basis(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
 
 def mapping_stats(h: PauliSum) -> MappingStats:
     """Term count and mean Pauli weight, both counting the identity term."""
-    terms = h.terms()
-    avg = sum(t.weight for t in terms) / len(terms) if terms else 0.0
-    return MappingStats(h.n_qubits, len(terms), avg)
+    items = h.items()
+    avg = sum((x | z).bit_count() for (x, z), _ in items) / len(items) if items else 0.0
+    return MappingStats(h.n_qubits, len(items), avg)

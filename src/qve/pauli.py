@@ -64,6 +64,16 @@ def z_signs(n: int, mask: int) -> np.ndarray:
     return out
 
 
+def _accumulate(terms: dict, key, c) -> None:
+    """terms[key] += c, and the key dropped while its sum is under COEFF_TOL:
+    the one sum-and-drop rule of Pauli sums and fermion operators."""
+    c = terms.get(key, 0.0) + c
+    if abs(c) < COEFF_TOL:
+        terms.pop(key, None)
+    else:
+        terms[key] = c
+
+
 def word_phase(x: int, z: int) -> complex:
     """i^popcount(x & z): the label word with masks (x, z) is this phase times
     X^x Z^z, one factor i per Y."""
@@ -105,7 +115,8 @@ class PauliTerm:
 
 
 class PauliSum:
-    """Weighted sum of Pauli words over a fixed qubit count."""
+    """Weighted sum of Pauli words over a fixed qubit count, built once: by
+    `PauliSum(n, terms)`, `from_terms` or `from_labels`."""
 
     __slots__ = ("n_qubits", "_terms", "_plan")
 
@@ -113,7 +124,7 @@ class PauliSum:
         self.n_qubits = n_qubits
         self._terms: dict[tuple[int, int], complex] = dict(terms or {})
         # the estimator's measurement plan, built from the terms at the first
-        # estimate and dropped when they change
+        # estimate and kept for the sum's life
         self._plan = None
 
     # -- constructors ---------------------------------------------------
@@ -128,25 +139,16 @@ class PauliSum:
             raise PauliError("empty term list; use PauliSum.zero")
         s = cls(terms[0].n_qubits)
         for t in terms:
-            s.add_term(t)
+            if t.n_qubits != s.n_qubits:
+                raise PauliError("qubit-count mismatch")
+            _accumulate(s._terms, (t.x, t.z), t.coefficient)
         return s
 
     @classmethod
     def from_labels(cls, pairs: list[tuple[str, complex]]) -> "PauliSum":
         return cls.from_terms([PauliTerm.from_label(lbl, c) for lbl, c in pairs])
 
-    # -- basic algebra --------------------------------------------------
-
-    def add_term(self, term: PauliTerm) -> None:
-        if term.n_qubits != self.n_qubits:
-            raise PauliError("qubit-count mismatch")
-        key = (term.x, term.z)
-        self._plan = None
-        c = self._terms.get(key, 0.0) + term.coefficient
-        if abs(c) < COEFF_TOL:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = c
+    # -- contents -------------------------------------------------------
 
     def terms(self) -> list[PauliTerm]:
         return [

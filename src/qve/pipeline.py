@@ -55,12 +55,13 @@ def load_fixture(path) -> ActiveSpaceProblem:
     (physicist <pq|rs>, 0-based); `#` starts a comment. Stored entries are
     expanded to their full symmetry orbits. `norb`, `nalpha` and `nbeta` are
     required: they fix the orbital space and the exact solver's electron
-    sector. `constant` defaults to 0. Non-finite numbers are refused, and
-    the orbital count is checked against the mapper's mode limit before any
-    tensor is allocated. Every error names the file, and an error in an
-    entry, its index range included, names its line.
+    sector. `constant` defaults to 0. Each header appears at most once.
+    Non-finite numbers are refused, and the orbital count is checked against
+    the mapper's mode limit before any tensor is allocated. Every error names
+    the file; an error in an entry (its index range included) or a repeated
+    header also names its line.
     """
-    headers = {"constant": 0.0}
+    headers: dict[str, float] = {}
     # each entry's value and the `path:line` it came from
     h_entries: dict[tuple[int, int], tuple[float, str]] = {}
     g_entries: dict[tuple[int, int, int, int], tuple[float, str]] = {}
@@ -71,6 +72,8 @@ def load_fixture(path) -> ActiveSpaceProblem:
         tok = line.split()
         where = f"{path}:{ln}"
         try:
+            if tok[0] in headers:
+                raise FixtureError(f"{where}: repeated header {tok[0]}")
             if tok[0] in ("norb", "nalpha", "nbeta") and len(tok) == 2:
                 headers[tok[0]] = int(tok[1])
             elif tok[0] == "constant" and len(tok) == 2:
@@ -117,7 +120,7 @@ def load_fixture(path) -> ActiveSpaceProblem:
     if missing:
         raise FixtureError(f"{path}: missing header {' and '.join(missing)}")
     return ActiveSpaceProblem(n, headers["nalpha"], headers["nbeta"],
-                              h1, h2, headers["constant"])
+                              h1, h2, headers.get("constant", 0.0))
 
 
 def save_fixture(problem: ActiveSpaceProblem, path, comment: str = "") -> None:

@@ -39,10 +39,14 @@ class ZNEResult:
     fits: dict[str, FitResult] = field(hash=False)
 
 
-def fold_circuit(c: Circuit, n: int) -> Circuit:
-    """Global fold C (C^dagger C)^((n-1)/2); noiselessly identical to C."""
+def _check_fold(n: int) -> None:
     if n < 1 or n % 2 == 0:
         raise ZNEError(f"fold factor must be an odd positive integer, got {n}")
+
+
+def fold_circuit(c: Circuit, n: int) -> Circuit:
+    """Global fold C (C^dagger C)^((n-1)/2); noiselessly identical to C."""
+    _check_fold(n)
     if n == 1:
         return c.copy()
     inv = inverse_circuit(c)
@@ -152,11 +156,16 @@ def run_zne(c: Circuit, bindings, h: PauliSum, folds: list[int], shots: int,
     """Measure every fold under the same noise model and extrapolate.
 
     Every fold is measured with the same seed and noise model, mirroring a
-    single measurement session. Bad folds or an unknown model are refused
-    before the first fold is measured.
+    single measurement session. Bad folds (not odd, positive and strictly
+    ascending from 1) or an unknown model are refused before the first fold
+    is measured.
     """
     if sorted(folds) != list(folds) or not folds or folds[0] != 1:
         raise ZNEError("folds must be ascending and include 1")
+    for f in folds:
+        _check_fold(f)
+    if len(set(folds)) != len(folds):
+        raise ZNEError("duplicate fold factors")
     needs = {model: _points_needed(model) for model in models}
     points = []
     for f in folds:

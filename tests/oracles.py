@@ -293,17 +293,17 @@ def fermion_matrix(op) -> np.ndarray:
     """Dense matrix of a FermionOperator via the ladder_matrix oracle."""
     dim = 1 << op.n_modes
     out = np.zeros((dim, dim), dtype=complex)
-    for term in op.terms():
+    for factors, coefficient in op.terms():
         mat = np.eye(dim)
-        for mode, create in term.factors:
+        for mode, create in factors:
             mat = mat @ ladder_matrix(op.n_modes, mode, create)
-        out += term.coefficient * mat
+        out += coefficient * mat
     return out
 
 
 def random_number_conserving(n_spatial: int, rng: np.random.Generator):
     """Random Hermitian spin-number-conserving two-body FermionOperator."""
-    from qve.fermion import CREATE, ANNIHILATE, FermionOperator, LadderTerm
+    from qve.fermion import CREATE, ANNIHILATE, FermionOperator
     n = 2 * n_spatial
     op = FermionOperator(n)
     spin = [m // n_spatial for m in range(n)]
@@ -311,18 +311,18 @@ def random_number_conserving(n_spatial: int, rng: np.random.Generator):
         for q in range(n):
             if spin[p] == spin[q]:
                 v = rng.normal()
-                op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), v / 2))
-                op.add_term(LadderTerm(((q, CREATE), (p, ANNIHILATE)), v / 2))
+                op.add_term(((p, CREATE), (q, ANNIHILATE)), v / 2)
+                op.add_term(((q, CREATE), (p, ANNIHILATE)), v / 2)
     for p in range(n):
         for q in range(n):
             for r in range(n):
                 for s in range(n):
                     if spin[p] == spin[r] and spin[q] == spin[s]:
                         v = 0.3 * rng.normal()
-                        op.add_term(LadderTerm(
-                            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), v / 2))
-                        op.add_term(LadderTerm(
-                            ((r, CREATE), (s, CREATE), (q, ANNIHILATE), (p, ANNIHILATE)), v / 2))
+                        op.add_term(
+                            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), v / 2)
+                        op.add_term(
+                            ((r, CREATE), (s, CREATE), (q, ANNIHILATE), (p, ANNIHILATE)), v / 2)
     return op
 
 
@@ -335,15 +335,15 @@ def random_number_conserving(n_spatial: int, rng: np.random.Generator):
 def build_hamiltonian_reference(h_so: np.ndarray, g_so: np.ndarray, e_offset: float):
     """`fermion.build_hamiltonian` by the generic normal-ordering rewrite:
     each tensor entry one `FermionOperator.add_term`, in C order."""
-    from qve.fermion import ANNIHILATE, CREATE, FermionOperator, LadderTerm
+    from qve.fermion import ANNIHILATE, CREATE, FermionOperator
     from qve.pauli import COEFF_TOL
     op = FermionOperator.scalar(h_so.shape[0], e_offset)
     for p, q in np.argwhere(abs(h_so) >= COEFF_TOL).tolist():
-        op.add_term(LadderTerm(((p, CREATE), (q, ANNIHILATE)), h_so[p, q]))
+        op.add_term(((p, CREATE), (q, ANNIHILATE)), h_so[p, q])
     half_g = 0.5 * g_so
     for p, q, r, s in np.argwhere(abs(half_g) >= COEFF_TOL).tolist():
-        op.add_term(LadderTerm(
-            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), half_g[p, q, r, s]))
+        op.add_term(
+            ((p, CREATE), (q, CREATE), (s, ANNIHILATE), (r, ANNIHILATE)), half_g[p, q, r, s])
     return op
 
 
@@ -389,3 +389,41 @@ def sector_basis_reference(n_spatial: int, n_alpha: int, n_beta: int, mapper: st
             kept = [b for q, b in enumerate(bits) if q not in dropped]
             states.append(sum(b << q for q, b in enumerate(kept)))
     return np.array(sorted(states))
+
+
+def taper_two_qubits_reference(h, n_alpha: int, n_beta: int):
+    """`mapping.taper_two_qubits` one `PauliTerm` at a time, in `h.terms()`
+    order: the Zs on qubits n/2 - 1 and n - 1 become the alpha and total
+    number parities, the two qubits are cut out of the masks, and each term
+    is added to a dict that drops a word whose sum falls under COEFF_TOL."""
+    from qve.pauli import COEFF_TOL, PauliSum, PauliTerm
+    n = h.n_qubits
+    q1, q2 = n // 2 - 1, n - 1
+    kept = [q for q in range(n) if q not in (q1, q2)]
+
+    def cut(mask):
+        return sum(((mask >> q) & 1) << i for i, q in enumerate(kept))
+
+    out: dict[tuple[int, int], complex] = {}
+    for t in h.terms():
+        c = t.coefficient
+        if (t.z >> q1) & 1:
+            c *= -1.0 if n_alpha % 2 else 1.0
+        if (t.z >> q2) & 1:
+            c *= -1.0 if (n_alpha + n_beta) % 2 else 1.0
+        term = PauliTerm(n - 2, cut(t.x), cut(t.z), c)
+        key = (term.x, term.z)
+        c = out.get(key, 0.0) + term.coefficient
+        if abs(c) < COEFF_TOL:
+            out.pop(key, None)
+        else:
+            out[key] = c
+    return PauliSum(n - 2, out)
+
+
+def mapping_stats_reference(h) -> tuple[int, int, float]:
+    """`mapping.mapping_stats` over `PauliTerm`s: qubits, terms and the mean
+    weight, the identity counted."""
+    terms = h.terms()
+    avg = sum(t.weight for t in terms) / len(terms) if terms else 0.0
+    return h.n_qubits, len(terms), avg

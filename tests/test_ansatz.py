@@ -89,9 +89,9 @@ def test_hf_state_bit_patterns():
     # [DERIVED] prepared basis states match the encodings
     occ = hartree_fock_occupation(1, 1, 3)
     jw = run_circuit(hf_state_circuit(occ, "jw", False))
-    assert np.argmax(np.abs(jw)) == occ.index()
+    assert np.argmax(np.abs(jw)) == sum(b << m for m, b in enumerate(occ))
     par = run_circuit(hf_state_circuit(occ, "parity", False))
-    bits = encode_occupation(occ.occupations, "parity", False)
+    bits = encode_occupation(occ, "parity", False)
     assert np.argmax(np.abs(par)) == sum(b << q for q, b in enumerate(bits))
 
 
@@ -117,9 +117,8 @@ def test_uccsd_conserves_particle_number():
     from qve.fermion import CREATE, ANNIHILATE, FermionOperator
     n_spatial = 2
     num = FermionOperator(2 * n_spatial)
-    from qve.fermion import LadderTerm
     for m in range(2 * n_spatial):
-        num.add_term(LadderTerm(((m, CREATE), (m, ANNIHILATE)), 1.0))
+        num.add_term(((m, CREATE), (m, ANNIHILATE)), 1.0)
     n_op = MAPPERS["jw"](num)
     c = build_uccsd(1, 1, n_spatial, "jw", False)
     rng = np.random.default_rng(0)

@@ -263,6 +263,45 @@ def test_fixture_index_out_of_range_names_file_and_line(capsys, tmp_path, entry,
     assert "out of range for norb 2" in err
 
 
+@pytest.mark.parametrize("header", ["norb 3", "nalpha 1", "nbeta 0", "constant 0.5"])
+def test_repeated_fixture_header_names_its_line(capsys, tmp_path, header):
+    # [TRIVIAL] a second norb, nalpha, nbeta or constant line exits 2 at its
+    # line, where a second norb silently padded the orbital space
+    ham = tmp_path / "twice.ham"
+    ham.write_text(f"norb 2\nnalpha 1\nnbeta 1\nconstant 0.25\n{header}\nh 0 0 -1.0\n")
+    code, out, err = run_cli(capsys, "exact", "--ham", str(ham), "--mapper", "jw")
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"error: {ham}:5: repeated header {header.split()[0]}")
+
+
+def test_second_units_line_is_config_error(capsys, tmp_path):
+    # [TRIVIAL] a second `units` line exits 2 with its line, where it switched
+    # the units of every later atom; no fixture is written
+    geo = tmp_path / "h2.geom"
+    geo.write_text("units angstrom\nH 0 0 0\nunits bohr\nH 0 0 1.4\n")
+    out = tmp_path / "h2.ham"
+    code, _, err = run_cli(capsys, "hamiltonian", "--geometry", str(geo), "--out", str(out))
+    assert code == EXIT_CONFIG and not out.exists()
+    assert err.startswith(f"error: {geo}: line 3: second `units` line")
+
+
+@pytest.mark.parametrize("command", ["vqe", "hamiltonian", "exact"])
+def test_path_of_the_wrong_kind_is_config_error(capsys, tmp_path, command):
+    # [TRIVIAL] a file where a directory is needed, or a directory where a
+    # file is, exits 2 with an error line, not a traceback
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    geo = tmp_path / "h2.geom"
+    geo.write_text("units angstrom\nH 0 0 0\nH 0 0 0.74\n")
+    argv = {"vqe": ["vqe", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea", "--shots", "16",
+                    "--maxiter", "1", "--out", str(a_file)],
+            "hamiltonian": ["hamiltonian", "--geometry", str(geo), "--out", str(a_dir)],
+            "exact": ["exact", "--ham", str(a_dir)]}[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
 @pytest.mark.parametrize("command", ["exact", "hamiltonian"])
 def test_non_finite_input_is_config_error(capsys, tmp_path, command):
     # [DERIVED] a NaN fixture entry or geometry coordinate: exit code 2 with
@@ -625,6 +664,27 @@ def test_zne_unknown_fit_is_refused_before_any_fold(capsys, tmp_path, monkeypatc
     assert "unknown extrapolation model 'bogus'" in err
     assert calls == []
 
+
+@pytest.mark.parametrize("folds, message", [
+    ("1,2", "fold factor must be an odd positive integer, got 2"),
+    ("1,3,3", "duplicate fold factors"),
+])
+def test_zne_bad_folds_are_refused_before_any_fold(capsys, tmp_path, monkeypatch, folds, message):
+    # [TRIVIAL] an even or a repeated fold exits 2 before any fold is
+    # estimated, where fold 1 (or every fold) ran first
+    import qve.zne
+    calls = []
+    monkeypatch.setattr(qve.zne, "estimate", lambda *args, **kwargs: calls.append(args))
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    params = tmp_path / "theta.json"
+    params.write_text(json.dumps([0.1] * 16))
+    code, out, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                             "--shots", "0", "--noise", str(noise), "--params-file", str(params),
+                             "--folds", folds)
+    assert code == EXIT_CONFIG and out == ""
+    assert message in err
+    assert calls == []
 
 def test_zne_on_failed_run_is_config_error(capsys, tmp_path):
     # [TRIVIAL] a failed run's result.json holds its error and stage, not

@@ -14,7 +14,7 @@ from qve.fermion import (ANNIHILATE, CREATE, FermionOperator, build_hamiltonian,
 from qve.mapping import (MAPPERS, MappingError, _encoding_rows, _ladder, encode_occupation,
                          mapping_stats, qubit_operator, sector_basis, taper_two_qubits)
 from qve.pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy
-from qve.pipeline import problem_from_geometry, problem_to_pauli
+from qve.pipeline import load_fixture, problem_from_geometry, problem_to_pauli
 from qve.scf import spin_orbital_expand
 
 
@@ -90,9 +90,9 @@ def term_by_term(op, mapper):
             acc[key] = c
 
     out = {}
-    for term in op.terms():
-        acc = {(0, 0): complex(term.coefficient)}
-        for mode, create in term.factors:
+    for factors, coefficient in op.terms():
+        acc = {(0, 0): complex(coefficient)}
+        for mode, create in factors:
             x, prod = int(lx[mode]), {}
             for (ax, az), c in sorted(acc.items()):
                 sign = -1.0 if (az & x).bit_count() % 2 else 1.0
@@ -276,6 +276,43 @@ def test_taper_requires_conserving_operator():
         taper_two_qubits(PauliSum.from_labels([("ZZZ", 1.0)]), 1, 1)
 
 
+@pytest.mark.parametrize("source", ["bundled", 2, 4, 6])
+def test_taper_and_stats_match_term_loops(beh2_problem, hchain_fixtures, source):
+    # [DERIVED] the taper and the statistics read the sum's pairs and agree
+    # exactly with the PauliTerm loops: the same words in the same insertion
+    # order, each coefficient ==, for the Hamiltonian and every UCCSD
+    # generator of the bundled fixture and of linear H2, H4 and H6, each also
+    # with its terms inserted in reverse, and for a sum whose tapered words
+    # cancel
+    problem = beh2_problem if source == "bundled" else load_fixture(hchain_fixtures[source])
+    na, nb, n = problem.n_alpha, problem.n_beta, problem.n_spatial
+    h_so, g_so = spin_orbital_expand(problem)
+    ops = [build_hamiltonian(h_so, g_so, problem.e_offset)]
+    exc = ansatz.excitations(na, nb, n)
+    for e in exc.singles + exc.doubles:
+        modes = (e[1], e[0]) if len(e) == 2 else (e[2], e[3], e[1], e[0])
+        t = FermionOperator.from_term(
+            2 * n, [(m, i < len(modes) // 2) for i, m in enumerate(modes)])
+        ops.append(t - t.dagger())
+    cases = [(MAPPERS["parity"](op), na, nb) for op in ops]
+    cases += [(PauliSum(h.n_qubits, dict(reversed(h._terms.items()))), na, nb) for h, _, _ in cases]
+    # with one alpha electron ZZII tapers to -0.5 ZI, cancelling ZIII until
+    # ZIIZ brings ZI back after IIZI's word; XZXI cancels XIXI for good
+    cases.append((PauliSum.from_labels([("IZIZ", 1.0), ("ZIII", 0.5), ("XIXI", 0.25),
+                                        ("ZZII", 0.5), ("ZIIZ", -0.25), ("IIZI", 0.75),
+                                        ("XZXI", 0.25)]), 1, 1))
+    for full, a, b in cases:
+        tapered = taper_two_qubits(full, a, b)
+        want = oracles.taper_two_qubits_reference(full, a, b)
+        assert tapered.n_qubits == want.n_qubits
+        assert list(tapered._terms.items()) == list(want._terms.items())
+    for op in ops:
+        for h in (MAPPERS["parity"](op), qubit_operator(op, "parity", True, na, nb),
+                  MAPPERS["jw"](op), MAPPERS["bk"](op)):
+            s = mapping_stats(h)
+            assert (s.n_qubits, s.n_pauli_terms, s.avg_weight) == oracles.mapping_stats_reference(h)
+
+
 def test_taper_preserves_sector_ground_energy(beh2_problem):
     # [DERIVED] tapering replaces the two parity qubits by eigenvalues, so the
     # correct-sector ground energy is unchanged
@@ -296,7 +333,7 @@ def test_sector_basis_encodes_each_occupation():
     # tapered encoding is the encoding of its occupation, HF included
     assert sector_basis(2, 1, 1, "jw", False).tolist() == [5, 6, 9, 10]
     basis = sector_basis(3, 1, 1, "parity", True)
-    hf = encode_occupation(hartree_fock_occupation(1, 1, 3).occupations, "parity", True)
+    hf = encode_occupation(hartree_fock_occupation(1, 1, 3), "parity", True)
     assert len(basis) == 9 and sum(b << q for q, b in enumerate(hf)) in basis
     assert np.all(np.diff(basis) > 0)
 

@@ -58,16 +58,15 @@ def test_sum_matrix_matches_oracle():
     np.testing.assert_allclose(solver_matrix(h), pauli_sum_matrix(h), atol=1e-12)
 
 
-def test_add_term_cancellation():
-    # [TRIVIAL] exact cancellation removes the term; an empty term list and a
-    # term on another qubit count are refused
-    h = PauliSum.from_labels([("XY", 1.0)])
-    h.add_term(PauliTerm.from_label("XY", -1.0))
+def test_from_terms_cancellation():
+    # [TRIVIAL] exact cancellation removes the term; an empty term list and
+    # terms on different qubit counts are refused
+    h = PauliSum.from_labels([("XY", 1.0), ("XY", -1.0)])
     assert len(h) == 0
     with pytest.raises(PauliError, match="empty term list"):
         PauliSum.from_terms([])
     with pytest.raises(PauliError, match="qubit-count mismatch"):
-        h.add_term(PauliTerm.from_label("XYZ"))
+        PauliSum.from_terms([PauliTerm.from_label("XY"), PauliTerm.from_label("XYZ")])
 
 
 def test_weight():
