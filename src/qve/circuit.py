@@ -19,8 +19,9 @@ is exp(i t G) for its summed generator G, a rotation inside each pair
 {|b>, |b ^ x>} (Yordanov, Arvidsson-Shukur & Barnes, PRA 102, 062612 (2020)):
 a = cos(t r), b = sin(t r) iu from two 2^n arrays r, iu (24 * 2^n bytes, 16
 in a stack whose every step has a constant r, as lone rotations do), made
-by one vectorized pass per stack of at most max(1, 2^DENSE_CAP >> n)
-steps; a fixed angle is a stack row at scale 0, exactly its offset (see
+by one vectorized pass per stack of at most max(1, 2^(DENSE_CAP - 1) >> n)
+steps, whose a and b, both complex, hold at most 2^DENSE_CAP values per
+parameter row; a fixed angle is a stack row at scale 0, exactly its offset (see
 _Angles). The program also holds the state after the leading fixed gates,
 and `run_circuit`, its only entry, applies the rest to it.
 Gate noise is simulated exactly on the Pauli vector tr(Q rho) of the density
@@ -37,7 +38,16 @@ and joins the previous one-qubit step on that qubit when no step since then
 acts on it (each HEA layer's RY and RZ), the step's map the product of its
 members'. Both compiles follow one contract: everything that does not depend
 on the parameters is decided when the circuit compiles, and a run binds them
-once, as one vector over `parameter_names` (`_bind`), and applies the steps.
+once, as one row per point over `parameter_names` (`_bind`), and applies the
+steps.
+The unit of work is a stack of parameter rows (rows x parameters, in the
+order of `parameter_names`): every step of both engines and every read-out
+block carries a leading row axis, so one pass runs them all, and each row's
+result equals, bit for bit, that of a one-row call; a single binding dict is
+a stack of one. A stack runs in chunks of at most max(1, 2^DENSE_CAP / w)
+rows, w the most values one row holds in any array (its state or Pauli
+vector, a stack of rotation tables, a stack of measured groups), so that no
+chunk of more than one row holds an array larger than a group stack.
 A circuit keeps its compiled forms in one dict (`_compiled`), the
 statevector program under None and the noisy steps (`_noisy_plan`) under
 their noise model, built at first use and cleared by `add`. Either compile
@@ -64,11 +74,11 @@ measurement group turns a measured outcome into its energy through a table
 over the 2^n outcomes. The groups, their letters, tables and word indices,
 and the identity coefficient form the Hamiltonian's measurement plan, built
 at its first estimate and kept on the `PauliSum` for the sum's life (a sum
-is never changed once built), the tables as one (groups, 2^n) array. All
-groups' distributions are normalised at once, and each group's shots are
-counts drawn once from its distribution: one generator per estimate makes
-one multinomial draw over each stack of groups, in plan order, and the
-means and variances are row reductions of the counts against the tables.
+is never changed once built), the tables as one (groups, 2^n) array. Each
+group's shots are counts drawn once from its normalised distribution: each
+row of an estimate has one generator, from its own seed, which makes one
+multinomial draw over each stack of groups, in plan order, and the means and
+variances are row reductions of the counts against the tables.
 With shots=0 the exact expectation is taken instead.
 """
 
@@ -86,8 +96,8 @@ from .pauli import (DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs
                     z_signs)
 
 # Largest qubit count with dense 2^n arrays per measurement group (the
-# estimator's outcome tables); it also sizes the stacks of rotation steps and
-# of groups, at most max(1, 2^DENSE_CAP >> n) of them.
+# estimator's outcome tables); it also sizes the stacks of groups, at most
+# max(1, 2^DENSE_CAP >> n) of them, and of rotation steps, half as many.
 DENSE_CAP = 14
 
 
@@ -284,15 +294,44 @@ def derive_rng(master_seed: int, *counters: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, counters)]))
 
 
-def _bind(c: Circuit, bindings) -> np.ndarray:
-    """The parameter vector theta of a run: the bindings in the order of
-    c.parameter_names, then the -0.0 that fixed angles read (see _Angles).
-    The first unbound parameter is refused by name."""
-    bindings = bindings or {}
-    for name in c.parameter_names:
-        if name not in bindings:
-            raise CircuitError(f"unbound parameter {name!r}")
-    return np.array([bindings[name] for name in c.parameter_names] + [-0.0])
+def _parameter_rows(c: Circuit, bindings) -> tuple[np.ndarray, bool]:
+    """The parameter rows of a run, (rows, parameters) in the order of
+    c.parameter_names, and whether they are one point: a dict of name ->
+    value (or None) is one row, its first unbound name refused; any other
+    bindings are a stack, refused unless it has that shape and a row."""
+    names = c.parameter_names
+    if bindings is None or isinstance(bindings, dict):
+        bindings = bindings or {}
+        for name in names:
+            if name not in bindings:
+                raise CircuitError(f"unbound parameter {name!r}")
+        return np.array([[bindings[name] for name in names]], dtype=float), True
+    rows = np.asarray(bindings, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(names) or len(rows) == 0:
+        raise CircuitError(f"a parameter stack must have shape (rows >= 1, {len(names)}), "
+                           f"got {rows.shape}")
+    return rows, False
+
+
+def _bind(rows: np.ndarray) -> np.ndarray:
+    """The bound parameter rows theta of a run: each row followed by the
+    -0.0 that fixed angles read (see _Angles)."""
+    theta = np.empty((len(rows), rows.shape[1] + 1))
+    theta[:, :-1] = rows
+    theta[:, -1] = -0.0
+    return theta
+
+
+def _groups_per_stack(n: int) -> int:
+    """Measurement groups read out together: max(1, 2^DENSE_CAP >> n), so
+    that a row's stack of them holds at most max(2^n, 2^DENSE_CAP) values."""
+    return max(1, (1 << DENSE_CAP) >> n)
+
+
+def _rows_within(width: int) -> int:
+    """Rows per chunk of a stack whose widest array holds `width` values per
+    row: as many as keep it within 2^DENSE_CAP values, and at least one."""
+    return max(1, (1 << DENSE_CAP) // width)
 
 
 class _Program(NamedTuple):
@@ -308,11 +347,12 @@ class _Program(NamedTuple):
     steps: tuple[tuple, ...]
     prefix: np.ndarray  # read-only: |0...0> after the leading fixed gates
     rest: tuple[tuple, ...]  # the steps after those
+    width: int  # values per row of a run's widest array: 2^n times its longest stack
 
 
 class _Angles(NamedTuple):
-    """Compiled angles scale * theta[position] + offset, theta the parameter
-    vector that _bind makes: position is the parameter's index in
+    """Compiled angles scale * theta[position] + offset, theta a row of the
+    bound parameters that _bind makes: position is the parameter's index in
     parameter_names or, for a fixed angle, theta's trailing -0.0 at scale 0,
     so that the angle is exactly its offset (0 * -0.0 + offset = offset, -0.0
     included)."""
@@ -322,7 +362,8 @@ class _Angles(NamedTuple):
     offsets: np.ndarray
 
     def at(self, theta: np.ndarray) -> np.ndarray:
-        return self.scales * theta[self.positions] + self.offsets
+        """(rows, angles) at the (rows, parameters + 1) rows theta."""
+        return self.scales * theta.take(self.positions, 1) + self.offsets
 
 
 def _angles(c: Circuit, angles) -> _Angles:
@@ -335,8 +376,8 @@ def _angles(c: Circuit, angles) -> _Angles:
 
 
 class _Stack(NamedTuple):
-    """Consecutive rotation steps, at most max(1, 2^DENSE_CAP >> n) of them,
-    whose angles and cos/sin tables one vectorized pass makes. A fixed
+    """Consecutive rotation steps, at most max(1, 2^(DENSE_CAP - 1) >> n) of
+    them, whose angles and cos/sin tables one vectorized pass makes. A fixed
     rotation is a row at scale 0, its angle exactly its offset (see _Angles)."""
 
     angles: _Angles
@@ -344,9 +385,15 @@ class _Stack(NamedTuple):
     iu: np.ndarray  # (steps, 2^n)
 
     def tables(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cos(t r) and sin(t r) iu for every step, t its angle at theta."""
-        tr = self.angles.at(theta)[:, None] * self.r
-        return np.cos(tr), np.sin(tr) * self.iu
+        """a = cos(t r) and b = sin(t r) iu for every step and row of theta,
+        t the step's angle at the row: two complex (steps, rows, 2^n) arrays,
+        so that a step's a, b and state share one shape and layout, which
+        NumPy runs on its fastest path."""
+        tr = self.angles.at(theta).T[:, :, None] * self.r[:, None]
+        b = np.sin(tr) * self.iu[:, None]
+        a = np.empty_like(b)
+        a[...] = np.cos(tr)
+        return a, b
 
 
 # The byte cap of both simulators, checked when a circuit compiles, before its
@@ -441,7 +488,8 @@ def _compile(c: Circuit) -> _Program:
         else:
             fused.append((len(steps), run[0].angle, *_rotation_step(run, n)))
             steps.append(None)  # filled in below, with its stack
-    size = max(1, (1 << DENSE_CAP) >> n)
+    size = max(1, (1 << DENSE_CAP - 1) >> n)
+    longest = min(size, len(fused))
     while fused:  # a chunk leaves fused as it is stacked: its rows are held once
         chunk, fused = fused[:size], fused[size:]
         index, angles, flips, r, iu = zip(*chunk)
@@ -454,7 +502,7 @@ def _compile(c: Circuit) -> _Program:
     start = next((i for i, step in enumerate(steps) if step[1] is not None), len(steps))
     prefix = _run_steps(np.eye(1, 1 << n, dtype=complex)[0], steps[:start], None)
     prefix.flags.writeable = False
-    return _Program(tuple(steps), prefix, tuple(steps[start:]))
+    return _Program(tuple(steps), prefix, tuple(steps[start:]), max(1, longest) << n)
 
 
 def _compiled(c: Circuit, noise: NoiseModel | None = None):
@@ -467,7 +515,8 @@ def _compiled(c: Circuit, noise: NoiseModel | None = None):
 
 
 def _run_steps(state: np.ndarray, steps, theta) -> np.ndarray:
-    """The steps applied in turn to the state, at the bound parameter vector
+    """The steps applied in turn to the state, at the bound parameter rows
+    theta: from the first rotation step on, the state has one row per row of
     theta. A rotation step's a and b come from its _Stack's one pass, made at
     the stack's first step and dropped at the next stack's."""
     stack = None
@@ -479,15 +528,24 @@ def _run_steps(state: np.ndarray, steps, theta) -> np.ndarray:
                 stack = step_stack
                 cos, siu = stack.tables(theta)
             a, b = cos[row], siu[row]
-        state = a * state + b * state[flip]
+        state = a * state + b * state.take(flip, -1)
     return state
 
 
 def run_circuit(c: Circuit, bindings=None) -> np.ndarray:
-    """Statevector after applying the operations to |0...0>."""
+    """Statevector after applying the operations to |0...0>: one (2^n,)
+    state for a dict of bindings, a (rows, 2^n) stack of states for a
+    (rows, parameters) stack, run in chunks (see _rows_within)."""
     program = _compiled(c)
-    state = _run_steps(program.prefix, program.rest, _bind(c, bindings))
-    return state.copy() if state is program.prefix else state
+    rows, single = _parameter_rows(c, bindings)
+    if not program.rest:  # no rotation: every row has the prefix's state
+        states = np.repeat(program.prefix[None], len(rows), axis=0)
+    else:
+        size = _rows_within(program.width)
+        chunks = [_run_steps(program.prefix, program.rest, _bind(rows[lo:lo + size]))
+                  for lo in range(0, len(rows), size)]
+        states = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return states[0] if single else states
 
 
 # -- noise -----------------------------------------------------------------
@@ -680,56 +738,61 @@ def _noisy_plan(c: Circuit, noise: NoiseModel) -> _NoisyPlan:
 
 def _apply_segment(r: np.ndarray, n: int, qubits: tuple[int, ...], src: np.ndarray,
                    coef: np.ndarray) -> np.ndarray:
-    """The Pauli vector r after a segment: one gather and one multiply over
-    the segment's words. On consecutive qubits lo..lo+m-1 the gather runs
-    along the middle axis of r's (4^(n-lo-m), 4^m, 4^lo) view; otherwise the
-    segment's qubits' axes of r's (4,) * n view move to the front and back.
-    Memory: r is 8 * 4^n bytes, and a step holds its input until it returns.
-    On consecutive qubits it also holds the gathered copy, scaled in place:
-    two copies. On other qubits it also holds the vector with the segment's
-    axes in front, then its gathered product, then the product with the axes
-    moved back: three copies at most, which SIMULATOR_BYTES bounds."""
-    m = len(qubits)
+    """The (rows, 4^n) Pauli vectors r after a segment: one gather and one
+    multiply over the segment's words. On consecutive qubits lo..lo+m-1 the
+    gather runs along the words axis of r's (rows, 4^(n-lo-m), 4^m, 4^lo)
+    view; otherwise the segment's qubits' axes of r's (rows,) + (4,) * n view
+    move to the front and back. Memory per row: r is 8 * 4^n bytes, and a
+    step holds its input until it returns. On consecutive qubits it also
+    holds the gathered copy, scaled in place: two copies. On other qubits it
+    also holds the vector with the segment's axes in front, then its gathered
+    product, then the product with the axes moved back: three copies at most,
+    which SIMULATOR_BYTES bounds."""
+    m, rows = len(qubits), len(r)
     if m == n:
-        return coef * r[src]
+        out = r.take(src, 1)
+        out *= coef[None]  # of r's shape when it is one row: NumPy's fastest path
+        return out
     lo = qubits[0]
     if qubits[-1] - lo == m - 1:
-        out = np.take(r.reshape(-1, 4**m, 4**lo), src, axis=1)
+        out = r.reshape(rows, -1, 4**m, 4**lo).take(src, 2)
         out *= coef[:, None]
-        return out.reshape(-1)
-    axes = [n - 1 - q for q in reversed(qubits)]
-    front = np.moveaxis(r.reshape((4,) * n), axes, range(m)).reshape(4**m, -1)
-    out = front[src]
+        return out.reshape(rows, -1)
+    axes = [n - q for q in reversed(qubits)]  # qubit q's axis after the rows
+    front = np.moveaxis(r.reshape((rows,) + (4,) * n), axes, range(1, m + 1))
+    out = front.reshape(rows, 4**m, -1).take(src, 1)
     del front
     out *= coef[:, None]
-    return np.moveaxis(out.reshape((4,) * n), range(m), axes).reshape(-1)
+    return np.moveaxis(out.reshape((rows,) + (4,) * n), range(1, m + 1), axes).reshape(rows, -1)
 
 
-def _run_pauli(c: Circuit, bindings, noise: NoiseModel) -> np.ndarray:
-    """tr(Q rho) for every n-qubit Pauli word Q, at index sum_q 4^q d_q with
-    d_q the index in _PAULIS of Q's letter on qubit q, for rho after the noisy
-    gate list on |0...0>: one gather per segment, and one 4x4 map per
-    one-qubit step on the (4^(n-1-q), 4, 4^q) view of its qubit q."""
+def _run_pauli(c: Circuit, params: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """(rows, 4^n): tr(Q rho) for every n-qubit Pauli word Q, at index sum_q
+    4^q d_q with d_q the index in _PAULIS of Q's letter on qubit q, for rho
+    after the noisy gate list on |0...0> at each of the parameter rows: one
+    gather per segment, and one 4x4 map per row and one-qubit step on the
+    (4^(n-1-q), 4, 4^q) view of its qubit q."""
     n = c.n_qubits
     plan = _compiled(c, noise)
-    a = plan.angles.at(_bind(c, bindings))
+    rows = len(params)
+    a = plan.angles.at(_bind(params))[:, :, None, None]
     t = plan.tables
-    rotations = t[:, 0] + np.cos(a)[:, None, None] * t[:, 1] + np.sin(a)[:, None, None] * t[:, 2]
-    maps = rotations[plan.first]
+    rotations = t[:, 0] + np.cos(a) * t[:, 1] + np.sin(a) * t[:, 2]
+    maps = rotations.take(plan.first, 1)
     for j, i in plan.merged:
-        maps[j] = rotations[i] @ maps[j]
+        maps[:, j] = rotations[:, i] @ maps[:, j]
     # |0...0><0...0| has tr(Q rho) = 1 on the words over {I, Z}, else 0
-    r = np.zeros((4,) * n)
-    r[(slice(None, None, 3),) * n] = 1.0
-    r = r.reshape(-1)
+    r = np.zeros((rows,) + (4,) * n)
+    r[(slice(None),) + (slice(None, None, 3),) * n] = 1.0
+    r = r.reshape(rows, -1)
     for step in plan.steps:
         if len(step) == 3:
             r = _apply_segment(r, n, *step)
-        elif step[0] == 0:  # a plain matrix product is faster than the stacked one
-            r = (r.reshape(-1, 4) @ maps[step[1]].T).reshape(-1)
+        elif step[0] == 0:  # a plain matrix product per row is faster than the stacked one
+            r = (r.reshape(rows, -1, 4) @ np.swapaxes(maps[:, step[1]], 1, 2)).reshape(rows, -1)
         else:
             q, j = step
-            r = np.matmul(maps[j], r.reshape(-1, 4, 1 << 2 * q)).reshape(-1)
+            r = np.matmul(maps[:, j, None], r.reshape(rows, -1, 4, 1 << 2 * q)).reshape(rows, -1)
     return r
 
 
@@ -894,19 +957,21 @@ def _kept(plan: _MeasurementPlan, key, build):
 
 
 def _through_blocks(stack: np.ndarray, blocks, lo: int, hi: int) -> np.ndarray:
-    """The rows of stack over the 2^n outcomes, or its one row shared by
-    groups lo..hi-1, after each block on its qubits: a (groups, d, d) block
-    applies group lo + i's matrix to row i, a (d, d) block its one matrix to
-    every row. One batched matmul per block."""
-    rows = max(len(stack), hi - lo)
+    """The (rows, groups, 2^n) stack over the 2^n outcomes, or its (rows, 1,
+    2^n) stack shared by groups lo..hi-1, after each block on its qubits: a
+    (groups, d, d) block applies group lo + i's matrix to group i of every
+    row, a (d, d) block its one matrix to all. One batched matmul per block,
+    whose every matrix product is the one a one-row stack makes."""
+    rows, size = len(stack), stack.shape[-1]
     for q, k in blocks:
         k = k[lo:hi] if k.ndim == 3 else k
         d = k.shape[-1]
         if q == 0:
-            stack = stack.reshape(len(stack), -1, d) @ k
+            stack = stack.reshape(rows, stack.shape[1], -1, d) @ k
         else:
-            stack = np.matmul(k[..., None, :, :], stack.reshape(len(stack), -1, d, 1 << q))
-        stack = stack.reshape(rows, -1)
+            stack = np.matmul(k[..., None, :, :],
+                              stack.reshape(rows, stack.shape[1], -1, d, 1 << q))
+        stack = stack.reshape(rows, -1, size)
     return stack
 
 
@@ -917,35 +982,37 @@ def _engine(noise: NoiseModel | None) -> NoiseModel | None:
     return noise if noise is not None and not (noise.p1 == noise.p2 == 0.0) else None
 
 
-def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseModel | None):
-    """The groups' read-out outcome distributions, one row per group in plan
-    order, in C-ordered stacks of at most max(2^n, 2^DENSE_CAP) values.
-    Noisy, rho becomes its Pauli vector once, and each group gathers its words
-    and passes them through its letters' maps. Noiseless, the state passes
-    through each group's letters' rotations, and the squared amplitudes
-    through the confusion matrices. The maps act as the plan's Kronecker
-    blocks of at most SEGMENT_SPAN qubits, built at first use and kept under
-    None for the rotations and under the noise model for its noisy maps or,
-    readout only, its confusion blocks shared by all groups; the groups' word
-    indices are kept next to them at the first noisy estimate."""
+def _distributions(c: Circuit, params: np.ndarray, plan: _MeasurementPlan,
+                   noise: NoiseModel | None):
+    """The groups' read-out outcome distributions at each of the parameter
+    rows, (rows, groups, 2^n) in plan order, in C-ordered stacks of
+    max(1, 2^DENSE_CAP >> n) groups. Noisy, rho becomes its Pauli vector
+    once, and each group gathers its words and passes them through its
+    letters' maps. Noiseless, the state passes through each group's letters'
+    rotations, and the squared amplitudes through the confusion matrices. The
+    maps act as the plan's Kronecker blocks of at most SEGMENT_SPAN qubits,
+    built at first use and kept under None for the rotations and under the
+    noise model for its noisy maps or, readout only, its confusion blocks
+    shared by all groups; the groups' word indices are kept next to them at
+    the first noisy estimate."""
     n = c.n_qubits
     noisy = _engine(noise) is not None
     readout = noise is not None and not (noise.readout01 == noise.readout10 == 0.0)
     if noisy:
-        source = _run_pauli(c, bindings, noise)
+        source = _run_pauli(c, params, noise)
         words = _kept(plan, "words", lambda: _words(plan.letters))
         blocks = _kept(plan, noise, lambda: _kron_blocks(_letter_maps(noise)[plan.letters]))
     else:
-        source = run_circuit(c, bindings)[None]
+        source = run_circuit(c, params)[:, None]
         blocks = _kept(plan, None, lambda: _kron_blocks(_basis_rotations()[plan.letters]))
         if readout:
             confusion = _kept(plan, noise, lambda: _kron_blocks(
                 np.broadcast_to(_confusion(noise), (n, 2, 2))))
-    step = max(1, (1 << DENSE_CAP) >> n)
+    step = _groups_per_stack(n)
     for lo in range(0, len(plan.groups), step):
         hi = min(lo + step, len(plan.groups))
         if noisy:
-            probs = _through_blocks(source[words[lo:hi]], blocks, lo, hi).clip(min=0.0)
+            probs = _through_blocks(source.take(words[lo:hi], 1), blocks, lo, hi).clip(min=0.0)
         else:
             probs = np.abs(_through_blocks(source, blocks, lo, hi)) ** 2
             if readout:
@@ -953,50 +1020,74 @@ def _distributions(c: Circuit, bindings, plan: _MeasurementPlan, noise: NoiseMod
         yield probs
 
 
-def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed: int,
-             noise: NoiseModel | None = None) -> EstimatorResult:
-    """Shot-based (or exact, shots=0) expectation of h on the circuit output.
+def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed,
+             noise: NoiseModel | None = None):
+    """Shot-based (or exact, shots=0) expectation of h on the circuit output:
+    one EstimatorResult for a dict of bindings and an integer seed, a list of
+    them for a (rows, parameters) stack and one seed per row.
 
     Every qubit-wise-commuting group receives the full `shots` budget as
     counts drawn once per group: one multinomial draw over its 2^n outcomes,
     whose mean and unbiased variance come from the counts and the group's
     outcome table, so the cost does not grow with `shots`. Group estimates
-    are summed and their variances propagated independently. All groups draw
-    from the one PRNG stream derived from the seed, a stack of groups at a
-    time in plan order. With gate noise (p1 or p2 > 0) the circuit runs once
-    on the Pauli vector of rho. Readout errors pass each group's distribution
-    through the confusion matrices before sampling. With shots=0 the result
-    is the exact expectation, noise included. The circuit's compile refuses,
-    with DenseCapError, a statevector program or a noisy Pauli vector over
-    the one byte cap SIMULATOR_BYTES (1 GiB), before its first 2^n or 4^n
-    array and before the measurement plan: gate noise on more than 12 qubits
-    is refused.
+    are summed and their variances propagated independently. All groups of a
+    row draw from the one PRNG stream derived from the row's seed, a stack of
+    groups at a time in plan order, so that each row's result equals its
+    one-row estimate. With gate noise (p1 or p2 > 0) the circuit runs once
+    per row on the Pauli vector of rho. Readout errors pass each group's
+    distribution through the confusion matrices before sampling. With shots=0
+    the result is the exact expectation, noise included. The circuit's
+    compile refuses, with DenseCapError, a statevector program or a noisy
+    Pauli vector over the one byte cap SIMULATOR_BYTES (1 GiB), before its
+    first 2^n or 4^n array and before the measurement plan: gate noise on
+    more than 12 qubits is refused.
     """
     if h.n_qubits != c.n_qubits:
         raise CircuitError("Hamiltonian/circuit qubit-count mismatch")
     if shots < 0:
         raise CircuitError("shots must be >= 0")
     n = c.n_qubits
-    _compiled(c, _engine(noise))  # a circuit over the byte cap is refused before the plan
+    engine = _engine(noise)
+    compiled = _compiled(c, engine)  # a circuit over the byte cap is refused before the plan
     plan = _measurement_plan(h)
-    rng = derive_rng(seed)
-    mean, variance = plan.identity, 0.0
+    rows, single = _parameter_rows(c, bindings)
+    seeds = [seed] if single else list(seed)
+    if len(seeds) != len(rows):
+        raise CircuitError(f"{len(rows)} parameter rows need as many seeds, got {len(seeds)}")
+    groups = min(len(plan.groups), _groups_per_stack(n))
+    size = _rows_within(max(groups << n, compiled.width if engine is None else 4**n))
+    results = []
+    for lo in range(0, len(rows), size):
+        results += _estimate_rows(c, rows[lo:lo + size], plan, shots, seeds[lo:lo + size], noise)
+    return results[0] if single else results
+
+
+def _estimate_rows(c: Circuit, params: np.ndarray, plan: _MeasurementPlan, shots: int, seeds,
+                   noise: NoiseModel | None) -> list[EstimatorResult]:
+    """estimate at one chunk of parameter rows, each row's counts drawn
+    from the generator of its seed. The chunk's arrays are dropped when it
+    returns, before the next chunk runs."""
+    n = c.n_qubits
+    rngs = [derive_rng(s) for s in seeds]
+    means, variances = np.full(len(rngs), plan.identity), np.zeros(len(rngs))
     lo = 0
-    for probs in _distributions(c, bindings, plan, noise):
-        hi = lo + len(probs)
+    for probs in _distributions(c, params, plan, noise):
+        hi = lo + probs.shape[1]
         tables = (plan.tables[lo:hi] if plan.tables is not None
                   else _outcome_tables(plan.groups[lo:hi], n))
         lo = hi
         if shots == 0:
-            mean += float(np.vecdot(probs, tables).sum())
+            means += np.vecdot(probs, tables).sum(axis=1)
             continue
-        counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
-        means = np.vecdot(counts, tables) / shots
-        mean += float(means.sum())
+        probs /= probs.sum(axis=2, keepdims=True)
+        counts = np.array([rng.multinomial(shots, p) for p, rng in zip(probs, rngs)])
+        group_means = np.vecdot(counts, tables) / shots
+        means += group_means.sum(axis=1)
         if shots > 1:
-            sq = np.vecdot(counts, (tables - means[:, None]) ** 2)
-            variance += float(sq.sum()) / (shots - 1) / shots
-    return EstimatorResult(mean, math.sqrt(variance), shots, seed)
+            sq = np.vecdot(counts, (tables - group_means[..., None]) ** 2)
+            variances += sq.sum(axis=1) / (shots - 1) / shots
+    return [EstimatorResult(m, math.sqrt(v), shots, s)
+            for m, v, s in zip(means.tolist(), variances.tolist(), seeds)]
 
 
 # -- transpilation ---------------------------------------------------------

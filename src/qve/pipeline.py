@@ -263,11 +263,11 @@ def run_vqe(cfg: RunConfig) -> Path:
         counter = [0]
         t_start = time.perf_counter()
 
-        def cost(theta):
-            counter[0] += 1
-            bindings = dict(zip(names, theta))
-            return estimate(circuit, bindings, h, cfg.shots,
-                            _eval_seed(cfg.seed, counter[0]), noise=cfg.noise)
+        def cost(stack):
+            # one seed per row, from the count of evaluations before it
+            seeds = [_eval_seed(cfg.seed, counter[0] + i) for i in range(1, len(stack) + 1)]
+            counter[0] += len(stack)
+            return estimate(circuit, stack, h, cfg.shots, seeds, noise=cfg.noise)
 
         rows = ["iteration,fevals,energy_ha,std_error_ha,elapsed_ms"]
         params_lines = []
@@ -328,12 +328,15 @@ def parameter_vector(theta, names, source: str) -> list[float]:
 
 def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
                     cfg: RunConfig) -> list[tuple[int, float]]:
-    """Noiseless exact expectations of the ansatz at every logged theta."""
+    """Noiseless exact expectations of the ansatz at every logged theta. Every
+    line is checked first; the thetas then run as stacks of at most
+    max(1, 2^DENSE_CAP >> n) rows, so that the states held at once are no
+    more than one group stack of the estimator holds."""
     h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
     circuit = build_ansatz(problem, cfg)
     names = circuit.parameter_names
-    out = []
-    from .circuit import run_circuit
+    iterations, thetas = [], []
+    from .circuit import DENSE_CAP, run_circuit
     for ln, raw in enumerate(Path(params_log_path).read_text().splitlines(), start=1):
         if not raw.strip():
             continue
@@ -341,10 +344,14 @@ def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
         if not (isinstance(rec, dict) and type(rec.get("iteration")) is int):
             raise PipelineError(f"{params_log_path}:{ln}: expected an object with an "
                                 f"integer iteration")
-        theta = parameter_vector(rec.get("theta"), names, f"{params_log_path}:{ln} theta")
-        psi = run_circuit(circuit, dict(zip(names, theta)))
-        out.append((rec["iteration"], expectation_exact(h, psi)))
-    return out
+        thetas.append(parameter_vector(rec.get("theta"), names, f"{params_log_path}:{ln} theta"))
+        iterations.append(rec["iteration"])
+    size = max(1, (1 << DENSE_CAP) >> circuit.n_qubits)
+    energies = []
+    for lo in range(0, len(thetas), size):
+        states = run_circuit(circuit, np.array(thetas[lo:lo + size]))
+        energies += [expectation_exact(h, psi) for psi in states]
+    return list(zip(iterations, energies))
 
 
 def write_replay_csv(rows, path) -> None:

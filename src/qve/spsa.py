@@ -4,9 +4,17 @@ Gains a_k = a / (A + k)^alpha and c_k = c / k^gamma use the module constants
 below. A caller sets only maxiter and, optionally, a, which calibration
 otherwise picks so that the first step is TARGET_FIRST_STEP.
 
-Evaluation accounting per run: CALIBRATION_EVALS up front, then per
-iteration two gradient evaluations plus one tracking evaluation, plus one
-final evaluation (50 + 3*maxiter + 1 = 1251 at the defaults).
+A cost maps a stack of parameter vectors (rows x parameters) to one value
+per row, an EstimatorResult or a float, so that points that wait on no
+pending result are evaluated together. Evaluation accounting per run:
+CALIBRATION_EVALS up front, then per iteration two gradient evaluations plus
+one tracking evaluation, plus one final evaluation (50 + 3*maxiter + 1 = 1251
+at the defaults). `minimize` makes them in maxiter + 1 cost calls (401 at the
+defaults): calibration's points with iteration 1's pair, each iteration's
+tracking point with the next iteration's pair, and the last tracking point
+with the final evaluation. The rows keep the order of one-at-a-time
+evaluation, so that a cost that counts its rows sees each point at the same
+count.
 """
 
 from __future__ import annotations
@@ -52,10 +60,17 @@ class IterationRecord:
     function_evals_so_far: int
 
 
-def _as_result(value, shots=0, seed=0) -> EstimatorResult:
-    if isinstance(value, EstimatorResult):
-        return value
-    return EstimatorResult(float(value), 0.0, shots, seed)
+def _evaluate(cost, rows: list[np.ndarray]) -> list[EstimatorResult]:
+    """The cost at the stack of rows, one EstimatorResult per row."""
+    values = list(cost(np.array(rows)))
+    if len(values) != len(rows):
+        raise SPSAError(f"cost returned {len(values)} values for {len(rows)} rows")
+    return [v if isinstance(v, EstimatorResult) else EstimatorResult(float(v), 0.0, 0, 0)
+            for v in values]
+
+
+def _c_gain(k: int) -> float:
+    return C / k ** GAMMA
 
 
 def gain_sequences(cfg: SPSAConfig, k: int) -> tuple[float, float]:
@@ -64,31 +79,53 @@ def gain_sequences(cfg: SPSAConfig, k: int) -> tuple[float, float]:
         raise SPSAError("gain sequences are defined for k >= 1")
     if cfg.a is None:
         raise SPSAError("a is unset; run calibrate first")
-    a_k = cfg.a / (BIG_A + k) ** ALPHA
-    c_k = C / k ** GAMMA
-    return a_k, c_k
+    return cfg.a / (BIG_A + k) ** ALPHA, _c_gain(k)
+
+
+def _perturbation(rng: np.random.Generator, size: int) -> np.ndarray:
+    return rng.integers(0, 2, size=size) * 2 - 1
+
+
+def _pair(theta: np.ndarray, c_k: float, delta: np.ndarray) -> list[np.ndarray]:
+    """The two points of a gradient estimate, plus then minus."""
+    return [theta + c_k * delta, theta - c_k * delta]
+
+
+def _gradient(pair: list[EstimatorResult], c_k: float, delta: np.ndarray) -> np.ndarray:
+    return (pair[0].mean - pair[1].mean) / (2.0 * c_k) / delta
 
 
 def spsa_gradient(cost, theta: np.ndarray, c_k: float, delta: np.ndarray):
-    """Two-sided simultaneous-perturbation gradient estimate (2 evaluations)."""
+    """Two-sided simultaneous-perturbation gradient estimate (2 evaluations,
+    one cost call)."""
     if not np.all(np.abs(delta) == 1):
         raise SPSAError("perturbation must be a +-1 vector")
-    e_plus = _as_result(cost(theta + c_k * delta)).mean
-    e_minus = _as_result(cost(theta - c_k * delta)).mean
-    return (e_plus - e_minus) / (2.0 * c_k) / delta
+    return _gradient(_evaluate(cost, _pair(theta, c_k, delta)), c_k, delta)
 
 
-def calibrate(cost, theta0: np.ndarray, rng: np.random.Generator) -> float:
-    """Set the a gain so the first update step has the target magnitude."""
-    mags = []
-    for _ in range(CALIBRATION_EVALS // 2):
-        delta = rng.integers(0, 2, size=theta0.shape[0]) * 2 - 1
-        # every component of the estimate has the same magnitude, as |delta| = 1
-        mags.append(abs(spsa_gradient(cost, theta0, C, delta)[0]))
+def _calibrated_a(results: list[EstimatorResult], deltas: list[np.ndarray]) -> float:
+    """The a gain that makes the first update step TARGET_FIRST_STEP, from
+    the calibration pairs' results."""
+    # every component of an estimate has the same magnitude, as |delta| = 1
+    mags = [abs(_gradient(results[2 * i:2 * i + 2], C, delta)[0])
+            for i, delta in enumerate(deltas)]
     mean_mag = float(np.mean(mags))
     if mean_mag == 0.0:
         raise CalibrationError("all calibration gradient estimates are zero")
     return TARGET_FIRST_STEP * (BIG_A + 1) ** ALPHA / mean_mag
+
+
+def _calibration(theta0: np.ndarray, rng: np.random.Generator):
+    """Calibration's perturbations and the stack of their pairs' points."""
+    deltas = [_perturbation(rng, theta0.shape[0]) for _ in range(CALIBRATION_EVALS // 2)]
+    return deltas, [p for delta in deltas for p in _pair(theta0, C, delta)]
+
+
+def calibrate(cost, theta0: np.ndarray, rng: np.random.Generator) -> float:
+    """Set the a gain so the first update step has the target magnitude
+    (CALIBRATION_EVALS evaluations, one cost call)."""
+    deltas, rows = _calibration(theta0, rng)
+    return _calibrated_a(_evaluate(cost, rows), deltas)
 
 
 @dataclass(frozen=True)
@@ -102,33 +139,36 @@ class SPSAResult:
 def minimize(cost, theta0, cfg: SPSAConfig, seed: int, callback=None) -> SPSAResult:
     """SPSA descent to a final theta with its per-iteration history.
 
-    `cost` maps a parameter vector to an EstimatorResult or a float. The run
-    is deterministic for a fixed seed: perturbations come from the stream
-    derived from (seed,). After the last iteration one extra evaluation is
-    made at the final theta and reported as final_energy.
+    `cost` maps a stack of parameter vectors to one EstimatorResult or float
+    per row. The run is deterministic for a fixed seed: perturbations come
+    from the stream derived from (seed,), calibration's first. After the last
+    iteration one extra evaluation is made at the final theta and reported as
+    final_energy. Each cost call holds every point that waits on no pending
+    result (see the module docstring); the history's evaluation counts are
+    those of one-at-a-time evaluation, each record's up to its tracking point.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.ndim != 1 or theta.size == 0:
         raise SPSAError("theta0 must be a non-empty vector")
     rng = derive_rng(seed)
-    if cfg.a is None:
-        cfg = replace(cfg, a=calibrate(cost, theta, rng))
-        evals = CALIBRATION_EVALS
-    else:
-        evals = 0
+    deltas, rows = _calibration(theta, rng) if cfg.a is None else ([], [])
+    delta = _perturbation(rng, theta.size)
+    results = _evaluate(cost, rows + _pair(theta, _c_gain(1), delta))
+    if deltas:
+        cfg = replace(cfg, a=_calibrated_a(results[:-2], deltas))
+    evals, pair = len(rows), results[-2:]
     history: list[IterationRecord] = []
     for k in range(1, cfg.maxiter + 1):
         a_k, c_k = gain_sequences(cfg, k)
-        delta = rng.integers(0, 2, size=theta.size) * 2 - 1
-        grad = spsa_gradient(cost, theta, c_k, delta)
-        evals += 2
-        theta = theta - a_k * grad
-        tracked = _as_result(cost(theta))
-        evals += 1
+        theta = theta - a_k * _gradient(pair, c_k, delta)
+        evals += 3
+        if k < cfg.maxiter:  # the tracking point with the next iteration's pair
+            delta = _perturbation(rng, theta.size)
+            tracked, *pair = _evaluate(cost, [theta] + _pair(theta, _c_gain(k + 1), delta))
+        else:  # the last tracking point with the final evaluation
+            tracked, final = _evaluate(cost, [theta, theta])
         record = IterationRecord(k, theta.copy(), tracked, evals)
         history.append(record)
         if callback is not None:
             callback(record)
-    final = _as_result(cost(theta))
-    evals += 1
-    return SPSAResult(theta, history, final, evals)
+    return SPSAResult(theta, history, final, evals + 1)

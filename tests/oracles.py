@@ -239,12 +239,13 @@ def _operation_reference(op, bindings, states: np.ndarray, n: int) -> np.ndarray
 
 def circuit_unitary(c, bindings=None) -> np.ndarray:
     """Dense unitary of the circuit: the engine's own compiled steps, run by
-    its _run_steps on each basis state, column j the image of |j>. The
+    its _run_steps on the basis states, one per row of the identity, at the
+    one parameter row of the bindings: column j the image of |j>. The
     program is compiled, and an oversized one refused, before the 4^n
     identity exists."""
-    from qve.circuit import _bind, _compiled, _run_steps
-    steps, theta = _compiled(c).steps, _bind(c, bindings)
-    return np.array([_run_steps(e, steps, theta) for e in np.eye(1 << c.n_qubits, dtype=complex)]).T
+    from qve.circuit import _bind, _compiled, _parameter_rows, _run_steps
+    steps, theta = _compiled(c).steps, _bind(_parameter_rows(c, bindings)[0])
+    return _run_steps(np.eye(1 << c.n_qubits, dtype=complex), steps, theta).T
 
 
 def run_fused_reference(c, bindings, states: np.ndarray) -> np.ndarray:
@@ -427,3 +428,65 @@ def mapping_stats_reference(h) -> tuple[int, int, float]:
     terms = h.terms()
     avg = sum(t.weight for t in terms) / len(terms) if terms else 0.0
     return h.n_qubits, len(terms), avg
+
+
+# -- SPSA ------------------------------------------------------------------
+
+
+def row_by_row(f):
+    """A stack cost, as `qve.spsa` calls one, from a cost of one parameter
+    vector: f at each row of the stack in turn."""
+    return lambda stack: [f(theta) for theta in stack]
+
+
+def minimize_reference(cost, theta0, cfg, seed, callback=None):
+    """`qve.spsa.minimize` as one-at-a-time evaluation: `cost` maps one
+    parameter vector to an EstimatorResult or a float, and each point is
+    evaluated when the loop reaches it: calibration's pairs, then per
+    iteration its pair and its tracking point, then the final point. The
+    perturbations, gains and arithmetic are the module's."""
+    from dataclasses import replace
+
+    from qve.circuit import EstimatorResult, derive_rng
+    from qve.spsa import (ALPHA, BIG_A, CALIBRATION_EVALS, C, TARGET_FIRST_STEP,
+                          CalibrationError, IterationRecord, SPSAResult, gain_sequences)
+
+    def result(theta):
+        value = cost(theta)
+        return value if isinstance(value, EstimatorResult) else EstimatorResult(
+            float(value), 0.0, 0, 0)
+
+    def gradient(theta, c_k, delta):
+        e_plus = result(theta + c_k * delta).mean
+        e_minus = result(theta - c_k * delta).mean
+        return (e_plus - e_minus) / (2.0 * c_k) / delta
+
+    theta = np.asarray(theta0, dtype=float).copy()
+    rng = derive_rng(seed)
+    evals = 0
+    if cfg.a is None:
+        mags = []
+        for _ in range(CALIBRATION_EVALS // 2):
+            delta = rng.integers(0, 2, size=theta.shape[0]) * 2 - 1
+            mags.append(abs(gradient(theta, C, delta)[0]))
+        mean_mag = float(np.mean(mags))
+        if mean_mag == 0.0:
+            raise CalibrationError("all calibration gradient estimates are zero")
+        cfg = replace(cfg, a=TARGET_FIRST_STEP * (BIG_A + 1) ** ALPHA / mean_mag)
+        evals = CALIBRATION_EVALS
+    history = []
+    for k in range(1, cfg.maxiter + 1):
+        a_k, c_k = gain_sequences(cfg, k)
+        delta = rng.integers(0, 2, size=theta.size) * 2 - 1
+        grad = gradient(theta, c_k, delta)
+        evals += 2
+        theta = theta - a_k * grad
+        tracked = result(theta)
+        evals += 1
+        record = IterationRecord(k, theta.copy(), tracked, evals)
+        history.append(record)
+        if callback is not None:
+            callback(record)
+    final = result(theta)
+    evals += 1
+    return SPSAResult(theta, history, final, evals)

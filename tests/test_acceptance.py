@@ -16,7 +16,7 @@ from scipy.optimize import minimize as scipy_minimize
 
 import oracles
 from conftest import FIXTURE
-from oracles import circuit_unitary
+from oracles import circuit_unitary, row_by_row
 from qve.ansatz import build_hea, build_uccsd, hf_state_circuit
 from qve.circuit import (NoiseModel, circuit_stats, derive_rng, estimate, run_circuit,
                          transpile)
@@ -159,14 +159,14 @@ def test_criterion_6_spsa_accounting():
         calls[0] += 1
         return float(t @ t)
 
-    result = spsa_minimize(f, np.ones(4), SPSAConfig(maxiter=400), seed=0)
+    result = spsa_minimize(row_by_row(f), np.ones(4), SPSAConfig(maxiter=400), seed=0)
     count_ok = calls[0] == 1251 and result.n_evaluations == 1251
 
     rng = np.random.default_rng(0)
     a_diag = rng.uniform(0.5, 2.0, size=4)
     x = rng.normal(size=4)
     delta = rng.integers(0, 2, size=4) * 2 - 1
-    grad = spsa_gradient(lambda t: float(np.sum(a_diag * t * t)), x, 0.1, delta)
+    grad = spsa_gradient(row_by_row(lambda t: float(np.sum(a_diag * t * t))), x, 0.1, delta)
     want = (delta @ (2 * a_diag * x)) / delta
     grad_ok = np.allclose(grad, want, atol=1e-10)
 

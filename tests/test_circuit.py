@@ -270,7 +270,8 @@ def test_program_is_bit_identical_to_fused_reference():
         with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
             run_circuit(c, dict(zip(names[:-1], theta)))
         with pytest.raises(CircuitError, match=f"unbound parameter '{names[-1]}'"):
-            circuit_module._run_pauli(c, dict(zip(names[:-1], theta)), NoiseModel(p1=0.01))
+            estimate(c, dict(zip(names[:-1], theta)), PauliSum.from_labels([("Z" * n, 1.0)]),
+                     0, 0, noise=NoiseModel(p1=0.01))
         with pytest.raises(CircuitError, match="unbound parameter"):
             circuit_unitary(c)
 
@@ -658,6 +659,13 @@ def pure_distribution_oracle(psi, letters, noise):
     return confusion_oracle(len(letters), noise) @ np.abs(v @ psi) ** 2
 
 
+def distributions(c, bindings, plan, noise):
+    """The estimator's stacks of group distributions at one point, each
+    (groups, 2^n)."""
+    rows, _ = circuit_module._parameter_rows(c, bindings)
+    return [probs[0] for probs in circuit_module._distributions(c, rows, plan, noise)]
+
+
 @pytest.mark.parametrize("dense_cap", [circuit_module.DENSE_CAP, 3])
 @pytest.mark.parametrize("noise", [None, NoiseModel(p1=0.03, p2=0.08),
                                    NoiseModel(readout01=0.02, readout10=0.07),
@@ -680,7 +688,7 @@ def test_group_distributions_match_dense_oracle(noise, dense_cap, monkeypatch):
         labels = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(3 * n)}
         h = PauliSum.from_labels([(lbl, float(rng.normal())) for lbl in labels | {"Y" * n}])
         plan = circuit_module._measurement_plan(h)
-        dists = np.concatenate(list(circuit_module._distributions(c, bindings, plan, noise)))
+        dists = np.concatenate(distributions(c, bindings, plan, noise))
         assert len(dists) == len(plan.groups)
         if pure:
             psi = run_operations_reference(c, bindings, np.eye(1, 1 << n, dtype=complex)[0])
@@ -749,7 +757,7 @@ def pauli_vector_oracle(rho, n):
 
 def fused_density(c, bindings, noise):
     """The noisy engine's Pauli vector tr(Q rho) of the circuit's output."""
-    return circuit_module._run_pauli(c, bindings, noise)
+    return circuit_module._run_pauli(c, circuit_module._parameter_rows(c, bindings)[0], noise)[0]
 
 
 def assert_matches_kraus_oracle(c, bindings, noise):
@@ -1028,7 +1036,7 @@ def test_one_generator_across_stacks(beh2_tapered, noise, monkeypatch):
     shots, seed = 500, 11
     whole = estimate(c, bindings, beh2_tapered, shots, seed, noise=noise)
     plan = circuit_module._measurement_plan(beh2_tapered)
-    probs = np.concatenate(list(circuit_module._distributions(c, bindings, plan, noise)))
+    probs = np.concatenate(distributions(c, bindings, plan, noise))
     probs /= probs.sum(axis=1, keepdims=True)
     rng = derive_rng(seed)
     rows = np.array([rng.multinomial(shots, p) for p in probs])
@@ -1040,7 +1048,7 @@ def test_one_generator_across_stacks(beh2_tapered, noise, monkeypatch):
     for dense_cap in (5, 3):
         monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
         h = PauliSum.from_terms(beh2_tapered.terms())  # a plan at this cap
-        stacks = list(circuit_module._distributions(c, bindings, plan, noise))
+        stacks = distributions(c, bindings, plan, noise)
         assert [len(p) for p in stacks] == ([2, 2, 2, 1] if dense_cap == 5 else [1] * 7)
         r = estimate(c, bindings, h, shots, seed, noise=noise)
         assert (circuit_module._measurement_plan(h).tables is None) == (dense_cap == 3)
@@ -1164,7 +1172,7 @@ def test_stacked_normalisation_matches_per_group(beh2_tapered, monkeypatch):
             bindings = dict(zip(c.parameter_names,
                                 rng.uniform(-1.0, 1.0, len(c.parameter_names))))
             for noise in noises:
-                stacks = list(circuit_module._distributions(c, bindings, plan, noise))
+                stacks = distributions(c, bindings, plan, noise)
                 assert len(stacks) == (1 if dense_cap > 5 else 4)
                 for probs in stacks:
                     assert probs.flags.c_contiguous
@@ -1174,6 +1182,98 @@ def test_stacked_normalisation_matches_per_group(beh2_tapered, monkeypatch):
 
 
 H4_GEOMETRY = "units angstrom\n" + "".join(f"H 0 0 {0.9 * i}\n" for i in range(4))
+
+
+@pytest.fixture(scope="module")
+def h4_jw():
+    h4, _ = problem_from_geometry(parse_geometry(H4_GEOMETRY))
+    return problem_to_pauli(h4, "jw", False)
+
+
+STACK_NOISES = [None, NoiseModel(readout01=0.02, readout10=0.05),
+                NoiseModel(p1=0.001, p2=0.01, readout01=0.02, readout10=0.01)]
+
+
+def assert_rows_equal_one_row_calls(c, h, rows, seeds, noise, sizes):
+    """Each row of the stacked estimate (shots 0 and 4096) and run_circuit
+    over the first k rows, k in sizes, equals its one-row call under ==."""
+    names = c.parameter_names
+    points = [dict(zip(names, row)) for row in rows]
+    for shots in (0, 4096):
+        want = [estimate(c, b, h, shots, s, noise=noise) for b, s in zip(points, seeds)]
+        for k in sizes:
+            assert estimate(c, rows[:k], h, shots, seeds[:k], noise=noise) == want[:k], (shots, k)
+    if noise is None:
+        states = run_circuit(c, rows)
+        for k in sizes:
+            assert all(np.array_equal(got, run_circuit(c, b))
+                       for got, b in zip(run_circuit(c, rows[:k]), points))
+        assert states.shape == (len(rows), 1 << c.n_qubits)
+
+
+@pytest.mark.parametrize("noise", STACK_NOISES, ids=["noiseless", "readout", "gates"])
+def test_stacked_rows_equal_one_row_calls(noise, beh2_tapered, h4_jw):
+    # [DERIVED] a stack of parameter rows runs every step, read-out block and
+    # draw with a leading row axis, each row from its own seed's generator,
+    # so each row equals its one-row call bit for bit: UCCSD and HEA on BeH2
+    # under tapered parity (4 qubits; stacks of 1, 3 and 52 in one chunk)
+    # and on linear H4 under jw (8 qubits: two read-out blocks, noisy
+    # segments on non-adjacent qubits, and one row per chunk; UCCSD under
+    # gate noise in stacks of 1 and 2), shots 0 and 4096
+    rng = np.random.default_rng(45)
+    cases = [(build_uccsd(1, 1, 3, "parity", True), beh2_tapered, 52),
+             (build_hea(4, 1), beh2_tapered, 52),
+             (build_hea(8, 1), h4_jw, 3 if noise and noise.p2 else 52),
+             (build_uccsd(2, 2, 4, "jw", False), h4_jw, 2 if noise and noise.p2 else 52)]
+    for c, h, count in cases:
+        rows = rng.uniform(-0.5, 0.5, (count, len(c.parameter_names)))
+        seeds = [int(s) for s in rng.integers(0, 1 << 32, count)]
+        sizes = [k for k in (1, 3, 52) if k <= count] + ([count] if count < 3 else [])
+        assert_rows_equal_one_row_calls(c, h, rows, seeds, noise, sizes)
+
+
+@pytest.mark.parametrize("noise", STACK_NOISES, ids=["noiseless", "readout", "gates"])
+def test_stack_is_cut_into_chunks_under_a_small_cap(noise, beh2_tapered, monkeypatch):
+    # [DERIVED] with a DENSE_CAP of 9, a chunk holds at most 2^9 values in
+    # its widest array: BeH2 UCCSD's rotation tables (8 steps x 16) and
+    # group stacks (7 x 16) make chunks of 4 rows, the noisy Pauli vector
+    # (256) chunks of 2; the 52-row stack runs as 13 or 26 chunks, and each
+    # row still equals its one-row call
+    monkeypatch.setattr(circuit_module, "DENSE_CAP", 9)
+    c = build_uccsd(1, 1, 3, "parity", True)  # compiled under the cap
+    rows = np.random.default_rng(46).uniform(-0.5, 0.5, (52, len(c.parameter_names)))
+    seeds = list(range(200, 252))
+    chunks, steps = [], []
+    estimate_rows, run_steps = circuit_module._estimate_rows, circuit_module._run_steps
+
+    def counted_run_steps(state, todo, theta):
+        if theta is not None:  # the compile's prefix has no parameters
+            steps.append(len(theta))
+        return run_steps(state, todo, theta)
+
+    monkeypatch.setattr(circuit_module, "_estimate_rows",
+                        lambda c, params, *args: chunks.append(len(params)) or
+                        estimate_rows(c, params, *args))
+    monkeypatch.setattr(circuit_module, "_run_steps", counted_run_steps)
+    estimate(c, rows, beh2_tapered, 4096, seeds, noise=noise)
+    per_chunk = 2 if noise and noise.p2 else 4
+    assert chunks == [per_chunk] * (52 // per_chunk)
+    assert steps == ([] if noise and noise.p2 else [4] * 13)
+    assert_rows_equal_one_row_calls(c, beh2_tapered, rows, seeds, noise, [3, 52])
+
+
+def test_parameter_stack_shape_and_seeds_are_checked(beh2_tapered):
+    # [TRIVIAL] a stack is (rows >= 1, parameters) with one seed per row;
+    # anything else is refused with CircuitError before it runs
+    c = build_hea(4, 1)
+    good = np.zeros((2, 16))
+    for bad in (np.zeros(16), np.zeros((2, 15)), np.zeros((0, 16)), np.zeros((1, 2, 16))):
+        with pytest.raises(CircuitError, match="parameter stack must have shape"):
+            estimate(c, bad, beh2_tapered, 16, [1], noise=None)
+        with pytest.raises(CircuitError, match="parameter stack must have shape"):
+            run_circuit(c, bad)
+    with pytest.raises(CircuitError, match="2 parameter rows need as many seeds, got 3"):
+        estimate(c, good, beh2_tapered, 16, [1, 2, 3])
 
 
 def test_outcome_tables_match_dense_oracle(beh2_tapered):

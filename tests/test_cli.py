@@ -454,8 +454,12 @@ def test_zero_calibration_gradient_is_numeric_error(capsys, tmp_path, monkeypatc
     # the run reads qve.circuit.estimate when it starts, so the patch reaches it
     import qve.circuit
     from qve.circuit import EstimatorResult
-    monkeypatch.setattr(qve.circuit, "estimate",
-                        lambda *args, **kwargs: EstimatorResult(-1.0, 0.0, 16, 0))
+
+    def flat(c, bindings, *args, **kwargs):  # one result per point, as estimate gives
+        one = EstimatorResult(-1.0, 0.0, 16, 0)
+        return one if isinstance(bindings, dict) else [one] * len(bindings)
+
+    monkeypatch.setattr(qve.circuit, "estimate", flat)
     code, _, err = run_cli(capsys, "vqe", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
                            "--shots", "16", "--maxiter", "2", "--out", str(tmp_path))
     assert code == EXIT_NUMERIC

@@ -4,6 +4,7 @@ function-evaluation accounting contract."""
 import numpy as np
 import pytest
 
+from oracles import minimize_reference, row_by_row
 from qve.circuit import EstimatorResult
 from qve.spsa import (TARGET_FIRST_STEP, SPSAConfig, SPSAError, calibrate,
                       gain_sequences, minimize, spsa_gradient)
@@ -47,20 +48,20 @@ def test_gradient_exact_on_quadratics():
 
     delta = rng.integers(0, 2, size=d) * 2 - 1
     c_k = 0.1
-    grad = spsa_gradient(f, x, c_k, delta)
+    grad = spsa_gradient(row_by_row(f), x, c_k, delta)
     true = 2 * a_diag * x + b
     # (f(x+c d) - f(x-c d)) / 2c = d^T (2Ax + b) for quadratic f
     want = (delta @ true) / delta
     np.testing.assert_allclose(grad, want, atol=1e-10)
     with pytest.raises(SPSAError):
-        spsa_gradient(f, x, c_k, np.zeros(d))
+        spsa_gradient(row_by_row(f), x, c_k, np.zeros(d))
 
 
 def test_calibration_on_linear_cost():
     # [DERIVED] for f = g * theta_0 every gradient magnitude is |g|, so the
     # calibrated gain is exactly TARGET_FIRST_STEP / |g|
     g = 4.0
-    a = calibrate(lambda t: g * t[0], np.zeros(1), derive_rng(0))
+    a = calibrate(row_by_row(lambda t: g * t[0]), np.zeros(1), derive_rng(0))
     assert a == pytest.approx(TARGET_FIRST_STEP / g, rel=1e-12)
 
 
@@ -68,7 +69,7 @@ def test_calibration_rejects_flat_landscape():
     # [TRIVIAL]
     from qve.spsa import CalibrationError
     with pytest.raises(CalibrationError):
-        calibrate(lambda t: 0.0, np.zeros(3), derive_rng(0))
+        calibrate(row_by_row(lambda t: 0.0), np.zeros(3), derive_rng(0))
 
 
 def test_minimize_quadratic_bowl():
@@ -79,7 +80,7 @@ def test_minimize_quadratic_bowl():
     def f(t):
         return float(np.sum((t - 1.0) ** 2))
 
-    result = minimize(f, x0, SPSAConfig(maxiter=300), seed=1)
+    result = minimize(row_by_row(f), x0, SPSAConfig(maxiter=300), seed=1)
     assert f(result.theta) < 1e-2
 
 
@@ -93,7 +94,7 @@ def test_evaluation_accounting():
         return float(np.sum(t * t))
 
     m = 7
-    result = minimize(f, np.ones(3), SPSAConfig(maxiter=m), seed=0)
+    result = minimize(row_by_row(f), np.ones(3), SPSAConfig(maxiter=m), seed=0)
     assert calls[0] == 50 + 3 * m + 1
     assert result.n_evaluations == calls[0]
     assert [r.function_evals_so_far for r in result.history] == \
@@ -101,7 +102,7 @@ def test_evaluation_accounting():
     assert [r.k for r in result.history] == list(range(1, m + 1))
     # a preset a skips the calibration: 3 per iteration and the final one
     calls[0] = 0
-    result = minimize(f, np.ones(3), SPSAConfig(maxiter=m, a=0.05), seed=0)
+    result = minimize(row_by_row(f), np.ones(3), SPSAConfig(maxiter=m, a=0.05), seed=0)
     assert calls[0] == result.n_evaluations == 3 * m + 1
     assert [r.function_evals_so_far for r in result.history] == [3 * k for k in range(1, m + 1)]
 
@@ -109,7 +110,7 @@ def test_evaluation_accounting():
 def test_single_iteration_accounting():
     # [DERIVED] maxiter=1: one history record with 53 evaluations so far,
     # 54 in total including the final evaluation
-    result = minimize(lambda t: float(t @ t), np.ones(2),
+    result = minimize(row_by_row(lambda t: float(t @ t)), np.ones(2),
                       SPSAConfig(maxiter=1), seed=0)
     assert len(result.history) == 1
     assert result.history[0].function_evals_so_far == 53
@@ -124,7 +125,7 @@ def test_first_step_magnitude_near_target():
     def f(t):
         return float(np.sum(np.sin(t)))
 
-    result = minimize(f, theta0, cfg, seed=3)
+    result = minimize(row_by_row(f), theta0, cfg, seed=3)
     step = float(np.max(np.abs(result.history[0].theta - theta0)))
     assert TARGET_FIRST_STEP / 2 <= step <= TARGET_FIRST_STEP * 2
 
@@ -134,8 +135,8 @@ def test_minimize_deterministic():
     def f(t):
         return float(t @ t)
 
-    r1 = minimize(f, np.ones(2), SPSAConfig(maxiter=5), seed=9)
-    r2 = minimize(f, np.ones(2), SPSAConfig(maxiter=5), seed=9)
+    r1 = minimize(row_by_row(f), np.ones(2), SPSAConfig(maxiter=5), seed=9)
+    r2 = minimize(row_by_row(f), np.ones(2), SPSAConfig(maxiter=5), seed=9)
     np.testing.assert_array_equal(r1.theta, r2.theta)
 
 
@@ -145,7 +146,7 @@ def test_cost_may_return_estimator_result():
     def f(t):
         return EstimatorResult(float(t @ t), 0.01, 128, 0)
 
-    result = minimize(f, np.ones(2), SPSAConfig(maxiter=3), seed=0)
+    result = minimize(row_by_row(f), np.ones(2), SPSAConfig(maxiter=3), seed=0)
     assert all(isinstance(r.energy, EstimatorResult) for r in result.history)
     assert result.final_energy.shots == 128
 
@@ -153,6 +154,60 @@ def test_cost_may_return_estimator_result():
 def test_minimize_input_validation():
     # [TRIVIAL]
     with pytest.raises(SPSAError):
-        minimize(lambda t: 0.0, np.zeros((2, 2)), SPSAConfig(maxiter=1), seed=0)
+        minimize(row_by_row(lambda t: 0.0), np.zeros((2, 2)), SPSAConfig(maxiter=1), seed=0)
     with pytest.raises(SPSAError):
-        minimize(lambda t: 0.0, np.array([]), SPSAConfig(maxiter=1), seed=0)
+        minimize(row_by_row(lambda t: 0.0), np.array([]), SPSAConfig(maxiter=1), seed=0)
+
+
+@pytest.mark.parametrize("maxiter, a", [(1, None), (2, None), (7, None), (400, None),
+                                        (1, 0.05), (7, 0.05)])
+def test_stacked_schedule_matches_one_at_a_time(maxiter, a):
+    # [DERIVED] minimize submits together every point that waits on no
+    # pending result, in one-at-a-time order, so it equals the sequential
+    # loop (oracles.minimize_reference) under a cost whose value depends on
+    # the point and on its evaluation count, as an estimate's seed does: the
+    # same theta history, records, final result and n_evaluations, every
+    # point at the same count, and 1 + (maxiter - 1) + 1 cost calls, the
+    # first holding calibration's 50 points (none with a preset a) and
+    # iteration 1's pair, the last the last tracking and the final point
+    cfg = SPSAConfig(maxiter=maxiter, a=a)
+    points = {"stacked": [], "reference": []}
+
+    def scalar(log):
+        def f(theta):
+            log.append(theta.copy())
+            noise = derive_rng(17, len(log)).normal(scale=0.01)
+            return EstimatorResult(float(np.sum(np.cos(theta))) + noise, 0.01, 64, len(log))
+        return f
+
+    stacks = []
+
+    def stacked(stack):
+        stacks.append(len(stack))
+        return row_by_row(scalar(points["stacked"]))(stack)
+
+    theta0 = np.array([0.3, -0.2, 0.5])
+    records = {"stacked": [], "reference": []}
+    got = minimize(stacked, theta0, cfg, seed=5, callback=records["stacked"].append)
+    want = minimize_reference(scalar(points["reference"]), theta0, cfg, seed=5,
+                              callback=records["reference"].append)
+    assert len(points["stacked"]) == len(points["reference"]) == want.n_evaluations
+    for p, q in zip(points["stacked"], points["reference"]):
+        assert np.array_equal(p, q)
+    for result in (got, want):
+        assert [r.k for r in result.history] == list(range(1, maxiter + 1))
+    for r, w in zip(got.history + records["stacked"], want.history + records["reference"]):
+        assert (r.k, r.energy, r.function_evals_so_far) == (w.k, w.energy, w.function_evals_so_far)
+        assert np.array_equal(r.theta, w.theta)
+    assert np.array_equal(got.theta, want.theta)
+    assert got.final_energy == want.final_energy
+    assert got.n_evaluations == want.n_evaluations == (50 if a is None else 0) + 3 * maxiter + 1
+    first = (50 if a is None else 0) + 2
+    assert stacks == [first] + [3] * (maxiter - 1) + [2]
+    assert len(stacks) == maxiter + 1
+
+
+def test_cost_must_return_one_value_per_row():
+    # [TRIVIAL] a cost that drops a row is refused, not zipped short
+    with pytest.raises(SPSAError, match="1 values for 2 rows"):
+        spsa_gradient(lambda stack: [0.0], np.zeros(2), 0.1, np.ones(2))
