@@ -12,10 +12,10 @@ from pathlib import Path
 
 import qve
 from qve.ansatz import hf_state_circuit
-from qve.circuit import run_circuit
+from qve.circuit import estimate
 from qve.fermion import hartree_fock_occupation
 from qve.mapping import mapping_stats, sector_basis
-from qve.pauli import exact_ground_energy, expectation_exact
+from qve.pauli import exact_ground_energy
 from qve.pipeline import load_fixture, problem_to_pauli
 
 FIXTURE = Path(qve.__file__).parent / "data" / "beh2_cas_2e3o_sto3g.txt"
@@ -40,7 +40,7 @@ def main():
     e0, _ = exact_ground_energy(h, sector_basis(
         problem.n_spatial, problem.n_alpha, problem.n_beta, "parity", True))
     occ = hartree_fock_occupation(problem.n_alpha, problem.n_beta, problem.n_spatial)
-    e_hf = expectation_exact(h, run_circuit(hf_state_circuit(occ, "parity", True)))
+    e_hf = estimate(hf_state_circuit(occ, "parity", True), None, h, 0, 0).mean
     print(f"\nexact ground energy : {e0:.5f} Ha")
     print(f"Hartree-Fock energy : {e_hf:.5f} Ha")
     print(f"correlation energy  : {(e_hf - e0) * 1000:.3f} mHa")

@@ -14,8 +14,7 @@ import numpy as np
 
 import qve
 from qve.ansatz import build_hea
-from qve.circuit import NoiseModel, derive_rng, run_circuit
-from qve.pauli import expectation_exact
+from qve.circuit import NoiseModel, derive_rng, estimate
 from qve.pipeline import load_fixture, problem_to_pauli
 from qve.zne import run_zne
 
@@ -27,7 +26,7 @@ def main():
     circuit = build_hea(4, 3)
     theta = derive_rng(123).uniform(0, 2 * np.pi, len(circuit.parameter_names))
     bindings = dict(zip(circuit.parameter_names, theta))
-    exact = expectation_exact(h, run_circuit(circuit, bindings))
+    exact = estimate(circuit, bindings, h, 0, 0).mean
 
     noise = NoiseModel(p1=0.002, p2=0.02)
     result = run_zne(circuit, bindings, h, [1, 3, 5], 8192, seed=1, noise=noise)

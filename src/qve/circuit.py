@@ -1065,11 +1065,12 @@ def estimate(c: Circuit, bindings, h: PauliSum, shots: int, seed,
 def _estimate_rows(c: Circuit, params: np.ndarray, plan: _MeasurementPlan, shots: int, seeds,
                    noise: NoiseModel | None) -> list[EstimatorResult]:
     """estimate at one chunk of parameter rows, each row's counts drawn
-    from the generator of its seed. The chunk's arrays are dropped when it
-    returns, before the next chunk runs."""
+    from the generator of its seed; at shots=0 nothing is drawn and no
+    generator is derived. The chunk's arrays are dropped when it returns,
+    before the next chunk runs."""
     n = c.n_qubits
-    rngs = [derive_rng(s) for s in seeds]
-    means, variances = np.full(len(rngs), plan.identity), np.zeros(len(rngs))
+    rngs = [derive_rng(s) for s in seeds] if shots else []
+    means, variances = np.full(len(params), plan.identity), np.zeros(len(params))
     lo = 0
     for probs in _distributions(c, params, plan, noise):
         hi = lo + probs.shape[1]

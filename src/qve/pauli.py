@@ -289,7 +289,10 @@ def exact_ground_energy(h: PauliSum, basis: np.ndarray | None = None
 
 
 def expectation_exact(h: PauliSum, state: np.ndarray) -> float:
-    """<state|h|state> for a normalized state vector."""
+    """<state|h|state> for a normalized state vector, term by term. The run
+    path's exact expectation is the estimator's at shots=0; this loop is the
+    tests' per-term reference, and the benchmark wraps it by name, so it
+    moves to the test oracles once the benchmark reads a trace instead."""
     state = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > 1e-10:

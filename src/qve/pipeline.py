@@ -17,7 +17,7 @@ import numpy as np
 
 from .fermion import build_hamiltonian
 from .mapping import MAX_MODES, qubit_operator, sector_basis
-from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy, expectation_exact
+from .pauli import COEFF_TOL, DenseCapError, PauliSum, exact_ground_energy
 from .scf import (ActiveSpaceProblem, ConvergenceError, SCFResult, active_space_reduce,
                   mo_transform, run_rhf, spin_orbital_expand)
 
@@ -328,15 +328,16 @@ def parameter_vector(theta, names, source: str) -> list[float]:
 
 def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
                     cfg: RunConfig) -> list[tuple[int, float]]:
-    """Noiseless exact expectations of the ansatz at every logged theta. Every
-    line is checked first; the thetas then run as stacks of at most
-    max(1, 2^DENSE_CAP >> n) rows, so that the states held at once are no
-    more than one group stack of the estimator holds."""
+    """Noiseless exact expectations of the ansatz at every logged theta: the
+    estimator's exact mode (shots=0, no noise, whatever cfg.noise holds),
+    one call over the whole stack, after every line is checked. Nothing is
+    drawn, so each row's seed is a dummy 0. An empty log replays to no
+    rows."""
     h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
     circuit = build_ansatz(problem, cfg)
     names = circuit.parameter_names
     iterations, thetas = [], []
-    from .circuit import DENSE_CAP, run_circuit
+    from .circuit import estimate
     for ln, raw in enumerate(Path(params_log_path).read_text().splitlines(), start=1):
         if not raw.strip():
             continue
@@ -346,12 +347,10 @@ def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
                                 f"integer iteration")
         thetas.append(parameter_vector(rec.get("theta"), names, f"{params_log_path}:{ln} theta"))
         iterations.append(rec["iteration"])
-    size = max(1, (1 << DENSE_CAP) >> circuit.n_qubits)
-    energies = []
-    for lo in range(0, len(thetas), size):
-        states = run_circuit(circuit, np.array(thetas[lo:lo + size]))
-        energies += [expectation_exact(h, psi) for psi in states]
-    return list(zip(iterations, energies))
+    if not thetas:
+        return []
+    results = estimate(circuit, np.array(thetas), h, 0, [0] * len(thetas), noise=None)
+    return [(k, r.mean) for k, r in zip(iterations, results)]
 
 
 def write_replay_csv(rows, path) -> None:

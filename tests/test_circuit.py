@@ -1262,6 +1262,22 @@ def test_stack_is_cut_into_chunks_under_a_small_cap(noise, beh2_tapered, monkeyp
     assert_rows_equal_one_row_calls(c, beh2_tapered, rows, seeds, noise, [3, 52])
 
 
+@pytest.mark.parametrize("noise", STACK_NOISES, ids=["noiseless", "readout", "gates"])
+def test_exact_mode_derives_no_generator(noise, beh2_tapered, monkeypatch):
+    # [DERIVED] at shots 0 nothing is drawn, so a stacked estimate runs with
+    # derive_rng raising, and its rows equal the one-row calls made with it
+    c = build_hea(4, 1)
+    rows = np.random.default_rng(48).uniform(-0.5, 0.5, (5, len(c.parameter_names)))
+    want = [estimate(c, dict(zip(c.parameter_names, row)), beh2_tapered, 0, 0, noise=noise)
+            for row in rows]
+
+    def no_generator(*args):
+        raise AssertionError("shots 0 draws nothing")
+
+    monkeypatch.setattr(circuit_module, "derive_rng", no_generator)
+    assert estimate(c, rows, beh2_tapered, 0, [0] * 5, noise=noise) == want
+
+
 def test_parameter_stack_shape_and_seeds_are_checked(beh2_tapered):
     # [TRIVIAL] a stack is (rows >= 1, parameters) with one seed per row;
     # anything else is refused with CircuitError before it runs

@@ -1,17 +1,19 @@
-"""Token-level fuzzing of the fixture, noise-file, geometry and parameter-file
-parsers through `cli.main`.
+"""Token-level fuzzing of the fixture, noise-file, geometry, parameter-file and
+parameter-log parsers through `cli.main`.
 
 Each case mutates a valid file one to three times (drop, duplicate or swap a
 token, or replace it with a non-finite, negative, oversized or junk one) and
 runs the command in-process: it must end in a documented exit code, with no
 exception escaping, and a command that succeeds prints only finite numbers.
 Examples are derandomized, so the suite stays deterministic; the seed
-examples are inputs that past fixes made exit 2.
+examples are inputs that past fixes made exit 2, and edge cases that must
+succeed (an empty parameter log, an angle far past 2 pi).
 """
 
 import contextlib
 import io
 import json
+import math
 import re
 
 from hypothesis import example, given, settings
@@ -27,6 +29,9 @@ FIXTURE_BODY = "".join(line + "\n" for line in FIXTURE.read_text().splitlines()
                        if not line.startswith("#"))
 # 16 HEA parameters as JSON, each number and each separator its own token
 PARAMS = "[ " + " , ".join(f"{0.05 * (i + 1):.2f}" for i in range(16)) + " ]\n"
+# a three-iteration params.jsonl of the 16-parameter HEA, as run_vqe logs it
+LOG_LINES = [json.dumps({"iteration": k, "theta": [0.05 * (i + k) for i in range(16)]}) + "\n"
+             for k in (1, 2, 3)]
 
 
 def _mutate(text: str, mutations) -> str:
@@ -57,6 +62,12 @@ def mutated(text: str):
     return st.lists(mutation, min_size=1, max_size=3).map(lambda ms: _mutate(text, ms))
 
 
+def mutated_log():
+    """The parameter log with one of its lines mutated."""
+    return st.integers(0, len(LOG_LINES) - 1).flatmap(lambda i: mutated(LOG_LINES[i]).map(
+        lambda line: "".join(LOG_LINES[:i]) + line + "".join(LOG_LINES[i + 1:])))
+
+
 def run_main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -84,11 +95,13 @@ def assert_finite_json(out: str) -> None:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_mutated_fixture_exits_cleanly(tmp_path_factory, text):
     # [TRIVIAL] `qve exact` on a mutated fixture returns 0, 2 or 3 and
-    # raises nothing
+    # raises nothing; on success it prints finite numbers only
     ham = tmp_path_factory.mktemp("fixture") / "fuzz.ham"
     ham.write_text(text)
-    code, _, _ = run_main("exact", "--ham", str(ham), "--mapper", "parity", "--taper")
+    code, out, _ = run_main("exact", "--ham", str(ham), "--mapper", "parity", "--taper")
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert_finite_json(out)
 
 
 @given(mutated(NOISE))
@@ -98,15 +111,18 @@ def test_mutated_fixture_exits_cleanly(tmp_path_factory, text):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_mutated_noise_file_exits_cleanly(tmp_path_factory, text):
     # [TRIVIAL] `qve zne --shots 0` under a mutated noise file returns 0, 2 or
-    # 3 and raises nothing; a refused noise file names its path and line
+    # 3 and raises nothing; on success it prints finite numbers only, and a
+    # refused noise file names its path and line
     tmp = tmp_path_factory.mktemp("noise")
     noise, params = tmp / "noise.cfg", tmp / "theta.json"
     noise.write_text(text)
     params.write_text(json.dumps([0.1] * 16))
-    code, _, err = run_main("zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
-                            "--shots", "0", "--folds", "1,3", "--fit", "linear",
-                            "--noise", str(noise), "--params-file", str(params))
+    code, out, err = run_main("zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                              "--shots", "0", "--folds", "1,3", "--fit", "linear",
+                              "--noise", str(noise), "--params-file", str(params))
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert_finite_json(out)
     if code == EXIT_CONFIG:
         assert re.search(re.escape(str(noise)) + r":\d+: ", err), err
 
@@ -145,3 +161,24 @@ def test_mutated_params_file_exits_cleanly(tmp_path_factory, text):
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code == EXIT_OK:
         assert_finite_json(out)
+
+
+@given(mutated_log())
+@example("")  # an empty log
+@example("".join(LOG_LINES).replace("0.05, ", "", 1))  # 15 parameters in line 1
+@example("".join(LOG_LINES).replace("0.05", "1e400", 1))  # past the float range
+@example("".join(LOG_LINES).replace("0.05", "-1e300", 1))  # finite, far past 2 pi
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_mutated_params_log_replays_cleanly(tmp_path_factory, text):
+    # [TRIVIAL] `qve replay` of a run whose params.jsonl has one mutated line
+    # returns 0 or 2 and raises nothing; on success its replay.csv holds
+    # finite energies only
+    run = tmp_path_factory.mktemp("run")
+    (run / "params.jsonl").write_text(text)
+    code, out, _ = run_main("replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                            "--run", str(run))
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        assert_finite_json(out)
+        rows = (run / "replay.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)

@@ -1,5 +1,6 @@
 """Fixture serialization, run orchestration, artifacts, and exact replay."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qve.circuit as circuit_module
 from conftest import FIXTURE
 from qve.circuit import NoiseModel
 from qve.mapping import MappingError
@@ -261,17 +263,27 @@ def test_run_vqe_deterministic_modulo_timing(small_run, tmp_path):
     assert (run_dir / "params.jsonl").read_text() == (run2 / "params.jsonl").read_text()
 
 
-def test_replay_on_exact(small_run, tmp_path, beh2_problem, beh2_tapered):
-    # [DERIVED] replay evaluates each logged theta noiselessly and exactly
+def exact_per_term(circuit, h, thetas):
+    """The per-term reference: expectation_exact on each theta's state."""
     from qve.circuit import run_circuit
     from qve.pauli import expectation_exact
+    names = circuit.parameter_names
+    return [expectation_exact(h, run_circuit(circuit, dict(zip(names, t)))) for t in thetas]
+
+
+def test_replay_on_exact(small_run, tmp_path, beh2_problem, beh2_tapered):
+    # [DERIVED] replay evaluates each logged theta noiselessly and exactly:
+    # every row, in iteration order, equals expectation_exact on
+    # run_circuit's state within 1e-12, also when the run has a noise model
     cfg, run_dir = small_run
     rows = replay_on_exact(run_dir / "params.jsonl", beh2_problem, cfg)
     assert [k for k, _ in rows] == [1, 2, 3, 4]
     circuit = build_ansatz(beh2_problem, cfg)
-    rec = json.loads((run_dir / "params.jsonl").read_text().splitlines()[2])
-    psi = run_circuit(circuit, dict(zip(circuit.parameter_names, rec["theta"])))
-    assert rows[2][1] == pytest.approx(expectation_exact(beh2_tapered, psi), abs=1e-12)
+    thetas = [json.loads(l)["theta"] for l in (run_dir / "params.jsonl").read_text().splitlines()]
+    want = exact_per_term(circuit, beh2_tapered, thetas)
+    assert [e for _, e in rows] == pytest.approx(want, abs=1e-12)
+    noisy = dataclasses.replace(cfg, noise=NoiseModel(p1=0.01, p2=0.02, readout01=0.05))
+    assert replay_on_exact(run_dir / "params.jsonl", beh2_problem, noisy) == rows
     out = tmp_path / "replay.csv"
     write_replay_csv(rows, out)
     lines = out.read_text().strip().splitlines()
@@ -281,6 +293,53 @@ def test_replay_on_exact(small_run, tmp_path, beh2_problem, beh2_tapered):
     spaced = tmp_path / "spaced.jsonl"
     spaced.write_text("\n  \n".join((run_dir / "params.jsonl").read_text().splitlines()) + "\n")
     assert replay_on_exact(spaced, beh2_problem, cfg) == rows
+
+
+def test_replay_is_one_estimate_cut_into_chunks(tmp_path, beh2_problem, beh2_tapered,
+                                                monkeypatch):
+    # [DERIVED] replay makes one estimate call over the whole log, which the
+    # estimator cuts into chunks: under a DENSE_CAP of 5, 32 values per
+    # chunk, the 4-qubit HEA's 13 rows run one per chunk, and every row, in
+    # the log's iteration order, equals the per-term reference within 1e-12
+    monkeypatch.setattr(circuit_module, "DENSE_CAP", 5)
+    cfg = RunConfig(fixture=str(FIXTURE), ansatz="hea", output_dir=str(tmp_path))
+    circuit = build_ansatz(beh2_problem, cfg)
+    thetas = np.random.default_rng(47).uniform(-1, 1, (13, len(circuit.parameter_names)))
+    iterations = [7 * k % 13 + 1 for k in range(13)]
+    log = tmp_path / "params.jsonl"
+    log.write_text("".join(json.dumps({"iteration": k, "theta": t.tolist()}) + "\n"
+                           for k, t in zip(iterations, thetas)))
+    calls, chunks = [], []
+    estimate, estimate_rows = circuit_module.estimate, circuit_module._estimate_rows
+    monkeypatch.setattr(circuit_module, "estimate",
+                        lambda *args, **kw: calls.append(len(args[1])) or estimate(*args, **kw))
+    monkeypatch.setattr(circuit_module, "_estimate_rows",
+                        lambda c, params, *args: chunks.append(len(params)) or
+                        estimate_rows(c, params, *args))
+    rows = replay_on_exact(log, beh2_problem, cfg)
+    assert calls == [13]
+    assert chunks == [1] * 13
+    assert [k for k, _ in rows] == iterations
+    want = exact_per_term(circuit, beh2_tapered, thetas)
+    assert [e for _, e in rows] == pytest.approx(want, abs=1e-12)
+
+
+def test_empty_params_log_replays_to_no_rows(tmp_path, beh2_problem, monkeypatch):
+    # [TRIVIAL] a log with no parameter lines (empty, or blank lines only)
+    # replays to no rows without an estimate, and its replay.csv holds only
+    # the header
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("an empty log needs no estimate")
+
+    monkeypatch.setattr(circuit_module, "estimate", no_estimate)
+    cfg = RunConfig(fixture=str(FIXTURE), ansatz="hea", output_dir=str(tmp_path))
+    for text in ("", "\n  \n"):
+        log = tmp_path / "params.jsonl"
+        log.write_text(text)
+        assert replay_on_exact(log, beh2_problem, cfg) == []
+    write_replay_csv([], tmp_path / "replay.csv")
+    assert (tmp_path / "replay.csv").read_text() == "iteration,energy_ha\n"
 
 
 def test_run_vqe_failure_leaves_diagnostic(tmp_path):
