@@ -33,8 +33,8 @@ def main():
                                 ("parity", True, "Parity (tapered)"),
                                 ("bk", False, "Bravyi-Kitaev")]:
         stats = mapping_stats(problem_to_pauli(problem, mapper, taper))
-        print(f"{name:<18}{stats.n_qubits:>7}{stats.n_pauli_terms:>7}"
-              f"{stats.avg_weight:>12.2f}")
+        print(f"{name:<18}{stats['n_qubits']:>7}{stats['n_pauli_terms']:>7}"
+              f"{stats['avg_weight']:>12.2f}")
 
     h = problem_to_pauli(problem, "parity", True)
     e0, _ = exact_ground_energy(h, sector_basis(

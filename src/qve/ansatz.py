@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .circuit import Circuit, ParamExpr, PauliRotation
 from .fermion import ANNIHILATE, CREATE, FermionOperator, hartree_fock_occupation
 from .mapping import encode_occupation, qubit_operator
-from .pauli import PauliTerm
 
 GENERATOR_REAL_TOL = 1e-12
 
@@ -47,15 +46,14 @@ def excitations(n_alpha: int, n_beta: int, n_spatial: int) -> ExcitationList:
     return ExcitationList(singles, tuple(doubles))
 
 
-def _generator_rotation(term: PauliTerm, param: ParamExpr) -> PauliRotation:
-    """exp(theta * c * P) for an anti-Hermitian term c = i*lambda, as the
-    rotation exp(i * lambda * theta * P)."""
-    c = term.coefficient
+def _generator_rotation(x: int, z: int, c: complex, param: ParamExpr) -> PauliRotation:
+    """exp(theta * c * P) for an anti-Hermitian term c = i*lambda on the word
+    P with masks (x, z), as the rotation exp(i * lambda * theta * P)."""
     if abs(c.real) > GENERATOR_REAL_TOL:
         raise AnsatzError(f"generator coefficient {c} is not purely imaginary")
-    if term.weight == 0:
+    if not x | z:
         raise AnsatzError("cannot synthesize evolution of an identity term")
-    return PauliRotation(term.x, term.z, param.scaled(c.imag))  # lambda = c.imag
+    return PauliRotation(x, z, param.scaled(c.imag))  # lambda = c.imag
 
 
 def hf_state_circuit(occupation: tuple[int, ...], mapper: str, taper: bool = False) -> Circuit:
@@ -91,8 +89,8 @@ def build_uccsd(n_alpha: int, n_beta: int, n_spatial: int,
         t = FermionOperator.from_term(n_modes, factors)
         mapped = qubit_operator(t - t.dagger(), mapper, taper, n_alpha, n_beta)
         param = ParamExpr(f"theta{idx}")
-        for term in mapped.terms():
-            circuit.add(_generator_rotation(term, param))
+        for (x, z), c in mapped.items():
+            circuit.add(_generator_rotation(x, z, c, param))
     return circuit
 
 

@@ -92,8 +92,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import (DenseCapError, PauliSum, PauliTerm, flip_index, parity_signs, word_phase,
-                    z_signs)
+from .pauli import DenseCapError, PauliSum, flip_index, parity_signs, word_phase, z_signs
 
 # Largest qubit count with dense 2^n arrays per measurement group (the
 # estimator's outcome tables); it also sizes the stacks of groups, at most
@@ -807,24 +806,25 @@ class EstimatorResult:
     seed: int
 
 
-def group_commuting_terms(h: PauliSum) -> list[list[PauliTerm]]:
-    """Greedy first-fit grouping under qubit-wise commutation (identity
-    dropped). A group's basis is the OR of its members' (x, z) masks, and a
-    term joins the first group whose basis agrees with it on every qubit that
-    both touch."""
-    groups: list[list[PauliTerm]] = []
+def group_commuting_terms(h: PauliSum) -> list[list[tuple[tuple[int, int], complex]]]:
+    """Greedy first-fit grouping of the sum's ((x, z), c) pairs, in `items()`
+    order, under qubit-wise commutation (identity dropped). A group's basis is
+    the OR of its members' masks, and a term joins the first group whose
+    basis agrees with it on every qubit that both touch."""
+    groups: list[list[tuple[tuple[int, int], complex]]] = []
     bases: list[tuple[int, int]] = []
-    for t in h.terms():
-        if t.weight == 0:
+    for term in h.items():
+        tx, tz = term[0]
+        if not tx | tz:
             continue
         for i, (x, z) in enumerate(bases):
-            if ((t.x ^ x) | (t.z ^ z)) & (t.x | t.z) & (x | z) == 0:
-                groups[i].append(t)
-                bases[i] = (x | t.x, z | t.z)
+            if ((tx ^ x) | (tz ^ z)) & (tx | tz) & (x | z) == 0:
+                groups[i].append(term)
+                bases[i] = (x | tx, z | tz)
                 break
         else:
-            groups.append([t])
-            bases.append((t.x, t.z))
+            groups.append([term])
+            bases.append((tx, tz))
     return groups
 
 
@@ -842,12 +842,12 @@ def _basis_change_gates(x: int, z: int, n: int) -> list[Gate]:
 
 def _outcome_tables(groups, n: int) -> np.ndarray:
     """(groups, 2^n): each group's energy on each measured outcome b,
-    sum_t c_t (-1)^popcount(b & mask_t) over its terms t."""
+    sum_t c_t (-1)^popcount(b & (x_t | z_t)) over its terms t."""
     basis = np.arange(1 << n)
     tables = np.zeros((len(groups), 1 << n))
     for table, group in zip(tables, groups):
-        for t in group:
-            table += t.coefficient.real * parity_signs(basis, t.x | t.z)
+        for (x, z), c in group:
+            table += c.real * parity_signs(basis, x | z)
     return tables
 
 
@@ -870,7 +870,7 @@ def _basis_rotations() -> np.ndarray:
 
 class _MeasurementPlan(NamedTuple):
     identity: float  # the coefficient of the identity word
-    groups: tuple[tuple[PauliTerm, ...], ...]
+    groups: tuple[tuple, ...]  # each group's ((x, z), c) pairs
     letters: np.ndarray  # (groups, n): 0, 1, 2 for Z, X, Y
     tables: np.ndarray | None  # (groups, 2^n)
     # read-out _kron_blocks by noise model (see _distributions), and under
@@ -890,12 +890,13 @@ def _measurement_plan(h: PauliSum) -> _MeasurementPlan:
     letters = np.zeros((len(groups), n), dtype=np.intp)
     for i, group in enumerate(groups):
         x = z = 0
-        for t in group:  # the group's basis
-            x, z = x | t.x, z | t.z
+        for (tx, tz), _ in group:  # the group's basis
+            x, z = x | tx, z | tz
         xb, zb = (x >> np.arange(n)) & 1, (z >> np.arange(n)) & 1
         letters[i] = xb + (xb & zb)
     tables = _outcome_tables(groups, n) if n <= DENSE_CAP else None
-    h._plan = _MeasurementPlan(float(h.coefficient("I" * n).real), groups, letters, tables, {})
+    identity = float(h._terms.get((0, 0), 0.0).real)
+    h._plan = _MeasurementPlan(identity, groups, letters, tables, {})
     return h._plan
 
 

@@ -127,10 +127,7 @@ def _cmd_hamiltonian(args) -> int:
 
 def _cmd_map(args) -> int:
     from .mapping import mapping_stats
-    stats = mapping_stats(_mapped(args))
-    print(json.dumps({"n_qubits": stats.n_qubits,
-                      "n_pauli_terms": stats.n_pauli_terms,
-                      "avg_weight": stats.avg_weight}))
+    print(json.dumps(mapping_stats(_mapped(args))))
     return EXIT_OK
 
 
@@ -186,6 +183,15 @@ def _cmd_replay(args) -> int:
     return EXIT_OK
 
 
+def _read_json(path):
+    """The JSON value in a file; malformed JSON is a configuration error that
+    names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise _ConfigError(f"{path}: {exc}") from None
+
+
 def _cmd_zne(args) -> int:
     from .pipeline import build_ansatz, parameter_vector, problem_to_pauli
     from .zne import run_zne
@@ -197,11 +203,11 @@ def _cmd_zne(args) -> int:
     h = problem_to_pauli(problem, cfg.mapper, cfg.taper)
     if args.params_file:
         source = args.params_file
-        theta = json.loads(Path(source).read_text())
+        theta = _read_json(source)
     elif args.run:
         path = Path(args.run) / "result.json"
         source = f"{path} final_theta"
-        report = json.loads(path.read_text())
+        report = _read_json(path)
         # a failed run's result.json holds its error and stage instead
         theta = report.get("final_theta") if isinstance(report, dict) else None
     else:

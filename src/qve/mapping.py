@@ -18,7 +18,6 @@ state and the exact solver's sector basis share one encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -31,13 +30,6 @@ from .pauli import COEFF_TOL, SECTOR_CAP, DenseCapError, PauliSum, _accumulate
 
 class MappingError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MappingStats:
-    n_qubits: int
-    n_pauli_terms: int
-    avg_weight: float
 
 
 def _encoding_rows(mapper: str, n: int) -> tuple[int, ...]:
@@ -108,7 +100,7 @@ def _map_operator(op: FermionOperator, mapper: str) -> PauliSum:
     lx, lz = _ladder(mapper, n)
     terms = op.terms()
     if not terms:
-        return PauliSum.zero(n)
+        return PauliSum(n)
     groups: dict[tuple[bool, ...], list[int]] = {}
     for s, (factors, _) in enumerate(terms):
         groups.setdefault(tuple(k for _, k in factors), []).append(s)
@@ -266,8 +258,9 @@ def sector_basis(n_spatial: int, n_alpha: int, n_beta: int, mapper: str,
     return np.sort(_encoded(occupied, mapper, taper, 2 * n_spatial))
 
 
-def mapping_stats(h: PauliSum) -> MappingStats:
-    """Term count and mean Pauli weight, both counting the identity term."""
+def mapping_stats(h: PauliSum) -> dict:
+    """Qubit count, term count and mean Pauli weight, the last two counting
+    the identity term, as `qve map` prints them."""
     items = h.items()
     avg = sum((x | z).bit_count() for (x, z), _ in items) / len(items) if items else 0.0
-    return MappingStats(h.n_qubits, len(items), avg)
+    return {"n_qubits": h.n_qubits, "n_pauli_terms": len(items), "avg_weight": avg}

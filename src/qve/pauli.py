@@ -1,17 +1,18 @@
 """Sparse n-qubit Pauli-sum arithmetic and exact diagonalization.
 
-A term is a label word such as ``"XYZI"`` with the coefficient of that word,
-so a Hermitian sum has real coefficients. The word is stored as a pair of
-bitmasks (x, z): qubit q holds X, Y or Z when only x_q, both, or only z_q is
-set. Since Y = i X Z, the word acts as `word_phase(x, z)` X^x Z^z; only that
-helper and the mapper, which multiplies words in X^x Z^z form, use the phase.
+A sum maps each Pauli word, a pair of bitmasks (x, z), to the coefficient of
+that word, so a Hermitian sum has real coefficients: qubit q holds X, Y or Z
+when only x_q, both, or only z_q is set. A label string such as ``"XYZI"``
+(index 0 is qubit 0) appears only where a caller writes one, in
+`PauliSum.from_labels` and `PauliSum.coefficient`. Since Y = i X Z, the word
+acts as `word_phase(x, z)` X^x Z^z; only that helper and the mapper, which
+multiplies words in X^x Z^z form, use the phase.
 
 Qubit 0 is the least significant bit of all basis-state indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,6 @@ DENSE_SOLVE_MAX = 1024
 COO_BLOCK = 1 << 18
 
 _LABEL_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
 class PauliError(ValueError):
@@ -80,43 +80,22 @@ def word_phase(x: int, z: int) -> complex:
     return (1, 1j, -1, -1j)[(x & z).bit_count() % 4]
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """One label word with its complex coefficient, in (x, z) mask form."""
-
-    n_qubits: int
-    x: int
-    z: int
-    coefficient: complex
-
-    @classmethod
-    def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliTerm":
-        """Build a term from a string like "XYZI"; index 0 is qubit 0."""
-        x = z = 0
-        for q, ch in enumerate(label):
-            try:
-                xb, zb = _LABEL_TO_XZ[ch]
-            except KeyError:
-                raise PauliError(f"invalid Pauli letter {ch!r}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(len(label), x, z, complex(coefficient))
-
-    def label(self) -> str:
-        return "".join(
-            _XZ_TO_LABEL[((self.x >> q) & 1, (self.z >> q) & 1)]
-            for q in range(self.n_qubits)
-        )
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity single-qubit factors."""
-        return (self.x | self.z).bit_count()
+def _label_masks(label: str) -> tuple[int, int]:
+    """The (x, z) masks of a label word like "XYZI"; index 0 is qubit 0."""
+    x = z = 0
+    for q, ch in enumerate(label):
+        try:
+            xb, zb = _LABEL_TO_XZ[ch]
+        except KeyError:
+            raise PauliError(f"invalid Pauli letter {ch!r}") from None
+        x |= xb << q
+        z |= zb << q
+    return x, z
 
 
 class PauliSum:
     """Weighted sum of Pauli words over a fixed qubit count, built once: by
-    `PauliSum(n, terms)`, `from_terms` or `from_labels`."""
+    `PauliSum(n, {(x, z): c})` or `from_labels`."""
 
     __slots__ = ("n_qubits", "_terms", "_plan")
 
@@ -127,34 +106,17 @@ class PauliSum:
         # estimate and kept for the sum's life
         self._plan = None
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
-    def from_terms(cls, terms: list[PauliTerm]) -> "PauliSum":
-        if not terms:
-            raise PauliError("empty term list; use PauliSum.zero")
-        s = cls(terms[0].n_qubits)
-        for t in terms:
-            if t.n_qubits != s.n_qubits:
-                raise PauliError("qubit-count mismatch")
-            _accumulate(s._terms, (t.x, t.z), t.coefficient)
-        return s
-
     @classmethod
     def from_labels(cls, pairs: list[tuple[str, complex]]) -> "PauliSum":
-        return cls.from_terms([PauliTerm.from_label(lbl, c) for lbl, c in pairs])
-
-    # -- contents -------------------------------------------------------
-
-    def terms(self) -> list[PauliTerm]:
-        return [
-            PauliTerm(self.n_qubits, x, z, c)
-            for (x, z), c in sorted(self._terms.items())
-        ]
+        """The sum of (label, coefficient) pairs, all labels of one length."""
+        if not pairs:
+            raise PauliError("empty label list")
+        s = cls(len(pairs[0][0]))
+        for label, c in pairs:
+            if len(label) != s.n_qubits:
+                raise PauliError("qubit-count mismatch")
+            _accumulate(s._terms, _label_masks(label), complex(c))
+        return s
 
     def items(self) -> tuple[tuple[tuple[int, int], complex], ...]:
         """Hashable snapshot of the contents: ((x, z), coefficient) pairs, sorted."""
@@ -167,8 +129,11 @@ class PauliSum:
         return all(abs(c.imag) <= tol for c in self._terms.values())
 
     def coefficient(self, label: str) -> complex:
-        t = PauliTerm.from_label(label)
-        return self._terms.get((t.x, t.z), 0.0)
+        """The coefficient of a label word of n_qubits letters, 0 if absent."""
+        if len(label) != self.n_qubits:
+            raise PauliError(f"label {label!r} has {len(label)} letters, "
+                             f"not {self.n_qubits}")
+        return self._terms.get(_label_masks(label), 0.0)
 
 
 def _restricted_coo(h: PauliSum, basis: np.ndarray

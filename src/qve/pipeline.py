@@ -341,7 +341,11 @@ def replay_on_exact(params_log_path, problem: ActiveSpaceProblem,
     for ln, raw in enumerate(Path(params_log_path).read_text().splitlines(), start=1):
         if not raw.strip():
             continue
-        rec = json.loads(raw)
+        try:
+            rec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"{params_log_path}:{ln}: {exc.msg} at column "
+                                f"{exc.colno}") from None
         if not (isinstance(rec, dict) and type(rec.get("iteration")) is int):
             raise PipelineError(f"{params_log_path}:{ln}: expected an object with an "
                                 f"integer iteration")

@@ -152,6 +152,19 @@ _P1 = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]], dtype=complex),
        "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1.0, -1.0]).astype(complex)}
 
 
+def pauli_label(x: int, z: int, n: int) -> str:
+    """The label word of the masks (x, z) on n qubits, index 0 = qubit 0: X
+    where only x is set, Z where only z is, and Y where both are."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
+def pauli_masks(label: str) -> tuple[int, int]:
+    """The (x, z) masks of a label word: X and Y set x, Z and Y set z."""
+    x = sum(1 << q for q, ch in enumerate(label) if ch in "XY")
+    z = sum(1 << q for q, ch in enumerate(label) if ch in "YZ")
+    return x, z
+
+
 def pauli_label_matrix(label: str) -> np.ndarray:
     """Kronecker assembly with qubit 0 as the least significant factor."""
     mat = np.eye(1, dtype=complex)
@@ -168,9 +181,9 @@ def pauli_sum_matrix(h) -> np.ndarray:
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for t in h.terms():
-        rows, vals = np.zeros_like(cols), np.full(dim, t.coefficient, dtype=complex)
-        for q, ch in enumerate(t.label()):
+    for (x, z), c in h.items():
+        rows, vals = np.zeros_like(cols), np.full(dim, c, dtype=complex)
+        for q, ch in enumerate(pauli_label(x, z, h.n_qubits)):
             bit = (cols >> q) & 1
             target = np.abs(_P1[ch]).argmax(axis=0)[bit]
             rows |= target << q
@@ -393,11 +406,11 @@ def sector_basis_reference(n_spatial: int, n_alpha: int, n_beta: int, mapper: st
 
 
 def taper_two_qubits_reference(h, n_alpha: int, n_beta: int):
-    """`mapping.taper_two_qubits` one `PauliTerm` at a time, in `h.terms()`
-    order: the Zs on qubits n/2 - 1 and n - 1 become the alpha and total
-    number parities, the two qubits are cut out of the masks, and each term
-    is added to a dict that drops a word whose sum falls under COEFF_TOL."""
-    from qve.pauli import COEFF_TOL, PauliSum, PauliTerm
+    """`mapping.taper_two_qubits` one term at a time, in `h.items()` order:
+    the Zs on qubits n/2 - 1 and n - 1 become the alpha and total number
+    parities, the two qubits are cut out of the masks, and each term is added
+    to a dict that drops a word whose sum falls under COEFF_TOL."""
+    from qve.pauli import COEFF_TOL, PauliSum
     n = h.n_qubits
     q1, q2 = n // 2 - 1, n - 1
     kept = [q for q in range(n) if q not in (q1, q2)]
@@ -406,15 +419,13 @@ def taper_two_qubits_reference(h, n_alpha: int, n_beta: int):
         return sum(((mask >> q) & 1) << i for i, q in enumerate(kept))
 
     out: dict[tuple[int, int], complex] = {}
-    for t in h.terms():
-        c = t.coefficient
-        if (t.z >> q1) & 1:
+    for (x, z), c in h.items():
+        if (z >> q1) & 1:
             c *= -1.0 if n_alpha % 2 else 1.0
-        if (t.z >> q2) & 1:
+        if (z >> q2) & 1:
             c *= -1.0 if (n_alpha + n_beta) % 2 else 1.0
-        term = PauliTerm(n - 2, cut(t.x), cut(t.z), c)
-        key = (term.x, term.z)
-        c = out.get(key, 0.0) + term.coefficient
+        key = (cut(x), cut(z))
+        c = out.get(key, 0.0) + c
         if abs(c) < COEFF_TOL:
             out.pop(key, None)
         else:
@@ -423,11 +434,11 @@ def taper_two_qubits_reference(h, n_alpha: int, n_beta: int):
 
 
 def mapping_stats_reference(h) -> tuple[int, int, float]:
-    """`mapping.mapping_stats` over `PauliTerm`s: qubits, terms and the mean
-    weight, the identity counted."""
-    terms = h.terms()
-    avg = sum(t.weight for t in terms) / len(terms) if terms else 0.0
-    return h.n_qubits, len(terms), avg
+    """`mapping.mapping_stats` over the terms' labels: qubits, terms and the
+    mean count of non-identity letters, the identity counted."""
+    labels = [pauli_label(x, z, h.n_qubits) for (x, z), _ in h.items()]
+    avg = sum(len(lbl) - lbl.count("I") for lbl in labels) / len(labels) if labels else 0.0
+    return h.n_qubits, len(labels), avg
 
 
 # -- SPSA ------------------------------------------------------------------

@@ -57,8 +57,8 @@ def test_criterion_1_mapping_statistics(beh2_problem):
     ok = True
     for (mapper, taper), (nq, nt, avg) in rows.items():
         s = mapping_stats(problem_to_pauli(beh2_problem, mapper, taper))
-        ok &= s.n_qubits == nq and s.n_pauli_terms == nt
-        ok &= abs(s.avg_weight - avg) <= 0.01
+        ok &= s["n_qubits"] == nq and s["n_pauli_terms"] == nt
+        ok &= abs(s["avg_weight"] - avg) <= 0.01
     ok &= (time.time() - t0) < 5.0
     report("criterion 1: mapping statistics (4 rows, counts exact, "
            "avg weight +-0.01, < 5 s)", ok)

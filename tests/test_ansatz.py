@@ -15,7 +15,7 @@ from qve.circuit import Circuit, CircuitStats, ParamExpr, PauliRotation, \
     circuit_stats, run_circuit, transpile
 from qve.fermion import hartree_fock_occupation
 from qve.mapping import MAPPERS, MappingError, encode_occupation
-from qve.pauli import PauliSum, PauliTerm, expectation_exact
+from qve.pauli import PauliSum, expectation_exact
 from qve.pipeline import problem_to_pauli
 from qve.zne import fold_circuit
 
@@ -48,9 +48,9 @@ def test_pauli_evolution_matches_matrix_exponential():
     rng = np.random.default_rng(2)
     for lbl in ("XY", "ZZ", "YIX", "XYZ"):
         lam = float(rng.normal())
-        term = PauliTerm.from_label(lbl, 1j * lam)
+        x, z = oracles.pauli_masks(lbl)
         theta = float(rng.uniform(-2, 2))
-        gates = _generator_rotation(term, ParamExpr("t")).decompose(len(lbl))
+        gates = _generator_rotation(x, z, 1j * lam, ParamExpr("t")).decompose(len(lbl))
         c = Circuit(len(lbl))
         c.extend(gates)
         got = circuit_unitary(c, {"t": theta})
@@ -61,9 +61,9 @@ def test_pauli_evolution_matches_matrix_exponential():
 def test_pauli_evolution_rejects_bad_generators():
     # [TRIVIAL] real coefficients and identity terms are not anti-Hermitian
     with pytest.raises(AnsatzError):
-        _generator_rotation(PauliTerm.from_label("XY", 1.0), ParamExpr("t"))
+        _generator_rotation(*oracles.pauli_masks("XY"), 1.0 + 0j, ParamExpr("t"))
     with pytest.raises(AnsatzError):
-        _generator_rotation(PauliTerm.from_label("II", 1j), ParamExpr("t"))
+        _generator_rotation(*oracles.pauli_masks("II"), 1j, ParamExpr("t"))
 
 
 @pytest.mark.parametrize("mapper", ["jw", "parity", "bk"])

@@ -10,8 +10,8 @@ import pytest
 from scipy.linalg import expm
 
 import qve.circuit as circuit_module
-from oracles import (circuit_unitary, pauli_label_matrix, pauli_sum_matrix,
-                     run_fused_reference, run_operations_reference)
+from oracles import (circuit_unitary, pauli_label, pauli_label_matrix, pauli_masks,
+                     pauli_sum_matrix, run_fused_reference, run_operations_reference)
 from qve.ansatz import build_hea, build_uccsd
 from qve.basis import parse_geometry
 from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
@@ -19,7 +19,7 @@ from qve.circuit import (Circuit, CircuitError, EstimatorResult, Gate,
                          circuit_stats, derive_rng, estimate,
                          group_commuting_terms, inverse_circuit, run_circuit,
                          transpile)
-from qve.pauli import DenseCapError, PauliSum, PauliTerm, expectation_exact
+from qve.pauli import DenseCapError, PauliSum, expectation_exact
 from qve.pipeline import problem_from_geometry, problem_to_pauli
 from qve.zne import fold_circuit
 
@@ -181,9 +181,8 @@ def test_pauli_rotation_matches_matrix_exponential():
     # gates, equals expm(i a P) with a = scale * t + offset, phase included
     rng = np.random.default_rng(11)
     for lbl in ("Y", "XY", "ZZ", "YIX", "XYZ", "IZY"):
-        term = PauliTerm.from_label(lbl)
         angle = ParamExpr("t", float(rng.normal()), float(rng.normal()))
-        rot = PauliRotation(term.x, term.z, angle)
+        rot = PauliRotation(*pauli_masks(lbl), angle)
         t = float(rng.uniform(-math.pi, math.pi))
         want = expm(1j * angle.resolve({"t": t}) * pauli_label_matrix(lbl))
         compiled = Circuit(len(lbl)).add(rot)
@@ -202,9 +201,9 @@ def test_fixed_angle_pauli_rotation_matches_bound_parameter():
     # gates are used: a noisy exact estimate, a fold (through the inverse
     # circuit) and a transpiled unitary; the statevector runs it as a stack
     # row at scale 0
-    term = PauliTerm.from_label("XYZ")
-    fixed = Circuit(3).h(0).add(PauliRotation(term.x, term.z, 0.3))
-    bound = Circuit(3).h(0).add(PauliRotation(term.x, term.z, ParamExpr("t")))
+    x, z = pauli_masks("XYZ")
+    fixed = Circuit(3).h(0).add(PauliRotation(x, z, 0.3))
+    bound = Circuit(3).h(0).add(PauliRotation(x, z, ParamExpr("t")))
     at = {"t": 0.3}
     h = PauliSum.from_labels([("ZZI", 0.5), ("XYZ", -0.25), ("IYX", 0.375)])
     noise = NoiseModel(p1=0.01, p2=0.02, readout01=0.01, readout10=0.03)
@@ -322,8 +321,7 @@ def test_fused_runs_match_matrix_exponentials():
         if isinstance(op, Gate):
             c.add(op)
         else:
-            term = PauliTerm.from_label(op[0])
-            c.add(PauliRotation(term.x, term.z, op[1]))
+            c.add(PauliRotation(*pauli_masks(op[0]), op[1]))
     assert len(circuit_module._compiled(c).steps) == 1 + 8 + 2
     at = {"t": 0.83, "u": -0.41}
     want = embed(np.array([[1, 1], [1, -1]]) / math.sqrt(2), 0, 2)
@@ -437,14 +435,14 @@ def test_grouping_is_qubit_wise_commuting():
     h = PauliSum.from_labels([("II", 1.0), ("ZI", 0.1), ("IZ", 0.2), ("ZZ", 0.3),
                               ("XI", 0.4), ("XX", 0.5), ("YY", 0.6)])
     groups = group_commuting_terms(h)
-    placed = [t.label() for g in groups for t in g]
+    placed = [pauli_label(x, z, 2) for g in groups for (x, z), _ in g]
     assert sorted(placed) == sorted(["ZI", "IZ", "ZZ", "XI", "XX", "YY"])
     for g in groups:
-        for i, a in enumerate(g):
-            for b in g[i + 1:]:
+        for i, ((ax, az), _) in enumerate(g):
+            for (bx, bz), _ in g[i + 1:]:
                 for q in range(2):
-                    pa = ((a.x >> q) & 1, (a.z >> q) & 1)
-                    pb = ((b.x >> q) & 1, (b.z >> q) & 1)
+                    pa = ((ax >> q) & 1, (az >> q) & 1)
+                    pb = ((bx >> q) & 1, (bz >> q) & 1)
                     assert pa == (0, 0) or pb == (0, 0) or pa == pb
 
 
@@ -464,17 +462,18 @@ def random_pauli_sums(seed, count):
 def pairwise_first_fit(h):
     """Greedy first-fit grouping that compares a term's letters with those of
     every member of a group."""
-    groups = []
-    for t in h.terms():
-        if t.weight == 0:
+    n, groups = h.n_qubits, []
+    for term in h.items():
+        label = pauli_label(*term[0], n)
+        if label == "I" * n:
             continue
         for g in groups:
             if all(a == "I" or b == "I" or a == b
-                   for u in g for a, b in zip(t.label(), u.label())):
-                g.append(t)
+                   for u in g for a, b in zip(label, pauli_label(*u[0], n))):
+                g.append(term)
                 break
         else:
-            groups.append([t])
+            groups.append([term])
     return groups
 
 
@@ -512,12 +511,13 @@ def test_basis_changes_turn_terms_into_z_strings(beh2_problem):
         plan = circuit_module._measurement_plan(h)
         for group, letters in zip(plan.groups, plan.letters):
             u = basis_rotation(letters)
-            for t in group:
-                rot = PauliRotation(t.x, t.z, ParamExpr("a")).decompose(n)
+            for (tx, tz), _ in group:
+                rot = PauliRotation(tx, tz, ParamExpr("a")).decompose(n)
                 enter = itertools.takewhile(
                     lambda g: g.kind != "CX" and not isinstance(g.angle, ParamExpr), rot)
                 v = circuit_unitary(Circuit(n).extend(enter))
-                p, z = pauli_label_matrix(t.label()), pauli_label_matrix(z_string(t.label()))
+                label = pauli_label(tx, tz, n)
+                p, z = pauli_label_matrix(label), pauli_label_matrix(z_string(label))
                 for w in (u, v):
                     np.testing.assert_allclose(w @ p @ w.conj().T, z, rtol=0, atol=1e-12)
 
@@ -575,19 +575,20 @@ def noisy_expectation_oracle(c, h, noise):
     n = c.n_qubits
     total = h.coefficient("I" * n).real
     readout = {0: 1 - 2 * noise.readout01, 1: -(1 - 2 * noise.readout10)}
-    for t in h.terms():
-        if t.weight == 0:
+    for (x, z), coefficient in h.items():
+        label = pauli_label(x, z, n)
+        if label == "I" * n:
             continue
         gates = list(c.gates)
-        for q, ch in enumerate(t.label()):
+        for q, ch in enumerate(label):
             if ch == "X":
                 gates.append(Gate("H", (q,)))
             elif ch == "Y":
                 gates += [Gate("RZ", (q,), -math.pi / 2), Gate("H", (q,))]
         rho = noisy_density_oracle(gates, n, noise)
-        support = [q for q, ch in enumerate(t.label()) if ch != "I"]
+        support = [q for q, ch in enumerate(label) if ch != "I"]
         obs = [math.prod(readout[(b >> q) & 1] for q in support) for b in range(1 << n)]
-        total += t.coefficient.real * float(np.real(np.diagonal(rho)) @ obs)
+        total += coefficient.real * float(np.real(np.diagonal(rho)) @ obs)
     return total
 
 
@@ -616,8 +617,8 @@ def bound_gates(c, bindings):
 def measured_letters(group, n):
     """Each qubit's letter in the group's terms, Z where none touches it."""
     letters = ["Z"] * n
-    for t in group:
-        for q, ch in enumerate(t.label()):
+    for (x, z), _ in group:
+        for q, ch in enumerate(pauli_label(x, z, n)):
             if ch != "I":
                 letters[q] = ch
     return letters
@@ -1047,7 +1048,7 @@ def test_one_generator_across_stacks(beh2_tapered, noise, monkeypatch):
     assert abs(plan.identity + fresh / shots - whole.mean) > 1e-6
     for dense_cap in (5, 3):
         monkeypatch.setattr(circuit_module, "DENSE_CAP", dense_cap)
-        h = PauliSum.from_terms(beh2_tapered.terms())  # a plan at this cap
+        h = PauliSum(c.n_qubits, dict(beh2_tapered.items()))  # a plan at this cap
         stacks = distributions(c, bindings, plan, noise)
         assert [len(p) for p in stacks] == ([2, 2, 2, 1] if dense_cap == 5 else [1] * 7)
         r = estimate(c, bindings, h, shots, seed, noise=noise)
@@ -1303,7 +1304,7 @@ def test_outcome_tables_match_dense_oracle(beh2_tapered):
         assert len(plan.groups) > 1
         for group, letters, table in zip(plan.groups, plan.letters, plan.tables):
             u = basis_rotation(letters)
-            h_g = pauli_sum_matrix(PauliSum.from_terms(list(group)))
+            h_g = pauli_sum_matrix(PauliSum(n, dict(group)))
             diag = np.diagonal(u @ h_g @ u.conj().T)
             np.testing.assert_allclose(table, diag.real, rtol=0, atol=1e-12)
             assert np.abs(diag.imag).max() < 1e-12

@@ -743,3 +743,31 @@ def test_commands_run_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_replay_malformed_json_line_names_file_and_line(capsys, tmp_path):
+    # [TRIVIAL] a params.jsonl line that is not JSON exits 2 naming the file
+    # and the line, and writes no replay.csv
+    log = tmp_path / "params.jsonl"
+    good = json.dumps({"iteration": 0, "theta": [0.1] * 16})
+    log.write_text(good + "\n" + good[:-1] + "\n")
+    code, _, err = run_cli(capsys, "replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                           "--run", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert f"error: {log}:2: Expecting ',' delimiter at column " in err
+    assert not (tmp_path / "replay.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["params-file", "run"])
+def test_zne_malformed_json_names_its_file(capsys, tmp_path, source):
+    # [TRIVIAL] a --params-file, or a --run directory's result.json, that is
+    # not JSON exits 2 naming the file
+    noise = tmp_path / "noise.cfg"
+    noise.write_text("p2 0.01\n")
+    path = tmp_path / ("theta.json" if source == "params-file" else "result.json")
+    path.write_text('{"final_theta": [0.1, 0.2')
+    code, out, err = run_cli(capsys, "zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                             "--shots", "0", "--noise", str(noise),
+                             f"--{source}", str(path if source == "params-file" else tmp_path))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"error: {path}: Expecting ',' delimiter" in err

@@ -23,14 +23,20 @@ from conftest import FIXTURE, H2_GEOMETRY
 from qve.cli import EXIT_CONFIG, EXIT_ELEMENT, EXIT_NUMERIC, EXIT_OK, main
 
 REPLACEMENTS = ("nan", "inf", "-inf", "-1", "1e400", "abc", "#", "1e", "0.5.5", "p1", "h")
+# the parameter log's replacements: tokens that keep a line valid JSON, so
+# that a replaced value reaches the checks after `json.loads` (a negative, an
+# infinite, a non-finite and a non-numeric value)
+JSON_REPLACEMENTS = ("-1", "1e400", "NaN", "-Infinity", "true", "null", '"0.1"', "[]")
 NOISE = "p1 0.001\np2 0.01\nreadout01 0.01\nreadout10 0.02\n"
 # the bundled fixture without its comment lines, whose tokens are inert
 FIXTURE_BODY = "".join(line + "\n" for line in FIXTURE.read_text().splitlines()
                        if not line.startswith("#"))
 # 16 HEA parameters as JSON, each number and each separator its own token
 PARAMS = "[ " + " , ".join(f"{0.05 * (i + 1):.2f}" for i in range(16)) + " ]\n"
-# a three-iteration params.jsonl of the 16-parameter HEA, as run_vqe logs it
-LOG_LINES = [json.dumps({"iteration": k, "theta": [0.05 * (i + k) for i in range(16)]}) + "\n"
+# a three-iteration params.jsonl of the 16-parameter HEA, the values run_vqe
+# logs, with each number and each separator its own token
+LOG_LINES = [f'{{ "iteration" : {k} , "theta" : [ '
+             + " , ".join(json.dumps(0.05 * (i + k)) for i in range(16)) + " ] }\n"
              for k in (1, 2, 3)]
 
 
@@ -55,17 +61,18 @@ def _mutate(text: str, mutations) -> str:
     return "".join(" ".join(toks) + "\n" for toks in lines)
 
 
-def mutated(text: str):
+def mutated(text: str, replacements=REPLACEMENTS):
     mutation = st.tuples(st.sampled_from(("drop", "duplicate", "swap", "replace")),
                          st.integers(0, 10**6), st.integers(0, 10**6),
-                         st.sampled_from(REPLACEMENTS))
+                         st.sampled_from(replacements))
     return st.lists(mutation, min_size=1, max_size=3).map(lambda ms: _mutate(text, ms))
 
 
 def mutated_log():
     """The parameter log with one of its lines mutated."""
-    return st.integers(0, len(LOG_LINES) - 1).flatmap(lambda i: mutated(LOG_LINES[i]).map(
-        lambda line: "".join(LOG_LINES[:i]) + line + "".join(LOG_LINES[i + 1:])))
+    return st.integers(0, len(LOG_LINES) - 1).flatmap(
+        lambda i: mutated(LOG_LINES[i], JSON_REPLACEMENTS).map(
+            lambda line: "".join(LOG_LINES[:i]) + line + "".join(LOG_LINES[i + 1:])))
 
 
 def run_main(*argv):
@@ -150,35 +157,39 @@ def test_mutated_geometry_exits_cleanly(tmp_path_factory, text):
 def test_mutated_params_file_exits_cleanly(tmp_path_factory, text):
     # [TRIVIAL] `qve zne --shots 0` on a mutated 16-parameter HEA file
     # returns 0 or 2 and raises nothing; on success it prints finite numbers
-    # only
+    # only, and a refused file is named
     tmp = tmp_path_factory.mktemp("params")
     noise, params = tmp / "noise.cfg", tmp / "theta.json"
     noise.write_text(NOISE)
     params.write_text(text)
-    code, out, _ = run_main("zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
-                            "--shots", "0", "--folds", "1,3", "--fit", "linear",
-                            "--noise", str(noise), "--params-file", str(params))
+    code, out, err = run_main("zne", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                              "--shots", "0", "--folds", "1,3", "--fit", "linear",
+                              "--noise", str(noise), "--params-file", str(params))
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code == EXIT_OK:
         assert_finite_json(out)
+    if code == EXIT_CONFIG:
+        assert str(params) in err, err
 
 
 @given(mutated_log())
 @example("")  # an empty log
-@example("".join(LOG_LINES).replace("0.05, ", "", 1))  # 15 parameters in line 1
+@example("".join(LOG_LINES).replace("0.05 , ", "", 1))  # 15 parameters in line 1
 @example("".join(LOG_LINES).replace("0.05", "1e400", 1))  # past the float range
 @example("".join(LOG_LINES).replace("0.05", "-1e300", 1))  # finite, far past 2 pi
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_mutated_params_log_replays_cleanly(tmp_path_factory, text):
     # [TRIVIAL] `qve replay` of a run whose params.jsonl has one mutated line
     # returns 0 or 2 and raises nothing; on success its replay.csv holds
-    # finite energies only
+    # finite energies only, and a refused log is named with its line
     run = tmp_path_factory.mktemp("run")
     (run / "params.jsonl").write_text(text)
-    code, out, _ = run_main("replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
-                            "--run", str(run))
+    code, out, err = run_main("replay", "--ham", str(FIXTURE), "--taper", "--ansatz", "hea",
+                              "--run", str(run))
     assert code in (EXIT_OK, EXIT_CONFIG)
     if code == EXIT_OK:
         assert_finite_json(out)
         rows = (run / "replay.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+    if code == EXIT_CONFIG:
+        assert re.search(re.escape(str(run / "params.jsonl")) + r":\d+[: ]", err), err

@@ -279,7 +279,7 @@ def test_taper_requires_conserving_operator():
 @pytest.mark.parametrize("source", ["bundled", 2, 4, 6])
 def test_taper_and_stats_match_term_loops(beh2_problem, hchain_fixtures, source):
     # [DERIVED] the taper and the statistics read the sum's pairs and agree
-    # exactly with the PauliTerm loops: the same words in the same insertion
+    # exactly with the oracles' term loops: the same words in the same insertion
     # order, each coefficient ==, for the Hamiltonian and every UCCSD
     # generator of the bundled fixture and of linear H2, H4 and H6, each also
     # with its terms inserted in reverse, and for a sum whose tapered words
@@ -310,7 +310,8 @@ def test_taper_and_stats_match_term_loops(beh2_problem, hchain_fixtures, source)
         for h in (MAPPERS["parity"](op), qubit_operator(op, "parity", True, na, nb),
                   MAPPERS["jw"](op), MAPPERS["bk"](op)):
             s = mapping_stats(h)
-            assert (s.n_qubits, s.n_pauli_terms, s.avg_weight) == oracles.mapping_stats_reference(h)
+            assert tuple(s.values()) == oracles.mapping_stats_reference(h)
+            assert list(s) == ["n_qubits", "n_pauli_terms", "avg_weight"]
 
 
 def test_taper_preserves_sector_ground_energy(beh2_problem):
@@ -379,8 +380,8 @@ def test_mapping_stats_small_example():
     # [TRIVIAL] identity counts toward the average weight
     h = PauliSum.from_labels([("II", 1.0), ("XZ", 0.5), ("IZ", 0.25)])
     s = mapping_stats(h)
-    assert (s.n_qubits, s.n_pauli_terms) == (2, 3)
-    assert s.avg_weight == pytest.approx(1.0)
+    assert (s["n_qubits"], s["n_pauli_terms"]) == (2, 3)
+    assert s["avg_weight"] == pytest.approx(1.0)
 
 
 TABLE_ROWS = [
@@ -396,9 +397,9 @@ def test_beh2_mapping_statistics(beh2_problem, mapper, taper, qubits, terms, avg
     # [PAPER] published mapping statistics for the BeH2 3-orbital fixture;
     # counts exact, average weight to 0.01
     s = mapping_stats(problem_to_pauli(beh2_problem, mapper, taper))
-    assert s.n_qubits == qubits
-    assert s.n_pauli_terms == terms
-    assert s.avg_weight == pytest.approx(avg, abs=0.01)
+    assert s["n_qubits"] == qubits
+    assert s["n_pauli_terms"] == terms
+    assert s["avg_weight"] == pytest.approx(avg, abs=0.01)
 
 
 def test_beh2_exact_energy(beh2_tapered):

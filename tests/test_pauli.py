@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pauli_label_matrix, pauli_sum_matrix, restricted_coo_reference
+from oracles import pauli_label, pauli_label_matrix, pauli_sum_matrix, restricted_coo_reference
 from qve import pauli
 from qve.basis import parse_geometry
 from qve.mapping import sector_basis
-from qve.pauli import (DenseCapError, LanczosError, PauliError, PauliSum, PauliTerm,
-                       exact_ground_energy, expectation_exact)
+from qve.pauli import (DenseCapError, LanczosError, PauliError, PauliSum, exact_ground_energy,
+                       expectation_exact)
 from qve.pipeline import load_fixture, problem_from_geometry, problem_to_pauli
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
@@ -29,16 +29,21 @@ def solver_matrix(h):
 
 
 def test_label_round_trip():
-    # [TRIVIAL] symplectic storage must reproduce the label exactly
+    # [TRIVIAL] symplectic storage must reproduce the label exactly, and the
+    # label reads its coefficient back; an invalid letter is refused by both
     for lbl in ("I", "X", "Y", "Z", "XYZI", "YYZX", "IIII"):
-        assert PauliTerm.from_label(lbl).label() == lbl
+        h = PauliSum.from_labels([(lbl, 1.0)])
+        assert [pauli_label(x, z, len(lbl)) for (x, z), _ in h.items()] == [lbl]
+        assert h.coefficient(lbl) == 1.0
     with pytest.raises(PauliError, match="invalid Pauli letter 'Q'"):
-        PauliTerm.from_label("XQ")
+        PauliSum.from_labels([("XQ", 1.0)])
+    with pytest.raises(PauliError, match="invalid Pauli letter 'Q'"):
+        PauliSum(2).coefficient("XQ")
 
 
 def test_from_label_keeps_the_label_coefficient():
-    # [TRIVIAL] a term stores the coefficient of its label word, Ys included
-    assert PauliTerm.from_label("YY", 2.0).coefficient == 2.0
+    # [TRIVIAL] a sum stores the coefficient of its label word, Ys included
+    assert PauliSum.from_labels([("YY", 2.0)]).coefficient("YY") == 2.0
 
 
 @given(labels)
@@ -46,7 +51,7 @@ def test_from_label_keeps_the_label_coefficient():
 def test_term_matrix_matches_kron_oracle(lbl):
     # [DERIVED] the exact solver's sparse realization and the oracle's signed
     # permutation vs independent Kronecker assembly
-    h = PauliSum.from_terms([PauliTerm.from_label(lbl, 1.0)])
+    h = PauliSum.from_labels([(lbl, 1.0)])
     np.testing.assert_allclose(solver_matrix(h), pauli_label_matrix(lbl), atol=1e-12)
     np.testing.assert_array_equal(pauli_sum_matrix(h), pauli_label_matrix(lbl))
 
@@ -58,21 +63,15 @@ def test_sum_matrix_matches_oracle():
     np.testing.assert_allclose(solver_matrix(h), pauli_sum_matrix(h), atol=1e-12)
 
 
-def test_from_terms_cancellation():
-    # [TRIVIAL] exact cancellation removes the term; an empty term list and
-    # terms on different qubit counts are refused
+def test_from_labels_cancellation():
+    # [TRIVIAL] exact cancellation removes the term; an empty label list and
+    # labels of different lengths are refused
     h = PauliSum.from_labels([("XY", 1.0), ("XY", -1.0)])
     assert len(h) == 0
-    with pytest.raises(PauliError, match="empty term list"):
-        PauliSum.from_terms([])
+    with pytest.raises(PauliError, match="empty label list"):
+        PauliSum.from_labels([])
     with pytest.raises(PauliError, match="qubit-count mismatch"):
-        PauliSum.from_terms([PauliTerm.from_label("XY"), PauliTerm.from_label("XYZ")])
-
-
-def test_weight():
-    # [TRIVIAL]
-    assert PauliTerm.from_label("IXYZ").weight == 3
-    assert PauliTerm.from_label("III").weight == 0
+        PauliSum.from_labels([("XY", 1.0), ("XYZ", 1.0)])
 
 
 def test_dagger_and_hermiticity():
@@ -96,6 +95,16 @@ def test_coefficient_lookup():
     assert h.coefficient("ZZ") == 0.0
 
 
+def test_coefficient_refuses_a_label_of_another_length():
+    # [TRIVIAL] a label shorter or longer than the sum's qubit count names no
+    # word of the sum: refused, not read as its padded or truncated word
+    h = PauliSum.from_labels([("XXI", 2), ("ZZZ", 1)])
+    assert h.coefficient("XXI") == 2
+    for lbl in ("XX", "XXIII", ""):
+        with pytest.raises(PauliError, match=f"label {lbl!r} has {len(lbl)} letters, not 3"):
+            h.coefficient(lbl)
+
+
 def test_exact_ground_energy_transverse_pair():
     # [DERIVED] H = -Z0 Z1 - 0.5 X0: analytic ground energy -sqrt(1 + 0.25)
     h = PauliSum.from_labels([("ZZ", -1.0), ("XI", -0.5)])
@@ -103,7 +112,7 @@ def test_exact_ground_energy_transverse_pair():
     assert e == pytest.approx(-np.sqrt(1.25), abs=1e-12)
     np.testing.assert_allclose(pauli_sum_matrix(h) @ v, e * v, atol=1e-10)
     # the zero sum has no matrix entries, and its ground energy is 0
-    assert exact_ground_energy(PauliSum.zero(2))[0] == 0.0
+    assert exact_ground_energy(PauliSum(2))[0] == 0.0
 
 
 def test_exact_ground_energy_rejects_non_hermitian():
